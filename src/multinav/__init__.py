@@ -22,9 +22,7 @@ from .multiplex import (
     export_edges,
     integrate_links,
     knockout_nodes,
-    neighbors,
     parse_edge_list,
-    read_edge_csv,
     trim_edges,
     write_edge_csv,
 )
@@ -110,11 +108,9 @@ __all__ = [
     "modified_adamic_adar",
     "modified_jaccard",
     "navigability_report",
-    "neighbors",
     "normalize_scores",
     "parse_edge_list",
     "poisson_clock",
-    "read_edge_csv",
     "run_stage",
     "simulate_walk",
     "spectral_gap",

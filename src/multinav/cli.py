@@ -2,9 +2,10 @@
 
 Every command writes its artifacts plus a manifest.json into --out. The
 manifest echoes the configuration, hashes inputs and artifacts, and records
-a run_hash over everything except wall-clock timings and the output
-location, so identical runs are verifiable by hash comparison. Files are
-written atomically (temp file + rename).
+a run_hash over everything except wall-clock timings, the output location
+and the input paths (inputs count by content), so identical runs are
+verifiable by hash comparison. Files are written atomically (temp file +
+rename).
 
 Exit codes: 0 success (including a t90 of "not reached"), 1 usage error,
 2 input/parse error, 3 numerical degradation.
@@ -19,24 +20,26 @@ import json
 import os
 import sys
 import time
+import uuid
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .multiplex import (
-    ConstructionError,
     EdgeList,
     FlowEdge,
+    MultiplexNetwork,
     ParseError,
     PLACEMENT_ALL,
     PLACEMENT_SUBSET,
-    SchemaError,
     TRIM_GLOBAL,
     TRIM_PER_LAYER,
     build_multiplex,
     export_edges,
     integrate_links,
+    knockout_nodes,
     parse_edge_list,
     trim_edges,
     write_edge_csv,
@@ -85,14 +88,17 @@ def phase_seed(root_seed: int, phase: str) -> int:
 
 @contextlib.contextmanager
 def _atomic(path: Path):
-    """Yield a temp path in the target's directory, renamed over it on success."""
-    tmp = path.with_name(path.name + ".tmp")
+    """Yield a temp path in the target's directory, renamed over it on success.
+
+    The name is unique per call, so runs sharing an output directory never
+    touch each other's temp files.
+    """
+    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
     try:
         yield tmp
         os.replace(tmp, path)
     finally:
-        if tmp.exists():
-            tmp.unlink()
+        tmp.unlink(missing_ok=True)
 
 
 def _sha256_path(path: Path | str) -> str:
@@ -111,19 +117,20 @@ def _write_manifest(
     artifacts: list[str],
     timings: dict[str, float],
 ) -> str:
+    digests = [_sha256_path(p) for p in inputs]
     manifest = {
         "tool": "multinav",
         "version": __version__,
         "command": command,
         "config": config,
-        "inputs": {p: _sha256_path(p) for p in inputs},
+        "inputs": dict(zip(inputs, digests)),
         "artifacts": {name: _sha256_path(out_dir / name) for name in sorted(artifacts)},
         "timings": timings,
     }
     hashed = {
         "command": command,
-        "config": {k: v for k, v in config.items() if k != "out"},
-        "inputs": manifest["inputs"],
+        "config": {k: v for k, v in config.items() if k not in ("out", "inputs", "links")},
+        "inputs": digests,
         "artifacts": manifest["artifacts"],
     }
     payload = json.dumps(hashed, sort_keys=True, separators=(",", ":"))
@@ -188,7 +195,7 @@ def _write_edges_atomic(path: Path, edges, labels) -> None:
         write_edge_csv(tmp, edges, labels)
 
 
-def _build_from_args(edges: EdgeList, args, trimmed=None) -> "MultiplexNetwork":
+def _build_from_args(edges: EdgeList, args, trimmed=None) -> MultiplexNetwork:
     frame = trimmed if trimmed is not None else list(edges.edges)
     return build_multiplex(
         frame,
@@ -219,8 +226,8 @@ def cmd_trim(args) -> int:
 
 
 def _predict_stages(net, stages, threshold):
-    """Stage -> (jaccard links, adamic-adar links, deduped union), skipping
-    stages wider than the layer count."""
+    """Stage -> deduplicated union of both algorithms' links, skipping stages
+    wider than the layer count."""
     results = {}
     for k in stages:
         if k > net.n_layers:
@@ -228,13 +235,34 @@ def _predict_stages(net, stages, threshold):
             continue
         links_j = run_stage(net, k, JACCARD, threshold)
         links_aa = run_stage(net, k, ADAMIC_ADAR, threshold)
-        union = dedupe_links(links_j + links_aa)
-        results[k] = (links_j, links_aa, union)
+        results[k] = dedupe_links(links_j + links_aa)
         print(
             f"stage {k}: {ADAMIC_ADAR} {len(links_aa)}, {JACCARD} {len(links_j)}, "
-            f"union {len(union)}"
+            f"union {len(results[k])}"
         )
     return results
+
+
+def _write_link_files(out: Path, results: dict, labels, artifacts: list[str]) -> None:
+    """One links file per stage plus their deduplicated merge."""
+    everything = []
+    for k, union in sorted(results.items()):
+        name = f"links_stage{k}.csv"
+        with _atomic(out / name) as tmp:
+            write_links_csv(tmp, union, labels)
+        artifacts.append(name)
+        everything.extend(union)
+    merged = dedupe_links(everything)
+    with _atomic(out / "links_merged.csv") as tmp:
+        write_links_csv(tmp, merged, labels)
+    artifacts.append("links_merged.csv")
+    print(f"merged unique links: {len(merged)}")
+
+
+def _trim_if_asked(edges: EdgeList, args) -> list[FlowEdge]:
+    if args.trim_ratio is None:
+        return list(edges.edges)
+    return trim_edges(edges.edges, ratio=args.trim_ratio, scope=args.trim_scope)
 
 
 def cmd_predict(args) -> int:
@@ -244,35 +272,14 @@ def cmd_predict(args) -> int:
     out = _out_dir(args)
     start = time.perf_counter()
     edges = _load_edges(args.input)
-    frame = list(edges.edges)
-    if args.trim_ratio is not None:
-        frame = trim_edges(frame, ratio=args.trim_ratio, scope=args.trim_scope)
-    artifacts = []
-    if not frame:
-        print("warning: empty network; writing empty outputs", file=sys.stderr)
-        for k in args.stages:
-            name = f"links_stage{k}.csv"
-            with _atomic(out / name) as tmp:
-                write_links_csv(tmp, [], edges.labels)
-            artifacts.append(name)
-        with _atomic(out / "links_merged.csv") as tmp:
-            write_links_csv(tmp, [], edges.labels)
-        artifacts.append("links_merged.csv")
+    frame = _trim_if_asked(edges, args)
+    if frame:
+        results = _predict_stages(_build_from_args(edges, args, frame), args.stages, args.threshold)
     else:
-        net = _build_from_args(edges, args, frame)
-        results = _predict_stages(net, args.stages, args.threshold)
-        everything = []
-        for k, (_, _, union) in sorted(results.items()):
-            name = f"links_stage{k}.csv"
-            with _atomic(out / name) as tmp:
-                write_links_csv(tmp, union, net.labels)
-            artifacts.append(name)
-            everything.extend(union)
-        merged = dedupe_links(everything)
-        with _atomic(out / "links_merged.csv") as tmp:
-            write_links_csv(tmp, merged, net.labels)
-        artifacts.append("links_merged.csv")
-        print(f"merged unique links: {len(merged)}")
+        print("warning: empty network; writing empty outputs", file=sys.stderr)
+        results = {k: [] for k in args.stages}
+    artifacts: list[str] = []
+    _write_link_files(out, results, edges.labels, artifacts)
     elapsed = time.perf_counter() - start
     config = {
         "inputs": list(args.input),
@@ -335,10 +342,7 @@ def cmd_navigability(args) -> int:
     out = _out_dir(args)
     start = time.perf_counter()
     edges = _load_edges(args.input)
-    frame = list(edges.edges)
-    if args.trim_ratio is not None:
-        frame = trim_edges(frame, ratio=args.trim_ratio, scope=args.trim_scope)
-    net = _build_from_args(edges, args, frame)
+    net = _build_from_args(edges, args, _trim_if_asked(edges, args))
     artifacts = []
     for strategy in args.strategy:
         report = navigability_report(net, strategy)
@@ -383,23 +387,12 @@ def cmd_pipeline(args) -> int:
 
     start = time.perf_counter()
     results = _predict_stages(net, args.stages, args.threshold)
-    everything = []
-    for k, (_, _, union) in sorted(results.items()):
-        name = f"links_stage{k}.csv"
-        with _atomic(out / name) as tmp:
-            write_links_csv(tmp, union, net.labels)
-        artifacts.append(name)
-        everything.extend(union)
-    merged = dedupe_links(everything)
-    with _atomic(out / "links_merged.csv") as tmp:
-        write_links_csv(tmp, merged, net.labels)
-    artifacts.append("links_merged.csv")
-    print(f"merged unique links: {len(merged)}")
+    _write_link_files(out, results, net.labels, artifacts)
     timings["predict"] = time.perf_counter() - start
 
     start = time.perf_counter()
     variants = [("original", net)]
-    for k, (_, _, union) in sorted(results.items()):
+    for k, union in sorted(results.items()):
         variants.append((f"stage{k}", integrate_links(net, union, placement=PLACEMENT_SUBSET)))
     timings["integrate"] = time.perf_counter() - start
 
@@ -444,18 +437,20 @@ def cmd_scenario(args) -> int:
     if len({e.layer for e in base.edges}) > 1:
         raise ParseError("scenario base must be a single-layer edge list")
     n = base.n_nodes
-    replicated: list[FlowEdge] = []
+    count = round(args.fraction * n)
+    net = build_multiplex(
+        [FlowEdge(e.source, e.target, k, e.flow) for k in range(args.layers) for e in base.edges],
+        n_layers=args.layers,
+        directed=args.directed,
+        labels=base.labels,
+    )
     for k in range(args.layers):
         rng = np.random.default_rng(phase_seed(args.seed, f"scenario.layer{k}"))
-        count = round(args.fraction * n)
-        victims = set(rng.choice(n, size=count, replace=False).tolist()) if count else set()
-        survivors = [
-            FlowEdge(e.source, e.target, k, e.flow)
-            for e in base.edges
-            if e.source not in victims and e.target not in victims
-        ]
-        replicated.extend(survivors)
-        print(f"layer {k}: knocked out {len(victims)} nodes, kept {len(survivors)} edges")
+        net = knockout_nodes(net, rng.choice(n, size=count, replace=False).tolist(), k)
+    replicated = export_edges(net)
+    kept = Counter(e.layer for e in replicated)
+    for k in range(args.layers):
+        print(f"layer {k}: knocked out {count} nodes, kept {kept[k]} edges")
     _write_edges_atomic(out / "scenario.csv", replicated, base.labels)
     elapsed = time.perf_counter() - start
     config = {
@@ -549,15 +544,13 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ParseError, SchemaError, ConstructionError, ValueError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except DegradedDecompositionError as exc:
+    except (DegradedDecompositionError, np.linalg.LinAlgError) as exc:
+        # LinAlgError subclasses ValueError, but a solver failure is no input fault
         print(f"numerical degradation: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except (ValueError, OSError) as exc:  # ParseError, SchemaError, ConstructionError
+        print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 def entrypoint() -> None:

@@ -1,5 +1,5 @@
 """Multiplex network model: edge-list ingestion, flow trimming, construction,
-neighborhoods, layer-subset enumeration, knockouts, and link integration.
+layer-subset enumeration, knockouts, and link integration.
 
 A multiplex network here is L weighted adjacency matrices over one shared set
 of N nodes, plus per-node inter-layer coupling weights joining the replicas of
@@ -123,7 +123,7 @@ class MultiplexNetwork:
 
 def _open_source(source: TextIO | str | Path) -> TextIO:
     if isinstance(source, (str, Path)):
-        return open(source, encoding="utf-8", newline="")
+        return open(source, encoding="utf-8-sig", newline="")
     return source
 
 
@@ -267,22 +267,6 @@ def build_multiplex(
     )
 
 
-def neighbors(net: MultiplexNetwork, v: int, layer: int) -> set[int]:
-    """Neighbors of v in one layer; directed mode unions in- and out-neighbors."""
-    row = net.intra[layer, v, :] > 0
-    if net.directed:
-        row = row | (net.intra[layer, :, v] > 0)
-    return set(np.flatnonzero(row))
-
-
-def layer_neighbor_sets(net: MultiplexNetwork, layer: int) -> list[set[int]]:
-    """Neighbor sets of every node in one layer (same convention as neighbors)."""
-    adj = net.intra[layer] > 0
-    if net.directed:
-        adj = adj | adj.T
-    return [set(np.flatnonzero(adj[v])) for v in range(net.n_nodes)]
-
-
 def enumerate_layer_subsets(n_layers: int, k: int) -> list[tuple[int, ...]]:
     """All C(L, k) layer subsets of size k, in lexicographic order."""
     if not 1 <= k <= n_layers:
@@ -374,8 +358,3 @@ def write_edge_csv(path: str | Path | TextIO, edges: Iterable[FlowEdge], labels:
     finally:
         if close:
             stream.close()
-
-
-def read_edge_csv(path: str | Path, columns: Mapping[str, str] | None = None) -> EdgeList:
-    """Read an edge-list CSV file (UTF-8, LF or CRLF)."""
-    return parse_edge_list(path, columns=columns)

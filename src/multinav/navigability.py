@@ -109,11 +109,14 @@ def decompose(
         vectors = ortho / root[:, None]
         inverse = ortho.T * root[None, :]
         eigenvalues = values.astype(complex)
+        # ortho is orthogonal, so the basis is as conditioned as diag(1/root)
+        condition = float(root.max() / root.min())
     elif np.allclose(laplacian, laplacian.T, atol=1e-12):
         values, ortho = np.linalg.eigh(0.5 * (laplacian + laplacian.T))
         vectors = ortho
         inverse = ortho.T
         eigenvalues = values.astype(complex)
+        condition = 1.0
     else:
         values, vectors = np.linalg.eig(laplacian)
         order = np.argsort(values.real, kind="stable")
@@ -131,7 +134,6 @@ def decompose(
     reconstructed = (vectors * eigenvalues[None, :]) @ inverse
     norm = np.linalg.norm(laplacian)
     residual = float(np.linalg.norm(laplacian - reconstructed.real))
-    condition = float(np.linalg.cond(vectors))
     if norm > 0 and residual > residual_limit * norm:
         raise DegradedDecompositionError(
             f"reconstruction residual {residual:.3e} exceeds {residual_limit:.0e} * |L|; "
@@ -182,21 +184,18 @@ class AnalyticCoverageState:
 
     The mode-l coefficient of pair (i, j) factors as
     origin_coefficients[j, l] * target_coefficients[l, i], avoiding the
-    N*N*NL tensor. ``supra_indicator[:, i]`` has one entry per replica of
-    node i; ``initial[j]`` is origin j's starting distribution (layer-0
-    replica); initial_survival is 1 - identity.
+    N*N*NL tensor. Origin j starts on its layer-0 replica; initial_survival
+    is 1 - identity.
     """
 
     eigenvalues: np.ndarray
     origin_coefficients: np.ndarray
     target_coefficients: np.ndarray
-    supra_indicator: np.ndarray
-    initial: np.ndarray
     initial_survival: np.ndarray
 
     @property
     def n_nodes(self) -> int:
-        return self.initial.shape[0]
+        return self.initial_survival.shape[0]
 
     def survival(self, times: np.ndarray) -> np.ndarray:
         """delta[t, j, i]: probability target i is unvisited by time t from origin j."""
@@ -244,26 +243,19 @@ def analytic_state(
     laplacian = supra_laplacian(supra)
     decomposition = decompose(laplacian, scale=_symmetrizing_scale(net, tag))
     n, dim = net.n_nodes, supra.dim
-    indicator = np.zeros((dim, n))
+    indicator = np.zeros((dim, n))  # one entry per replica of each node
     indicator[np.arange(dim), np.arange(dim) % n] = 1.0
-    initial = np.zeros((n, dim))
-    initial[np.arange(n), np.arange(n)] = 1.0  # layer-0 replica of each node
     # Discovery flux: transitions landing on a different physical node. Layer
     # switches and lazy self-moves keep the walker where it is, so they are
     # excluded from the hit rate.
     same_node = (np.arange(dim) % n)[:, None] == (np.arange(dim) % n)[None, :]
     moves = np.where(same_node, 0.0, supra.matrix)
     flux = moves @ indicator
-    origin_coeff = initial @ decomposition.vectors
-    target_coeff = decomposition.inverse @ flux
-    survival0 = 1.0 - np.eye(n)
     return AnalyticCoverageState(
         eigenvalues=decomposition.eigenvalues,
-        origin_coefficients=origin_coeff,
-        target_coefficients=target_coeff,
-        supra_indicator=indicator,
-        initial=initial,
-        initial_survival=survival0,
+        origin_coefficients=decomposition.vectors[:n],  # layer-0 replica rows
+        target_coefficients=decomposition.inverse @ flux,
+        initial_survival=1.0 - np.eye(n),
     )
 
 
@@ -304,29 +296,6 @@ def coverage_analytic(
     tag = normalize_strategy(strategy)
     state = analytic_state(net, tag)
     return _curve_from_state(state, tag, net.directed, times)
-
-
-def coverage_large_time(state: AnalyticCoverageState, times: np.ndarray) -> np.ndarray:
-    """Two-mode large-time approximation of rho(t) (diagnostic only).
-
-    Keeps the stationary mode's linear growth and the slowest decaying
-    mode's saturated integral 1/lambda_2, the regime where the curve's tail
-    is governed by the spectral gap.
-    """
-    times = np.asarray(times, dtype=float)
-    lam = state.eigenvalues
-    if lam.size < 2:
-        raise ValueError("large-time approximation needs at least two modes")
-    b, f = state.origin_coefficients, state.target_coefficients
-    stationary = np.outer(b[:, 0], f[0, :]).real
-    lam2 = lam[1]
-    if abs(lam2) <= ZERO_EIGENVALUE_TOL:
-        second = np.zeros((state.n_nodes, state.n_nodes))
-    else:
-        second = (np.outer(b[:, 1], f[1, :]) / lam2).real
-    exponent = stationary[None, :, :] * times[:, None, None] + second[None, :, :]
-    delta = state.initial_survival[None] * np.exp(-np.maximum(exponent, 0.0))
-    return 1.0 - delta.mean(axis=(1, 2))
 
 
 def coverage_montecarlo(
@@ -464,8 +433,12 @@ def navigability_report(
     """
     tag = normalize_strategy(strategy)
     supra = build_supra_transition(net, tag)
-    gap = spectral_gap(supra)
     state = analytic_state(net, tag, supra)
+    # eigenvalues of L = I - P are 1 - those of P, so the gap of P is the
+    # distance between the two smallest real parts of L's spectrum
+    real = np.sort(state.eigenvalues.real)
+    if real.size < 2:
+        raise ValueError("spectral gap needs at least two supra-states")
     curve = _curve_from_state(state, tag, net.directed, times)
     t_level = time_to_coverage(curve, level)
     if t_level is None and times is None and curve.rho.size >= 2:
@@ -478,7 +451,7 @@ def navigability_report(
             t_level = time_to_coverage(curve, level)
     head = tuple(complex(v) for v in state.eigenvalues[:10])
     return NavigabilityReport(
-        spectral_gap=gap,
+        spectral_gap=float(real[1] - real[0]),
         t90=t_level,
         curve=curve,
         config={"strategy": tag, "directed": net.directed, "stage": stage_label},

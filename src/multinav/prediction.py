@@ -23,8 +23,6 @@ from .multiplex import MultiplexNetwork, enumerate_layer_subsets
 
 JACCARD = "jaccard"
 ADAMIC_ADAR = "adamic_adar"
-JACCARD_CLASSIC = "jaccard_classic"
-AA_CLASSIC = "aa_classic"
 
 MODIFIED_ALGORITHMS = (JACCARD, ADAMIC_ADAR)
 
@@ -132,12 +130,12 @@ def jaccard_classic(net: MultiplexNetwork, layer: int, u: int, v: int) -> float:
     """Single-layer Jaccard coefficient: |intersection| / |union| of neighborhoods."""
     if u == v:
         raise ValueError("Jaccard requires two distinct nodes")
-    gu = _node_neighbors(net, layer, u)
-    gv = _node_neighbors(net, layer, v)
-    union = gu | gv
+    adj = _unoriented_adjacency(net, layer)
+    np.fill_diagonal(adj, False)  # a node is not its own neighbor
+    union = int(np.count_nonzero(adj[u] | adj[v]))
     if not union:
         return 0.0
-    return len(gu & gv) / len(union)
+    return int(np.count_nonzero(adj[u] & adj[v])) / union
 
 
 def adamic_adar_classic(net: MultiplexNetwork, layer: int, u: int, v: int) -> float:
@@ -149,23 +147,14 @@ def adamic_adar_classic(net: MultiplexNetwork, layer: int, u: int, v: int) -> fl
     """
     if u == v:
         raise ValueError("Adamic-Adar requires two distinct nodes")
-    gu = _node_neighbors(net, layer, u)
-    gv = _node_neighbors(net, layer, v)
+    adj = _unoriented_adjacency(net, layer)
+    np.fill_diagonal(adj, False)
+    degree = adj.sum(axis=1)
     score = 0.0
-    for w in sorted(gu & gv):
-        deg = len(_node_neighbors(net, layer, w))
-        if deg > 1:
-            score += 1.0 / math.log(deg)
+    for w in np.flatnonzero(adj[u] & adj[v]):
+        if degree[w] > 1:
+            score += 1.0 / math.log(degree[w])
     return score
-
-
-def _node_neighbors(net: MultiplexNetwork, layer: int, v: int) -> set[int]:
-    adj = net.intra[layer, v, :] > 0
-    if net.directed:
-        adj = adj | (net.intra[layer, :, v] > 0)
-    result = set(np.flatnonzero(adj).tolist())
-    result.discard(v)
-    return result
 
 
 def _candidate_pairs(union_adj: np.ndarray) -> Iterable[tuple[int, int]]:

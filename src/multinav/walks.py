@@ -13,7 +13,6 @@ Three walk strategies are supported:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -68,11 +67,6 @@ def supra_index(node: int, layer: int, n_nodes: int) -> int:
     return node + layer * n_nodes
 
 
-def physical_node(state: int, n_nodes: int) -> int:
-    """Physical node of a supra-state (inverse of supra_index modulo layer)."""
-    return state % n_nodes
-
-
 def strength_profile(net: MultiplexNetwork) -> StrengthProfile:
     """Per-state strengths used by every walk normalization."""
     intra = net.intra.sum(axis=2).T  # (N, L): row sums per layer
@@ -109,41 +103,35 @@ def build_supra_transition(net: MultiplexNetwork, strategy: str) -> SupraTransit
         raise ConstructionError("negative weights cannot be normalized into probabilities")
     profile = strength_profile(net)
 
+    total = profile.intra + profile.inter  # (N, L)
+    # every move and switch leaving a state is divided by that state's
+    # denominator: its own strength for rwc, the global s_max for rwd (1.0 on
+    # an edgeless network, whose rwd matrix is then the identity)
+    s_max = profile.s_max or 1.0
+    if tag == RWD:
+        denom = np.full_like(total, s_max)
+    else:
+        denom = np.where(total > 0, total, 1.0)
     matrix = np.zeros((dim, dim))
-    if tag in (RWC, PAGERANK):
-        denom = profile.intra + profile.inter  # (N, L)
-        safe = np.where(denom > 0, denom, 1.0)
-        for a in range(l):
-            rows = slice(a * n, (a + 1) * n)
-            matrix[rows, rows] = net.intra[a] / safe[:, a][:, None]
-            for b in range(l):
-                if b == a:
-                    continue
-                cols = slice(b * n, (b + 1) * n)
-                np.fill_diagonal(matrix[rows, cols], net.coupling[:, a, b] / safe[:, a])
-        dangling = (denom == 0).T.reshape(-1)  # layer-major flatten matches supra order
+    for a in range(l):
+        rows = slice(a * n, (a + 1) * n)
+        matrix[rows, rows] = net.intra[a] / denom[:, a][:, None]
+        for b in range(l):
+            if b == a:
+                continue
+            cols = slice(b * n, (b + 1) * n)
+            np.fill_diagonal(matrix[rows, cols], net.coupling[:, a, b] / denom[:, a])
+    if tag == RWD:
+        lazy = (s_max - profile.intra - profile.inter) / s_max
+        # the remainder is >= 0 by construction of s_max; rounding in the
+        # strength sums can leave a stray -1e-16 on the max row
+        matrix[np.arange(dim), np.arange(dim)] += np.maximum(lazy, 0.0).T.reshape(-1)
+    else:
+        dangling = (total == 0).T.reshape(-1)  # layer-major flatten matches supra order
         matrix[dangling, :] = 0.0
         matrix[dangling, dangling] = 1.0
         if tag == PAGERANK:
             matrix = DEFAULT_DAMPING * matrix + (1.0 - DEFAULT_DAMPING) / dim
-    else:  # rwd
-        if profile.s_max == 0.0:
-            matrix = np.eye(dim)
-        else:
-            s_max = profile.s_max
-            for a in range(l):
-                rows = slice(a * n, (a + 1) * n)
-                matrix[rows, rows] = net.intra[a] / s_max
-                for b in range(l):
-                    if b == a:
-                        continue
-                    cols = slice(b * n, (b + 1) * n)
-                    np.fill_diagonal(matrix[rows, cols], net.coupling[:, a, b] / s_max)
-                lazy = (s_max - profile.intra[:, a] - profile.inter[:, a]) / s_max
-                # the remainder is >= 0 by construction of s_max; rounding in
-                # the strength sums can leave a stray -1e-16 on the max row
-                idx = np.arange(a * n, (a + 1) * n)
-                matrix[idx, idx] += np.maximum(lazy, 0.0)
     return SupraTransitionMatrix(
         matrix=matrix, n_nodes=n, n_layers=l, strategy=tag, directed=net.directed
     )
@@ -182,11 +170,3 @@ def simulate_walk(
         state = min(state, supra.dim - 1)  # guard against cumsum rounding at 1.0
         steps.append(state)
     return WalkTrajectory(origin=origin, n_nodes=supra.n_nodes, steps=tuple(steps))
-
-
-def write_matrix_coordinates(path: str | Path, supra: SupraTransitionMatrix) -> None:
-    """Dump nonzero entries as `row col value` lines for cross-tool diffing."""
-    rows, cols = np.nonzero(supra.matrix)
-    with open(path, "w", encoding="utf-8") as stream:
-        for r, c in zip(rows.tolist(), cols.tolist()):
-            stream.write(f"{r} {c} {supra.matrix[r, c]:.17g}\n")

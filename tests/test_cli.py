@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 from importlib.resources import files as package_files
 
+import numpy as np
 import pytest
 
 from multinav import (
@@ -167,6 +168,36 @@ def test_pipeline_rerun_reproduces_run_hash(tmp_path):
         assert main(["pipeline", "--input", TOY, "--out", str(out), "--stages", "1"]) == 0
         hashes.append(json.loads((out / "manifest.json").read_text())["run_hash"])
     assert hashes[0] == hashes[1]
+
+
+def test_run_hash_keys_inputs_by_content(tmp_path, monkeypatch):
+    _write_csv(tmp_path / "x.csv", ["0,a,b,1.0", "0,b,c,2.0"])
+    monkeypatch.chdir(tmp_path)
+    hashes = []
+    for name, spelling in (("rel", "./x.csv"), ("abs", str(tmp_path / "x.csv"))):
+        assert main(["trim", "--input", spelling, "--out", name]) == 0
+        manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+        assert manifest["config"]["inputs"] == [spelling]  # still echoed as typed
+        hashes.append(manifest["run_hash"])
+    assert hashes[0] == hashes[1]
+
+
+def test_atomic_writes_ignore_stale_temp_names(tmp_path):
+    out = tmp_path / "out"
+    stale = out / "trimmed.csv.tmp"
+    stale.mkdir(parents=True)
+    assert main(["trim", "--input", TOY, "--out", str(out)]) == 0
+    assert stale.is_dir()  # another run's temp name is left alone
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "trimmed.csv", "trimmed.csv.tmp"]
+
+
+def test_solver_failure_exits_numeric(tmp_path, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr("multinav.cli.navigability_report", fail)
+    assert main(["navigability", "--input", TOY, "--out", str(tmp_path)]) == 3
+    assert "numerical degradation" in capsys.readouterr().err
 
 
 def test_multiple_inputs_become_layers(tmp_path):

@@ -18,9 +18,7 @@ from multinav import (
     export_edges,
     integrate_links,
     knockout_nodes,
-    neighbors,
     parse_edge_list,
-    read_edge_csv,
     trim_edges,
     write_edge_csv,
 )
@@ -81,11 +79,19 @@ def test_parse_rejects_malformed_rows_with_line_numbers(row, fragment):
     assert "line 2" in str(err.value)
 
 
+def test_parse_accepts_utf8_bom_header(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes("\ufefflayer,source,target,flow\n0,a,b,1.5\n".encode("utf-8"))
+    got = parse_edge_list(path)
+    assert got.edges == (FlowEdge(0, 1, 0, 1.5),)
+    assert got.labels == ("a", "b")
+
+
 def test_csv_round_trip(tmp_path):
     edges = [FlowEdge(0, 1, 0, 100.0), FlowEdge(1, 2, 1, 0.125)]
     path = tmp_path / "edges.csv"
     write_edge_csv(path, edges, ("a", "b", "c"))
-    back = read_edge_csv(path)
+    back = parse_edge_list(path)
     assert back.edges == tuple(edges)
     assert back.labels == ("a", "b", "c")
 
@@ -180,12 +186,6 @@ def test_network_default_labels_and_uniqueness():
     assert net.labels == ("n0", "n1")
     with pytest.raises(ConstructionError, match="unique"):
         build_multiplex([FlowEdge(0, 1, 0, 1.0)], labels=("x", "x"))
-
-
-def test_neighbors_directed_unions_in_and_out():
-    net = build_multiplex([FlowEdge(0, 1, 0, 1.0), FlowEdge(2, 0, 0, 1.0)], directed=True)
-    assert neighbors(net, 0, 0) == {1, 2}
-    assert neighbors(net, 1, 0) == {0}
 
 
 def test_enumerate_layer_subsets_lexicographic():

@@ -23,8 +23,6 @@ from multinav.walks import (
     RWD,
     DEFAULT_DAMPING,
     normalize_strategy,
-    physical_node,
-    write_matrix_coordinates,
 )
 
 
@@ -36,7 +34,7 @@ def _two_layer_unit_net():
 
 def test_supra_index_round_trip():
     assert supra_index(3, 2, 10) == 23
-    assert physical_node(23, 10) == 3
+    assert supra_index(3, 2, 10) % 10 == 3  # node-major: the node is the remainder
 
 
 def test_normalize_strategy_case_insensitive():
@@ -209,14 +207,3 @@ def test_one_step_frequencies_follow_transition_row():
     assert np.all(observed[~support] == 0)
     _, p_value = stats.chisquare(observed[support], expected[support])
     assert p_value > 0.001
-
-
-def test_matrix_coordinate_dump_round_trips(tmp_path):
-    P = build_supra_transition(_two_layer_unit_net(), RWC)
-    path = tmp_path / "matrix.txt"
-    write_matrix_coordinates(path, P)
-    rebuilt = np.zeros_like(P.matrix)
-    for line in path.read_text().splitlines():
-        r, c, value = line.split()
-        rebuilt[int(r), int(c)] = float(value)
-    assert np.array_equal(rebuilt, P.matrix)
