@@ -144,7 +144,8 @@ def _load_edges(paths: list[str]) -> EdgeList:
     """Read one combined CSV, or several per-layer CSVs merged in order.
 
     With multiple inputs, file k becomes layer k; each file must carry a
-    single layer value of its own.
+    single layer value of its own. An empty file adds no edge, so the layer
+    count is taken from the file count (``_layer_count``).
     """
     if len(paths) == 1:
         return parse_edge_list(paths[0])
@@ -195,11 +196,16 @@ def _write_edges_atomic(path: Path, edges, labels) -> None:
         write_edge_csv(tmp, edges, labels)
 
 
+def _layer_count(edges: EdgeList, args) -> int:
+    """One layer per input file when there are several, so an empty file keeps its layer."""
+    return len(args.input) if len(args.input) > 1 else edges.n_layers
+
+
 def _build_from_args(edges: EdgeList, args, trimmed=None) -> MultiplexNetwork:
     frame = trimmed if trimmed is not None else list(edges.edges)
     return build_multiplex(
         frame,
-        n_layers=edges.n_layers,
+        n_layers=_layer_count(edges, args),
         directed=args.directed,
         coupling=args.coupling,
         labels=edges.labels,
@@ -227,11 +233,12 @@ def cmd_trim(args) -> int:
 
 def _predict_stages(net, stages, threshold):
     """Stage -> deduplicated union of both algorithms' links, skipping stages
-    wider than the layer count."""
+    wider than the layer count; ``net`` is None for an input without layers."""
+    n_layers = 0 if net is None else net.n_layers
     results = {}
     for k in stages:
-        if k > net.n_layers:
-            print(f"stage {k} skipped: network has only {net.n_layers} layers", file=sys.stderr)
+        if k > n_layers:
+            print(f"stage {k} skipped: network has only {n_layers} layers", file=sys.stderr)
             continue
         links_j = run_stage(net, k, JACCARD, threshold)
         links_aa = run_stage(net, k, ADAMIC_ADAR, threshold)
@@ -273,11 +280,10 @@ def cmd_predict(args) -> int:
     start = time.perf_counter()
     edges = _load_edges(args.input)
     frame = _trim_if_asked(edges, args)
-    if frame:
-        results = _predict_stages(_build_from_args(edges, args, frame), args.stages, args.threshold)
-    else:
+    if not frame:
         print("warning: empty network; writing empty outputs", file=sys.stderr)
-        results = {k: [] for k in args.stages}
+    net = _build_from_args(edges, args, frame) if _layer_count(edges, args) else None
+    results = _predict_stages(net, args.stages, args.threshold)
     artifacts: list[str] = []
     _write_link_files(out, results, edges.labels, artifacts)
     elapsed = time.perf_counter() - start
@@ -304,7 +310,7 @@ def cmd_integrate(args) -> int:
     integrated = integrate_links(net, links, placement=args.placement)
     _write_edges_atomic(out / "integrated.csv", export_edges(integrated), net.labels)
     elapsed = time.perf_counter() - start
-    print(f"integrated {len(links)} links into {edges.n_layers} layers")
+    print(f"integrated {len(links)} links into {net.n_layers} layers")
     config = {
         "inputs": list(args.input),
         "links": args.links,

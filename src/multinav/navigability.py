@@ -331,7 +331,8 @@ def coverage_montecarlo(
     rho[0] = counts.mean() / n
     for step in range(1, horizon + 1):
         u = np.concatenate([g.random(walkers_per_origin) for g in generators])
-        states = (cumulative[states] < u[:, None]).sum(axis=1)
+        # side="right": a draw equal to a cumulative value skips zero-probability states
+        states = (cumulative[states] <= u[:, None]).sum(axis=1)
         np.minimum(states, dim - 1, out=states)
         phys = states % n
         fresh = ~visited[rows, phys]

@@ -5,7 +5,13 @@ of the multiplex lies inside D. The classic Jaccard and Adamic-Adar scores
 are evaluated on these exclusive neighborhoods for every candidate pair that
 has no edge in any layer of D, then normalized per (algorithm, subset),
 thresholded, and converted to weighted predicted links using nearby flow
-values.
+values. A deduplicated link's ``sources`` lists every contributing
+(algorithm, subset, stage).
+
+Each subset is scored on one boolean exclusive adjacency ``E = inside & ~outside``:
+Jaccard is ``C / (d_u + d_v - C)`` with ``C = E @ E.T``, and Adamic-Adar adds each
+shared neighbor's ``1 / ln(union degree)`` in ascending order from 0.0, so every
+score is bit-identical to a per-pair loop over neighbor sets.
 """
 
 from __future__ import annotations
@@ -85,21 +91,21 @@ def _unoriented_adjacency(net: MultiplexNetwork, layer: int) -> np.ndarray:
     return adj
 
 
-def _subset_masks(net: MultiplexNetwork, subset: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """(adjacency within any layer of the subset, adjacency in any layer outside)."""
-    chosen = set(subset)
-    if not chosen or not chosen <= set(range(net.n_layers)):
-        raise ValueError(f"layer subset {tuple(subset)} out of range [0, {net.n_layers})")
+def _exclusive_adjacency(net: MultiplexNetwork, subset: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """(exclusive adjacency ``inside & ~outside``, adjacency within any layer of the subset)."""
+    subset = tuple(subset)
+    if not subset or not all(0 <= k < net.n_layers for k in subset):
+        raise ValueError(f"layer subset {subset} out of range [0, {net.n_layers})")
     n = net.n_nodes
     inside = np.zeros((n, n), dtype=bool)
     outside = np.zeros((n, n), dtype=bool)
     for k in range(net.n_layers):
         mask = _unoriented_adjacency(net, k)
-        if k in chosen:
+        if k in subset:
             inside |= mask
         else:
             outside |= mask
-    return inside, outside
+    return inside & ~outside, inside
 
 
 def exclusive_neighbors(
@@ -110,20 +116,12 @@ def exclusive_neighbors(
     """Neighbors of v linked to it solely within the given layer subset."""
     if not 0 <= v < net.n_nodes:
         raise ValueError(f"node {v} out of range [0, {net.n_nodes})")
-    inside, outside = _subset_masks(net, subset)
-    members = np.flatnonzero(inside[v] & ~outside[v])
+    exclusive, _ = _exclusive_adjacency(net, subset)
     return ExclusiveNeighborhood(
         node=v,
         subset=tuple(subset),
-        members=frozenset(int(u) for u in members if u != v),
+        members=frozenset(int(u) for u in np.flatnonzero(exclusive[v]) if u != v),
     )
-
-
-def _exclusive_sets(net: MultiplexNetwork, subset: Sequence[int]) -> tuple[list[set[int]], np.ndarray]:
-    """Exclusive neighbor set per node, plus the union adjacency of the subset."""
-    inside, outside = _subset_masks(net, subset)
-    exclusive = inside & ~outside
-    return [set(np.flatnonzero(exclusive[v]).tolist()) for v in range(net.n_nodes)], inside
 
 
 def jaccard_classic(net: MultiplexNetwork, layer: int, u: int, v: int) -> float:
@@ -157,12 +155,15 @@ def adamic_adar_classic(net: MultiplexNetwork, layer: int, u: int, v: int) -> fl
     return score
 
 
-def _candidate_pairs(union_adj: np.ndarray) -> Iterable[tuple[int, int]]:
-    n = union_adj.shape[0]
-    for u in range(n):
-        for v in range(u + 1, n):
-            if not union_adj[u, v]:
-                yield u, v
+def _scored_pairs(
+    keep: np.ndarray, inside: np.ndarray, scores: np.ndarray, algorithm: str, subset: tuple[int, ...]
+) -> list[ScoredPair]:
+    """Pairs u < v with no edge inside the subset where ``keep`` holds, in row-major order."""
+    u, v = np.nonzero(np.triu(keep & ~inside, 1))
+    return [
+        ScoredPair(a, b, score, algorithm, subset)
+        for a, b, score in zip(u.tolist(), v.tolist(), scores[u, v].tolist())
+    ]
 
 
 def modified_jaccard(net: MultiplexNetwork, subset: Sequence[int]) -> list[ScoredPair]:
@@ -172,17 +173,13 @@ def modified_jaccard(net: MultiplexNetwork, subset: Sequence[int]) -> list[Score
     a non-empty union but empty intersection score 0.
     """
     subset = tuple(subset)
-    exclusive, union_adj = _exclusive_sets(net, subset)
-    pairs = []
-    for u, v in _candidate_pairs(union_adj):
-        nu = exclusive[u] - {v}
-        nv = exclusive[v] - {u}
-        union = nu | nv
-        if not union:
-            continue
-        score = len(nu & nv) / len(union)
-        pairs.append(ScoredPair(u, v, score, JACCARD, subset))
-    return pairs
+    exclusive, inside = _exclusive_adjacency(net, subset)
+    counts = exclusive.astype(float)
+    common = counts @ counts.T  # integer counts, exact in float64
+    degree = counts.sum(axis=1)
+    union = degree[:, None] + degree[None, :] - common
+    scores = np.divide(common, union, out=np.zeros_like(common), where=union > 0)
+    return _scored_pairs(union > 0, inside, scores, JACCARD, subset)
 
 
 def modified_adamic_adar(net: MultiplexNetwork, subset: Sequence[int]) -> list[ScoredPair]:
@@ -193,20 +190,17 @@ def modified_adamic_adar(net: MultiplexNetwork, subset: Sequence[int]) -> list[S
     omitted.
     """
     subset = tuple(subset)
-    exclusive, union_adj = _exclusive_sets(net, subset)
-    union_degree = union_adj.sum(axis=1)
-    pairs = []
-    for u, v in _candidate_pairs(union_adj):
-        shared = (exclusive[u] - {v}) & (exclusive[v] - {u})
-        if not shared:
-            continue
-        score = 0.0
-        for w in sorted(shared):
-            deg = int(union_degree[w])
-            if deg > 1:
-                score += 1.0 / math.log(deg)
-        pairs.append(ScoredPair(u, v, score, ADAMIC_ADAR, subset))
-    return pairs
+    exclusive, inside = _exclusive_adjacency(net, subset)
+    union_degree = inside.sum(axis=1)
+    scores = np.zeros(exclusive.shape)
+    # E is symmetric: row w holds the nodes sharing w. Terms add in ascending w.
+    for w in range(net.n_nodes):
+        deg = int(union_degree[w])
+        if deg > 1:
+            sharing = np.flatnonzero(exclusive[w])
+            scores[np.ix_(sharing, sharing)] += 1.0 / math.log(deg)
+    counts = exclusive.astype(float)
+    return _scored_pairs(counts @ counts.T > 0, inside, scores, ADAMIC_ADAR, subset)
 
 
 def normalize_scores(pairs: Iterable[ScoredPair]) -> list[ScoredPair]:
@@ -243,15 +237,11 @@ def threshold_filter(pairs: Iterable[ScoredPair], threshold: float = 0.5) -> lis
 
 
 def _union_mean_weight(net: MultiplexNetwork, subset: Sequence[int]) -> float:
-    values = []
-    for k in subset:
-        w = net.intra[k]
-        if net.directed:
-            values.extend(w[w > 0].tolist())
-        else:
-            upper = np.triu(w)
-            values.extend(upper[upper > 0].tolist())
-    if not values:
+    flows = net.intra[list(subset)]
+    if not net.directed:
+        flows = np.triu(flows)  # each undirected edge once
+    values = flows[flows > 0]  # layer by layer, row-major
+    if not values.size:
         raise ValueError(f"no edges in layers {tuple(subset)}; cannot derive a fallback weight")
     return float(np.mean(values))
 
@@ -269,15 +259,16 @@ def assign_weights(
     edge weight.
     """
     subset = tuple(subset)
-    exclusive, _ = _exclusive_sets(net, subset)
+    exclusive, _ = _exclusive_adjacency(net, subset)
     fallback: float | None = None
     links = []
     for p in pairs:
         if p.normalized_score is None:
             raise ValueError("assign_weights requires normalized scores")
-        shared = (exclusive[p.u] - {p.v}) & (exclusive[p.v] - {p.u})
+        shared = exclusive[p.u] & exclusive[p.v]
+        shared[[p.u, p.v]] = False  # an endpoint is never its own shared neighbor
         flows = []
-        for w in sorted(shared):
+        for w in np.flatnonzero(shared):
             for k in subset:
                 for a in (p.u, p.v):
                     if net.intra[k, a, w] > 0:
@@ -310,7 +301,9 @@ def dedupe_links(links: Iterable[PredictedLink]) -> list[PredictedLink]:
 
     The maximum-weight instance wins; weight ties go to the lexicographically
     smallest (algorithm, subset). The winner records every contributing
-    (algorithm, subset, stage) tag. Ordered by node pair for determinism.
+    (algorithm, subset, stage) tag: a link's own tag, or the ``sources`` it
+    already carries from an earlier dedupe, so deduplicating again loses
+    none. Ordered by node pair for determinism.
     """
     groups: dict[tuple[int, int], list[PredictedLink]] = {}
     for link in links:
@@ -320,7 +313,9 @@ def dedupe_links(links: Iterable[PredictedLink]) -> list[PredictedLink]:
     for key in sorted(groups):
         candidates = groups[key]
         winner = min(candidates, key=lambda l: (-l.weight, l.algorithm, l.subset))
-        tags = sorted({(l.algorithm, l.subset, l.stage) for l in candidates})
+        tags = sorted(
+            {tag for l in candidates for tag in l.sources or [(l.algorithm, l.subset, l.stage)]}
+        )
         out.append(replace(winner, sources=tuple(tags)))
     return out
 

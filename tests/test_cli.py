@@ -86,6 +86,15 @@ def test_predict_skips_stages_wider_than_network(tmp_path, capsys):
     assert not (out / "links_stage3.csv").exists()
     manifest = json.loads((out / "manifest.json").read_text())
     assert set(manifest["artifacts"]) == {"links_stage1.csv", "links_merged.csv"}
+    # a header-only input has no layers, so the same rule skips every stage
+    empty = _write_csv(tmp_path / "empty.csv", [])
+    out = tmp_path / "empty_out"
+    assert main(["predict", "--input", empty, "--out", str(out), "--stages", "1", "3"]) == 0
+    err = capsys.readouterr().err
+    assert "stage 1 skipped" in err and "stage 3 skipped" in err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest["artifacts"]) == {"links_merged.csv"}
+    assert (out / "links_merged.csv").read_text().count("\n") == 1  # header only
 
 
 def test_integrate_applies_links_with_max_collision(tmp_path):
@@ -213,6 +222,11 @@ def test_multiple_inputs_become_layers(tmp_path):
     assert rows == [(0, "p", "q"), (1, "q", "r")]
     mixed = _write_csv(tmp_path / "c.csv", ["0,p,q,1.0", "1,q,r,2.0"])
     assert main(["trim", "--input", a, mixed, "--out", str(out)]) == 2
+    # a trailing empty file still adds its layer: 2 nodes in 2 layers
+    empty = _write_csv(tmp_path / "empty.csv", [])
+    assert main(["navigability", "--input", b, empty, "--out", str(out)]) == 0
+    report = json.loads((out / "report_rwc_original.json").read_text())
+    assert len(report["eigenvalue_head"]) == 4
 
 
 def test_scenario_zero_fraction_replicates_base(tmp_path, capsys):

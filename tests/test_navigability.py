@@ -165,6 +165,18 @@ def test_coverage_montecarlo_all_replicas_origins():
     assert curve.rho[0] == 0.25  # origins cover one physical node each
 
 
+def test_coverage_montecarlo_draw_on_a_cumulative_value_skips_zero_probability_states(monkeypatch):
+    class ZeroDraws:
+        def random(self, size):
+            return np.zeros(size)
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: ZeroDraws())
+    P = build_supra_transition(build_multiplex([FlowEdge(0, 1, 0, 1.0)], coupling=0.0), "rwc")
+    assert P.matrix.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+    curve = coverage_montecarlo(P, walkers_per_origin=1, horizon=1, seed=0)
+    assert curve.rho[1] == 1.0  # u = 0.0 must still move each walker to the other node
+
+
 def test_poisson_clock_matches_endpoints():
     P = build_supra_transition(complete_graph(5), "rwc")
     mc = coverage_montecarlo(P, walkers_per_origin=500, horizon=60, seed=4)

@@ -120,10 +120,15 @@ def test_classic_scores_reject_identical_nodes():
 
 def test_modified_scores_match_bruteforce_oracle():
     rng = np.random.default_rng(1234)
+    nets = []
     for trial in range(12):
         n = int(rng.integers(4, 9))
         l = int(rng.integers(1, 4))
-        net = random_multiplex(rng, n, l, directed=bool(rng.integers(0, 2)), p=0.5)
+        nets.append(random_multiplex(rng, n, l, directed=bool(rng.integers(0, 2)), p=0.5))
+    # dense: pairs share 8 or more exclusive neighbors, so a reordered sum would show
+    nets.append(random_multiplex(rng, 40, 2, p=0.5))
+    for net in nets:
+        l = net.n_layers
         for k in range(1, l + 1):
             for subset in enumerate_layer_subsets(l, k):
                 for algorithm, scorer in (

@@ -85,6 +85,14 @@ def test_dedupe_links_ignores_input_order(case):
 
 
 @SETTINGS
+@given(stage_links(), stage_links())
+def test_dedupe_links_keeps_sources_when_deduped_again(first, second):
+    # the CLI dedupes per stage, then the union of both algorithms, then the merge
+    again = dedupe_links(dedupe_links(first) + dedupe_links(second))
+    assert again == dedupe_links(first + second)
+
+
+@SETTINGS
 @given(
     st.lists(st.tuples(st.integers(0, 3), flows), max_size=30),
     st.floats(0.01, 1.0),
