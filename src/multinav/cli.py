@@ -1,11 +1,12 @@
 """Command-line pipeline: trim, predict, integrate, navigability, scenario.
 
-Every command writes its artifacts plus a manifest.json into --out. The
-manifest echoes the configuration, hashes inputs and artifacts, and records
-a run_hash over everything except wall-clock timings, the output location
-and the input paths (inputs count by content), so identical runs are
-verifiable by hash comparison. Files are written atomically (temp file +
-rename).
+Every command writes its artifacts plus a manifest.json into --out. Each
+subcommand accepts only the options it reads, and the manifest's config is
+the parsed options themselves, so it records every setting and nothing
+else. The manifest also hashes inputs and artifacts, and records a run_hash
+over everything except wall-clock timings, the output location and the
+input paths (inputs count by content), so identical runs are verifiable by
+hash comparison. Files are written atomically (temp file + rename).
 
 Exit codes: 0 success (including a t90 of "not reached"), 1 usage error,
 2 input/parse error, 3 numerical degradation.
@@ -111,12 +112,13 @@ def _sha256_path(path: Path | str) -> str:
 
 def _write_manifest(
     out_dir: Path,
-    command: str,
-    config: dict,
+    args: argparse.Namespace,
     inputs: list[str],
     artifacts: list[str],
     timings: dict[str, float],
 ) -> str:
+    command = args.command
+    config = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
     digests = [_sha256_path(p) for p in inputs]
     manifest = {
         "tool": "multinav",
@@ -198,36 +200,40 @@ def _write_edges_atomic(path: Path, edges, labels) -> None:
 
 def _layer_count(edges: EdgeList, args) -> int:
     """One layer per input file when there are several, so an empty file keeps its layer."""
-    return len(args.input) if len(args.input) > 1 else edges.n_layers
+    return len(args.inputs) if len(args.inputs) > 1 else edges.n_layers
 
 
-def _build_from_args(edges: EdgeList, args, trimmed=None) -> MultiplexNetwork:
-    frame = trimmed if trimmed is not None else list(edges.edges)
+def _build_from_args(edges: EdgeList, args, frame: list[FlowEdge], **options) -> MultiplexNetwork:
     return build_multiplex(
         frame,
         n_layers=_layer_count(edges, args),
         directed=args.directed,
-        coupling=args.coupling,
         labels=edges.labels,
+        **options,
     )
 
 
+def _check_trim(args) -> None:
+    if args.trim_ratio is not None:
+        _check_range("--trim-ratio", args.trim_ratio, 0.0, 1.0, True, False)
+
+
+def _trim_if_asked(edges: EdgeList, args) -> list[FlowEdge]:
+    if args.trim_ratio is None:
+        return list(edges.edges)
+    return trim_edges(edges.edges, ratio=args.trim_ratio, scope=args.trim_scope)
+
+
 def cmd_trim(args) -> int:
-    _check_range("--trim-ratio", args.trim_ratio, 0.0, 1.0, True, False)
+    _check_trim(args)
     out = _out_dir(args)
     start = time.perf_counter()
-    edges = _load_edges(args.input)
-    kept = trim_edges(edges.edges, ratio=args.trim_ratio, scope=args.trim_scope)
+    edges = _load_edges(args.inputs)
+    kept = _trim_if_asked(edges, args)
     _write_edges_atomic(out / "trimmed.csv", kept, edges.labels)
     elapsed = time.perf_counter() - start
     print(f"kept {len(kept)} / removed {len(edges.edges) - len(kept)}")
-    config = {
-        "inputs": list(args.input),
-        "trim_ratio": args.trim_ratio,
-        "trim_scope": args.trim_scope,
-        "out": str(out),
-    }
-    _write_manifest(out, "trim", config, args.input, ["trimmed.csv"], {"trim": elapsed})
+    _write_manifest(out, args, args.inputs, ["trimmed.csv"], {"trim": elapsed})
     return EXIT_OK
 
 
@@ -266,66 +272,38 @@ def _write_link_files(out: Path, results: dict, labels, artifacts: list[str]) ->
     print(f"merged unique links: {len(merged)}")
 
 
-def _trim_if_asked(edges: EdgeList, args) -> list[FlowEdge]:
-    if args.trim_ratio is None:
-        return list(edges.edges)
-    return trim_edges(edges.edges, ratio=args.trim_ratio, scope=args.trim_scope)
-
-
 def cmd_predict(args) -> int:
     _check_range("--threshold", args.threshold, 0.0, 1.0, False, True)
-    if args.trim_ratio is not None:
-        _check_range("--trim-ratio", args.trim_ratio, 0.0, 1.0, True, False)
+    _check_trim(args)
     out = _out_dir(args)
     start = time.perf_counter()
-    edges = _load_edges(args.input)
+    edges = _load_edges(args.inputs)
     frame = _trim_if_asked(edges, args)
     if not frame:
         print("warning: empty network; writing empty outputs", file=sys.stderr)
+    # scoring reads only the layers, so the coupling stays build_multiplex's default
     net = _build_from_args(edges, args, frame) if _layer_count(edges, args) else None
     results = _predict_stages(net, args.stages, args.threshold)
     artifacts: list[str] = []
     _write_link_files(out, results, edges.labels, artifacts)
     elapsed = time.perf_counter() - start
-    config = {
-        "inputs": list(args.input),
-        "directed": args.directed,
-        "trim_ratio": args.trim_ratio,
-        "trim_scope": args.trim_scope,
-        "threshold": args.threshold,
-        "stages": list(args.stages),
-        "coupling": args.coupling,
-        "out": str(out),
-    }
-    _write_manifest(out, "predict", config, args.input, artifacts, {"predict": elapsed})
+    _write_manifest(out, args, args.inputs, artifacts, {"predict": elapsed})
     return EXIT_OK
 
 
 def cmd_integrate(args) -> int:
     out = _out_dir(args)
     start = time.perf_counter()
-    edges = _load_edges(args.input)
-    net = _build_from_args(edges, args)
+    edges = _load_edges(args.inputs)
+    # the output holds intra-layer edges only, so the coupling is never written
+    net = _build_from_args(edges, args, list(edges.edges))
     links = read_links_csv(args.links, net.label_index())
     integrated = integrate_links(net, links, placement=args.placement)
     _write_edges_atomic(out / "integrated.csv", export_edges(integrated), net.labels)
     elapsed = time.perf_counter() - start
     print(f"integrated {len(links)} links into {net.n_layers} layers")
-    config = {
-        "inputs": list(args.input),
-        "links": args.links,
-        "placement": args.placement,
-        "directed": args.directed,
-        "coupling": args.coupling,
-        "out": str(out),
-    }
     _write_manifest(
-        out,
-        "integrate",
-        config,
-        args.input + [args.links],
-        ["integrated.csv"],
-        {"integrate": elapsed},
+        out, args, args.inputs + [args.links], ["integrated.csv"], {"integrate": elapsed}
     )
     return EXIT_OK
 
@@ -343,52 +321,40 @@ def _emit_report(out: Path, report, strategy: str, label: str, artifacts: list[s
 
 
 def cmd_navigability(args) -> int:
-    if args.trim_ratio is not None:
-        _check_range("--trim-ratio", args.trim_ratio, 0.0, 1.0, True, False)
+    _check_trim(args)
     out = _out_dir(args)
     start = time.perf_counter()
-    edges = _load_edges(args.input)
-    net = _build_from_args(edges, args, _trim_if_asked(edges, args))
+    edges = _load_edges(args.inputs)
+    net = _build_from_args(edges, args, _trim_if_asked(edges, args), coupling=args.coupling)
     artifacts = []
-    for strategy in args.strategy:
+    for strategy in args.strategies:
         report = navigability_report(net, strategy)
         _emit_report(out, report, strategy, "original", artifacts)
     elapsed = time.perf_counter() - start
-    config = {
-        "inputs": list(args.input),
-        "directed": args.directed,
-        "trim_ratio": args.trim_ratio,
-        "trim_scope": args.trim_scope,
-        "strategies": list(args.strategy),
-        "coupling": args.coupling,
-        "out": str(out),
-    }
-    _write_manifest(
-        out, "navigability", config, args.input, artifacts, {"navigability": elapsed}
-    )
+    _write_manifest(out, args, args.inputs, artifacts, {"navigability": elapsed})
     return EXIT_OK
 
 
 def cmd_pipeline(args) -> int:
-    _check_range("--trim-ratio", args.trim_ratio, 0.0, 1.0, True, False)
+    _check_trim(args)
     _check_range("--threshold", args.threshold, 0.0, 1.0, False, True)
     out = _out_dir(args)
     timings: dict[str, float] = {}
     artifacts: list[str] = []
 
     start = time.perf_counter()
-    edges = _load_edges(args.input)
+    edges = _load_edges(args.inputs)
     timings["ingest"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    trimmed = trim_edges(edges.edges, ratio=args.trim_ratio, scope=args.trim_scope)
+    trimmed = _trim_if_asked(edges, args)
     _write_edges_atomic(out / "trimmed.csv", trimmed, edges.labels)
     artifacts.append("trimmed.csv")
     print(f"trim: kept {len(trimmed)} / removed {len(edges.edges) - len(trimmed)}")
     timings["trim"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    net = _build_from_args(edges, args, trimmed)
+    net = _build_from_args(edges, args, trimmed, coupling=args.coupling)
     timings["build"] = time.perf_counter() - start
 
     start = time.perf_counter()
@@ -403,7 +369,7 @@ def cmd_pipeline(args) -> int:
     timings["integrate"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    for strategy in args.strategy:
+    for strategy in args.strategies:
         reports = []
         for label, variant in variants:
             report = navigability_report(variant, strategy, stage_label=label)
@@ -416,19 +382,7 @@ def cmd_pipeline(args) -> int:
         artifacts.append(name)
     timings["navigability"] = time.perf_counter() - start
 
-    config = {
-        "inputs": list(args.input),
-        "directed": args.directed,
-        "trim_ratio": args.trim_ratio,
-        "trim_scope": args.trim_scope,
-        "threshold": args.threshold,
-        "strategies": list(args.strategy),
-        "stages": list(args.stages),
-        "coupling": args.coupling,
-        "seed": args.seed,
-        "out": str(out),
-    }
-    run_hash = _write_manifest(out, "pipeline", config, args.input, artifacts, timings)
+    run_hash = _write_manifest(out, args, args.inputs, artifacts, timings)
     print(f"run hash: {run_hash}")
     return EXIT_OK
 
@@ -439,7 +393,7 @@ def cmd_scenario(args) -> int:
         raise UsageError(f"--layers must be >= 1, got {args.layers}")
     out = _out_dir(args)
     start = time.perf_counter()
-    base = _load_edges(args.input)
+    base = _load_edges(args.inputs)
     if len({e.layer for e in base.edges}) > 1:
         raise ParseError("scenario base must be a single-layer edge list")
     n = base.n_nodes
@@ -459,34 +413,51 @@ def cmd_scenario(args) -> int:
         print(f"layer {k}: knocked out {count} nodes, kept {kept[k]} edges")
     _write_edges_atomic(out / "scenario.csv", replicated, base.labels)
     elapsed = time.perf_counter() - start
-    config = {
-        "inputs": list(args.input),
-        "layers": args.layers,
-        "fraction": args.fraction,
-        "seed": args.seed,
-        "out": str(out),
-    }
-    _write_manifest(out, "scenario", config, args.input, ["scenario.csv"], {"scenario": elapsed})
+    _write_manifest(out, args, args.inputs, ["scenario.csv"], {"scenario": elapsed})
     return EXIT_OK
 
 
-def _add_common(sub: argparse.ArgumentParser, *, trim_default=None) -> None:
-    sub.add_argument("--input", nargs="+", required=True, metavar="CSV",
+def _add_io(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--input", dest="inputs", nargs="+", required=True, metavar="CSV",
                      help="combined edge CSV, or one CSV per layer in order")
     sub.add_argument("--out", default="out", help="output directory (default: out)")
+
+
+def _add_directed(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--directed", dest="directed", action="store_true",
                      help="treat edges as directed")
     sub.add_argument("--undirected", dest="directed", action="store_false",
                      help="treat edges as undirected (default)")
     sub.set_defaults(directed=False)
-    sub.add_argument("--trim-ratio", type=float, default=trim_default,
+
+
+def _add_trim(sub: argparse.ArgumentParser, default: float | None) -> None:
+    sub.add_argument("--trim-ratio", type=float, default=default,
                      help="keep edges with flow >= ratio * max flow"
-                          + (" (default: no trimming)" if trim_default is None else f" (default: {trim_default})"))
+                          + (" (default: no trimming)" if default is None else f" (default: {default})"))
     sub.add_argument("--trim-scope", choices=[TRIM_PER_LAYER, TRIM_GLOBAL],
                      default=TRIM_PER_LAYER, help="trim threshold scope (default: per-layer)")
+
+
+def _add_coupling(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--coupling", type=float, default=1.0,
                      help="uniform inter-layer coupling weight (default: 1.0)")
+
+
+def _add_seed(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=0, help="root random seed (default: 0)")
+
+
+def _add_stages(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--threshold", type=float, default=0.5,
+                     help="normalized-score cut, strict (default: 0.5)")
+    sub.add_argument("--stages", nargs="+", type=int, choices=[1, 2, 3],
+                     default=[1, 2, 3], help="subset sizes to run (default: 1 2 3)")
+
+
+def _add_strategy(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--strategy", dest="strategies", action="append", choices=list(STRATEGIES),
+                     help="walk strategy, repeatable (default: rwc)")
 
 
 def build_parser() -> CliParser:
@@ -495,19 +466,20 @@ def build_parser() -> CliParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     trim = commands.add_parser("trim", help="keep only the strongest flows")
-    _add_common(trim, trim_default=0.9)
+    _add_io(trim)
+    _add_trim(trim, 0.9)
     trim.set_defaults(func=cmd_trim)
 
     predict = commands.add_parser("predict", help="predict links per layer-subset stage")
-    _add_common(predict)
-    predict.add_argument("--threshold", type=float, default=0.5,
-                         help="normalized-score cut, strict (default: 0.5)")
-    predict.add_argument("--stages", nargs="+", type=int, choices=[1, 2, 3],
-                         default=[1, 2, 3], help="subset sizes to run (default: 1 2 3)")
+    _add_io(predict)
+    _add_directed(predict)
+    _add_trim(predict, None)
+    _add_stages(predict)
     predict.set_defaults(func=cmd_predict)
 
     integrate = commands.add_parser("integrate", help="add predicted links to a network")
-    _add_common(integrate)
+    _add_io(integrate)
+    _add_directed(integrate)
     integrate.add_argument("--links", required=True, help="predicted-links CSV")
     integrate.add_argument("--placement", choices=[PLACEMENT_SUBSET, PLACEMENT_ALL],
                            default=PLACEMENT_SUBSET,
@@ -515,23 +487,27 @@ def build_parser() -> CliParser:
     integrate.set_defaults(func=cmd_integrate)
 
     nav = commands.add_parser("navigability", help="spectral gap, coverage curve and t90")
-    _add_common(nav)
-    nav.add_argument("--strategy", action="append", choices=list(STRATEGIES),
-                     help="walk strategy, repeatable (default: rwc)")
+    _add_io(nav)
+    _add_directed(nav)
+    _add_trim(nav, None)
+    _add_coupling(nav)
+    _add_strategy(nav)
     nav.set_defaults(func=cmd_navigability)
 
     pipeline = commands.add_parser("pipeline", help="trim, predict, integrate and report")
-    _add_common(pipeline, trim_default=0.9)
-    pipeline.add_argument("--threshold", type=float, default=0.5,
-                          help="normalized-score cut, strict (default: 0.5)")
-    pipeline.add_argument("--stages", nargs="+", type=int, choices=[1, 2, 3],
-                          default=[1, 2, 3], help="subset sizes to run (default: 1 2 3)")
-    pipeline.add_argument("--strategy", action="append", choices=list(STRATEGIES),
-                          help="walk strategy, repeatable (default: rwc)")
+    _add_io(pipeline)
+    _add_directed(pipeline)
+    _add_trim(pipeline, 0.9)
+    _add_coupling(pipeline)
+    _add_seed(pipeline)  # no stage reads it yet; kept for a seeded Monte Carlo fallback
+    _add_stages(pipeline)
+    _add_strategy(pipeline)
     pipeline.set_defaults(func=cmd_pipeline)
 
     scenario = commands.add_parser("scenario", help="replicate a layer under random knockouts")
-    _add_common(scenario)
+    _add_io(scenario)
+    _add_directed(scenario)
+    _add_seed(scenario)
     scenario.add_argument("--layers", type=int, default=3,
                           help="number of scenario layers (default: 3)")
     scenario.add_argument("--fraction", type=float, default=0.1,
@@ -543,8 +519,8 @@ def build_parser() -> CliParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "strategy") and not args.strategy:
-        args.strategy = ["rwc"]
+    if hasattr(args, "strategies") and not args.strategies:
+        args.strategies = ["rwc"]
     try:
         return args.func(args)
     except UsageError as exc:

@@ -43,6 +43,8 @@ from .walks import (
 )
 
 ZERO_EIGENVALUE_TOL = 1e-9
+COND_LIMIT = 1e12
+RESIDUAL_LIMIT = 1e-8
 NOT_REACHED = "not reached"
 
 ANALYTIC = "analytic"
@@ -74,20 +76,18 @@ class SpectralDecomposition:
     residual: float
 
 
-def decompose(
-    laplacian: np.ndarray,
-    scale: np.ndarray | None = None,
-    cond_limit: float = 1e12,
-    residual_limit: float = 1e-8,
-) -> SpectralDecomposition:
+def decompose(laplacian: np.ndarray, scale: np.ndarray | None = None) -> SpectralDecomposition:
     """Full eigendecomposition of a supra-Laplacian.
 
     ``scale`` enables the similarity transform diag(s)^(1/2) @ L @
     diag(s)^(-1/2) for strength-normalized walks on undirected networks,
     whose scaled form is symmetric and therefore solvable with the stable
     Hermitian path. Symmetric inputs take that path automatically; anything
-    else falls back to the general solver and is rejected as degraded when
-    the eigenvector basis is ill-conditioned or reconstruction drifts.
+    else falls back to the general solver. DegradedDecompositionError is
+    raised when the general solver's eigenvector basis has a condition
+    number above COND_LIMIT, when the reconstruction residual exceeds
+    RESIDUAL_LIMIT * |L|, or when an eigenvalue's real part is below
+    -ZERO_EIGENVALUE_TOL.
     """
     laplacian = np.asarray(laplacian, dtype=float)
     n = laplacian.shape[0]
@@ -123,9 +123,9 @@ def decompose(
         values = values[order]
         vectors = vectors[:, order]
         condition = float(np.linalg.cond(vectors))
-        if not np.isfinite(condition) or condition > cond_limit:
+        if not np.isfinite(condition) or condition > COND_LIMIT:
             raise DegradedDecompositionError(
-                f"eigenvector basis condition {condition:.3e} exceeds {cond_limit:.0e}; "
+                f"eigenvector basis condition {condition:.3e} exceeds {COND_LIMIT:.0e}; "
                 "fall back to coverage_montecarlo"
             )
         inverse = np.linalg.inv(vectors)
@@ -134,9 +134,9 @@ def decompose(
     reconstructed = (vectors * eigenvalues[None, :]) @ inverse
     norm = np.linalg.norm(laplacian)
     residual = float(np.linalg.norm(laplacian - reconstructed.real))
-    if norm > 0 and residual > residual_limit * norm:
+    if norm > 0 and residual > RESIDUAL_LIMIT * norm:
         raise DegradedDecompositionError(
-            f"reconstruction residual {residual:.3e} exceeds {residual_limit:.0e} * |L|; "
+            f"reconstruction residual {residual:.3e} exceeds {RESIDUAL_LIMIT:.0e} * |L|; "
             "fall back to coverage_montecarlo"
         )
     if eigenvalues.real.min(initial=0.0) < -ZERO_EIGENVALUE_TOL:
@@ -184,21 +184,24 @@ class AnalyticCoverageState:
 
     The mode-l coefficient of pair (i, j) factors as
     origin_coefficients[j, l] * target_coefficients[l, i], avoiding the
-    N*N*NL tensor. Origin j starts on its layer-0 replica; initial_survival
-    is 1 - identity.
+    N*N*NL tensor. Origin j starts on its layer-0 replica, so it holds one
+    row per physical node and survival starts at 1 - identity: each origin
+    has discovered itself and nothing else.
     """
 
     eigenvalues: np.ndarray
     origin_coefficients: np.ndarray
     target_coefficients: np.ndarray
-    initial_survival: np.ndarray
 
     @property
     def n_nodes(self) -> int:
-        return self.initial_survival.shape[0]
+        return self.origin_coefficients.shape[0]
 
     def survival(self, times: np.ndarray) -> np.ndarray:
-        """delta[t, j, i]: probability target i is unvisited by time t from origin j."""
+        """delta[t, j, i]: probability target i is unvisited by time t from origin j.
+
+        The diagonal is 0 at every time, and delta[0] is 1 - identity.
+        """
         times = np.asarray(times, dtype=float)
         lam = self.eigenvalues
         small = np.abs(lam) <= ZERO_EIGENVALUE_TOL
@@ -216,9 +219,9 @@ class AnalyticCoverageState:
                 self.target_coefficients,
                 optimize=True,
             ).real
-            out[start : start + 64] = self.initial_survival[None] * np.exp(
-                -np.maximum(exponent, 0.0)
-            )
+            out[start : start + 64] = np.exp(-np.maximum(exponent, 0.0))
+        own = np.arange(self.n_nodes)
+        out[:, own, own] = 0.0  # an origin is discovered from the start
         return out
 
 
@@ -242,20 +245,18 @@ def analytic_state(
         supra = build_supra_transition(net, tag)
     laplacian = supra_laplacian(supra)
     decomposition = decompose(laplacian, scale=_symmetrizing_scale(net, tag))
-    n, dim = net.n_nodes, supra.dim
-    indicator = np.zeros((dim, n))  # one entry per replica of each node
-    indicator[np.arange(dim), np.arange(dim) % n] = 1.0
-    # Discovery flux: transitions landing on a different physical node. Layer
-    # switches and lazy self-moves keep the walker where it is, so they are
-    # excluded from the hit rate.
-    same_node = (np.arange(dim) % n)[:, None] == (np.arange(dim) % n)[None, :]
-    moves = np.where(same_node, 0.0, supra.matrix)
-    flux = moves @ indicator
+    n, dim = supra.n_nodes, supra.dim
+    # Discovery flux: transition mass from each state onto each physical node,
+    # summed over the node's replicas (states are layer-major). Layer switches
+    # and lazy self-moves keep the walker where it is, so a state's own node
+    # is excluded from the hit rate.
+    flux = supra.matrix.reshape(dim, supra.n_layers, n).sum(axis=1)
+    states = np.arange(dim)
+    flux[states, states % n] = 0.0
     return AnalyticCoverageState(
         eigenvalues=decomposition.eigenvalues,
         origin_coefficients=decomposition.vectors[:n],  # layer-0 replica rows
         target_coefficients=decomposition.inverse @ flux,
-        initial_survival=1.0 - np.eye(n),
     )
 
 
@@ -303,28 +304,26 @@ def coverage_montecarlo(
     walkers_per_origin: int,
     horizon: int,
     seed: int,
-    all_replicas: bool = False,
 ) -> CoverageCurve:
     """Estimate coverage per discrete step by direct walker simulation.
 
-    One generator per origin, seeded (seed, origin), so the estimate is
-    reproducible and origins can run in any order. Origins default to the
-    layer-0 replica of every physical node.
+    Walkers start on the layer-0 replica of every physical node, as in the
+    analytic curve. One generator per origin, seeded (seed, origin), so the
+    estimate is reproducible and origins can run in any order.
     """
     if walkers_per_origin < 1:
         raise ValueError("walkers_per_origin must be >= 1")
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
     n, dim = supra.n_nodes, supra.dim
-    origins = np.arange(dim if all_replicas else n)
-    generators = [np.random.default_rng((seed, int(o))) for o in origins]
-    walkers = walkers_per_origin * origins.size
+    generators = [np.random.default_rng((seed, origin)) for origin in range(n)]
+    walkers = walkers_per_origin * n
 
     cumulative = np.cumsum(supra.matrix, axis=1)
-    states = np.repeat(origins, walkers_per_origin)
+    states = np.repeat(np.arange(n), walkers_per_origin)
     visited = np.zeros((walkers, n), dtype=bool)
     rows = np.arange(walkers)
-    visited[rows, states % n] = True
+    visited[rows, states] = True
     counts = np.ones(walkers)
 
     rho = np.empty(horizon + 1)
@@ -422,15 +421,14 @@ class NavigabilityReport:
 def navigability_report(
     net: MultiplexNetwork,
     strategy: str,
-    times: np.ndarray | None = None,
-    level: float = 0.9,
     stage_label: str = "original",
 ) -> NavigabilityReport:
     """Full navigability summary for one network variant.
 
-    With the default grid, a curve that misses the coverage level but is
-    still climbing faster than 1e-4 per decade gets one 10x grid extension
-    before reporting.
+    The curve is sampled on ``default_time_grid()`` and t90 is the first
+    time it reaches 0.9 coverage. A curve that misses 0.9 but is still
+    climbing faster than 1e-4 per decade gets one 10x grid extension
+    (t up to 1e8) before reporting.
     """
     tag = normalize_strategy(strategy)
     supra = build_supra_transition(net, tag)
@@ -440,16 +438,16 @@ def navigability_report(
     real = np.sort(state.eigenvalues.real)
     if real.size < 2:
         raise ValueError("spectral gap needs at least two supra-states")
-    curve = _curve_from_state(state, tag, net.directed, times)
-    t_level = time_to_coverage(curve, level)
-    if t_level is None and times is None and curve.rho.size >= 2:
+    curve = _curve_from_state(state, tag, net.directed, None)
+    t_level = time_to_coverage(curve)
+    if t_level is None:
         slope = (curve.rho[-1] - curve.rho[-2]) / (
             np.log10(curve.times[-1]) - np.log10(curve.times[-2])
         )
         if slope > 1e-4:
             extended = default_time_grid(decades=(-2.0, 8.0), points=445)
             curve = _curve_from_state(state, tag, net.directed, extended)
-            t_level = time_to_coverage(curve, level)
+            t_level = time_to_coverage(curve)
     head = tuple(complex(v) for v in state.eigenvalues[:10])
     return NavigabilityReport(
         spectral_gap=float(real[1] - real[0]),

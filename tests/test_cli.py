@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 from importlib.resources import files as package_files
 
@@ -16,7 +17,7 @@ from multinav import (
     run_stage,
     trim_edges,
 )
-from multinav.cli import main
+from multinav.cli import build_parser, main
 from multinav.multiplex import TRIM_PER_LAYER
 from multinav.navigability import NOT_REACHED, read_curve_csv
 from multinav.prediction import ADAMIC_ADAR, JACCARD, read_links_csv, write_links_csv
@@ -269,6 +270,8 @@ def test_scenario_knockout_and_validation(tmp_path, capsys):
     ) == 1
     multi = _write_csv(tmp_path / "multi.csv", ["0,a,b,1.0", "1,b,c,1.0"])
     assert main(["scenario", "--input", multi, "--out", str(out)]) == 2
+    assert main(["scenario", "--input", base, "--out", str(out), "--directed"]) == 0
+    assert json.loads((out / "manifest.json").read_text())["config"]["directed"] is True
 
 
 def test_exit_codes_for_bad_inputs(tmp_path, capsys):
@@ -290,3 +293,51 @@ def test_argparse_failures_exit_one(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["trim"])
     assert excinfo.value.code == 1
+
+
+def _option_dests(command):
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in commands.choices[command]._actions if a.dest != "help"}
+
+
+@pytest.mark.parametrize(
+    "command", ["trim", "predict", "integrate", "navigability", "pipeline", "scenario"]
+)
+def test_manifest_config_records_every_option_of_the_command(command, tmp_path):
+    base = _write_csv(tmp_path / "base.csv", ["0,a,b,1.0", "0,b,c,1.0", "0,c,d,1.0"])
+    links = tmp_path / "links.csv"
+    write_links_csv(links, [], ["a", "b", "c", "d"])
+    out = tmp_path / "out"
+    extra = ["--links", str(links)] if command == "integrate" else []
+    assert main([command, "--input", base, "--out", str(out), *extra]) == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert set(config) == _option_dests(command)
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("trim", "--directed"),
+        ("trim", "--undirected"),
+        ("trim", "--coupling=2"),
+        ("trim", "--seed=1"),
+        ("predict", "--coupling=2"),
+        ("predict", "--seed=1"),
+        ("integrate", "--trim-ratio=0.5"),
+        ("integrate", "--trim-scope=global"),
+        ("integrate", "--coupling=2"),
+        ("integrate", "--seed=1"),
+        ("navigability", "--seed=1"),
+        ("scenario", "--trim-ratio=0.5"),
+        ("scenario", "--trim-scope=global"),
+        ("scenario", "--coupling=2"),
+    ],
+)
+def test_options_a_command_never_reads_exit_one(command, flag, tmp_path, capsys):
+    argv = [command, "--input", TOY, "--out", str(tmp_path), flag]
+    if command == "integrate":
+        argv += ["--links", str(tmp_path / "links.csv")]
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 1
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err

@@ -11,7 +11,6 @@ from conftest import (
     connected_random_multiplex,
     cycle_graph,
     directed_trap_network,
-    random_multiplex,
     triangle_network,
 )
 
@@ -156,13 +155,6 @@ def test_coverage_montecarlo_axioms_and_determinism():
     assert np.array_equal(curve.rho, again.rho)
     with pytest.raises(ValueError):
         coverage_montecarlo(P, walkers_per_origin=0, horizon=5, seed=1)
-
-
-def test_coverage_montecarlo_all_replicas_origins():
-    net = random_multiplex(np.random.default_rng(2), 4, 2)
-    P = build_supra_transition(net, "rwc")
-    curve = coverage_montecarlo(P, walkers_per_origin=5, horizon=3, seed=1, all_replicas=True)
-    assert curve.rho[0] == 0.25  # origins cover one physical node each
 
 
 def test_coverage_montecarlo_draw_on_a_cumulative_value_skips_zero_probability_states(monkeypatch):
