@@ -66,7 +66,8 @@ class SpectralDecomposition:
 
     ``vectors`` holds right eigenvectors as columns; ``inverse`` is the
     matrix of left eigenvectors such that vectors @ diag(eigenvalues) @
-    inverse reconstructs the input.
+    inverse reconstructs the input. The arrays keep the solver's dtype:
+    real from ``eigh``, and from ``eig`` when every eigenvalue is real.
     """
 
     eigenvalues: np.ndarray
@@ -76,16 +77,21 @@ class SpectralDecomposition:
     residual: float
 
 
-def decompose(laplacian: np.ndarray, scale: np.ndarray | None = None) -> SpectralDecomposition:
-    """Full eigendecomposition of a supra-Laplacian.
+def _residual(laplacian, eigenvalues, vectors, inverse) -> float:
+    reconstructed = (vectors * eigenvalues[None, :]) @ inverse
+    return float(np.linalg.norm(laplacian - reconstructed.real))
 
-    ``scale`` enables the similarity transform diag(s)^(1/2) @ L @
-    diag(s)^(-1/2) for strength-normalized walks on undirected networks,
-    whose scaled form is symmetric and therefore solvable with the stable
-    Hermitian path. Symmetric inputs take that path automatically; anything
-    else falls back to the general solver. DegradedDecompositionError is
-    raised when the general solver's eigenvector basis has a condition
-    number above COND_LIMIT, when the reconstruction residual exceeds
+
+def decompose(laplacian: np.ndarray, scale: np.ndarray | None = None) -> SpectralDecomposition:
+    """Full eigendecomposition of a supra-Laplacian, on one of two paths.
+
+    The Hermitian path solves diag(s)^(1/2) @ L @ diag(s)^(-1/2) with
+    ``eigh``; ``scale`` gives s for strength-normalized walks on undirected
+    networks, and a symmetric L takes s = 1. The general ``eig`` path takes
+    the rest, and any Hermitian result whose back-scaled basis misses the
+    residual limit. Eigenvalues keep the dtype the solver returned.
+    DegradedDecompositionError is raised when the general basis has a
+    condition number above COND_LIMIT or a reconstruction residual above
     RESIDUAL_LIMIT * |L|, or when an eigenvalue's real part is below
     -ZERO_EIGENVALUE_TOL.
     """
@@ -95,32 +101,31 @@ def decompose(laplacian: np.ndarray, scale: np.ndarray | None = None) -> Spectra
         raise ValueError("supra-Laplacian must be square")
     if n == 0:
         empty = np.zeros((0, 0))
-        return SpectralDecomposition(np.zeros(0, dtype=complex), empty, empty, 1.0, 0.0)
+        return SpectralDecomposition(np.zeros(0), empty, empty, 1.0, 0.0)
 
     if scale is not None:
         scale = np.asarray(scale, dtype=float)
         if scale.shape != (n,) or np.any(scale <= 0):
             raise ValueError("scale must be a positive vector matching the matrix size")
+    elif np.allclose(laplacian, laplacian.T, atol=1e-12):
+        scale = np.ones(n)
+    tolerance = RESIDUAL_LIMIT * np.linalg.norm(laplacian)
+    if scale is not None:
         root = np.sqrt(scale)
         scaled = laplacian * (root[:, None] / root[None, :])
         if not np.allclose(scaled, scaled.T, atol=1e-10):
             raise ValueError("scaled supra-Laplacian is not symmetric; wrong scale vector")
-        values, ortho = np.linalg.eigh(0.5 * (scaled + scaled.T))
+        eigenvalues, ortho = np.linalg.eigh(0.5 * (scaled + scaled.T))
         vectors = ortho / root[:, None]
         inverse = ortho.T * root[None, :]
-        eigenvalues = values.astype(complex)
         # ortho is orthogonal, so the basis is as conditioned as diag(1/root)
         condition = float(root.max() / root.min())
-    elif np.allclose(laplacian, laplacian.T, atol=1e-12):
-        values, ortho = np.linalg.eigh(0.5 * (laplacian + laplacian.T))
-        vectors = ortho
-        inverse = ortho.T
-        eigenvalues = values.astype(complex)
-        condition = 1.0
-    else:
-        values, vectors = np.linalg.eig(laplacian)
-        order = np.argsort(values.real, kind="stable")
-        values = values[order]
+        residual = _residual(laplacian, eigenvalues, vectors, inverse)
+    # also when back-scaling lost the Hermitian basis (or left it NaN)
+    if scale is None or not residual <= tolerance:
+        eigenvalues, vectors = np.linalg.eig(laplacian)
+        order = np.argsort(eigenvalues.real, kind="stable")
+        eigenvalues = eigenvalues[order]
         vectors = vectors[:, order]
         condition = float(np.linalg.cond(vectors))
         if not np.isfinite(condition) or condition > COND_LIMIT:
@@ -129,16 +134,12 @@ def decompose(laplacian: np.ndarray, scale: np.ndarray | None = None) -> Spectra
                 "fall back to coverage_montecarlo"
             )
         inverse = np.linalg.inv(vectors)
-        eigenvalues = values
-
-    reconstructed = (vectors * eigenvalues[None, :]) @ inverse
-    norm = np.linalg.norm(laplacian)
-    residual = float(np.linalg.norm(laplacian - reconstructed.real))
-    if norm > 0 and residual > RESIDUAL_LIMIT * norm:
-        raise DegradedDecompositionError(
-            f"reconstruction residual {residual:.3e} exceeds {RESIDUAL_LIMIT:.0e} * |L|; "
-            "fall back to coverage_montecarlo"
-        )
+        residual = _residual(laplacian, eigenvalues, vectors, inverse)
+        if residual > tolerance:
+            raise DegradedDecompositionError(
+                f"reconstruction residual {residual:.3e} exceeds {RESIDUAL_LIMIT:.0e} * |L|; "
+                "fall back to coverage_montecarlo"
+            )
     if eigenvalues.real.min(initial=0.0) < -ZERO_EIGENVALUE_TOL:
         raise DegradedDecompositionError(
             "negative eigenvalue real part beyond tolerance; "
@@ -186,7 +187,8 @@ class AnalyticCoverageState:
     origin_coefficients[j, l] * target_coefficients[l, i], avoiding the
     N*N*NL tensor. Origin j starts on its layer-0 replica, so it holds one
     row per physical node and survival starts at 1 - identity: each origin
-    has discovered itself and nothing else.
+    has discovered itself and nothing else. The factors keep the dtype of
+    the decomposition, so a real basis gives a real survival product.
     """
 
     eigenvalues: np.ndarray
@@ -211,13 +213,9 @@ class AnalyticCoverageState:
             chunk = times[start : start + 64]
             with np.errstate(over="ignore"):
                 modes = (1.0 - np.exp(-safe[None, :] * chunk[:, None])) / safe[None, :]
-            modes = np.where(small[None, :], chunk[:, None] + 0j, modes)
-            exponent = np.einsum(
-                "tl,jl,li->tji",
-                modes,
-                self.origin_coefficients,
-                self.target_coefficients,
-                optimize=True,
+            modes = np.where(small[None, :], chunk[:, None], modes)
+            exponent = (
+                (modes[:, None, :] * self.origin_coefficients) @ self.target_coefficients
             ).real
             out[start : start + 64] = np.exp(-np.maximum(exponent, 0.0))
         own = np.arange(self.n_nodes)

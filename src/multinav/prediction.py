@@ -221,7 +221,7 @@ def normalize_scores(pairs: Iterable[ScoredPair]) -> list[ScoredPair]:
                 warnings.warn(f"all scores are zero for {key}; group dropped", stacklevel=2)
                 warned.add(key)
             continue
-        out.append(replace(p, normalized_score=p.raw_score / top))
+        out.append(ScoredPair(p.u, p.v, p.raw_score, p.algorithm, p.subset, p.raw_score / top))
     return out
 
 

@@ -1,6 +1,6 @@
 """Supra-transition matrices and discrete walker simulation.
 
-States are (node, layer) pairs flattened node-major: (i, a) -> i + a*N.
+States are (node, layer) pairs flattened layer-major: (i, a) -> i + a*N.
 Three walk strategies are supported:
 
 * ``rwc`` — strength-normalized: moves and layer switches divided by the

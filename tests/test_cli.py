@@ -210,6 +210,12 @@ def test_solver_failure_exits_numeric(tmp_path, monkeypatch, capsys):
     assert "numerical degradation" in capsys.readouterr().err
 
 
+def test_strengths_spanning_many_decades_still_report(tmp_path, capsys):
+    tiny = _write_csv(tmp_path / "tiny.csv", ["0,a,b,1.0", "0,b,c,1.7e-211"])
+    assert main(["navigability", "--input", tiny, "--out", str(tmp_path / "out")]) == 0
+    assert f"t90 {NOT_REACHED}" in capsys.readouterr().out
+
+
 def test_multiple_inputs_become_layers(tmp_path):
     a = _write_csv(tmp_path / "a.csv", ["0,p,q,1.0"])
     b = _write_csv(tmp_path / "b.csv", ["0,q,r,2.0"])

@@ -32,6 +32,10 @@ from multinav import (
     time_to_coverage,
 )
 from multinav.navigability import (
+    RESIDUAL_LIMIT,
+    ZERO_EIGENVALUE_TOL,
+    _symmetrizing_scale,
+    analytic_state,
     read_curve_csv,
     report_to_json_dict,
     write_curve_csv,
@@ -61,6 +65,7 @@ def test_decompose_k2_and_triangle_eigenvalues():
     dec = decompose(tri)
     assert np.allclose(np.sort(dec.eigenvalues.real), [0.0, 1.5, 1.5], atol=1e-12)
     assert dec.residual <= 1e-8 * np.linalg.norm(tri)
+    assert dec.eigenvalues.dtype == np.float64  # the Hermitian path stays real
 
 
 def test_decompose_disconnected_graph_has_two_zero_modes():
@@ -75,16 +80,62 @@ def test_decompose_scaled_matches_general_solver():
     net = connected_random_multiplex(rng, max_nodes=8, directed=False)
     supra = build_supra_transition(net, "rwc")
     L = supra_laplacian(supra)
-    from multinav.navigability import _symmetrizing_scale
-
     scaled = decompose(L, scale=_symmetrizing_scale(net, "rwc"))
     general = np.sort(np.linalg.eigvals(L).real)
     assert np.allclose(np.sort(scaled.eigenvalues.real), general, atol=1e-9)
+    assert {a.dtype for a in (scaled.eigenvalues, scaled.vectors, scaled.inverse)} == {
+        np.dtype(np.float64)
+    }
     # right/left eigenvectors reconstruct L
     rebuilt = (scaled.vectors * scaled.eigenvalues[None, :]) @ scaled.inverse
     assert np.allclose(rebuilt.real, L, atol=1e-10)
     # the condition follows from the scale vector, without an SVD
     assert scaled.condition == pytest.approx(np.linalg.cond(scaled.vectors), rel=1e-9)
+
+
+def test_decompose_falls_back_to_general_solver_when_back_scaling_loses_the_basis():
+    # strengths 1 and 1.7e-211: the scaled eigh basis reconstructs nothing
+    net = build_multiplex([FlowEdge(0, 1, 0, 1.0), FlowEdge(1, 2, 0, 1.7e-211)], coupling=0.0)
+    L = supra_laplacian(build_supra_transition(net, "rwc"))
+    dec = decompose(L, scale=_symmetrizing_scale(net, "rwc"))
+    assert dec.residual <= RESIDUAL_LIMIT * np.linalg.norm(L)
+    rebuilt = (dec.vectors * dec.eigenvalues[None, :]) @ dec.inverse
+    assert np.allclose(rebuilt.real, L, atol=1e-12)
+
+
+def _survival_by_loop(state, times):
+    """delta[t, j, i] summed mode by mode, straight from the closed form."""
+    n = state.n_nodes
+    out = np.zeros((times.size, n, n))
+    for t_index, t in enumerate(times):
+        for j in range(n):
+            for i in range(n):
+                if i == j:
+                    continue
+                exponent = 0j
+                for l, lam in enumerate(state.eigenvalues):
+                    mode = t if abs(lam) <= ZERO_EIGENVALUE_TOL else (1 - np.exp(-lam * t)) / lam
+                    exponent += (
+                        mode * state.origin_coefficients[j, l] * state.target_coefficients[l, i]
+                    )
+                out[t_index, j, i] = np.exp(-max(exponent.real, 0.0))
+    return out
+
+
+@pytest.mark.parametrize("directed", [True, False])
+def test_survival_matches_mode_by_mode_sum(directed):
+    net = connected_random_multiplex(
+        np.random.default_rng(0), max_nodes=7, max_layers=2, directed=directed
+    )
+    state = analytic_state(net, "rwc")
+    if directed:
+        assert np.abs(state.eigenvalues.imag).max() > 0.1
+    else:
+        assert state.eigenvalues.dtype == np.float64
+    times = np.array([0.0, 0.05, 0.7, 3.0, 40.0])
+    delta = state.survival(times)
+    assert delta.shape == (times.size, net.n_nodes, net.n_nodes)
+    assert np.allclose(delta, _survival_by_loop(state, times), rtol=0.0, atol=1e-12)
 
 
 def test_decompose_rejects_defective_matrix():
