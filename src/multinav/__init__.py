@@ -47,6 +47,7 @@ from .prediction import (
     ExclusiveNeighborhood,
     PredictedLink,
     ScoredPair,
+    ScoredPairs,
     adamic_adar_classic,
     assign_weights,
     dedupe_links,
@@ -85,6 +86,7 @@ __all__ = [
     "PredictedLink",
     "SchemaError",
     "ScoredPair",
+    "ScoredPairs",
     "SpectralDecomposition",
     "StrengthProfile",
     "SupraTransitionMatrix",

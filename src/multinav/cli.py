@@ -499,7 +499,7 @@ def build_parser() -> CliParser:
     _add_directed(pipeline)
     _add_trim(pipeline, 0.9)
     _add_coupling(pipeline)
-    _add_seed(pipeline)  # no stage reads it yet; kept for a seeded Monte Carlo fallback
+    _add_seed(pipeline)  # no stage reads it; kept because perfbench passes --seed to every command
     _add_stages(pipeline)
     _add_strategy(pipeline)
     pipeline.set_defaults(func=cmd_pipeline)

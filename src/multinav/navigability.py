@@ -18,9 +18,13 @@ quadrature. Coverage is
 
 which starts at 1/N and, on a strongly connected supra-graph, tends to 1.
 
-A discrete-step Monte Carlo estimator doubles as an independent oracle; its
-step clock relates to continuous time by a Poisson(t) mixture, implemented
-in poisson_clock for like-for-like comparisons.
+This is the paper's mean-field formula, not the walk's exact coverage: the
+hit rate comes from the unconditioned occupation p_j(t) rather than from the
+walks that have not yet found i. coverage_montecarlo estimates the exact
+coverage of the discrete-step walk, and poisson_clock puts a step curve on
+the continuous clock by a Poisson(t) mixture, so the two can be compared on
+one grid. They agree closely on small dense networks and can differ widely
+on sparse ones.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ from .walks import (
 ZERO_EIGENVALUE_TOL = 1e-9
 COND_LIMIT = 1e12
 RESIDUAL_LIMIT = 1e-8
+CHUNK_BYTES = 16 * 2**20  # budget for one chunk of the survival product
 NOT_REACHED = "not reached"
 
 ANALYTIC = "analytic"
@@ -52,7 +57,11 @@ MONTECARLO = "montecarlo"
 
 
 class DegradedDecompositionError(RuntimeError):
-    """Eigendecomposition too ill-conditioned to trust; use coverage_montecarlo."""
+    """Eigendecomposition too ill-conditioned to trust.
+
+    The mean-field curve cannot be evaluated then. coverage_montecarlo still
+    estimates the walk's exact coverage, a different quantity.
+    """
 
 
 def supra_laplacian(supra: SupraTransitionMatrix) -> np.ndarray:
@@ -209,15 +218,17 @@ class AnalyticCoverageState:
         small = np.abs(lam) <= ZERO_EIGENVALUE_TOL
         safe = np.where(small, 1.0, lam)
         out = np.empty((times.size, self.n_nodes, self.n_nodes))
-        for start in range(0, times.size, 64):
-            chunk = times[start : start + 64]
+        # each time point materialises one origin_coefficients-sized product
+        step = max(1, min(64, CHUNK_BYTES // max(1, self.origin_coefficients.nbytes)))
+        for start in range(0, times.size, step):
+            chunk = times[start : start + step]
             with np.errstate(over="ignore"):
                 modes = (1.0 - np.exp(-safe[None, :] * chunk[:, None])) / safe[None, :]
             modes = np.where(small[None, :], chunk[:, None], modes)
             exponent = (
                 (modes[:, None, :] * self.origin_coefficients) @ self.target_coefficients
             ).real
-            out[start : start + 64] = np.exp(-np.maximum(exponent, 0.0))
+            out[start : start + step] = np.exp(-np.maximum(exponent, 0.0))
         own = np.arange(self.n_nodes)
         out[:, own, own] = 0.0  # an origin is discovered from the start
         return out

@@ -3,15 +3,17 @@
 A neighbor u of v is *exclusive* to a layer subset D when every (u, v) edge
 of the multiplex lies inside D. The classic Jaccard and Adamic-Adar scores
 are evaluated on these exclusive neighborhoods for every candidate pair that
-has no edge in any layer of D, then normalized per (algorithm, subset),
-thresholded, and converted to weighted predicted links using nearby flow
+has no edge in any layer of D. Each (algorithm, subset) is one ``ScoredPairs``
+group of score columns, normalized and thresholded as arrays; only the pairs
+that survive become weighted ``PredictedLink`` objects, using nearby flow
 values. A deduplicated link's ``sources`` lists every contributing
 (algorithm, subset, stage).
 
-Each subset is scored on one boolean exclusive adjacency ``E = inside & ~outside``:
-Jaccard is ``C / (d_u + d_v - C)`` with ``C = E @ E.T``, and Adamic-Adar adds each
-shared neighbor's ``1 / ln(union degree)`` in ascending order from 0.0, so every
-score is bit-identical to a per-pair loop over neighbor sets.
+Each subset is scored on one boolean exclusive adjacency ``E = inside & ~outside``,
+which the group keeps for assign_weights: Jaccard is ``C / (d_u + d_v - C)`` with
+``C = E @ E.T``, and Adamic-Adar adds each shared neighbor's ``1 / ln(union degree)``
+in ascending order from 0.0, so every score is bit-identical to a per-pair loop
+over neighbor sets.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -62,7 +64,37 @@ class ScoredPair:
     raw_score: float
     algorithm: str
     subset: tuple[int, ...]
-    normalized_score: float | None = None
+
+
+@dataclass(frozen=True, eq=False)
+class ScoredPairs:
+    """Every scored candidate of one (algorithm, subset), as columns.
+
+    Rows are pairs u < v in row-major order; ``exclusive`` is the exclusive
+    adjacency the scores came from, and ``normalized_score`` is None until
+    normalize_scores fills it. Iterating yields one ScoredPair per row.
+    """
+
+    algorithm: str
+    subset: tuple[int, ...]
+    u: np.ndarray
+    v: np.ndarray
+    raw_score: np.ndarray
+    exclusive: np.ndarray
+    normalized_score: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.u)
+
+    def __iter__(self) -> Iterator[ScoredPair]:
+        for a, b, score in zip(self.u.tolist(), self.v.tolist(), self.raw_score.tolist()):
+            yield ScoredPair(a, b, score, self.algorithm, self.subset)
+
+    def where(self, mask: np.ndarray) -> ScoredPairs:
+        """The rows where ``mask`` holds."""
+        normalized = None if self.normalized_score is None else self.normalized_score[mask]
+        return replace(self, u=self.u[mask], v=self.v[mask], raw_score=self.raw_score[mask],
+                       normalized_score=normalized)
 
 
 @dataclass(frozen=True)
@@ -156,17 +188,15 @@ def adamic_adar_classic(net: MultiplexNetwork, layer: int, u: int, v: int) -> fl
 
 
 def _scored_pairs(
-    keep: np.ndarray, inside: np.ndarray, scores: np.ndarray, algorithm: str, subset: tuple[int, ...]
-) -> list[ScoredPair]:
+    keep: np.ndarray, exclusive: np.ndarray, inside: np.ndarray, scores: np.ndarray,
+    algorithm: str, subset: tuple[int, ...],
+) -> ScoredPairs:
     """Pairs u < v with no edge inside the subset where ``keep`` holds, in row-major order."""
     u, v = np.nonzero(np.triu(keep & ~inside, 1))
-    return [
-        ScoredPair(a, b, score, algorithm, subset)
-        for a, b, score in zip(u.tolist(), v.tolist(), scores[u, v].tolist())
-    ]
+    return ScoredPairs(algorithm, subset, u, v, scores[u, v], exclusive)
 
 
-def modified_jaccard(net: MultiplexNetwork, subset: Sequence[int]) -> list[ScoredPair]:
+def modified_jaccard(net: MultiplexNetwork, subset: Sequence[int]) -> ScoredPairs:
     """Jaccard over exclusive neighborhoods for every non-edge pair of the subset.
 
     Pairs whose exclusive neighborhoods are both empty are omitted; pairs with
@@ -179,10 +209,10 @@ def modified_jaccard(net: MultiplexNetwork, subset: Sequence[int]) -> list[Score
     degree = counts.sum(axis=1)
     union = degree[:, None] + degree[None, :] - common
     scores = np.divide(common, union, out=np.zeros_like(common), where=union > 0)
-    return _scored_pairs(union > 0, inside, scores, JACCARD, subset)
+    return _scored_pairs(union > 0, exclusive, inside, scores, JACCARD, subset)
 
 
-def modified_adamic_adar(net: MultiplexNetwork, subset: Sequence[int]) -> list[ScoredPair]:
+def modified_adamic_adar(net: MultiplexNetwork, subset: Sequence[int]) -> ScoredPairs:
     """Adamic-Adar over exclusive neighborhoods for non-edge pairs of the subset.
 
     Each shared exclusive neighbor contributes the inverse log of its degree in
@@ -199,41 +229,27 @@ def modified_adamic_adar(net: MultiplexNetwork, subset: Sequence[int]) -> list[S
         if deg > 1:
             sharing = np.flatnonzero(exclusive[w])
             scores[np.ix_(sharing, sharing)] += 1.0 / math.log(deg)
-    counts = exclusive.astype(float)
-    return _scored_pairs(counts @ counts.T > 0, inside, scores, ADAMIC_ADAR, subset)
+    # a candidate's shared neighbor is joined to both endpoints, so its degree
+    # is at least 2: a positive score is the same as sharing a neighbor
+    return _scored_pairs(scores > 0, exclusive, inside, scores, ADAMIC_ADAR, subset)
 
 
-def normalize_scores(pairs: Iterable[ScoredPair]) -> list[ScoredPair]:
-    """Scale raw scores to [0, 1] relative to the maximum of each
-    (algorithm, subset) group; all-zero groups are dropped with a warning."""
-    pairs = list(pairs)
-    group_max: dict[tuple[str, tuple[int, ...]], float] = {}
-    for p in pairs:
-        key = (p.algorithm, p.subset)
-        group_max[key] = max(group_max.get(key, 0.0), p.raw_score)
-    out = []
-    warned = set()
-    for p in pairs:
-        key = (p.algorithm, p.subset)
-        top = group_max[key]
-        if top == 0.0:
-            if key not in warned:
-                warnings.warn(f"all scores are zero for {key}; group dropped", stacklevel=2)
-                warned.add(key)
-            continue
-        out.append(ScoredPair(p.u, p.v, p.raw_score, p.algorithm, p.subset, p.raw_score / top))
-    return out
+def normalize_scores(group: ScoredPairs) -> ScoredPairs:
+    """Scale raw scores to [0, 1] relative to the group's maximum; an
+    all-zero group is dropped (returned empty) with a warning."""
+    top = group.raw_score.max(initial=0.0)
+    if top == 0.0 and len(group):
+        key = (group.algorithm, group.subset)
+        warnings.warn(f"all scores are zero for {key}; group dropped", stacklevel=2)
+        group = group.where(np.zeros(len(group), dtype=bool))
+    return replace(group, normalized_score=group.raw_score / top)  # empty when top is 0
 
 
-def threshold_filter(pairs: Iterable[ScoredPair], threshold: float = 0.5) -> list[ScoredPair]:
+def threshold_filter(group: ScoredPairs, threshold: float = 0.5) -> ScoredPairs:
     """Keep pairs whose normalized score strictly exceeds the threshold."""
-    kept = []
-    for p in pairs:
-        if p.normalized_score is None:
-            raise ValueError("threshold_filter requires normalized scores")
-        if p.normalized_score > threshold:
-            kept.append(p)
-    return kept
+    if group.normalized_score is None:
+        raise ValueError("threshold_filter requires normalized scores")
+    return group.where(group.normalized_score > threshold)
 
 
 def _union_mean_weight(net: MultiplexNetwork, subset: Sequence[int]) -> float:
@@ -246,11 +262,7 @@ def _union_mean_weight(net: MultiplexNetwork, subset: Sequence[int]) -> float:
     return float(np.mean(values))
 
 
-def assign_weights(
-    pairs: Iterable[ScoredPair],
-    net: MultiplexNetwork,
-    subset: Sequence[int],
-) -> list[PredictedLink]:
+def assign_weights(group: ScoredPairs, net: MultiplexNetwork) -> list[PredictedLink]:
     """Turn thresholded pairs into weighted links.
 
     The weight is the normalized score times the mean flow on edges joining
@@ -258,41 +270,29 @@ def assign_weights(
     layers. Pairs without such flow context fall back to the subset's mean
     edge weight.
     """
-    subset = tuple(subset)
-    exclusive, _ = _exclusive_adjacency(net, subset)
+    if group.normalized_score is None:
+        raise ValueError("assign_weights requires normalized scores")
+    subset = group.subset
+    flows = net.intra[list(subset)]
+    # cells[w, k, a, d]: flow a -> w in layer subset[k] (d = 0) and, when
+    # directed, w -> a (d = 1); flattening a pair's block keeps that order.
+    views = [flows.transpose(2, 0, 1), flows.transpose(1, 0, 2)]
+    cells = np.stack(views if net.directed else views[:1], axis=-1)
+    # a candidate has no edge inside the subset, so neither endpoint is shared
+    shared = group.exclusive[group.u] & group.exclusive[group.v]
     fallback: float | None = None
     links = []
-    for p in pairs:
-        if p.normalized_score is None:
-            raise ValueError("assign_weights requires normalized scores")
-        shared = exclusive[p.u] & exclusive[p.v]
-        shared[[p.u, p.v]] = False  # an endpoint is never its own shared neighbor
-        flows = []
-        for w in np.flatnonzero(shared):
-            for k in subset:
-                for a in (p.u, p.v):
-                    if net.intra[k, a, w] > 0:
-                        flows.append(float(net.intra[k, a, w]))
-                    if net.directed and net.intra[k, w, a] > 0:
-                        flows.append(float(net.intra[k, w, a]))
-        if flows:
-            mean_flow = float(np.mean(flows))
-        else:
-            if fallback is None:
-                fallback = _union_mean_weight(net, subset)
-            mean_flow = fallback
-        links.append(
-            PredictedLink(
-                u=p.u,
-                v=p.v,
-                raw_score=p.raw_score,
-                normalized_score=p.normalized_score,
-                weight=p.normalized_score * mean_flow,
-                algorithm=p.algorithm,
-                subset=subset,
-                stage=len(subset),
-            )
-        )
+    for row, u, v, raw, norm in zip(
+        shared, group.u.tolist(), group.v.tolist(),
+        group.raw_score.tolist(), group.normalized_score.tolist(),
+    ):
+        context = cells[row][:, :, [u, v]]
+        context = context[context > 0]
+        if not context.size and fallback is None:
+            fallback = _union_mean_weight(net, subset)
+        mean_flow = float(np.mean(context)) if context.size else fallback
+        weight = norm * mean_flow
+        links.append(PredictedLink(u, v, raw, norm, weight, group.algorithm, subset, len(subset)))
     return links
 
 
@@ -333,9 +333,8 @@ def run_stage(
     scorer = modified_jaccard if algorithm == JACCARD else modified_adamic_adar
     links: list[PredictedLink] = []
     for subset in enumerate_layer_subsets(net.n_layers, k):
-        pairs = scorer(net, subset)
-        kept = threshold_filter(normalize_scores(pairs), threshold)
-        links.extend(assign_weights(kept, net, subset))
+        kept = threshold_filter(normalize_scores(scorer(net, subset)), threshold)
+        links.extend(assign_weights(kept, net))
     return dedupe_links(links)
 
 

@@ -143,3 +143,21 @@ def oracle_scores(net, subset, algorithm):
                             score += 1.0 / math.log(deg)
                     expected[(u, v)] = score
     return expected
+
+
+def oracle_flow_mean(net, subset, u, v):
+    """Mean positive flow between u or v and their shared exclusive neighbors,
+    in the order w ascending, layer of the subset, endpoint, then w -> endpoint
+    when directed; None when they share none."""
+    pair_layers = oracle_pair_layers(net)
+    n = net.n_nodes
+    shared = oracle_exclusive(pair_layers, n, u, subset) & oracle_exclusive(pair_layers, n, v, subset)
+    flows = []
+    for w in sorted(shared - {u, v}):
+        for k in subset:
+            for a in (u, v):
+                if net.intra[k, a, w] > 0:
+                    flows.append(float(net.intra[k, a, w]))
+                if net.directed and net.intra[k, w, a] > 0:
+                    flows.append(float(net.intra[k, w, a]))
+    return float(np.mean(flows)) if flows else None

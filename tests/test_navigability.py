@@ -31,6 +31,7 @@ from multinav import (
     supra_laplacian,
     time_to_coverage,
 )
+from multinav import navigability
 from multinav.navigability import (
     RESIDUAL_LIMIT,
     ZERO_EIGENVALUE_TOL,
@@ -136,6 +137,18 @@ def test_survival_matches_mode_by_mode_sum(directed):
     delta = state.survival(times)
     assert delta.shape == (times.size, net.n_nodes, net.n_nodes)
     assert np.allclose(delta, _survival_by_loop(state, times), rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("directed", [True, False])
+def test_survival_chunk_size_does_not_change_the_result(directed, monkeypatch):
+    net = connected_random_multiplex(
+        np.random.default_rng(3), max_nodes=12, max_layers=3, directed=directed
+    )
+    state = analytic_state(net, "rwc")
+    times = default_time_grid()  # 401 points: several default chunks
+    default = state.survival(times)
+    monkeypatch.setattr(navigability, "CHUNK_BYTES", 1)  # one time point per chunk
+    assert np.array_equal(state.survival(times), default)
 
 
 def test_decompose_rejects_defective_matrix():

@@ -3,15 +3,17 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from conftest import oracle_scores, random_multiplex
+from conftest import oracle_flow_mean, oracle_scores, random_multiplex
 
 from multinav import (
     FlowEdge,
     PredictedLink,
     ScoredPair,
+    ScoredPairs,
     adamic_adar_classic,
     assign_weights,
     build_multiplex,
@@ -162,60 +164,94 @@ def test_modified_candidates_exclude_subset_union_edges_only():
 
 # --- normalize / threshold / weights -----------------------------------------
 
-def test_normalize_scales_each_group_by_its_maximum():
-    pairs = [
-        ScoredPair(0, 1, 0.2, JACCARD, (0,)),
-        ScoredPair(0, 2, 0.8, JACCARD, (0,)),
-        ScoredPair(0, 3, 3.0, ADAMIC_ADAR, (0,)),
+def _group(algorithm, subset, rows, exclusive=None, normalized=None):
+    """A hand-built ScoredPairs from (u, v, raw_score) rows."""
+    u, v, raw = np.array(rows, dtype=float).reshape(-1, 3).T
+    return ScoredPairs(
+        algorithm, subset, u.astype(int), v.astype(int), raw,
+        np.zeros((4, 4), dtype=bool) if exclusive is None else exclusive,
+        None if normalized is None else np.array(normalized, dtype=float),
+    )
+
+
+def test_scored_pairs_iterate_as_python_scalars():
+    group = _group(JACCARD, (0, 2), [(0, 1, 0.2), (1, 3, 0.8)])
+    assert len(group) == 2
+    assert list(group) == [
+        ScoredPair(0, 1, 0.2, JACCARD, (0, 2)),
+        ScoredPair(1, 3, 0.8, JACCARD, (0, 2)),
     ]
-    out = normalize_scores(pairs)
-    by_pair = {(p.u, p.v): p.normalized_score for p in out}
-    assert by_pair[(0, 1)] == 0.25
-    assert by_pair[(0, 2)] == 1.0
-    assert by_pair[(0, 3)] == 1.0
+    assert all(type(x) is int for p in group for x in (p.u, p.v))
+    assert all(type(p.raw_score) is float for p in group)
+    kept = group.where(np.array([False, True]))
+    assert list(kept) == [ScoredPair(1, 3, 0.8, JACCARD, (0, 2))]
+    assert kept.exclusive is group.exclusive and kept.normalized_score is None
+
+
+def test_normalize_scales_each_group_by_its_maximum():
+    jaccard = normalize_scores(_group(JACCARD, (0,), [(0, 1, 0.2), (0, 2, 0.8)]))
+    adamic_adar = normalize_scores(_group(ADAMIC_ADAR, (0,), [(0, 3, 3.0)]))
+    assert jaccard.normalized_score.tolist() == [0.25, 1.0]
+    assert adamic_adar.normalized_score.tolist() == [1.0]
+    assert jaccard.raw_score.tolist() == [0.2, 0.8]
 
 
 def test_normalize_drops_all_zero_group_with_warning():
-    pairs = [
-        ScoredPair(0, 1, 0.0, JACCARD, (0,)),
-        ScoredPair(0, 2, 0.0, JACCARD, (0,)),
-        ScoredPair(0, 2, 0.5, JACCARD, (1,)),
-    ]
-    with pytest.warns(UserWarning, match="all scores are zero"):
-        out = normalize_scores(pairs)
-    assert [(p.u, p.v, p.subset) for p in out] == [(0, 2, (1,))]
+    zero = _group(JACCARD, (0,), [(0, 1, 0.0), (0, 2, 0.0)])
+    with pytest.warns(UserWarning, match=r"all scores are zero for \('jaccard', \(0,\)\)"):
+        out = normalize_scores(zero)
+    assert len(out) == 0 and out.normalized_score.size == 0
+    assert len(threshold_filter(out)) == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an empty group is not "all zero"
+        assert len(normalize_scores(_group(JACCARD, (1,), []))) == 0
+    kept = normalize_scores(_group(JACCARD, (1,), [(0, 2, 0.5)]))
+    assert [(p.u, p.v, p.subset) for p in kept] == [(0, 2, (1,))]
 
 
 def test_threshold_is_strict():
-    pairs = normalize_scores(
-        [ScoredPair(0, 1, 1.0, JACCARD, (0,)), ScoredPair(0, 2, 0.5, JACCARD, (0,))]
-    )
-    kept = threshold_filter(pairs, 0.5)
+    group = normalize_scores(_group(JACCARD, (0,), [(0, 1, 1.0), (0, 2, 0.5)]))
+    kept = threshold_filter(group, 0.5)
     assert [(p.u, p.v) for p in kept] == [(0, 1)]
-    with pytest.raises(ValueError):
-        threshold_filter([ScoredPair(0, 1, 1.0, JACCARD, (0,))])
+    assert kept.normalized_score.tolist() == [1.0]
+    with pytest.raises(ValueError, match="requires normalized scores"):
+        threshold_filter(_group(JACCARD, (0,), [(0, 1, 1.0)]))
 
 
 def test_assign_weights_means_flows_to_shared_exclusive_neighbors():
     # shared exclusive neighbor 2 with flows 4 and 8 to the endpoints
     edges = [FlowEdge(0, 2, 0, 4.0), FlowEdge(1, 2, 0, 8.0)]
     net = build_multiplex(edges)
-    pairs = threshold_filter(normalize_scores(modified_jaccard(net, (0,))), 0.5)
-    links = assign_weights(pairs, net, (0,))
-    assert len(links) == 1
-    link = links[0]
-    assert (link.u, link.v) == (0, 1)
-    assert link.normalized_score == 1.0
-    assert link.weight == pytest.approx(6.0)  # mean(4, 8) * 1.0
-    assert link.stage == 1
+    group = threshold_filter(normalize_scores(modified_jaccard(net, (0,))), 0.5)
+    links = assign_weights(group, net)
+    assert links == [PredictedLink(0, 1, 1.0, 1.0, 6.0, JACCARD, (0,), 1)]  # mean(4, 8) * 1.0
+    with pytest.raises(ValueError, match="requires normalized scores"):
+        assign_weights(modified_jaccard(net, (0,)), net)
 
 
 def test_assign_weights_falls_back_to_union_mean():
     edges = [FlowEdge(0, 1, 0, 4.0), FlowEdge(2, 3, 0, 8.0)]
     net = build_multiplex(edges, n_nodes=5)
-    fabricated = ScoredPair(0, 4, 0.7, JACCARD, (0,), normalized_score=0.7)
-    links = assign_weights([fabricated], net, (0,))
+    fabricated = _group(JACCARD, (0,), [(0, 4, 0.7)], exclusive=net.intra[0] > 0, normalized=[0.7])
+    links = assign_weights(fabricated, net)
     assert links[0].weight == pytest.approx(0.7 * 6.0)  # mean of all subset flows
+
+
+@pytest.mark.filterwarnings("ignore:all scores are zero")
+def test_run_stage_weights_match_plain_loop_flow_means():
+    rng = np.random.default_rng(606)
+    checked = 0
+    for trial in range(40):
+        n = int(rng.integers(5, 13))
+        l = int(rng.integers(1, 4))
+        net = random_multiplex(rng, n, l, directed=bool(trial % 2), p=float(rng.uniform(0.2, 0.6)))
+        for k in range(1, l + 1):
+            for algorithm in (JACCARD, ADAMIC_ADAR):
+                for link in run_stage(net, k, algorithm):
+                    mean_flow = oracle_flow_mean(net, link.subset, link.u, link.v)
+                    assert link.weight == link.normalized_score * mean_flow  # exact
+                    checked += 1
+    assert checked > 800  # the seed draws 836 links
 
 
 def test_dedupe_keeps_max_weight_then_lexicographic_tags():
