@@ -41,6 +41,7 @@ from .multiplex import MultiplexNetwork
 from .walks import (
     RWC,
     SupraTransitionMatrix,
+    _cumulative_table,
     build_supra_transition,
     normalize_strategy,
     strength_profile,
@@ -54,6 +55,10 @@ NOT_REACHED = "not reached"
 
 ANALYTIC = "analytic"
 MONTECARLO = "montecarlo"
+_MEAN_FIELD_LOST = (
+    "the mean-field curve cannot be evaluated; coverage_montecarlo estimates "
+    "a different quantity, the exact coverage"
+)
 
 
 class DegradedDecompositionError(RuntimeError):
@@ -140,19 +145,19 @@ def decompose(laplacian: np.ndarray, scale: np.ndarray | None = None) -> Spectra
         if not np.isfinite(condition) or condition > COND_LIMIT:
             raise DegradedDecompositionError(
                 f"eigenvector basis condition {condition:.3e} exceeds {COND_LIMIT:.0e}; "
-                "fall back to coverage_montecarlo"
+                + _MEAN_FIELD_LOST
             )
         inverse = np.linalg.inv(vectors)
         residual = _residual(laplacian, eigenvalues, vectors, inverse)
         if residual > tolerance:
             raise DegradedDecompositionError(
                 f"reconstruction residual {residual:.3e} exceeds {RESIDUAL_LIMIT:.0e} * |L|; "
-                "fall back to coverage_montecarlo"
+                + _MEAN_FIELD_LOST
             )
     if eigenvalues.real.min(initial=0.0) < -ZERO_EIGENVALUE_TOL:
         raise DegradedDecompositionError(
             "negative eigenvalue real part beyond tolerance; "
-            "fall back to coverage_montecarlo"
+            + _MEAN_FIELD_LOST
         )
     return SpectralDecomposition(
         eigenvalues=eigenvalues,
@@ -290,8 +295,8 @@ def _curve_from_state(
     drops = np.diff(rho).min(initial=0.0)
     if drops < -1e-9:
         raise DegradedDecompositionError(
-            f"analytic coverage decreased by {-drops:.3e}; decomposition unreliable, "
-            "fall back to coverage_montecarlo"
+            f"analytic coverage decreased by {-drops:.3e}; decomposition unreliable; "
+            + _MEAN_FIELD_LOST
         )
     rho = np.maximum.accumulate(np.clip(rho, 0.0, 1.0))
     return CoverageCurve(times=times, rho=rho, method=ANALYTIC, strategy=strategy, directed=directed)
@@ -317,35 +322,49 @@ def coverage_montecarlo(
     """Estimate coverage per discrete step by direct walker simulation.
 
     Walkers start on the layer-0 replica of every physical node, as in the
-    analytic curve. One generator per origin, seeded (seed, origin), so the
-    estimate is reproducible and origins can run in any order.
+    analytic curve. One generator per origin, seeded (seed, origin), gives
+    that origin's walkers one draw each per step, read in step order, so the
+    estimate is reproducible and origins can run in any order. Each step
+    inverts the CDF of the walker's row by the rule of ``simulate_walk``: a
+    binary search for the number of the row's cumulative sums <= u, ties to
+    the right, capped at the last state. With one walker per origin, walker
+    j follows ``simulate_walk(supra, j, horizon, seed)``.
     """
     if walkers_per_origin < 1:
         raise ValueError("walkers_per_origin must be >= 1")
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
     n, dim = supra.n_nodes, supra.dim
+    if dim == 0:
+        raise ValueError("Monte Carlo coverage needs at least one supra-state")
     generators = [np.random.default_rng((seed, origin)) for origin in range(n)]
     walkers = walkers_per_origin * n
 
-    cumulative = np.cumsum(supra.matrix, axis=1)
+    table = _cumulative_table(supra.matrix)
+    width = table.shape[1]
+    flat = table.reshape(-1)
+    halves = [width >> k for k in range(1, width.bit_length())]  # width/2, ..., 1
     states = np.repeat(np.arange(n), walkers_per_origin)
-    visited = np.zeros((walkers, n), dtype=bool)
-    rows = np.arange(walkers)
-    visited[rows, states] = True
+    offsets = np.arange(walkers) * n
+    visited = np.zeros(walkers * n, dtype=bool)
+    visited[offsets + states] = True
     counts = np.ones(walkers)
 
     rho = np.empty(horizon + 1)
     rho[0] = counts.mean() / n
     for step in range(1, horizon + 1):
         u = np.concatenate([g.random(walkers_per_origin) for g in generators])
-        # side="right": a draw equal to a cumulative value skips zero-probability states
-        states = (cumulative[states] <= u[:, None]).sum(axis=1)
-        np.minimum(states, dim - 1, out=states)
-        phys = states % n
-        fresh = ~visited[rows, phys]
-        counts += fresh
-        visited[rows, phys] = True
+        # branchless search: the cursor moves past the row's entries <= u, so
+        # a draw equal to a cumulative value skips zero-probability states.
+        # It stops at width - 1 >= dim - 1, where the guard caps it anyway.
+        base = states * width
+        cursor = base.copy()
+        for half in halves:
+            cursor += half * (flat[cursor + (half - 1)] <= u)
+        states = np.minimum(cursor - base, dim - 1)
+        seen = offsets + states % n
+        counts += ~visited[seen]
+        visited[seen] = True
         rho[step] = counts.mean() / n
     return CoverageCurve(
         times=np.arange(horizon + 1, dtype=float),

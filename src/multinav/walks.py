@@ -145,6 +145,20 @@ def row_stochastic_check(supra: SupraTransitionMatrix) -> tuple[bool, float]:
     return deviation <= 1e-12, deviation
 
 
+def _cumulative_table(matrix: np.ndarray) -> np.ndarray:
+    """Each row's cumulative sums, padded with +inf to a power-of-two width.
+
+    Entries of a supra-transition matrix are >= 0, so every row is
+    non-decreasing and the padding lies above every draw in [0, 1). The
+    count of a row's entries <= u is then the next state for draw u.
+    """
+    dim = matrix.shape[0]
+    width = 1 << max(dim - 1, 0).bit_length()
+    table = np.full((dim, width), np.inf)
+    np.cumsum(matrix, axis=1, out=table[:, :dim])
+    return table
+
+
 def simulate_walk(
     supra: SupraTransitionMatrix,
     origin: int,
@@ -153,20 +167,25 @@ def simulate_walk(
 ) -> WalkTrajectory:
     """Sample one discrete trajectory of ``horizon`` steps from the origin.
 
-    The generator is seeded with (seed, origin) so distinct origins give
-    independent, individually reproducible streams.
+    The generator is seeded with (seed, origin) and read once per step, in
+    step order, so distinct origins give independent, individually
+    reproducible streams. Each step inverts the CDF of the current state's
+    row: the next state is the number of the row's cumulative sums <= u
+    (a binary search, ties to the right, so a draw equal to a cumulative
+    value skips zero-probability states), capped at the last state in case
+    rounding leaves the row's total below u. ``coverage_montecarlo``
+    samples with the same table, rule and streams.
     """
     if not 0 <= origin < supra.dim:
         raise ValueError(f"origin {origin} out of range [0, {supra.dim})")
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
     rng = np.random.default_rng((seed, origin))
-    cumulative = np.cumsum(supra.matrix, axis=1)
+    table = _cumulative_table(supra.matrix)
+    last = supra.dim - 1
     steps = [origin]
     state = origin
-    for _ in range(horizon):
-        u = rng.random()
-        state = int(np.searchsorted(cumulative[state], u, side="right"))
-        state = min(state, supra.dim - 1)  # guard against cumsum rounding at 1.0
+    for u in rng.random(horizon).tolist():
+        state = min(int(table[state].searchsorted(u, side="right")), last)
         steps.append(state)
     return WalkTrajectory(origin=origin, n_nodes=supra.n_nodes, steps=tuple(steps))

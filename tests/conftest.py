@@ -161,3 +161,37 @@ def oracle_flow_mean(net, subset, u, v):
                 if net.directed and net.intra[k, w, a] > 0:
                     flows.append(float(net.intra[k, w, a]))
     return float(np.mean(flows)) if flows else None
+
+
+# --- plain-loop sampler oracles: one walker and one draw at a time ------------
+
+def oracle_walk(supra, origin, horizon, seed):
+    """States of one walk: each step searches the state's cumulative row for
+    one scalar draw of the (seed, origin) generator, ties to the right."""
+    cumulative = np.cumsum(supra.matrix, axis=1)
+    rng = np.random.default_rng((seed, origin))
+    steps = [origin]
+    for _ in range(horizon):
+        u = rng.random()
+        steps.append(min(int(np.searchsorted(cumulative[steps[-1]], u, side="right")), supra.dim - 1))
+    return steps
+
+
+def oracle_montecarlo(supra, walkers_per_origin, horizon, seed):
+    """Mean share of physical nodes seen per step, walking every walker in a
+    Python loop; origin j's walkers take their draws, in walker order, from
+    one (seed, j) generator per step."""
+    n = supra.n_nodes
+    cumulative = np.cumsum(supra.matrix, axis=1)
+    generators = [np.random.default_rng((seed, origin)) for origin in range(n)]
+    states = [origin for origin in range(n) for _ in range(walkers_per_origin)]
+    seen = [{state} for state in states]
+    rho = [sum(map(len, seen)) / len(seen) / n]
+    for _ in range(horizon):
+        draws = [u for g in generators for u in g.random(walkers_per_origin)]
+        for walker, u in enumerate(draws):
+            row = cumulative[states[walker]]
+            states[walker] = min(int(np.searchsorted(row, u, side="right")), supra.dim - 1)
+            seen[walker].add(states[walker] % n)
+        rho.append(sum(map(len, seen)) / len(seen) / n)
+    return np.array(rho)

@@ -11,6 +11,9 @@ from conftest import (
     connected_random_multiplex,
     cycle_graph,
     directed_trap_network,
+    oracle_montecarlo,
+    oracle_walk,
+    random_multiplex,
     triangle_network,
 )
 
@@ -18,6 +21,7 @@ from multinav import (
     CoverageCurve,
     DegradedDecompositionError,
     FlowEdge,
+    SupraTransitionMatrix,
     build_multiplex,
     build_supra_transition,
     compare_stages,
@@ -27,6 +31,7 @@ from multinav import (
     default_time_grid,
     navigability_report,
     poisson_clock,
+    simulate_walk,
     spectral_gap,
     supra_laplacian,
     time_to_coverage,
@@ -231,6 +236,109 @@ def test_coverage_montecarlo_draw_on_a_cumulative_value_skips_zero_probability_s
     assert P.matrix.tolist() == [[0.0, 1.0], [1.0, 0.0]]
     curve = coverage_montecarlo(P, walkers_per_origin=1, horizon=1, seed=0)
     assert curve.rho[1] == 1.0  # u = 0.0 must still move each walker to the other node
+
+
+def test_coverage_montecarlo_rejects_an_empty_network():
+    P = build_supra_transition(build_multiplex([], n_layers=1, n_nodes=0, coupling=0.0), "rwc")
+    with pytest.raises(ValueError, match="supra-state"):
+        coverage_montecarlo(P, walkers_per_origin=1, horizon=3, seed=0)
+
+
+def _dangling_rwc():
+    """Node 3 has no edges and no coupling, so both its states hold still."""
+    edges = [FlowEdge(0, 1, 0, 1.0), FlowEdge(1, 2, 0, 2.0), FlowEdge(0, 2, 1, 1.5)]
+    net = build_multiplex(edges, n_layers=2, n_nodes=4, coupling=0.0)
+    return build_supra_transition(net, "rwc")
+
+
+SAMPLER_CASES = {
+    "directed-pagerank": lambda: build_supra_transition(
+        connected_random_multiplex(np.random.default_rng(17), max_nodes=8, directed=True),
+        "pagerank",
+    ),
+    "undirected-rwc-dangling": _dangling_rwc,
+    "lazy-rwd": lambda: build_supra_transition(
+        random_multiplex(np.random.default_rng(18), 5, 3, p=0.5), "rwd"
+    ),
+    "one-state": lambda: build_supra_transition(
+        build_multiplex([], n_layers=1, n_nodes=1, coupling=0.0), "rwc"
+    ),
+    # dim 8 fills the power-of-two search table without padding
+    "unpadded-dim-8": lambda: build_supra_transition(
+        random_multiplex(np.random.default_rng(19), 4, 2, p=0.7), "rwc"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SAMPLER_CASES))
+def test_coverage_montecarlo_matches_plain_loop_oracle(case):
+    P = SAMPLER_CASES[case]()
+    expected = oracle_montecarlo(P, walkers_per_origin=7, horizon=30, seed=5)
+    curve = coverage_montecarlo(P, walkers_per_origin=7, horizon=30, seed=5)
+    assert np.array_equal(curve.rho, expected)
+
+
+@pytest.mark.parametrize("case", sorted(SAMPLER_CASES))
+def test_simulate_walk_matches_plain_loop_oracle(case):
+    P = SAMPLER_CASES[case]()
+    for origin in range(P.dim):
+        walk = simulate_walk(P, origin, horizon=60, seed=5)
+        assert list(walk.steps) == oracle_walk(P, origin, horizon=60, seed=5)
+
+
+def test_samplers_match_the_oracles_when_draws_hit_cumulative_values(monkeypatch):
+    """On K5 every row's cumulative sums are 0, 1/4, ..., 1, so quarter draws
+    tie with them; ties go right, past the zero-probability self-move."""
+    make_rng = np.random.default_rng
+
+    class QuarterDraws:
+        def __init__(self, seed):
+            self.rng = make_rng(seed)
+
+        def random(self, size=None):
+            return self.rng.integers(0, 4, size=size) / 4.0
+
+    monkeypatch.setattr(np.random, "default_rng", QuarterDraws)
+    P = build_supra_transition(complete_graph(5), "rwc")
+    assert set(np.cumsum(P.matrix, axis=1).ravel()) == {0.0, 0.25, 0.5, 0.75, 1.0}
+    curve = coverage_montecarlo(P, walkers_per_origin=9, horizon=12, seed=2)
+    assert np.array_equal(curve.rho, oracle_montecarlo(P, walkers_per_origin=9, horizon=12, seed=2))
+    for origin in range(P.dim):
+        walk = simulate_walk(P, origin, horizon=40, seed=2)
+        assert list(walk.steps) == oracle_walk(P, origin, horizon=40, seed=2)
+        assert all(a != b for a, b in zip(walk.steps, walk.steps[1:]))
+
+
+def test_samplers_keep_a_draw_beyond_the_row_total_on_the_last_state(monkeypatch):
+    """Rounding can leave a row's total below a draw; both samplers then take
+    the last state. Rows summing to 3/4 make that happen on every draw."""
+
+    class HighDraws:
+        def random(self, size):
+            return np.full(size, 0.9)
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: HighDraws())
+    short = SupraTransitionMatrix(np.full((3, 3), 0.25), 3, 1, "rwc", False)
+    curve = coverage_montecarlo(short, walkers_per_origin=2, horizon=2, seed=0)
+    # every walker moves to node 2; those from node 2 find nothing new
+    assert curve.rho == pytest.approx([1 / 3, 5 / 9, 5 / 9], abs=1e-15)
+    assert simulate_walk(short, 0, horizon=2, seed=0).steps == (0, 2, 2)
+
+
+@pytest.mark.parametrize("strategy", ["rwc", "rwd", "pagerank"])
+@pytest.mark.parametrize("directed", [False, True])
+def test_one_walker_per_origin_follows_simulate_walk(directed, strategy):
+    """Walker j of coverage_montecarlo reads the (seed, j) stream by the rule
+    of simulate_walk, so rho is the mean distinct-node share of those walks."""
+    net = connected_random_multiplex(np.random.default_rng(6), directed=directed)
+    P = build_supra_transition(net, strategy)
+    n, horizon, seed = net.n_nodes, 40, 11
+    curve = coverage_montecarlo(P, walkers_per_origin=1, horizon=horizon, seed=seed)
+    found = [
+        [len({state % n for state in walk.steps[: t + 1]}) for t in range(horizon + 1)]
+        for walk in (simulate_walk(P, j, horizon, seed) for j in range(n))
+    ]
+    assert np.allclose(curve.rho, np.mean(found, axis=0) / n, rtol=0.0, atol=1e-12)
 
 
 def test_poisson_clock_matches_endpoints():
