@@ -2,8 +2,8 @@
 layer-subset enumeration, knockouts, and link integration.
 
 A multiplex network here is L weighted adjacency matrices over one shared set
-of N nodes, plus per-node inter-layer coupling weights joining the replicas of
-each node across layers. Networks are immutable; every mutating operation
+of N nodes, plus one inter-layer coupling weight that joins every node's
+replicas in any two layers. Networks are immutable; every mutating operation
 returns a new instance.
 """
 
@@ -74,22 +74,25 @@ class MultiplexNetwork:
     """Weighted multiplex network over a fixed node set.
 
     intra[k] is the N x N weighted adjacency of layer k (symmetric when
-    undirected). coupling[i, a, b] is the inter-layer switch weight joining
-    node i's replicas in layers a and b; the diagonal is zero (a replica does
-    not couple to itself within a layer).
+    undirected). coupling is the inter-layer switch weight joining every
+    node's replicas in any two distinct layers.
     """
 
     directed: bool
     intra: np.ndarray  # (L, N, N) float64
-    coupling: np.ndarray  # (N, L, L) float64, zero diagonal
+    coupling: float
     labels: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
         if self.intra.ndim != 3 or self.intra.shape[1] != self.intra.shape[2]:
             raise ConstructionError("intra must have shape (L, N, N)")
         n_layers, n_nodes, _ = self.intra.shape
-        if self.coupling.shape != (n_nodes, n_layers, n_layers):
-            raise ConstructionError("coupling must have shape (N, L, L)")
+        if np.ndim(self.coupling) != 0:
+            raise ConstructionError("coupling must be one number, not an array")
+        coupling = float(self.coupling)
+        if not np.isfinite(coupling) or coupling < 0:
+            raise ConstructionError(f"coupling must be finite and non-negative, got {coupling}")
+        object.__setattr__(self, "coupling", coupling)
         if not self.labels:
             object.__setattr__(self, "labels", tuple(f"n{i}" for i in range(n_nodes)))
         if len(self.labels) != n_nodes:
@@ -98,12 +101,6 @@ class MultiplexNetwork:
             raise ConstructionError("node labels must be unique")
         if not np.all(np.isfinite(self.intra)) or np.any(self.intra < 0):
             raise ConstructionError("intra-layer weights must be finite and non-negative")
-        if not np.all(np.isfinite(self.coupling)) or np.any(self.coupling < 0):
-            raise ConstructionError("coupling weights must be finite and non-negative")
-        if not np.allclose(self.coupling, np.transpose(self.coupling, (0, 2, 1))):
-            raise ConstructionError("coupling must be symmetric in the layer pair")
-        if np.any(np.diagonal(self.coupling, axis1=1, axis2=2) != 0):
-            raise ConstructionError("coupling diagonal must be zero")
         if not self.directed:
             for k in range(n_layers):
                 if not np.array_equal(self.intra[k], self.intra[k].T):
@@ -229,12 +226,9 @@ def build_multiplex(
     """Assemble a MultiplexNetwork from flow edges.
 
     Duplicate edges sum their flows. Undirected mode writes both orientations.
-    Inter-layer coupling is uniform: every off-diagonal layer pair of every
-    node gets ``coupling``.
+    ``coupling`` joins every node's replicas in any two layers.
     """
     edges = list(edges)
-    if coupling < 0:
-        raise ConstructionError(f"coupling must be non-negative, got {coupling}")
     if n_layers is None:
         n_layers = 1 + max((e.layer for e in edges), default=-1)
         if n_layers < 1:
@@ -257,12 +251,10 @@ def build_multiplex(
         if not directed and e.source != e.target:
             intra[e.layer, e.target, e.source] += e.flow
 
-    coup = np.full((n_nodes, n_layers, n_layers), float(coupling))
-    coup[:, range(n_layers), range(n_layers)] = 0.0
     return MultiplexNetwork(
         directed=directed,
         intra=intra,
-        coupling=coup,
+        coupling=coupling,
         labels=tuple(labels) if labels is not None else (),
     )
 
@@ -295,7 +287,7 @@ def knockout_nodes(
     return MultiplexNetwork(
         directed=net.directed,
         intra=intra,
-        coupling=net.coupling.copy(),
+        coupling=net.coupling,
         labels=net.labels,
     )
 
@@ -310,18 +302,24 @@ def integrate_links(
     Each link lands in every layer of the subset that produced it (or in all
     layers with ``placement="all"``). Links carry no orientation, so both
     matrix cells are written even in directed mode. Collisions with existing
-    edges keep the larger weight, which makes integration idempotent.
+    edges keep the larger weight, which makes integration idempotent. A link
+    whose weight is not positive, whose endpoints are equal or out of range,
+    or whose subset names a layer outside [0, L) raises ValueError.
     """
     if placement not in (PLACEMENT_SUBSET, PLACEMENT_ALL):
         raise ValueError(f"unknown placement {placement!r}")
     intra = net.intra.copy()
     all_layers = tuple(range(net.n_layers))
     for link in links:
-        if link.weight <= 0:
+        if not link.weight > 0:  # also NaN
             raise ValueError(f"predicted link weight must be positive, got {link.weight}")
         u, v = link.u, link.v
         if not (0 <= u < net.n_nodes and 0 <= v < net.n_nodes):
             raise ValueError(f"link endpoint out of range: ({u}, {v})")
+        if u == v:
+            raise ValueError(f"predicted link joins node {u} to itself")
+        if not all(0 <= k < net.n_layers for k in link.subset):
+            raise ValueError(f"link subset {link.subset} names a layer out of range [0, {net.n_layers})")
         target_layers = link.subset if placement == PLACEMENT_SUBSET else all_layers
         for k in target_layers:
             intra[k, u, v] = max(intra[k, u, v], link.weight)
@@ -329,7 +327,7 @@ def integrate_links(
     return MultiplexNetwork(
         directed=net.directed,
         intra=intra,
-        coupling=net.coupling.copy(),
+        coupling=net.coupling,
         labels=net.labels,
     )
 

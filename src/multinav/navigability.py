@@ -39,12 +39,10 @@ from scipy import stats
 
 from .multiplex import MultiplexNetwork
 from .walks import (
-    RWC,
     SupraTransitionMatrix,
     _cumulative_table,
     build_supra_transition,
     normalize_strategy,
-    strength_profile,
 )
 
 ZERO_EIGENVALUE_TOL = 1e-9
@@ -170,13 +168,11 @@ def decompose(laplacian: np.ndarray, scale: np.ndarray | None = None) -> Spectra
 
 @dataclass(frozen=True, eq=False)
 class CoverageCurve:
-    """A sampled rho(t) curve with its provenance tags."""
+    """A sampled rho(t) curve and the method that produced it."""
 
     times: np.ndarray
     rho: np.ndarray
     method: str
-    strategy: str
-    directed: bool
 
     def __post_init__(self) -> None:
         times = np.asarray(self.times, dtype=float)
@@ -239,26 +235,10 @@ class AnalyticCoverageState:
         return out
 
 
-def _symmetrizing_scale(net: MultiplexNetwork, strategy: str) -> np.ndarray | None:
-    """Strength vector making the scaled RWC Laplacian symmetric (undirected only)."""
-    if net.directed or strategy != RWC:
-        return None
-    profile = strength_profile(net)
-    total = (profile.intra + profile.inter).T.reshape(-1)  # layer-major supra order
-    return np.where(total > 0, total, 1.0)
-
-
-def analytic_state(
-    net: MultiplexNetwork,
-    strategy: str,
-    supra: SupraTransitionMatrix | None = None,
-) -> AnalyticCoverageState:
+def analytic_state(net: MultiplexNetwork, strategy: str) -> AnalyticCoverageState:
     """Build the eigenbasis survival factors for a network and walk strategy."""
-    tag = normalize_strategy(strategy)
-    if supra is None:
-        supra = build_supra_transition(net, tag)
-    laplacian = supra_laplacian(supra)
-    decomposition = decompose(laplacian, scale=_symmetrizing_scale(net, tag))
+    supra = build_supra_transition(net, strategy)
+    decomposition = decompose(supra_laplacian(supra), scale=supra.scale)
     n, dim = supra.n_nodes, supra.dim
     # Discovery flux: transition mass from each state onto each physical node,
     # summed over the node's replicas (states are layer-major). Layer switches
@@ -279,12 +259,7 @@ def default_time_grid(decades: tuple[float, float] = (-2.0, 7.0), points: int = 
     return np.concatenate([[0.0], np.logspace(decades[0], decades[1], points)])
 
 
-def _curve_from_state(
-    state: AnalyticCoverageState,
-    strategy: str,
-    directed: bool,
-    times: np.ndarray | None,
-) -> CoverageCurve:
+def _curve_from_state(state: AnalyticCoverageState, times: np.ndarray | None) -> CoverageCurve:
     if times is None:
         times = default_time_grid()
     times = np.asarray(times, dtype=float)
@@ -299,7 +274,7 @@ def _curve_from_state(
             + _MEAN_FIELD_LOST
         )
     rho = np.maximum.accumulate(np.clip(rho, 0.0, 1.0))
-    return CoverageCurve(times=times, rho=rho, method=ANALYTIC, strategy=strategy, directed=directed)
+    return CoverageCurve(times=times, rho=rho, method=ANALYTIC)
 
 
 def coverage_analytic(
@@ -308,9 +283,7 @@ def coverage_analytic(
     times: np.ndarray | None = None,
 ) -> CoverageCurve:
     """Evaluate the analytic coverage curve on a time grid starting at 0."""
-    tag = normalize_strategy(strategy)
-    state = analytic_state(net, tag)
-    return _curve_from_state(state, tag, net.directed, times)
+    return _curve_from_state(analytic_state(net, strategy), times)
 
 
 def coverage_montecarlo(
@@ -366,13 +339,7 @@ def coverage_montecarlo(
         counts += ~visited[seen]
         visited[seen] = True
         rho[step] = counts.mean() / n
-    return CoverageCurve(
-        times=np.arange(horizon + 1, dtype=float),
-        rho=rho,
-        method=MONTECARLO,
-        strategy=supra.strategy,
-        directed=supra.directed,
-    )
+    return CoverageCurve(times=np.arange(horizon + 1, dtype=float), rho=rho, method=MONTECARLO)
 
 
 def poisson_clock(curve: CoverageCurve, times: np.ndarray) -> CoverageCurve:
@@ -395,13 +362,7 @@ def poisson_clock(curve: CoverageCurve, times: np.ndarray) -> CoverageCurve:
     tail = 1.0 - weights.sum(axis=1)
     mixed = weights @ curve.rho + np.maximum(tail, 0.0) * curve.rho[-1]
     mixed = np.maximum.accumulate(np.clip(mixed, 0.0, 1.0))
-    return CoverageCurve(
-        times=times,
-        rho=mixed,
-        method=MONTECARLO,
-        strategy=curve.strategy,
-        directed=curve.directed,
-    )
+    return CoverageCurve(times=times, rho=mixed, method=MONTECARLO)
 
 
 def spectral_gap(supra: SupraTransitionMatrix) -> float:
@@ -459,14 +420,13 @@ def navigability_report(
     (t up to 1e8) before reporting.
     """
     tag = normalize_strategy(strategy)
-    supra = build_supra_transition(net, tag)
-    state = analytic_state(net, tag, supra)
+    state = analytic_state(net, tag)
     # eigenvalues of L = I - P are 1 - those of P, so the gap of P is the
     # distance between the two smallest real parts of L's spectrum
     real = np.sort(state.eigenvalues.real)
     if real.size < 2:
         raise ValueError("spectral gap needs at least two supra-states")
-    curve = _curve_from_state(state, tag, net.directed, None)
+    curve = _curve_from_state(state, None)
     t_level = time_to_coverage(curve)
     if t_level is None:
         slope = (curve.rho[-1] - curve.rho[-2]) / (
@@ -474,7 +434,7 @@ def navigability_report(
         )
         if slope > 1e-4:
             extended = default_time_grid(decades=(-2.0, 8.0), points=445)
-            curve = _curve_from_state(state, tag, net.directed, extended)
+            curve = _curve_from_state(state, extended)
             t_level = time_to_coverage(curve)
     head = tuple(complex(v) for v in state.eigenvalues[:10])
     return NavigabilityReport(
@@ -521,11 +481,9 @@ def write_curve_csv(path: str | Path, curve: CoverageCurve) -> None:
             stream.write(f"{t!r},{r!r}\n")
 
 
-def read_curve_csv(path: str | Path, method: str, strategy: str, directed: bool) -> CoverageCurve:
+def read_curve_csv(path: str | Path, method: str) -> CoverageCurve:
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return CoverageCurve(
-        times=data[:, 0], rho=data[:, 1], method=method, strategy=strategy, directed=directed
-    )
+    return CoverageCurve(times=data[:, 0], rho=data[:, 1], method=method)
 
 
 def report_to_json_dict(report: NavigabilityReport, curve_file: str) -> dict:

@@ -38,8 +38,9 @@ class StrengthProfile:
     """Intra-layer strength s[i, a], coupling strength S[i, a], and their max.
 
     ``intra[i, a]`` sums the weights of i's edges within layer a (outgoing
-    only in directed mode); ``inter[i, a]`` sums i's couplings from layer a
-    to every other layer; ``s_max`` is the largest intra + inter total.
+    only in directed mode); ``inter[i, a]`` is the coupling times the L - 1
+    other layers, the same for every state; ``s_max`` is the largest
+    intra + inter total.
     """
 
     intra: np.ndarray
@@ -49,13 +50,20 @@ class StrengthProfile:
 
 @dataclass(frozen=True, eq=False)
 class SupraTransitionMatrix:
-    """Row-stochastic (N*L, N*L) transition matrix for one walk strategy."""
+    """Row-stochastic (N*L, N*L) transition matrix for one walk strategy.
+
+    ``scale`` holds each state's rwc denominator in supra order for an
+    undirected rwc walk: diag(scale) @ matrix is then symmetric, which is
+    the scale ``navigability.decompose`` takes. It is None for every other
+    walk.
+    """
 
     matrix: np.ndarray
     n_nodes: int
     n_layers: int
     strategy: str
     directed: bool
+    scale: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -70,7 +78,7 @@ def supra_index(node: int, layer: int, n_nodes: int) -> int:
 def strength_profile(net: MultiplexNetwork) -> StrengthProfile:
     """Per-state strengths used by every walk normalization."""
     intra = net.intra.sum(axis=2).T  # (N, L): row sums per layer
-    inter = net.coupling.sum(axis=2)  # (N, L): coupling diagonal is zero
+    inter = np.full_like(intra, net.coupling * (net.n_layers - 1))
     total = intra + inter
     s_max = float(total.max()) if total.size else 0.0
     return StrengthProfile(intra=intra, inter=inter, s_max=s_max)
@@ -99,7 +107,8 @@ def build_supra_transition(net: MultiplexNetwork, strategy: str) -> SupraTransit
     tag = normalize_strategy(strategy)
     n, l = net.n_nodes, net.n_layers
     dim = n * l
-    if np.any(net.intra < 0) or np.any(net.coupling < 0):
+    # the coupling is validated on construction, but intra can be edited in place
+    if np.any(net.intra < 0):
         raise ConstructionError("negative weights cannot be normalized into probabilities")
     profile = strength_profile(net)
 
@@ -113,14 +122,12 @@ def build_supra_transition(net: MultiplexNetwork, strategy: str) -> SupraTransit
     else:
         denom = np.where(total > 0, total, 1.0)
     matrix = np.zeros((dim, dim))
-    for a in range(l):
-        rows = slice(a * n, (a + 1) * n)
-        matrix[rows, rows] = net.intra[a] / denom[:, a][:, None]
-        for b in range(l):
-            if b == a:
-                continue
-            cols = slice(b * n, (b + 1) * n)
-            np.fill_diagonal(matrix[rows, cols], net.coupling[:, a, b] / denom[:, a])
+    blocks = matrix.reshape(l, n, l, n)  # blocks[a, i, b, j] is (i, a) -> (j, b)
+    nodes, layers = np.arange(n), np.arange(l)
+    # layer switches on the diagonal of every block, then the moves over the
+    # (a, a) blocks, so that the moves replace the switches where a == b
+    blocks[:, nodes, :, nodes] = (net.coupling / denom)[:, :, None]
+    blocks[layers, :, layers, :] = net.intra / denom.T[:, :, None]
     if tag == RWD:
         lazy = (s_max - profile.intra - profile.inter) / s_max
         # the remainder is >= 0 by construction of s_max; rounding in the
@@ -131,9 +138,15 @@ def build_supra_transition(net: MultiplexNetwork, strategy: str) -> SupraTransit
         matrix[dangling, :] = 0.0
         matrix[dangling, dangling] = 1.0
         if tag == PAGERANK:
-            matrix = DEFAULT_DAMPING * matrix + (1.0 - DEFAULT_DAMPING) / dim
+            # max() keeps an empty network's empty matrix from dividing by zero
+            matrix = DEFAULT_DAMPING * matrix + (1.0 - DEFAULT_DAMPING) / max(dim, 1)
     return SupraTransitionMatrix(
-        matrix=matrix, n_nodes=n, n_layers=l, strategy=tag, directed=net.directed
+        matrix=matrix,
+        n_nodes=n,
+        n_layers=l,
+        strategy=tag,
+        directed=net.directed,
+        scale=denom.T.reshape(-1) if tag == RWC and not net.directed else None,
     )
 
 

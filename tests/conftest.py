@@ -1,5 +1,6 @@
-"""Shared helpers: random network generators, connectivity checks, and a
-plain-dict scoring oracle used to cross-check the array implementations."""
+"""Shared helpers: random network generators, connectivity checks, and
+plain-loop oracles for scoring, supra assembly and walker sampling, used to
+cross-check the array implementations."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ from scipy.sparse import csgraph, csr_matrix
 
 from multinav import FlowEdge, build_multiplex, build_supra_transition
 from multinav.prediction import JACCARD
+from multinav.walks import DEFAULT_DAMPING
 
 
 def random_multiplex(rng, n_nodes, n_layers, directed=False, p=0.45, coupling=1.0):
@@ -195,3 +197,43 @@ def oracle_montecarlo(supra, walkers_per_origin, horizon, seed):
             seen[walker].add(states[walker] % n)
         rho.append(sum(map(len, seen)) / len(seen) / n)
     return np.array(rho)
+
+
+# --- plain-loop supra oracle: one state (i, a) -> row i + a*N at a time -------
+
+def oracle_supra(net, strategy):
+    """Transition matrix filled state by state from the layers and the coupling.
+
+    A state's strength is its layer row sum plus the coupling to each of the
+    L - 1 other layers. rwc divides its moves and switches by it and holds a
+    zero-strength state still; rwd divides by the largest strength (1 on an
+    edgeless network) and keeps the remainder in place; pagerank damps rwc
+    with uniform teleportation.
+    """
+    n, l = net.n_nodes, net.n_layers
+    dim = n * l
+    inter = net.coupling * (l - 1)
+    intra = {(i, a): net.intra[a, i].sum() for i in range(n) for a in range(l)}
+    s_max = max((s + inter for s in intra.values()), default=0.0) or 1.0
+    P = np.zeros((dim, dim))
+    for (i, a), s in intra.items():
+        row = i + a * n
+        if strategy == "rwd":
+            denom = s_max
+        elif s + inter > 0:
+            denom = s + inter
+        else:
+            P[row, row] = 1.0
+            continue
+        for j in range(n):
+            P[row, j + a * n] = net.intra[a, i, j] / denom
+        for b in range(l):
+            if b != a:
+                P[row, i + b * n] = net.coupling / denom
+        if strategy == "rwd":
+            P[row, row] += max((s_max - s - inter) / s_max, 0.0)
+    if strategy == "pagerank":
+        for row in range(dim):
+            for col in range(dim):
+                P[row, col] = DEFAULT_DAMPING * P[row, col] + (1.0 - DEFAULT_DAMPING) / dim
+    return P

@@ -120,6 +120,20 @@ def test_integrate_applies_links_with_max_collision(tmp_path):
     assert rows == {("A", "B", 0): 5.0, ("A", "C", 0): 0.7, ("B", "C", 0): 2.0}
 
 
+def test_integrate_rejects_link_subset_outside_the_layers(tmp_path, capsys):
+    base = _write_csv(tmp_path / "base.csv", ["0,A,B,1.0", "0,B,C,2.0"])
+    link = PredictedLink(u=0, v=2, raw_score=1.0, normalized_score=1.0,
+                         weight=0.7, algorithm=JACCARD, subset=(7,), stage=1)
+    links_path = tmp_path / "links.csv"
+    write_links_csv(links_path, [link], ["A", "B", "C"])
+    out = tmp_path / "out"
+    assert main(
+        ["integrate", "--input", base, "--links", str(links_path), "--out", str(out)]
+    ) == 2
+    assert "subset" in capsys.readouterr().err
+    assert not (out / "integrated.csv").exists()
+
+
 def test_navigability_report_schema(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(
@@ -135,7 +149,7 @@ def test_navigability_report_schema(tmp_path, capsys):
     assert all(len(pair) == 2 for pair in report["eigenvalue_head"])
     first_line = (out / "curve_pagerank_original.csv").read_text().splitlines()[0]
     assert first_line == "time,rho"
-    curve = read_curve_csv(out / "curve_pagerank_original.csv", "analytic", "pagerank", False)
+    curve = read_curve_csv(out / "curve_pagerank_original.csv", "analytic")
     assert curve.rho[-1] >= 0.9
 
 

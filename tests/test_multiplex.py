@@ -22,7 +22,7 @@ from multinav import (
     trim_edges,
     write_edge_csv,
 )
-from multinav.multiplex import PLACEMENT_ALL, TRIM_GLOBAL
+from multinav.multiplex import PLACEMENT_ALL, PLACEMENT_SUBSET, TRIM_GLOBAL
 from multinav.prediction import PredictedLink
 
 
@@ -157,10 +157,7 @@ def test_build_directed_keeps_orientation():
 
 def test_build_uniform_coupling_with_zero_diagonal():
     net = build_multiplex([FlowEdge(0, 1, 0, 1.0)], n_layers=3, coupling=2.5)
-    assert net.coupling.shape == (2, 3, 3)
-    off = ~np.eye(3, dtype=bool)
-    assert np.all(net.coupling[:, off] == 2.5)
-    assert np.all(np.diagonal(net.coupling, axis1=1, axis2=2) == 0.0)
+    assert net.coupling == 2.5
 
 
 def test_build_range_checks():
@@ -178,7 +175,13 @@ def test_network_validation_rejects_asymmetric_undirected():
     intra = np.zeros((1, 2, 2))
     intra[0, 0, 1] = 1.0
     with pytest.raises(ConstructionError, match="not symmetric"):
-        MultiplexNetwork(directed=False, intra=intra, coupling=np.zeros((2, 1, 1)))
+        MultiplexNetwork(directed=False, intra=intra, coupling=0.0)
+
+
+@pytest.mark.parametrize("coupling", [np.ones(2), np.full((2, 1, 1), 0.5), float("nan"), np.inf])
+def test_network_rejects_coupling_that_is_not_one_finite_number(coupling):
+    with pytest.raises(ConstructionError, match="coupling"):
+        MultiplexNetwork(directed=False, intra=np.zeros((1, 2, 2)), coupling=coupling)
 
 
 def test_network_default_labels_and_uniqueness():
@@ -259,6 +262,27 @@ def test_integrate_rejects_bad_links():
         integrate_links(net, [_link(0, 7, 1.0)])
     with pytest.raises(ValueError, match="placement"):
         integrate_links(net, [], placement="everywhere")
+
+
+@pytest.mark.parametrize("placement", [PLACEMENT_SUBSET, PLACEMENT_ALL])
+@pytest.mark.parametrize("subset", [(-1,), (3,), (0, 7)])
+def test_integrate_rejects_subset_layer_out_of_range(subset, placement):
+    net = build_multiplex([FlowEdge(0, 1, 0, 1.0)], n_layers=3, n_nodes=3)
+    with pytest.raises(ValueError, match="subset"):
+        integrate_links(net, [_link(0, 2, 1.0, subset=subset)], placement=placement)
+
+
+@pytest.mark.parametrize("weight", [float("nan"), -2.0])
+def test_integrate_rejects_weight_that_is_not_positive(weight):
+    net = build_multiplex([FlowEdge(0, 1, 0, 1.0)], n_nodes=3)
+    with pytest.raises(ValueError, match="positive"):
+        integrate_links(net, [_link(0, 2, 3.0), _link(1, 2, weight)])
+
+
+def test_integrate_rejects_self_loop_link():
+    net = build_multiplex([FlowEdge(0, 1, 0, 1.0)])
+    with pytest.raises(ValueError, match="itself"):
+        integrate_links(net, [_link(1, 1, 74.25)])
 
 
 def test_export_round_trip():

@@ -40,7 +40,6 @@ from multinav import navigability
 from multinav.navigability import (
     RESIDUAL_LIMIT,
     ZERO_EIGENVALUE_TOL,
-    _symmetrizing_scale,
     analytic_state,
     read_curve_csv,
     report_to_json_dict,
@@ -86,7 +85,7 @@ def test_decompose_scaled_matches_general_solver():
     net = connected_random_multiplex(rng, max_nodes=8, directed=False)
     supra = build_supra_transition(net, "rwc")
     L = supra_laplacian(supra)
-    scaled = decompose(L, scale=_symmetrizing_scale(net, "rwc"))
+    scaled = decompose(L, scale=build_supra_transition(net, "rwc").scale)
     general = np.sort(np.linalg.eigvals(L).real)
     assert np.allclose(np.sort(scaled.eigenvalues.real), general, atol=1e-9)
     assert {a.dtype for a in (scaled.eigenvalues, scaled.vectors, scaled.inverse)} == {
@@ -103,7 +102,7 @@ def test_decompose_falls_back_to_general_solver_when_back_scaling_loses_the_basi
     # strengths 1 and 1.7e-211: the scaled eigh basis reconstructs nothing
     net = build_multiplex([FlowEdge(0, 1, 0, 1.0), FlowEdge(1, 2, 0, 1.7e-211)], coupling=0.0)
     L = supra_laplacian(build_supra_transition(net, "rwc"))
-    dec = decompose(L, scale=_symmetrizing_scale(net, "rwc"))
+    dec = decompose(L, scale=build_supra_transition(net, "rwc").scale)
     assert dec.residual <= RESIDUAL_LIMIT * np.linalg.norm(L)
     rebuilt = (dec.vectors * dec.eigenvalues[None, :]) @ dec.inverse
     assert np.allclose(rebuilt.real, L, atol=1e-12)
@@ -172,11 +171,11 @@ def test_decompose_rejects_bad_scale():
 
 def test_coverage_curve_validation():
     with pytest.raises(ValueError, match="monotone"):
-        CoverageCurve(np.array([0.0, 1.0]), np.array([0.5, 0.2]), "analytic", "rwc", False)
+        CoverageCurve(np.array([0.0, 1.0]), np.array([0.5, 0.2]), "analytic")
     with pytest.raises(ValueError, match="increasing"):
-        CoverageCurve(np.array([1.0, 0.5]), np.array([0.1, 0.2]), "analytic", "rwc", False)
+        CoverageCurve(np.array([1.0, 0.5]), np.array([0.1, 0.2]), "analytic")
     with pytest.raises(ValueError, match="escape"):
-        CoverageCurve(np.array([0.0, 1.0]), np.array([0.1, 1.5]), "analytic", "rwc", False)
+        CoverageCurve(np.array([0.0, 1.0]), np.array([0.1, 1.5]), "analytic")
 
 
 def test_coverage_analytic_starts_at_one_over_n():
@@ -351,7 +350,7 @@ def test_poisson_clock_matches_endpoints():
     assert mixed.rho[-1] <= mc.rho[-1] + 1e-12
     assert mixed.rho[-1] == pytest.approx(mc.rho[-1], abs=5e-2)
     # two-point curve: weight exp(-t) stays on step 0, the rest saturates at rho[1]
-    simple = CoverageCurve(np.array([0.0, 1.0]), np.array([0.4, 0.9]), "montecarlo", "rwc", False)
+    simple = CoverageCurve(np.array([0.0, 1.0]), np.array([0.4, 0.9]), "montecarlo")
     half = poisson_clock(simple, np.array([np.log(2.0)]))
     assert half.rho[0] == pytest.approx(0.5 * 0.4 + 0.5 * 0.9, abs=1e-12)
     analytic = coverage_analytic(complete_graph(5), "rwc", times=np.array([0.0, 1.0, 5.0, 20.0]))
@@ -376,8 +375,6 @@ def test_time_to_coverage_interpolation():
         np.array([0.0, 1.0, 10.0, 100.0]),
         np.array([0.1, 0.5, 0.8, 1.0]),
         "analytic",
-        "rwc",
-        False,
     )
     t90 = time_to_coverage(curve, 0.9)
     expected = 10 ** (1.0 + 0.5 * 1.0)  # halfway through the decade in log space
@@ -385,7 +382,7 @@ def test_time_to_coverage_interpolation():
     assert time_to_coverage(curve, 0.8) == 10.0  # exact grid hit
     assert time_to_coverage(curve, 0.05) == 0.0  # satisfied at the first sample
     plateau = CoverageCurve(
-        np.array([0.0, 1.0]), np.array([0.3, 0.7]), "analytic", "rwc", False
+        np.array([0.0, 1.0]), np.array([0.3, 0.7]), "analytic"
     )
     assert time_to_coverage(plateau, 0.9) is None
     with pytest.raises(ValueError):
@@ -394,7 +391,7 @@ def test_time_to_coverage_interpolation():
 
 def test_time_to_coverage_linear_fallback_from_zero():
     curve = CoverageCurve(
-        np.array([0.0, 4.0]), np.array([0.5, 1.0]), "analytic", "rwc", False
+        np.array([0.0, 4.0]), np.array([0.5, 1.0]), "analytic"
     )
     assert time_to_coverage(curve, 0.75) == pytest.approx(2.0)
 
@@ -439,7 +436,7 @@ def test_curve_csv_round_trip(tmp_path):
     curve = coverage_analytic(triangle_network(), "rwc", times=np.array([0.0, 1.0, 2.0]))
     path = tmp_path / "curve.csv"
     write_curve_csv(path, curve)
-    back = read_curve_csv(path, "analytic", "rwc", False)
+    back = read_curve_csv(path, "analytic")
     assert np.array_equal(back.times, curve.times)
     assert np.array_equal(back.rho, curve.rho)
 

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from conftest import random_multiplex, triangle_network
+from conftest import oracle_supra, random_multiplex, triangle_network
 from scipy import stats
 
 from multinav import (
     ConstructionError,
     FlowEdge,
+    MultiplexNetwork,
     build_multiplex,
     build_supra_transition,
     row_stochastic_check,
@@ -21,6 +22,7 @@ from multinav.walks import (
     PAGERANK,
     RWC,
     RWD,
+    STRATEGIES,
     DEFAULT_DAMPING,
     normalize_strategy,
 )
@@ -141,6 +143,43 @@ def test_cross_node_cross_layer_entries_are_zero():
                 for t in range(P.shape[0]):
                     if s % n != t % n and s // n != t // n:
                         assert P[s, t] == 0.0
+
+
+def _oracle_networks():
+    """Random multiplexes over L = 1..6 and N = 0..7, sparse ones with
+    zero-strength states, and a layer with a diagonal entry."""
+    rng = np.random.default_rng(11)
+    for l in range(1, 7):
+        for n in (0, 1, 4, 7):
+            for directed in (False, True):
+                for coupling in (0.0, 1.0, 0.7):
+                    yield random_multiplex(rng, n, l, directed=directed, p=0.15, coupling=coupling)
+                    yield random_multiplex(rng, n, l, directed=directed, p=0.6, coupling=coupling)
+    for directed in (False, True):
+        for coupling in (0.0, 0.7):
+            intra = np.zeros((2, 3, 3))
+            intra[0, 1, 1] = 2.0
+            intra[1, 0, 2] = intra[1, 2, 0] = 0.3
+            yield MultiplexNetwork(directed=directed, intra=intra, coupling=coupling)
+
+
+def test_supra_matches_plain_loop_oracle():
+    for net in _oracle_networks():
+        for strategy in STRATEGIES:
+            supra = build_supra_transition(net, strategy)
+            assert np.array_equal(supra.matrix, oracle_supra(net, strategy))
+
+
+def test_supra_scale_symmetrizes_undirected_rwc_only():
+    for net in _oracle_networks():
+        for strategy in STRATEGIES:
+            supra = build_supra_transition(net, strategy)
+            if strategy != RWC or net.directed:
+                assert supra.scale is None
+                continue
+            assert supra.scale.shape == (supra.dim,) and np.all(supra.scale > 0)
+            weighted = supra.scale[:, None] * supra.matrix
+            assert np.allclose(weighted, weighted.T, rtol=0.0, atol=1e-12)
 
 
 def test_negative_weights_rejected():
