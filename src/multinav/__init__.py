@@ -60,14 +60,11 @@ from .prediction import (
     threshold_filter,
 )
 from .walks import (
-    StrengthProfile,
     SupraTransitionMatrix,
     WalkTrajectory,
     build_supra_transition,
     row_stochastic_check,
     simulate_walk,
-    strength_profile,
-    supra_index,
 )
 
 __version__ = "0.1.0"
@@ -88,7 +85,6 @@ __all__ = [
     "ScoredPair",
     "ScoredPairs",
     "SpectralDecomposition",
-    "StrengthProfile",
     "SupraTransitionMatrix",
     "WalkTrajectory",
     "adamic_adar_classic",
@@ -116,8 +112,6 @@ __all__ = [
     "run_stage",
     "simulate_walk",
     "spectral_gap",
-    "strength_profile",
-    "supra_index",
     "supra_laplacian",
     "threshold_filter",
     "time_to_coverage",

@@ -151,7 +151,6 @@ def _load_edges(paths: list[str]) -> EdgeList:
     """
     if len(paths) == 1:
         return parse_edge_list(paths[0])
-    labels: list[str] = []
     index: dict[str, int] = {}
     merged: list[FlowEdge] = []
     for position, path in enumerate(paths):
@@ -162,20 +161,11 @@ def _load_edges(paths: list[str]) -> EdgeList:
                 f"{path}: per-layer input holds {len(distinct)} layer values; "
                 "pass a single combined CSV instead"
             )
-        for e in part.edges:
-            for lab in (part.labels[e.source], part.labels[e.target]):
-                if lab not in index:
-                    index[lab] = len(labels)
-                    labels.append(lab)
-            merged.append(
-                FlowEdge(
-                    index[part.labels[e.source]],
-                    index[part.labels[e.target]],
-                    position,
-                    e.flow,
-                )
-            )
-    return EdgeList(tuple(merged), tuple(labels))
+        # part.labels are in first-appearance order and each sits on an edge,
+        # so interning them in order keeps the merged first-appearance order
+        local = [index.setdefault(label, len(index)) for label in part.labels]
+        merged.extend(FlowEdge(local[e.source], local[e.target], position, e.flow) for e in part.edges)
+    return EdgeList(tuple(merged), tuple(index))
 
 
 def _check_range(name: str, value: float, low: float, high: float, low_open: bool, high_open: bool) -> None:
@@ -322,6 +312,7 @@ def _emit_report(out: Path, report, strategy: str, label: str, artifacts: list[s
 
 def cmd_navigability(args) -> int:
     _check_trim(args)
+    _check_range("--coupling", args.coupling, 0.0, np.inf, False, True)
     out = _out_dir(args)
     start = time.perf_counter()
     edges = _load_edges(args.inputs)
@@ -338,6 +329,7 @@ def cmd_navigability(args) -> int:
 def cmd_pipeline(args) -> int:
     _check_trim(args)
     _check_range("--threshold", args.threshold, 0.0, 1.0, False, True)
+    _check_range("--coupling", args.coupling, 0.0, np.inf, False, True)
     out = _out_dir(args)
     timings: dict[str, float] = {}
     artifacts: list[str] = []

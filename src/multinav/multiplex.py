@@ -14,7 +14,7 @@ import io
 import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence, TextIO
+from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -124,18 +124,14 @@ def _open_source(source: TextIO | str | Path) -> TextIO:
     return source
 
 
-def parse_edge_list(
-    source: TextIO | str | Path,
-    columns: Mapping[str, str] | None = None,
-) -> EdgeList:
+def parse_edge_list(source: TextIO | str | Path) -> EdgeList:
     """Parse a CSV edge list into FlowEdges with labels interned to dense indices.
 
-    The header must contain the layer, source, target and flow columns (their
-    actual names may be remapped via ``columns``). Node labels become indices
-    in first-appearance order. Rejects malformed rows, negative flows and
-    self-loops, reporting the 1-based line number.
+    The header must contain the layer, source, target and flow columns, in
+    any order. Node labels become indices in first-appearance order. Rejects
+    malformed rows, negative flows and self-loops, reporting the 1-based
+    line number.
     """
-    names = {c: (columns or {}).get(c, c) for c in EDGE_COLUMNS}
     stream = _open_source(source)
     close = stream is not source
     try:
@@ -146,10 +142,10 @@ def parse_edge_list(
             raise ParseError("empty input, expected a header row", line=1) from None
         header = [h.strip() for h in header]
         col_pos = {}
-        for canon, actual in names.items():
-            if actual not in header:
-                raise SchemaError(f"missing column {actual!r} in header {header}")
-            col_pos[canon] = header.index(actual)
+        for name in EDGE_COLUMNS:
+            if name not in header:
+                raise SchemaError(f"missing column {name!r} in header {header}")
+            col_pos[name] = header.index(name)
 
         labels: list[str] = []
         index: dict[str, int] = {}

@@ -48,10 +48,8 @@ LINK_CSV_COLUMNS = (
 
 @dataclass(frozen=True)
 class ExclusiveNeighborhood:
-    """Nodes adjacent to ``node`` only within the layer subset."""
+    """The nodes adjacent to one node only within one layer subset."""
 
-    node: int
-    subset: tuple[int, ...]
     members: frozenset[int]
 
 
@@ -149,11 +147,7 @@ def exclusive_neighbors(
     if not 0 <= v < net.n_nodes:
         raise ValueError(f"node {v} out of range [0, {net.n_nodes})")
     exclusive, _ = _exclusive_adjacency(net, subset)
-    return ExclusiveNeighborhood(
-        node=v,
-        subset=tuple(subset),
-        members=frozenset(int(u) for u in np.flatnonzero(exclusive[v]) if u != v),
-    )
+    return ExclusiveNeighborhood(frozenset(int(u) for u in np.flatnonzero(exclusive[v]) if u != v))
 
 
 def jaccard_classic(net: MultiplexNetwork, layer: int, u: int, v: int) -> float:
@@ -246,20 +240,16 @@ def normalize_scores(group: ScoredPairs) -> ScoredPairs:
 
 
 def threshold_filter(group: ScoredPairs, threshold: float = 0.5) -> ScoredPairs:
-    """Keep pairs whose normalized score strictly exceeds the threshold."""
+    """Keep pairs whose normalized score strictly exceeds the threshold.
+
+    The threshold lies in [0, 1): a kept pair then has a positive score, so
+    it shares an exclusive neighbor, whose flows assign_weights averages.
+    """
+    if not 0.0 <= threshold < 1.0:
+        raise ValueError(f"threshold must lie in [0, 1), got {threshold}")
     if group.normalized_score is None:
         raise ValueError("threshold_filter requires normalized scores")
     return group.where(group.normalized_score > threshold)
-
-
-def _union_mean_weight(net: MultiplexNetwork, subset: Sequence[int]) -> float:
-    flows = net.intra[list(subset)]
-    if not net.directed:
-        flows = np.triu(flows)  # each undirected edge once
-    values = flows[flows > 0]  # layer by layer, row-major
-    if not values.size:
-        raise ValueError(f"no edges in layers {tuple(subset)}; cannot derive a fallback weight")
-    return float(np.mean(values))
 
 
 def assign_weights(group: ScoredPairs, net: MultiplexNetwork) -> list[PredictedLink]:
@@ -267,8 +257,8 @@ def assign_weights(group: ScoredPairs, net: MultiplexNetwork) -> list[PredictedL
 
     The weight is the normalized score times the mean flow on edges joining
     either endpoint to their shared exclusive neighbors, over the subset's
-    layers. Pairs without such flow context fall back to the subset's mean
-    edge weight.
+    layers. Every pair kept by threshold_filter shares such a neighbor; a
+    pair that shares none raises ValueError.
     """
     if group.normalized_score is None:
         raise ValueError("assign_weights requires normalized scores")
@@ -280,7 +270,6 @@ def assign_weights(group: ScoredPairs, net: MultiplexNetwork) -> list[PredictedL
     cells = np.stack(views if net.directed else views[:1], axis=-1)
     # a candidate has no edge inside the subset, so neither endpoint is shared
     shared = group.exclusive[group.u] & group.exclusive[group.v]
-    fallback: float | None = None
     links = []
     for row, u, v, raw, norm in zip(
         shared, group.u.tolist(), group.v.tolist(),
@@ -288,10 +277,9 @@ def assign_weights(group: ScoredPairs, net: MultiplexNetwork) -> list[PredictedL
     ):
         context = cells[row][:, :, [u, v]]
         context = context[context > 0]
-        if not context.size and fallback is None:
-            fallback = _union_mean_weight(net, subset)
-        mean_flow = float(np.mean(context)) if context.size else fallback
-        weight = norm * mean_flow
+        if not context.size:
+            raise ValueError(f"pair ({u}, {v}) shares no exclusive neighbor in layers {subset}")
+        weight = norm * float(np.mean(context))
         links.append(PredictedLink(u, v, raw, norm, weight, group.algorithm, subset, len(subset)))
     return links
 

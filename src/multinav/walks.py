@@ -34,21 +34,6 @@ def normalize_strategy(name: str) -> str:
 
 
 @dataclass(frozen=True, eq=False)
-class StrengthProfile:
-    """Intra-layer strength s[i, a], coupling strength S[i, a], and their max.
-
-    ``intra[i, a]`` sums the weights of i's edges within layer a (outgoing
-    only in directed mode); ``inter[i, a]`` is the coupling times the L - 1
-    other layers, the same for every state; ``s_max`` is the largest
-    intra + inter total.
-    """
-
-    intra: np.ndarray
-    inter: np.ndarray
-    s_max: float
-
-
-@dataclass(frozen=True, eq=False)
 class SupraTransitionMatrix:
     """Row-stochastic (N*L, N*L) transition matrix for one walk strategy.
 
@@ -61,8 +46,6 @@ class SupraTransitionMatrix:
     matrix: np.ndarray
     n_nodes: int
     n_layers: int
-    strategy: str
-    directed: bool
     scale: np.ndarray | None = None
 
     @property
@@ -70,31 +53,11 @@ class SupraTransitionMatrix:
         return self.n_nodes * self.n_layers
 
 
-def supra_index(node: int, layer: int, n_nodes: int) -> int:
-    """Flatten a (node, layer) pair into its supra-state index."""
-    return node + layer * n_nodes
-
-
-def strength_profile(net: MultiplexNetwork) -> StrengthProfile:
-    """Per-state strengths used by every walk normalization."""
-    intra = net.intra.sum(axis=2).T  # (N, L): row sums per layer
-    inter = np.full_like(intra, net.coupling * (net.n_layers - 1))
-    total = intra + inter
-    s_max = float(total.max()) if total.size else 0.0
-    return StrengthProfile(intra=intra, inter=inter, s_max=s_max)
-
-
 @dataclass(frozen=True)
 class WalkTrajectory:
     """One sampled walk; steps[0] is the origin supra-state."""
 
-    origin: int
-    n_nodes: int
     steps: tuple[int, ...]
-
-    @property
-    def visited_physical(self) -> frozenset[int]:
-        return frozenset(s % self.n_nodes for s in self.steps)
 
 
 def build_supra_transition(net: MultiplexNetwork, strategy: str) -> SupraTransitionMatrix:
@@ -110,13 +73,15 @@ def build_supra_transition(net: MultiplexNetwork, strategy: str) -> SupraTransit
     # the coupling is validated on construction, but intra can be edited in place
     if np.any(net.intra < 0):
         raise ConstructionError("negative weights cannot be normalized into probabilities")
-    profile = strength_profile(net)
-
-    total = profile.intra + profile.inter  # (N, L)
+    # a state's strength: its intra-layer row sum (outgoing only when
+    # directed) plus the coupling to each of the L - 1 other layers
+    intra = net.intra.sum(axis=2).T  # (N, L)
+    inter = net.coupling * (l - 1)
+    total = intra + inter
     # every move and switch leaving a state is divided by that state's
     # denominator: its own strength for rwc, the global s_max for rwd (1.0 on
     # an edgeless network, whose rwd matrix is then the identity)
-    s_max = profile.s_max or 1.0
+    s_max = float(total.max(initial=0.0)) or 1.0
     if tag == RWD:
         denom = np.full_like(total, s_max)
     else:
@@ -129,7 +94,7 @@ def build_supra_transition(net: MultiplexNetwork, strategy: str) -> SupraTransit
     blocks[:, nodes, :, nodes] = (net.coupling / denom)[:, :, None]
     blocks[layers, :, layers, :] = net.intra / denom.T[:, :, None]
     if tag == RWD:
-        lazy = (s_max - profile.intra - profile.inter) / s_max
+        lazy = (s_max - intra - inter) / s_max
         # the remainder is >= 0 by construction of s_max; rounding in the
         # strength sums can leave a stray -1e-16 on the max row
         matrix[np.arange(dim), np.arange(dim)] += np.maximum(lazy, 0.0).T.reshape(-1)
@@ -144,8 +109,6 @@ def build_supra_transition(net: MultiplexNetwork, strategy: str) -> SupraTransit
         matrix=matrix,
         n_nodes=n,
         n_layers=l,
-        strategy=tag,
-        directed=net.directed,
         scale=denom.T.reshape(-1) if tag == RWC and not net.directed else None,
     )
 
@@ -201,4 +164,4 @@ def simulate_walk(
     for u in rng.random(horizon).tolist():
         state = min(int(table[state].searchsorted(u, side="right")), last)
         steps.append(state)
-    return WalkTrajectory(origin=origin, n_nodes=supra.n_nodes, steps=tuple(steps))
+    return WalkTrajectory(tuple(steps))

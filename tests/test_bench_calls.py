@@ -1,0 +1,30 @@
+"""Each benchmark workload's program call passes its seed-0 reference checks.
+
+The benchmark pins link files by sha256, gaps and t90s to 1e-9 relative
+and curves to 1e-12; running its calls here makes a drift in those outputs,
+or in an API the benchmark scripts read, fail the test suite too.
+"""
+
+from __future__ import annotations
+
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import workloads  # noqa: E402
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_workload_call_matches_its_reference(name, tmp_path):
+    workload = workloads.WORKLOADS[name]
+    csv_path = tmp_path / "input.csv"
+    workloads.make_input(workload, workloads.DEFAULT_SEED, csv_path)
+    out = tmp_path / "out"
+    program = importlib.import_module(workload.module)
+    assert program.main(workload.args(str(csv_path), str(out), workloads.DEFAULT_SEED)) == 0
+    oracle = workloads.monte_carlo_oracle(workload, csv_path) if workload.module == "mc_script" else None
+    assert workloads.check(workload, out, workloads.DEFAULT_SEED, oracle) == []

@@ -17,7 +17,7 @@ from multinav import (
     run_stage,
     trim_edges,
 )
-from multinav.cli import build_parser, main
+from multinav.cli import _load_edges, build_parser, main
 from multinav.multiplex import TRIM_PER_LAYER
 from multinav.navigability import NOT_REACHED, read_curve_csv
 from multinav.prediction import ADAMIC_ADAR, JACCARD, read_links_csv, write_links_csv
@@ -241,6 +241,14 @@ def test_multiple_inputs_become_layers(tmp_path):
         (e.layer, merged.labels[e.source], merged.labels[e.target]) for e in merged.edges
     )
     assert rows == [(0, "p", "q"), (1, "q", "r")]
+    assert _load_edges([a, b]).labels == ("p", "q", "r")
+    # a file that names a new label before an old one keeps first-appearance order
+    d = _write_csv(tmp_path / "d.csv", ["0,s,q,1.0", "0,q,p,3.0"])
+    loaded = _load_edges([a, d])
+    assert loaded.labels == ("p", "q", "s")
+    assert [(e.source, e.target, e.layer, e.flow) for e in loaded.edges] == [
+        (0, 1, 0, 1.0), (2, 1, 1, 1.0), (1, 0, 1, 3.0)
+    ]
     mixed = _write_csv(tmp_path / "c.csv", ["0,p,q,1.0", "1,q,r,2.0"])
     assert main(["trim", "--input", a, mixed, "--out", str(out)]) == 2
     # a trailing empty file still adds its layer: 2 nodes in 2 layers
@@ -304,6 +312,10 @@ def test_exit_codes_for_bad_inputs(tmp_path, capsys):
     assert main(["trim", "--input", self_loop, "--out", out]) == 2
     assert main(["trim", "--input", TOY, "--out", out, "--trim-ratio", "1.5"]) == 1
     assert main(["predict", "--input", TOY, "--out", out, "--threshold", "1.0"]) == 1
+    unused = tmp_path / "unused"
+    assert main(["navigability", "--input", TOY, "--out", str(unused), "--coupling=-1"]) == 1
+    assert main(["pipeline", "--input", TOY, "--out", str(unused), "--coupling", "nan"]) == 1
+    assert not unused.exists()
 
 
 def test_argparse_failures_exit_one(capsys):

@@ -38,15 +38,6 @@ def test_parse_interns_labels_in_first_appearance_order():
     assert got.n_layers == 2
 
 
-def test_parse_remaps_column_names():
-    text = "week,from,to,volume\n2,x,y,3.0\n"
-    got = parse_edge_list(
-        io.StringIO(text),
-        columns={"layer": "week", "source": "from", "target": "to", "flow": "volume"},
-    )
-    assert got.edges == (FlowEdge(0, 1, 2, 3.0),)
-
-
 def test_parse_skips_blank_lines():
     got = _parse("layer,source,target,flow\n\n0,a,b,1.0\n\n")
     assert len(got.edges) == 1

@@ -317,7 +317,7 @@ def test_samplers_keep_a_draw_beyond_the_row_total_on_the_last_state(monkeypatch
             return np.full(size, 0.9)
 
     monkeypatch.setattr(np.random, "default_rng", lambda seed: HighDraws())
-    short = SupraTransitionMatrix(np.full((3, 3), 0.25), 3, 1, "rwc", False)
+    short = SupraTransitionMatrix(np.full((3, 3), 0.25), 3, 1)
     curve = coverage_montecarlo(short, walkers_per_origin=2, horizon=2, seed=0)
     # every walker moves to node 2; those from node 2 find nothing new
     assert curve.rho == pytest.approx([1 / 3, 5 / 9, 5 / 9], abs=1e-15)

@@ -216,6 +216,9 @@ def test_threshold_is_strict():
     assert kept.normalized_score.tolist() == [1.0]
     with pytest.raises(ValueError, match="requires normalized scores"):
         threshold_filter(_group(JACCARD, (0,), [(0, 1, 1.0)]))
+    for outside in (-0.1, 1.0):
+        with pytest.raises(ValueError, match=r"threshold must lie in \[0, 1\)"):
+            threshold_filter(group, outside)
 
 
 def test_assign_weights_means_flows_to_shared_exclusive_neighbors():
@@ -229,12 +232,14 @@ def test_assign_weights_means_flows_to_shared_exclusive_neighbors():
         assign_weights(modified_jaccard(net, (0,)), net)
 
 
-def test_assign_weights_falls_back_to_union_mean():
+def test_assign_weights_rejects_pair_without_shared_exclusive_neighbor():
+    # only a hand-built group can hold such a pair: threshold_filter keeps
+    # positive scores, and a positive score means a shared neighbor
     edges = [FlowEdge(0, 1, 0, 4.0), FlowEdge(2, 3, 0, 8.0)]
     net = build_multiplex(edges, n_nodes=5)
     fabricated = _group(JACCARD, (0,), [(0, 4, 0.7)], exclusive=net.intra[0] > 0, normalized=[0.7])
-    links = assign_weights(fabricated, net)
-    assert links[0].weight == pytest.approx(0.7 * 6.0)  # mean of all subset flows
+    with pytest.raises(ValueError, match=r"pair \(0, 4\) shares no exclusive neighbor in layers \(0,\)"):
+        assign_weights(fabricated, net)
 
 
 @pytest.mark.filterwarnings("ignore:all scores are zero")
@@ -247,11 +252,13 @@ def test_run_stage_weights_match_plain_loop_flow_means():
         net = random_multiplex(rng, n, l, directed=bool(trial % 2), p=float(rng.uniform(0.2, 0.6)))
         for k in range(1, l + 1):
             for algorithm in (JACCARD, ADAMIC_ADAR):
-                for link in run_stage(net, k, algorithm):
-                    mean_flow = oracle_flow_mean(net, link.subset, link.u, link.v)
-                    assert link.weight == link.normalized_score * mean_flow  # exact
-                    checked += 1
-    assert checked > 800  # the seed draws 836 links
+                for threshold in (0.5, 0.0):
+                    for link in run_stage(net, k, algorithm, threshold):
+                        mean_flow = oracle_flow_mean(net, link.subset, link.u, link.v)
+                        assert mean_flow is not None  # every kept pair has flow context
+                        assert link.weight == link.normalized_score * mean_flow  # exact
+                        checked += 1
+    assert checked > 2200  # the seed draws 836 links at 0.5 and 1,386 at 0.0
 
 
 def test_dedupe_keeps_max_weight_then_lexicographic_tags():

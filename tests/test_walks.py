@@ -15,8 +15,6 @@ from multinav import (
     build_supra_transition,
     row_stochastic_check,
     simulate_walk,
-    strength_profile,
-    supra_index,
 )
 from multinav.walks import (
     PAGERANK,
@@ -34,38 +32,11 @@ def _two_layer_unit_net():
     return build_multiplex(edges, n_layers=2, coupling=1.0)
 
 
-def test_supra_index_round_trip():
-    assert supra_index(3, 2, 10) == 23
-    assert supra_index(3, 2, 10) % 10 == 3  # node-major: the node is the remainder
-
-
 def test_normalize_strategy_case_insensitive():
     assert normalize_strategy("RWC") == RWC
     assert normalize_strategy(" PageRank ") == PAGERANK
     with pytest.raises(ValueError):
         normalize_strategy("levy")
-
-
-def test_strength_profile_triangle():
-    profile = strength_profile(triangle_network())
-    assert np.all(profile.intra == 2.0)
-    assert np.all(profile.inter == 0.0)
-    assert profile.s_max == 2.0
-
-
-def test_strength_profile_isolated_node_with_coupling():
-    net = build_multiplex([FlowEdge(0, 1, 0, 3.0)], n_layers=2, n_nodes=3, coupling=1.0)
-    profile = strength_profile(net)
-    assert profile.intra[2, 0] == 0.0
-    assert profile.inter[2, 0] == 1.0  # one other layer
-    assert profile.s_max == 4.0  # node 0 or 1 in layer 0: s=3 plus S=1
-
-
-def test_strength_profile_directed_uses_out_strength():
-    net = build_multiplex([FlowEdge(0, 1, 0, 5.0)], directed=True, coupling=0.0)
-    profile = strength_profile(net)
-    assert profile.intra[0, 0] == 5.0
-    assert profile.intra[1, 0] == 0.0
 
 
 def test_rwc_triangle_off_diagonals():
@@ -210,7 +181,7 @@ def test_simulate_walk_horizon_zero_and_determinism():
     P = build_supra_transition(_two_layer_unit_net(), RWC)
     walk = simulate_walk(P, origin=2, horizon=0, seed=9)
     assert walk.steps == (2,)
-    assert walk.visited_physical == {0}
+    assert {s % P.n_nodes for s in walk.steps} == {0}
     again = simulate_walk(P, origin=2, horizon=50, seed=9)
     assert simulate_walk(P, origin=2, horizon=50, seed=9).steps == again.steps
     assert simulate_walk(P, origin=2, horizon=50, seed=10).steps != again.steps
@@ -220,7 +191,7 @@ def test_simulate_walk_forced_move_visits_both_nodes():
     net = build_multiplex([FlowEdge(0, 1, 0, 1.0)], coupling=0.0)
     P = build_supra_transition(net, RWC)
     walk = simulate_walk(P, origin=0, horizon=1, seed=0)
-    assert walk.visited_physical == {0, 1}
+    assert {s % P.n_nodes for s in walk.steps} == {0, 1}
 
 
 def test_simulate_walk_validates_arguments():
