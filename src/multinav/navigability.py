@@ -38,17 +38,13 @@ import numpy as np
 from scipy import stats
 
 from .multiplex import MultiplexNetwork
-from .walks import (
-    SupraTransitionMatrix,
-    _cumulative_table,
-    build_supra_transition,
-    normalize_strategy,
-)
+from .walks import SupraTransitionMatrix, build_supra_transition, normalize_strategy
 
 ZERO_EIGENVALUE_TOL = 1e-9
 COND_LIMIT = 1e12
 RESIDUAL_LIMIT = 1e-8
 CHUNK_BYTES = 16 * 2**20  # budget for one chunk of the survival product
+DRAW_BYTES = 2**20  # budget for one block of Monte Carlo draws
 NOT_REACHED = "not reached"
 
 ANALYTIC = "analytic"
@@ -181,6 +177,9 @@ class CoverageCurve:
         object.__setattr__(self, "rho", rho)
         if times.shape != rho.shape or times.ndim != 1:
             raise ValueError("times and rho must be 1-d arrays of equal length")
+        # NaN passes every comparison below, and an infinite time breaks t90
+        if not (np.isfinite(times).all() and np.isfinite(rho).all()):
+            raise ValueError("times and rho must be finite")
         if times.size and (times[0] < 0 or np.any(np.diff(times) <= 0)):
             raise ValueError("times must be non-negative and strictly increasing")
         if rho.size and (rho.min() < -1e-9 or rho.max() > 1 + 1e-9):
@@ -297,11 +296,15 @@ def coverage_montecarlo(
     Walkers start on the layer-0 replica of every physical node, as in the
     analytic curve. One generator per origin, seeded (seed, origin), gives
     that origin's walkers one draw each per step, read in step order, so the
-    estimate is reproducible and origins can run in any order. Each step
-    inverts the CDF of the walker's row by the rule of ``simulate_walk``: a
-    binary search for the number of the row's cumulative sums <= u, ties to
-    the right, capped at the last state. With one walker per origin, walker
-    j follows ``simulate_walk(supra, j, horizon, seed)``.
+    estimate is reproducible and origins can run in any order. The draws
+    come a block of steps at a time, a (block, walkers_per_origin) array per
+    generator, which reads the same stream. Each step inverts the CDF of the
+    walker's row by the rule of ``simulate_walk``: the next state is the
+    number of the row's cumulative sums <= u, ties to the right, capped at
+    the last state. ``CumulativeTable.search`` finds it for every walker at
+    once, from the guide's count for u's bin and ``span.bit_length()``
+    branchless rounds. With one walker per origin, walker j follows
+    ``simulate_walk(supra, j, horizon, seed)``.
     """
     if walkers_per_origin < 1:
         raise ValueError("walkers_per_origin must be >= 1")
@@ -312,33 +315,28 @@ def coverage_montecarlo(
         raise ValueError("Monte Carlo coverage needs at least one supra-state")
     generators = [np.random.default_rng((seed, origin)) for origin in range(n)]
     walkers = walkers_per_origin * n
+    block = max(1, DRAW_BYTES // (8 * walkers))  # steps whose draws fit the budget
 
-    table = _cumulative_table(supra.matrix)
-    width = table.shape[1]
-    flat = table.reshape(-1)
-    halves = [width >> k for k in range(1, width.bit_length())]  # width/2, ..., 1
+    table = supra.cumulative
     states = np.repeat(np.arange(n), walkers_per_origin)
     offsets = np.arange(walkers) * n
+    node = np.arange(dim) % n
     visited = np.zeros(walkers * n, dtype=bool)
     visited[offsets + states] = True
-    counts = np.ones(walkers)
+    found = walkers  # each walker has seen its origin
 
     rho = np.empty(horizon + 1)
-    rho[0] = counts.mean() / n
-    for step in range(1, horizon + 1):
-        u = np.concatenate([g.random(walkers_per_origin) for g in generators])
-        # branchless search: the cursor moves past the row's entries <= u, so
-        # a draw equal to a cumulative value skips zero-probability states.
-        # It stops at width - 1 >= dim - 1, where the guard caps it anyway.
-        base = states * width
-        cursor = base.copy()
-        for half in halves:
-            cursor += half * (flat[cursor + (half - 1)] <= u)
-        states = np.minimum(cursor - base, dim - 1)
-        seen = offsets + states % n
-        counts += ~visited[seen]
-        visited[seen] = True
-        rho[step] = counts.mean() / n
+    rho[0] = found / walkers / n
+    for start in range(1, horizon + 1, block):
+        stop = min(start + block, horizon + 1)
+        # origin j's generator fills its walkers' columns, step by step
+        draws = np.concatenate([g.random((stop - start, walkers_per_origin)) for g in generators], axis=1)
+        for step, u in zip(range(start, stop), draws):
+            states = table.search(states, u)
+            seen = offsets + node[states]
+            found += walkers - np.count_nonzero(visited[seen])
+            visited[seen] = True
+            rho[step] = found / walkers / n
     return CoverageCurve(times=np.arange(horizon + 1, dtype=float), rho=rho, method=MONTECARLO)
 
 

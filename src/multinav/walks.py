@@ -12,7 +12,9 @@ Three walk strategies are supported:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -52,6 +54,43 @@ class SupraTransitionMatrix:
     def dim(self) -> int:
         return self.n_nodes * self.n_layers
 
+    @cached_property
+    def cumulative(self) -> CumulativeTable:
+        """The samplers' search table, built on first use and kept; the
+        matrix must not be edited in place after that."""
+        return _cumulative_table(self.matrix)
+
+
+@dataclass(frozen=True, eq=False)
+class CumulativeTable:
+    """A transition matrix's cumulative rows, with a guide into each row.
+
+    ``rows`` holds the (dim, width) cumulative sums, padded with +inf;
+    ``guide[r, b]`` counts row r's sums <= b / bins; ``span`` is the most
+    sums a bin leaves to search (see ``_cumulative_table``). ``search`` and
+    ``simulate_walk`` map a draw u to the number of the row's sums <= u: a
+    binary search with ties to the right, so a draw equal to a sum skips
+    zero-probability states, capped at the last state.
+    """
+
+    rows: np.ndarray
+    guide: np.ndarray
+    bins: int
+    span: int
+
+    def search(self, states: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Next state of each walker from its current state and its draw in [0, 1)."""
+        width = self.rows.shape[1]
+        flat = self.rows.reshape(-1)
+        base = states * width
+        cursor = base + self.guide.reshape(-1)[states * (self.bins + 1) + (u * self.bins).astype(np.intp)]
+        # branchless: each round moves the cursor past the window's half if
+        # its last entry is <= u; rounds cover 2**rounds - 1 >= span entries
+        for k in reversed(range(self.span.bit_length())):
+            half = 1 << k
+            cursor += half * (flat[half - 1 :][cursor] <= u)
+        return cursor - base
+
 
 @dataclass(frozen=True)
 class WalkTrajectory:
@@ -90,8 +129,11 @@ def build_supra_transition(net: MultiplexNetwork, strategy: str) -> SupraTransit
     blocks = matrix.reshape(l, n, l, n)  # blocks[a, i, b, j] is (i, a) -> (j, b)
     nodes, layers = np.arange(n), np.arange(l)
     # layer switches on the diagonal of every block, then the moves over the
-    # (a, a) blocks, so that the moves replace the switches where a == b
-    blocks[:, nodes, :, nodes] = (net.coupling / denom)[:, :, None]
+    # (a, a) blocks, so that the moves replace the switches where a == b.
+    # One layer has no switches, and its strengths omit the coupling, so a
+    # subnormal strength would overflow the quotient.
+    if l > 1:
+        blocks[:, nodes, :, nodes] = (net.coupling / denom)[:, :, None]
     blocks[layers, :, layers, :] = net.intra / denom.T[:, :, None]
     if tag == RWD:
         lazy = (s_max - intra - inter) / s_max
@@ -121,18 +163,43 @@ def row_stochastic_check(supra: SupraTransitionMatrix) -> tuple[bool, float]:
     return deviation <= 1e-12, deviation
 
 
-def _cumulative_table(matrix: np.ndarray) -> np.ndarray:
-    """Each row's cumulative sums, padded with +inf to a power-of-two width.
+def _cumulative_table(matrix: np.ndarray) -> CumulativeTable:
+    """Each row's cumulative sums, indexed by a guide table (Chen & Asau 1974).
 
-    Entries of a supra-transition matrix are >= 0, so every row is
-    non-decreasing and the padding lies above every draw in [0, 1). The
-    count of a row's entries <= u is then the next state for draw u.
+    Entries of a supra-transition matrix are >= 0, so every row of sums is
+    non-decreasing. The last state's sum is stored as +inf: the last state
+    takes every draw above the row's second-to-last sum, which keeps a draw
+    on the last state when rounding leaves the row's total below it. ``bins``
+    is the power of two at or above dim, so u * bins and b / bins are exact,
+    and ``guide[r, b]`` counts row r's sums <= b / bins: those are the sums
+    found without a search. For every u in [b / bins, (b + 1) / bins) the
+    count of sums <= u then lies between guide[r, b] and guide[r, b + 1],
+    and ``span`` is the widest such window. A branchless search of
+    ``span.bit_length()`` rounds never moves past the count it seeks, at
+    most dim - 1, and a round reads at most span - 1 entries beyond it, so
+    ``span`` columns of +inf after each row keep every read in that row.
     """
     dim = matrix.shape[0]
-    width = 1 << max(dim - 1, 0).bit_length()
-    table = np.full((dim, width), np.inf)
-    np.cumsum(matrix, axis=1, out=table[:, :dim])
-    return table
+    bins = 1 << max(dim - 1, 0).bit_length()
+    sums = np.cumsum(matrix, axis=1)
+    sums[:, -1:] = np.inf
+    guide = _guide(sums, bins)
+    span = int(np.diff(guide, axis=1).max(initial=0))
+    rows = np.full((dim, dim + span), np.inf)
+    rows[:, :dim] = sums
+    return CumulativeTable(rows=rows, guide=guide, bins=bins, span=span)
+
+
+def _guide(sums: np.ndarray, bins: int) -> np.ndarray:
+    """guide[r, b], the count of row r's sums <= b / bins, for b = 0..bins."""
+    dim = sums.shape[0]
+    # a sum s is counted from b = ceil(s * bins) on; sums above 1 (and the
+    # +inf) land in bin bins + 1, which no guide entry counts
+    keys = np.clip(np.ceil(sums * bins), 0, bins + 1).astype(np.intp)
+    keys += np.arange(dim)[:, None] * (bins + 2)
+    counts = np.bincount(keys.reshape(-1), minlength=dim * (bins + 2))
+    del keys  # as large as the table: free it before the guide is built
+    return np.cumsum(counts.reshape(dim, bins + 2)[:, : bins + 1], axis=1)
 
 
 def simulate_walk(
@@ -146,22 +213,26 @@ def simulate_walk(
     The generator is seeded with (seed, origin) and read once per step, in
     step order, so distinct origins give independent, individually
     reproducible streams. Each step inverts the CDF of the current state's
-    row: the next state is the number of the row's cumulative sums <= u
-    (a binary search, ties to the right, so a draw equal to a cumulative
-    value skips zero-probability states), capped at the last state in case
-    rounding leaves the row's total below u. ``coverage_montecarlo``
-    samples with the same table, rule and streams.
+    row: the next state is the number of the row's cumulative sums <= u,
+    ties to the right, capped at the last state (``CumulativeTable``). It
+    is one ``bisect_right`` over the row's sums, between the guide's two
+    counts for u's bin. ``coverage_montecarlo`` samples with the same
+    table, rule and streams.
     """
     if not 0 <= origin < supra.dim:
         raise ValueError(f"origin {origin} out of range [0, {supra.dim})")
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
     rng = np.random.default_rng((seed, origin))
-    table = _cumulative_table(supra.matrix)
-    last = supra.dim - 1
+    table = supra.cumulative
+    sums = memoryview(table.rows.reshape(-1))
+    guide = memoryview(table.guide.reshape(-1))
+    width, bins, stride = table.rows.shape[1], table.bins, table.bins + 1
     steps = [origin]
     state = origin
     for u in rng.random(horizon).tolist():
-        state = min(int(table[state].searchsorted(u, side="right")), last)
+        base = state * width
+        at = state * stride + int(u * bins)
+        state = bisect_right(sums, u, base + guide[at], base + guide[at + 1]) - base
         steps.append(state)
     return WalkTrajectory(tuple(steps))

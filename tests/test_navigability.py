@@ -178,6 +178,27 @@ def test_coverage_curve_validation():
         CoverageCurve(np.array([0.0, 1.0]), np.array([0.1, 1.5]), "analytic")
 
 
+@pytest.mark.parametrize(
+    ("times", "rho"),
+    [
+        ([0.0, np.nan, 2.0], [0.1, 0.2, 0.95]),
+        ([0.0, 1.0, np.inf], [0.1, 0.2, 0.95]),
+        ([0.0, 1.0, 2.0], [0.1, np.nan, 0.95]),
+        ([0.0, 1.0, 2.0], [0.1, 0.2, np.inf]),
+    ],
+)
+def test_coverage_curve_rejects_non_finite_values(times, rho):
+    """NaN passes every order and range comparison, so it needs its own check."""
+    with pytest.raises(ValueError, match="finite"):
+        CoverageCurve(np.array(times), np.array(rho), "montecarlo")
+
+
+def test_poisson_clock_rejects_a_nan_time():
+    steps = CoverageCurve(np.array([0.0, 1.0]), np.array([0.4, 0.9]), "montecarlo")
+    with pytest.raises(ValueError, match="finite"):
+        poisson_clock(steps, np.array([0.0, np.nan]))
+
+
 def test_coverage_analytic_starts_at_one_over_n():
     rng = np.random.default_rng(8)
     for _ in range(3):
@@ -243,6 +264,24 @@ def test_coverage_montecarlo_rejects_an_empty_network():
         coverage_montecarlo(P, walkers_per_origin=1, horizon=3, seed=0)
 
 
+def _zero_runs():
+    """A star on nodes 1-10 around the last node, and node 0 isolated: state
+    0's sums are 1 up to the last state's +inf, the widest window a row can
+    leave, and every leaf's sums are 0 up to it, so its search starts on
+    the last state and reads the padding."""
+    edges = [FlowEdge(leaf, 11, 0, 1.0) for leaf in range(1, 11)]
+    return build_supra_transition(build_multiplex(edges, n_nodes=12, coupling=0.0), "rwc")
+
+
+def _weighted_cycle():
+    """A 6-cycle whose node 0 sends 9/20 of its flow to node 1 and the rest to
+    node 5: its sums 0, 0.45, 0.45, 0.45, 0.45 put four in the bin (3/8, 1/2],
+    and a draw in [0.45, 1/2) passes all four, which takes 3 rounds."""
+    flows = {(0, 1): 9.0, (1, 2): 2.0, (4, 5): 2.0, (5, 0): 11.0}
+    edges = [FlowEdge(i, (i + 1) % 6, 0, flows.get((i, (i + 1) % 6), 1.0)) for i in range(6)]
+    return build_supra_transition(build_multiplex(edges, coupling=0.0), "rwc")
+
+
 def _dangling_rwc():
     """Node 3 has no edges and no coupling, so both its states hold still."""
     edges = [FlowEdge(0, 1, 0, 1.0), FlowEdge(1, 2, 0, 2.0), FlowEdge(0, 2, 1, 1.5)]
@@ -262,11 +301,26 @@ SAMPLER_CASES = {
     "one-state": lambda: build_supra_transition(
         build_multiplex([], n_layers=1, n_nodes=1, coupling=0.0), "rwc"
     ),
-    # dim 8 fills the power-of-two search table without padding
+    # dim 8 is itself a power of two, so bins = dim and only the padding
+    # lies past the last state
     "unpadded-dim-8": lambda: build_supra_transition(
         random_multiplex(np.random.default_rng(19), 4, 2, p=0.7), "rwc"
     ),
+    "zero-runs-read-padding": _zero_runs,
+    "span-4-weighted-cycle": _weighted_cycle,
 }
+
+
+def test_sampler_cases_reach_the_edges_of_the_search_table():
+    zero_runs = SAMPLER_CASES["zero-runs-read-padding"]()
+    table = zero_runs.cumulative
+    assert table.span == zero_runs.dim - 1
+    # a leaf's search starts on the last state, and its first round of 4
+    # looks 7 entries further, into the padding
+    assert table.guide[1, 0] == zero_runs.dim - 1
+    assert table.span.bit_length() == 4
+    # a span of exactly 4 needs 3 rounds, not 2
+    assert SAMPLER_CASES["span-4-weighted-cycle"]().cumulative.span == 4
 
 
 @pytest.mark.parametrize("case", sorted(SAMPLER_CASES))

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import io
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -15,11 +16,13 @@ from multinav import (
     FlowEdge,
     PredictedLink,
     build_multiplex,
+    build_supra_transition,
     coverage_analytic,
     dedupe_links,
     default_time_grid,
     integrate_links,
     parse_edge_list,
+    simulate_walk,
     trim_edges,
     write_edge_csv,
 )
@@ -193,3 +196,56 @@ def test_analytic_coverage_starts_at_one_over_n_and_never_drops(net, strategy):
     delta = analytic_state(net, strategy).survival(default_time_grid())
     assert np.array_equal(delta[0], 1.0 - np.eye(n))
     assert delta.min() >= 0.0 and delta.max() <= 1.0
+
+
+@st.composite
+def multiplexes_with_dangling_states(draw):
+    """small_multiplexes, sometimes with coupling 0 and an isolated last node,
+    whose states then keep the walker: dangling rows."""
+    net = draw(small_multiplexes())
+    if not draw(st.booleans()):
+        return net
+    n = net.n_nodes + 1
+    edges = [
+        FlowEdge(i, j, layer, float(net.intra[layer, i, j]))
+        for layer, i, j in zip(*np.nonzero(net.intra))
+        if net.directed or i < j
+    ]
+    return build_multiplex(edges, n_layers=net.n_layers, directed=net.directed, coupling=0.0, n_nodes=n)
+
+
+class FixedDraw:
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size):
+        return np.full(size, self.u)
+
+
+@SETTINGS
+@given(
+    multiplexes_with_dangling_states(),
+    st.sampled_from(STRATEGIES),
+    st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=10),
+)
+def test_guided_search_is_the_capped_right_search_of_the_row(net, strategy, randoms):
+    """Both samplers map (state, u) to min(searchsorted(row sums, u, "right"),
+    dim - 1), also for the draws at the guide's edges: 0, every bin edge b /
+    bins, every row sum below 1 and the largest double below 1."""
+    supra = build_supra_transition(net, strategy)
+    table = supra.cumulative
+    sums = np.cumsum(supra.matrix, axis=1)
+    draws = np.unique(np.concatenate([
+        [0.0, np.nextafter(1.0, 0.0)],
+        np.arange(table.bins) / table.bins,
+        sums[sums < 1.0],
+        randoms,
+    ]))
+    expected = np.minimum([np.searchsorted(row, draws, "right") for row in sums], supra.dim - 1)
+    states = np.repeat(np.arange(supra.dim), draws.size)
+    assert np.array_equal(table.search(states, np.tile(draws, supra.dim)), expected.reshape(-1))
+    # simulate_walk seeds its generator (seed, origin): the seed picks the draw
+    with mock.patch.object(np.random, "default_rng", lambda seed: FixedDraw(draws[seed[0]])):
+        for state in range(supra.dim):
+            for i in range(draws.size):
+                assert simulate_walk(supra, state, 1, seed=i).steps == (state, expected[state, i])

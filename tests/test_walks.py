@@ -217,3 +217,25 @@ def test_one_step_frequencies_follow_transition_row():
     assert np.all(observed[~support] == 0)
     _, p_value = stats.chisquare(observed[support], expected[support])
     assert p_value > 0.001
+
+
+def _ring_lattice(rng, n, n_layers):
+    """Each layer a directed ring plus one random chord per node, lognormal flows."""
+    edges = []
+    for layer in range(n_layers):
+        for i in range(n):
+            edges.append(FlowEdge(i, (i + 1) % n, layer, float(rng.lognormal(3.0, 0.5))))
+            chord = (i + 2 + int(rng.integers(n - 3))) % n  # neither i nor i + 1
+            edges.append(FlowEdge(i, chord, layer, float(rng.lognormal(3.0, 0.5))))
+    return build_multiplex(edges, n_layers=n_layers, n_nodes=n, directed=True)
+
+
+@pytest.mark.parametrize("n", [40, 200, 400])
+def test_pagerank_guide_rounds_do_not_grow_with_dim(n):
+    """Teleportation adds (1 - damping) / dim >= 0.15 / dim to every sum, and a
+    bin is 1 / bins <= 1 / dim wide, so no bin holds more than 7 sums: a
+    search takes at most 3 rounds at any size."""
+    supra = build_supra_transition(_ring_lattice(np.random.default_rng(n), n, 5), PAGERANK)
+    table = supra.cumulative
+    assert table.bins >= supra.dim
+    assert table.span <= 7
