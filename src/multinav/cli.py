@@ -511,8 +511,11 @@ def build_parser() -> CliParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "strategies") and not args.strategies:
-        args.strategies = ["rwc"]
+    # a repeated stage or strategy would be scored, reported and hashed twice
+    if hasattr(args, "strategies"):
+        args.strategies = list(dict.fromkeys(args.strategies or ["rwc"]))
+    if hasattr(args, "stages"):
+        args.stages = list(dict.fromkeys(args.stages))
     try:
         return args.func(args)
     except UsageError as exc:

@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
 
 from .multiplex import MultiplexNetwork
 from .walks import SupraTransitionMatrix, build_supra_transition, normalize_strategy
@@ -354,13 +353,26 @@ def poisson_clock(curve: CoverageCurve, times: np.ndarray) -> CoverageCurve:
     steps = curve.times
     if not np.array_equal(steps, np.arange(steps.size)):
         raise ValueError("discrete curve must be sampled at every integer step")
-    weights = stats.poisson.pmf(steps[None, :], np.maximum(times, 1e-300)[:, None])
-    weights[times == 0.0] = 0.0
-    weights[times == 0.0, 0] = 1.0
+    weights = _poisson_weights(times, steps.size)
     tail = 1.0 - weights.sum(axis=1)
     mixed = weights @ curve.rho + np.maximum(tail, 0.0) * curve.rho[-1]
     mixed = np.maximum.accumulate(np.clip(mixed, 0.0, 1.0))
     return CoverageCurve(times=times, rho=mixed, method=MONTECARLO)
+
+
+def _poisson_weights(times: np.ndarray, n_steps: int) -> np.ndarray:
+    """Poisson(t) probabilities of k = 0 .. n_steps-1 jumps, one row per time.
+
+    pmf(k; t) = exp(k log t - log k! - t), with log k! from lgamma: a running
+    sum of logs drifts, by 1.6e-12 at k = 400. Rows at t = 0 are exactly
+    one-hot.
+    """
+    log_factorial = np.array([math.lgamma(k + 1.0) for k in range(n_steps)])
+    rate = np.maximum(times, 1e-300)[:, None]
+    weights = np.exp(np.arange(n_steps) * np.log(rate) - log_factorial - rate)
+    weights[times == 0.0] = 0.0
+    weights[times == 0.0, 0] = 1.0
+    return weights
 
 
 def spectral_gap(supra: SupraTransitionMatrix) -> float:

@@ -194,6 +194,17 @@ def test_pipeline_rerun_reproduces_run_hash(tmp_path):
     assert hashes[0] == hashes[1]
 
 
+def test_repeated_stages_and_strategies_run_once(tmp_path, capsys):
+    hashes = []
+    for name, repeats in (("once", 1), ("twice", 2)):
+        out = tmp_path / name
+        argv = ["pipeline", "--input", TOY, "--out", str(out), "--stages", *["2"] * repeats]
+        assert main(argv + ["--strategy", "rwc"] * repeats) == 0
+        assert capsys.readouterr().out.count("stage 2:") == 1
+        hashes.append(json.loads((out / "manifest.json").read_text())["run_hash"])
+    assert hashes[0] == hashes[1]
+
+
 def test_run_hash_keys_inputs_by_content(tmp_path, monkeypatch):
     _write_csv(tmp_path / "x.csv", ["0,a,b,1.0", "0,b,c,2.0"])
     monkeypatch.chdir(tmp_path)

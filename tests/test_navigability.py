@@ -16,6 +16,7 @@ from conftest import (
     random_multiplex,
     triangle_network,
 )
+from scipy import stats
 
 from multinav import (
     CoverageCurve,
@@ -410,6 +411,23 @@ def test_poisson_clock_matches_endpoints():
     analytic = coverage_analytic(complete_graph(5), "rwc", times=np.array([0.0, 1.0, 5.0, 20.0]))
     with pytest.raises(ValueError):
         poisson_clock(analytic, np.array([0.0, 1.0]))
+
+
+def test_poisson_weights_match_scipy_on_the_montecarlo_grid():
+    """The lgamma weights against scipy's pmf on mc_script's grid: 400 steps, t to 300."""
+    steps = np.arange(401)
+    times = np.concatenate([[0.0], np.logspace(-2.0, np.log10(300.0), 300)])
+    reference = stats.poisson.pmf(steps[None, :], np.maximum(times, 1e-300)[:, None])
+    reference[0] = np.eye(1, steps.size)[0]
+    weights = navigability._poisson_weights(times, steps.size)
+    assert np.array_equal(weights[0], np.eye(1, steps.size)[0])
+    assert np.max(np.abs(weights - reference)) <= 1e-13
+    # the mixture of a random monotone step curve, with scipy's weights
+    rho = np.sort(np.random.default_rng(12).uniform(0.0, 1.0, steps.size))
+    mixed = poisson_clock(CoverageCurve(steps.astype(float), rho, "montecarlo"), times)
+    tail = np.maximum(1.0 - reference.sum(axis=1), 0.0)
+    expected = np.maximum.accumulate(np.clip(reference @ rho + tail * rho[-1], 0.0, 1.0))
+    assert np.max(np.abs(mixed.rho - expected)) <= 1e-12
 
 
 def test_spectral_gap_reference_values():

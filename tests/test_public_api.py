@@ -1,6 +1,12 @@
-"""The package's public names: ``from multinav import *`` must import cleanly."""
+"""The package's public names and imports: ``from multinav import *`` must import
+cleanly, and importing the package needs numpy alone."""
 
 from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import multinav
 
@@ -11,3 +17,15 @@ def test_all_is_sorted_and_every_name_resolves():
     namespace: dict = {}
     exec("from multinav import *", namespace)
     assert set(multinav.__all__) <= set(namespace)
+
+
+def test_importing_the_package_and_cli_loads_no_scipy():
+    """The package runs on numpy alone; scipy is a test-only dependency."""
+    code = (
+        "import sys, multinav, multinav.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(multinav.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.strip() == "[]"
