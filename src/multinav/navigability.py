@@ -42,7 +42,8 @@ from .walks import SupraTransitionMatrix, build_supra_transition, normalize_stra
 ZERO_EIGENVALUE_TOL = 1e-9
 COND_LIMIT = 1e12
 RESIDUAL_LIMIT = 1e-8
-CHUNK_BYTES = 16 * 2**20  # budget for one chunk of the survival product
+CHUNK_BYTES = 16 * 2**20  # budget for survival's mode factors plus one origin block
+TIME_CHUNK = 64  # time points per batched survival product
 DRAW_BYTES = 2**20  # budget for one block of Monte Carlo draws
 NOT_REACHED = "not reached"
 
@@ -210,25 +211,39 @@ class AnalyticCoverageState:
     def survival(self, times: np.ndarray) -> np.ndarray:
         """delta[t, j, i]: probability target i is unvisited by time t from origin j.
 
-        The diagonal is 0 at every time, and delta[0] is 1 - identity.
+        The diagonal is 0 at every time, and delta[0] is 1 - identity. The
+        mode factors are computed once; origins then go in blocks whose
+        coefficients ``origin_coefficients[j, l] * target_coefficients[l, i]``
+        and products fit CHUNK_BYTES beside the modes. Each TIME_CHUNK of
+        times is one batched matmul, a (TIME_CHUNK, NL) @ (NL, N) product
+        per origin. Every product has that shape whatever the block size, so
+        the budget never changes the result.
         """
         times = np.asarray(times, dtype=float)
         lam = self.eigenvalues
         small = np.abs(lam) <= ZERO_EIGENVALUE_TOL
         safe = np.where(small, 1.0, lam)
-        out = np.empty((times.size, self.n_nodes, self.n_nodes))
-        # each time point materialises one origin_coefficients-sized product
-        step = max(1, min(64, CHUNK_BYTES // max(1, self.origin_coefficients.nbytes)))
-        for start in range(0, times.size, step):
-            chunk = times[start : start + step]
-            with np.errstate(over="ignore"):
-                modes = (1.0 - np.exp(-safe[None, :] * chunk[:, None])) / safe[None, :]
-            modes = np.where(small[None, :], chunk[:, None], modes)
-            exponent = (
-                (modes[:, None, :] * self.origin_coefficients) @ self.target_coefficients
-            ).real
-            out[start : start + step] = np.exp(-np.maximum(exponent, 0.0))
-        own = np.arange(self.n_nodes)
+        modes = np.multiply.outer(times, -safe)
+        with np.errstate(over="ignore"):
+            np.exp(modes, out=modes)
+        np.subtract(1.0, modes, out=modes)
+        modes /= safe
+        modes[:, small] = times[:, None]
+        n, targets = self.n_nodes, self.target_coefficients
+        out = np.empty((times.size, n, n))
+        # one origin's coefficients and products; the modes share the budget
+        per_origin = (targets.shape[0] + TIME_CHUNK) * n * targets.itemsize
+        block = max(1, (CHUNK_BYTES - modes.nbytes) // per_origin)
+        for first in range(0, n, block):
+            coefficients = self.origin_coefficients[first : first + block, :, None] * targets
+            for start in range(0, times.size, TIME_CHUNK):
+                exponent = (modes[start : start + TIME_CHUNK] @ coefficients).real
+                # (origin, time, target) view of the output block
+                view = out[start : start + TIME_CHUNK, first : first + block].transpose(1, 0, 2)
+                np.maximum(exponent, 0.0, out=view)
+                np.negative(view, out=view)
+                np.exp(view, out=view)
+        own = np.arange(n)
         out[:, own, own] = 0.0  # an origin is discovered from the start
         return out
 
@@ -350,6 +365,9 @@ def poisson_clock(curve: CoverageCurve, times: np.ndarray) -> CoverageCurve:
     if curve.method != MONTECARLO:
         raise ValueError("poisson_clock applies to discrete-step curves")
     times = np.asarray(times, dtype=float)
+    # an infinite time would warn inside the weights before CoverageCurve rejects it
+    if not np.isfinite(times).all():
+        raise ValueError("times must be finite")
     steps = curve.times
     if not np.array_equal(steps, np.arange(steps.size)):
         raise ValueError("discrete curve must be sampled at every integer step")

@@ -21,7 +21,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -91,8 +91,8 @@ class ScoredPairs:
     def where(self, mask: np.ndarray) -> ScoredPairs:
         """The rows where ``mask`` holds."""
         normalized = None if self.normalized_score is None else self.normalized_score[mask]
-        return replace(self, u=self.u[mask], v=self.v[mask], raw_score=self.raw_score[mask],
-                       normalized_score=normalized)
+        return ScoredPairs(self.algorithm, self.subset, self.u[mask], self.v[mask],
+                           self.raw_score[mask], self.exclusive, normalized)
 
 
 @dataclass(frozen=True)
@@ -211,18 +211,25 @@ def modified_adamic_adar(net: MultiplexNetwork, subset: Sequence[int]) -> Scored
 
     Each shared exclusive neighbor contributes the inverse log of its degree in
     the union graph of the subset; pairs sharing no exclusive neighbor are
-    omitted.
+    omitted. The terms of a pair are added from 0.0 in ascending order of the
+    shared neighbor w: one (w, x, y) triple per pair x < y of w's exclusive
+    neighbors, w ascending, summed by ``np.add.at``, in O(sum of deg^2).
     """
     subset = tuple(subset)
     exclusive, inside = _exclusive_adjacency(net, subset)
     union_degree = inside.sum(axis=1)
+    # E is symmetric: row w holds the nodes sharing w. Entries (hub, x) come
+    # hubs ascending, and each pairs with the x's after it in its hub's row.
+    hubs = np.flatnonzero(union_degree > 1)
+    row, x = np.nonzero(exclusive[hubs])
+    end = np.cumsum(np.bincount(row, minlength=hubs.size))[row]
+    later = end - 1 - np.arange(row.size)
+    entry = np.repeat(np.arange(row.size), later)
+    y = x[entry + 1 + np.arange(entry.size) - (np.cumsum(later) - later)[entry]]
+    # math.log, not np.log, whose last bit may differ
+    weight = np.array([1.0 / math.log(d) for d in union_degree[hubs].tolist()])
     scores = np.zeros(exclusive.shape)
-    # E is symmetric: row w holds the nodes sharing w. Terms add in ascending w.
-    for w in range(net.n_nodes):
-        deg = int(union_degree[w])
-        if deg > 1:
-            sharing = np.flatnonzero(exclusive[w])
-            scores[np.ix_(sharing, sharing)] += 1.0 / math.log(deg)
+    np.add.at(scores, (x[entry], y), weight[row[entry]])
     # a candidate's shared neighbor is joined to both endpoints, so its degree
     # is at least 2: a positive score is the same as sharing a neighbor
     return _scored_pairs(scores > 0, exclusive, inside, scores, ADAMIC_ADAR, subset)
@@ -236,7 +243,8 @@ def normalize_scores(group: ScoredPairs) -> ScoredPairs:
         key = (group.algorithm, group.subset)
         warnings.warn(f"all scores are zero for {key}; group dropped", stacklevel=2)
         group = group.where(np.zeros(len(group), dtype=bool))
-    return replace(group, normalized_score=group.raw_score / top)  # empty when top is 0
+    return ScoredPairs(group.algorithm, group.subset, group.u, group.v, group.raw_score,
+                       group.exclusive, group.raw_score / top)  # empty when top is 0
 
 
 def threshold_filter(group: ScoredPairs, threshold: float = 0.5) -> ScoredPairs:
@@ -258,30 +266,45 @@ def assign_weights(group: ScoredPairs, net: MultiplexNetwork) -> list[PredictedL
     The weight is the normalized score times the mean flow on edges joining
     either endpoint to their shared exclusive neighbors, over the subset's
     layers. Every pair kept by threshold_filter shares such a neighbor; a
-    pair that shares none raises ValueError.
+    pair that shares none raises ValueError. A pair's positive flows are
+    taken in the order shared neighbor w, layer, endpoint (u, v), direction
+    (into the endpoint, then out of it), and summed by ``np.add.reduce``
+    along rows of one length, so each mean is bit-identical to ``np.mean``
+    of that context.
     """
     if group.normalized_score is None:
         raise ValueError("assign_weights requires normalized scores")
     subset = group.subset
-    flows = net.intra[list(subset)]
-    # cells[w, k, a, d]: flow a -> w in layer subset[k] (d = 0) and, when
-    # directed, w -> a (d = 1); flattening a pair's block keeps that order.
-    views = [flows.transpose(2, 0, 1), flows.transpose(1, 0, 2)]
-    cells = np.stack(views if net.directed else views[:1], axis=-1)
     # a candidate has no edge inside the subset, so neither endpoint is shared
-    shared = group.exclusive[group.u] & group.exclusive[group.v]
-    links = []
-    for row, u, v, raw, norm in zip(
-        shared, group.u.tolist(), group.v.tolist(),
-        group.raw_score.tolist(), group.normalized_score.tolist(),
-    ):
-        context = cells[row][:, :, [u, v]]
-        context = context[context > 0]
-        if not context.size:
-            raise ValueError(f"pair ({u}, {v}) shares no exclusive neighbor in layers {subset}")
-        weight = norm * float(np.mean(context))
-        links.append(PredictedLink(u, v, raw, norm, weight, group.algorithm, subset, len(subset)))
-    return links
+    pair, w = np.nonzero(group.exclusive[group.u] & group.exclusive[group.v])
+    ends = np.stack([group.u, group.v], axis=1)[pair]
+    hub, layers = w[:, None], np.array(subset)[:, None, None]
+    # cells[row, k, a, d]: flow a -> w in layer subset[k] (d = 0) and, when
+    # directed, w -> a (d = 1), for each endpoint a of the row's pair
+    into = net.intra[layers, ends, hub]
+    cells = np.stack([into, net.intra[layers, hub, ends]] if net.directed else [into], axis=-1)
+    cells = cells.transpose(1, 0, 2, 3)
+    positive = cells > 0
+    context = cells[positive]  # every pair's flows, pairs in order
+    size = np.bincount(pair, weights=positive.sum(axis=(1, 2, 3)), minlength=len(group))
+    size = size.astype(np.intp)
+    if np.any(size == 0):
+        first = int(np.flatnonzero(size == 0)[0])
+        u, v = int(group.u[first]), int(group.v[first])
+        raise ValueError(f"pair ({u}, {v}) shares no exclusive neighbor in layers {subset}")
+    mean = np.empty(len(group))
+    offset = np.cumsum(size) - size
+    for n in np.unique(size).tolist():
+        rows = np.flatnonzero(size == n)
+        mean[rows] = np.add.reduce(context[offset[rows, None] + np.arange(n)], axis=1) / n
+    weight = group.normalized_score * mean
+    return [
+        PredictedLink(u, v, raw, norm, wt, group.algorithm, subset, len(subset))
+        for u, v, raw, norm, wt in zip(
+            group.u.tolist(), group.v.tolist(), group.raw_score.tolist(),
+            group.normalized_score.tolist(), weight.tolist(),
+        )
+    ]
 
 
 def dedupe_links(links: Iterable[PredictedLink]) -> list[PredictedLink]:
@@ -304,7 +327,9 @@ def dedupe_links(links: Iterable[PredictedLink]) -> list[PredictedLink]:
         tags = sorted(
             {tag for l in candidates for tag in l.sources or [(l.algorithm, l.subset, l.stage)]}
         )
-        out.append(replace(winner, sources=tuple(tags)))
+        out.append(PredictedLink(winner.u, winner.v, winner.raw_score, winner.normalized_score,
+                                 winner.weight, winner.algorithm, winner.subset, winner.stage,
+                                 tuple(tags)))
     return out
 
 

@@ -2,9 +2,10 @@
 
 The benchmark pins link files by sha256, gaps and t90s to 1e-9 relative
 and curves to 1e-12; running its calls here makes a drift in those outputs,
-or in an API the benchmark scripts read, fail the test suite too. At seed 1
-the Monte Carlo call has no reference and meets only the exact-coverage
-checks, so a sampler that merely reproduces seed 0 fails there.
+or in an API the benchmark scripts read, fail the test suite too. Seed 1
+has no reference: there the Monte Carlo call meets the exact-coverage
+checks and the pipeline call the structural ones, so a kernel that merely
+reproduces seed 0 fails.
 """
 
 from __future__ import annotations
@@ -38,3 +39,7 @@ def test_workload_call_matches_its_reference(name, tmp_path):
 
 def test_monte_carlo_call_meets_the_exact_coverage_at_seed_1(tmp_path):
     assert _check_call("montecarlo-directed", 1, tmp_path) == []
+
+
+def test_pipeline_call_meets_the_structural_checks_at_seed_1(tmp_path):
+    assert _check_call("pipeline-rwc", 1, tmp_path) == []

@@ -200,6 +200,15 @@ def test_poisson_clock_rejects_a_nan_time():
         poisson_clock(steps, np.array([0.0, np.nan]))
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf])
+def test_poisson_clock_rejects_an_infinite_time_before_any_warning(bad):
+    # the suite turns RuntimeWarning into an error, so a weight computed from
+    # an infinite time would surface as the warning, not as the ValueError
+    steps = CoverageCurve(np.array([0.0, 1.0]), np.array([0.4, 0.9]), "montecarlo")
+    with pytest.raises(ValueError, match="finite"):
+        poisson_clock(steps, np.array([0.0, bad]))
+
+
 def test_coverage_analytic_starts_at_one_over_n():
     rng = np.random.default_rng(8)
     for _ in range(3):

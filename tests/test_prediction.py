@@ -11,6 +11,7 @@ from conftest import oracle_flow_mean, oracle_scores, random_multiplex
 
 from multinav import (
     FlowEdge,
+    MultiplexNetwork,
     PredictedLink,
     ScoredPair,
     ScoredPairs,
@@ -240,6 +241,35 @@ def test_assign_weights_rejects_pair_without_shared_exclusive_neighbor():
     fabricated = _group(JACCARD, (0,), [(0, 4, 0.7)], exclusive=net.intra[0] > 0, normalized=[0.7])
     with pytest.raises(ValueError, match=r"pair \(0, 4\) shares no exclusive neighbor in layers \(0,\)"):
         assign_weights(fabricated, net)
+
+
+def test_assign_weights_means_match_np_mean_across_the_unroll_boundary():
+    # np.mean sums pairwise with an 8-way unrolled loop from 8 values up, so
+    # a pair's mean depends on how its context is summed. Pairs of 1 to 17
+    # positive flows pin the grouped reduction; two pairs each of 8 and of 9
+    # flows put more than one row in a length group.
+    counts = [1, 7, 8, 8, 9, 9, 17]
+    rng = np.random.default_rng(12)
+    n = sum(2 + c for c in counts)
+    intra = np.zeros((1, n, n))
+    exclusive = np.zeros((n, n), dtype=bool)
+    rows, contexts, first = [], [], 0
+    for count in counts:
+        u, v, hubs = first, first + 1, range(first + 2, first + 2 + count)
+        flows = 10.0 ** rng.uniform(-6, 6, count)
+        for w, flow in zip(hubs, flows):
+            intra[0, u, w] = intra[0, w, u] = flow  # v's flows to the hubs stay 0
+            exclusive[[u, v], w] = exclusive[w, [u, v]] = True
+        rows.append((u, v, 1.0))
+        contexts.append(flows)
+        first += 2 + count
+    net = MultiplexNetwork(directed=False, intra=intra, coupling=1.0)
+    normalized = rng.uniform(0.5, 1.0, len(counts))
+    group = _group(ADAMIC_ADAR, (0,), rows, exclusive=exclusive, normalized=normalized)
+    links = assign_weights(group, net)
+    assert [(l.u, l.v) for l in links] == [(u, v) for u, v, _ in rows]
+    for link, norm, context in zip(links, normalized, contexts):
+        assert link.weight == norm * float(np.mean(context))  # exact
 
 
 @pytest.mark.filterwarnings("ignore:all scores are zero")
