@@ -44,9 +44,7 @@ from .navigability import (
     time_to_coverage,
 )
 from .prediction import (
-    ExclusiveNeighborhood,
     PredictedLink,
-    ScoredPair,
     ScoredPairs,
     adamic_adar_classic,
     assign_weights,
@@ -75,14 +73,12 @@ __all__ = [
     "CoverageCurve",
     "DegradedDecompositionError",
     "EdgeList",
-    "ExclusiveNeighborhood",
     "FlowEdge",
     "MultiplexNetwork",
     "NavigabilityReport",
     "ParseError",
     "PredictedLink",
     "SchemaError",
-    "ScoredPair",
     "ScoredPairs",
     "SpectralDecomposition",
     "SupraTransitionMatrix",

@@ -236,13 +236,12 @@ def _predict_stages(net, stages, threshold):
         if k > n_layers:
             print(f"stage {k} skipped: network has only {n_layers} layers", file=sys.stderr)
             continue
-        links_j = run_stage(net, k, JACCARD, threshold)
-        links_aa = run_stage(net, k, ADAMIC_ADAR, threshold)
-        results[k] = dedupe_links(links_j + links_aa)
-        print(
-            f"stage {k}: {ADAMIC_ADAR} {len(links_aa)}, {JACCARD} {len(links_j)}, "
-            f"union {len(results[k])}"
-        )
+        results[k] = union = run_stage(net, k, threshold)
+        # a union link holds an algorithm's tag exactly when it produced that pair
+        found = {alg: sum(any(tag[0] == alg for tag in l.sources) for l in union)
+                 for alg in (ADAMIC_ADAR, JACCARD)}
+        print(f"stage {k}: {ADAMIC_ADAR} {found[ADAMIC_ADAR]}, {JACCARD} {found[JACCARD]}, "
+              f"union {len(union)}")
     return results
 
 

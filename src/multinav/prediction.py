@@ -6,8 +6,10 @@ are evaluated on these exclusive neighborhoods for every candidate pair that
 has no edge in any layer of D. Each (algorithm, subset) is one ``ScoredPairs``
 group of score columns, normalized and thresholded as arrays; only the pairs
 that survive become weighted ``PredictedLink`` objects, using nearby flow
-values. A deduplicated link's ``sources`` lists every contributing
-(algorithm, subset, stage).
+values. A stage is the deduplicated union of both algorithms over its
+subsets, and a link's ``sources`` lists every contributing
+(algorithm, subset, stage). A self-loop makes no node its own neighbor, so it
+adds to no exclusive neighborhood or degree.
 
 Each subset is scored on one boolean exclusive adjacency ``E = inside & ~outside``,
 which the group keeps for assign_weights: Jaccard is ``C / (d_u + d_v - C)`` with
@@ -23,7 +25,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -31,8 +33,6 @@ from .multiplex import MultiplexNetwork, enumerate_layer_subsets
 
 JACCARD = "jaccard"
 ADAMIC_ADAR = "adamic_adar"
-
-MODIFIED_ALGORITHMS = (JACCARD, ADAMIC_ADAR)
 
 LINK_CSV_COLUMNS = (
     "u_label",
@@ -46,31 +46,13 @@ LINK_CSV_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class ExclusiveNeighborhood:
-    """The nodes adjacent to one node only within one layer subset."""
-
-    members: frozenset[int]
-
-
-@dataclass(frozen=True)
-class ScoredPair:
-    """A candidate non-edge with its similarity score (u < v canonical)."""
-
-    u: int
-    v: int
-    raw_score: float
-    algorithm: str
-    subset: tuple[int, ...]
-
-
 @dataclass(frozen=True, eq=False)
 class ScoredPairs:
     """Every scored candidate of one (algorithm, subset), as columns.
 
     Rows are pairs u < v in row-major order; ``exclusive`` is the exclusive
     adjacency the scores came from, and ``normalized_score`` is None until
-    normalize_scores fills it. Iterating yields one ScoredPair per row.
+    normalize_scores fills it.
     """
 
     algorithm: str
@@ -83,10 +65,6 @@ class ScoredPairs:
 
     def __len__(self) -> int:
         return len(self.u)
-
-    def __iter__(self) -> Iterator[ScoredPair]:
-        for a, b, score in zip(self.u.tolist(), self.v.tolist(), self.raw_score.tolist()):
-            yield ScoredPair(a, b, score, self.algorithm, self.subset)
 
     def where(self, mask: np.ndarray) -> ScoredPairs:
         """The rows where ``mask`` holds."""
@@ -115,9 +93,11 @@ class PredictedLink:
 
 
 def _unoriented_adjacency(net: MultiplexNetwork, layer: int) -> np.ndarray:
+    """Edge presence in one layer, either direction; a node is not its own neighbor."""
     adj = net.intra[layer] > 0
     if net.directed:
         adj = adj | adj.T
+    np.fill_diagonal(adj, False)
     return adj
 
 
@@ -142,12 +122,12 @@ def exclusive_neighbors(
     net: MultiplexNetwork,
     v: int,
     subset: Sequence[int],
-) -> ExclusiveNeighborhood:
+) -> frozenset[int]:
     """Neighbors of v linked to it solely within the given layer subset."""
     if not 0 <= v < net.n_nodes:
         raise ValueError(f"node {v} out of range [0, {net.n_nodes})")
     exclusive, _ = _exclusive_adjacency(net, subset)
-    return ExclusiveNeighborhood(frozenset(int(u) for u in np.flatnonzero(exclusive[v]) if u != v))
+    return frozenset(np.flatnonzero(exclusive[v]).tolist())
 
 
 def jaccard_classic(net: MultiplexNetwork, layer: int, u: int, v: int) -> float:
@@ -155,7 +135,6 @@ def jaccard_classic(net: MultiplexNetwork, layer: int, u: int, v: int) -> float:
     if u == v:
         raise ValueError("Jaccard requires two distinct nodes")
     adj = _unoriented_adjacency(net, layer)
-    np.fill_diagonal(adj, False)  # a node is not its own neighbor
     union = int(np.count_nonzero(adj[u] | adj[v]))
     if not union:
         return 0.0
@@ -172,7 +151,6 @@ def adamic_adar_classic(net: MultiplexNetwork, layer: int, u: int, v: int) -> fl
     if u == v:
         raise ValueError("Adamic-Adar requires two distinct nodes")
     adj = _unoriented_adjacency(net, layer)
-    np.fill_diagonal(adj, False)
     degree = adj.sum(axis=1)
     score = 0.0
     for w in np.flatnonzero(adj[u] & adj[v]):
@@ -333,21 +311,15 @@ def dedupe_links(links: Iterable[PredictedLink]) -> list[PredictedLink]:
     return out
 
 
-def run_stage(
-    net: MultiplexNetwork,
-    k: int,
-    algorithm: str,
-    threshold: float = 0.5,
-) -> list[PredictedLink]:
-    """Score, normalize, threshold and weight every layer subset of size k,
-    then deduplicate the stage's links across subsets."""
-    if algorithm not in MODIFIED_ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {MODIFIED_ALGORITHMS}")
-    scorer = modified_jaccard if algorithm == JACCARD else modified_adamic_adar
+def run_stage(net: MultiplexNetwork, k: int, threshold: float = 0.5) -> list[PredictedLink]:
+    """Score every layer subset of size k with both algorithms; normalize,
+    threshold and weight each group, then deduplicate the stage's links once,
+    across subsets and algorithms."""
     links: list[PredictedLink] = []
     for subset in enumerate_layer_subsets(net.n_layers, k):
-        kept = threshold_filter(normalize_scores(scorer(net, subset)), threshold)
-        links.extend(assign_weights(kept, net))
+        for scorer in (modified_jaccard, modified_adamic_adar):
+            kept = threshold_filter(normalize_scores(scorer(net, subset)), threshold)
+            links.extend(assign_weights(kept, net))
     return dedupe_links(links)
 
 

@@ -82,6 +82,11 @@ def directed_trap_network():
     return build_multiplex(edges, directed=True, coupling=0.0)
 
 
+def group_scores(group):
+    """A scored group's rows as {(u, v): raw_score}."""
+    return dict(zip(zip(group.u.tolist(), group.v.tolist()), group.raw_score.tolist()))
+
+
 # --- an independent scoring oracle built from plain dicts of edge layers -----
 
 def oracle_pair_layers(net):

@@ -60,9 +60,7 @@ def test_predict_stage_files_match_library(tmp_path):
     index = net.label_index()
     merged_expected = []
     for k in (1, 2):
-        expected = dedupe_links(
-            run_stage(net, k, JACCARD, 0.5) + run_stage(net, k, ADAMIC_ADAR, 0.5)
-        )
+        expected = run_stage(net, k, 0.5)
         merged_expected.extend(expected)
         got = read_links_csv(out / f"links_stage{k}.csv", index)
         # the CSV keeps everything except the dedupe provenance
@@ -72,6 +70,24 @@ def test_predict_stage_files_match_library(tmp_path):
     merged = read_links_csv(out / "links_merged.csv", index)
     assert len(merged) == len(dedupe_links(merged_expected))
     assert not (out / "links_stage3.csv").exists()
+
+
+# a stage's per-algorithm counts are the union links each algorithm produced
+TOY_STAGE_LINES = [
+    "stage 1: adamic_adar 13, jaccard 14, union 16",
+    "stage 2: adamic_adar 22, jaccard 12, union 23",
+    "stage 3: adamic_adar 8, jaccard 11, union 11",
+]
+
+
+def _stage_lines(stdout):
+    return [line for line in stdout.splitlines() if line.startswith("stage ")]
+
+
+def test_predict_prints_stage_counts(tmp_path, capsys):
+    argv = ["predict", "--input", TOY, "--out", str(tmp_path / "out"), "--trim-ratio", "0.9"]
+    assert main(argv) == 0
+    assert _stage_lines(capsys.readouterr().out) == TOY_STAGE_LINES
 
 
 def test_predict_skips_stages_wider_than_network(tmp_path, capsys):
@@ -169,6 +185,7 @@ def test_pipeline_artifacts_and_run_hash(tmp_path, capsys):
     assert main(["pipeline", "--input", TOY, "--out", str(out)]) == 0
     stdout = capsys.readouterr().out
     assert "trim: kept 24 / removed 5" in stdout
+    assert _stage_lines(stdout) == TOY_STAGE_LINES
     assert "run hash: " in stdout
     manifest = json.loads((out / "manifest.json").read_text())
     expected = {"trimmed.csv", "links_stage1.csv", "links_stage2.csv",

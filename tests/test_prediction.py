@@ -7,13 +7,12 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import oracle_flow_mean, oracle_scores, random_multiplex
+from conftest import group_scores, oracle_flow_mean, oracle_scores, random_multiplex
 
 from multinav import (
     FlowEdge,
     MultiplexNetwork,
     PredictedLink,
-    ScoredPair,
     ScoredPairs,
     adamic_adar_classic,
     assign_weights,
@@ -48,16 +47,17 @@ def _two_layer_net():
 
 def test_exclusive_neighbors_requires_all_pair_edges_inside_subset():
     net = _two_layer_net()
-    assert exclusive_neighbors(net, 1, (0,)).members == {2}
-    assert exclusive_neighbors(net, 1, (0, 1)).members == {0, 2}
-    assert exclusive_neighbors(net, 1, (1,)).members == set()
+    assert exclusive_neighbors(net, 1, (0,)) == frozenset({2})
+    assert exclusive_neighbors(net, 1, (0, 1)) == {0, 2}
+    assert exclusive_neighbors(net, 1, (1,)) == set()
+    assert all(type(u) is int for u in exclusive_neighbors(net, 1, (0, 1)))
 
 
 def test_exclusive_neighbors_directed_uses_unoriented_presence():
     edges = [FlowEdge(0, 1, 0, 1.0), FlowEdge(2, 1, 1, 1.0)]
     net = build_multiplex(edges, n_layers=2, directed=True)
-    assert exclusive_neighbors(net, 1, (0,)).members == {0}
-    assert exclusive_neighbors(net, 1, (1,)).members == {2}
+    assert exclusive_neighbors(net, 1, (0,)) == {0}
+    assert exclusive_neighbors(net, 1, (1,)) == {2}
 
 
 def test_exclusive_neighbors_validates_inputs():
@@ -130,6 +130,14 @@ def test_modified_scores_match_bruteforce_oracle():
         nets.append(random_multiplex(rng, n, l, directed=bool(rng.integers(0, 2)), p=0.5))
     # dense: pairs share 8 or more exclusive neighbors, so a reordered sum would show
     nets.append(random_multiplex(rng, 40, 2, p=0.5))
+    # self-loops on about half the nodes of each layer: a loop is no neighbor
+    for trial in range(12):
+        net = random_multiplex(rng, int(rng.integers(4, 10)), int(rng.integers(1, 4)),
+                               directed=bool(trial % 2), p=0.45)
+        intra = net.intra.copy()
+        layer, node = np.nonzero(rng.random(intra.shape[:2]) < 0.5)
+        intra[layer, node, node] = rng.uniform(0.5, 2.0, node.size)
+        nets.append(MultiplexNetwork(directed=net.directed, intra=intra, coupling=1.0))
     for net in nets:
         l = net.n_layers
         for k in range(1, l + 1):
@@ -138,29 +146,35 @@ def test_modified_scores_match_bruteforce_oracle():
                     (JACCARD, modified_jaccard),
                     (ADAMIC_ADAR, modified_adamic_adar),
                 ):
-                    got = {(p.u, p.v): p.raw_score for p in scorer(net, subset)}
+                    got = group_scores(scorer(net, subset))
                     want = oracle_scores(net, subset, algorithm)
                     assert got.keys() == want.keys()
                     for pair, score in want.items():
                         assert got[pair] == score  # identical arithmetic, exact
 
 
+def test_self_loops_add_no_neighbor_or_degree():
+    # 2 joins 0 and 1 and has a loop: its union degree is 2, not 3
+    edges = [FlowEdge(0, 2, 0, 1.0), FlowEdge(1, 2, 0, 1.0), FlowEdge(2, 2, 0, 1.0)]
+    net = build_multiplex(edges, n_nodes=4)
+    assert group_scores(modified_adamic_adar(net, (0,))) == {(0, 1): 1.0 / math.log(2)}
+    assert group_scores(modified_jaccard(net, (0,)))[(0, 1)] == 1.0
+    assert exclusive_neighbors(net, 2, (0,)) == {0, 1}
+
+
 def test_modified_jaccard_keeps_zero_scores_when_union_nonempty():
     # 0-2 via exclusive neighbor sets {1} and {3}: union nonempty, empty meet
     edges = [FlowEdge(0, 1, 0, 1.0), FlowEdge(2, 3, 0, 1.0)]
     net = build_multiplex(edges, n_nodes=4)
-    scores = {(p.u, p.v): p.raw_score for p in modified_jaccard(net, (0,))}
-    assert scores[(0, 2)] == 0.0
-    aa = {(p.u, p.v) for p in modified_adamic_adar(net, (0,))}
-    assert (0, 2) not in aa  # empty intersection omitted entirely
+    assert group_scores(modified_jaccard(net, (0,)))[(0, 2)] == 0.0
+    assert (0, 2) not in group_scores(modified_adamic_adar(net, (0,)))  # empty intersection omitted
 
 
 def test_modified_candidates_exclude_subset_union_edges_only():
     # (0,1) is an edge in layer 1 but not layer 0, so it is a candidate for D={0}
     edges = [FlowEdge(0, 2, 0, 1.0), FlowEdge(1, 2, 0, 1.0), FlowEdge(0, 1, 1, 1.0)]
     net = build_multiplex(edges, n_layers=2)
-    pairs = {(p.u, p.v) for p in modified_jaccard(net, (0,))}
-    assert (0, 1) in pairs
+    assert (0, 1) in group_scores(modified_jaccard(net, (0,)))
 
 
 # --- normalize / threshold / weights -----------------------------------------
@@ -175,17 +189,12 @@ def _group(algorithm, subset, rows, exclusive=None, normalized=None):
     )
 
 
-def test_scored_pairs_iterate_as_python_scalars():
+def test_scored_pairs_where_keeps_the_masked_rows():
     group = _group(JACCARD, (0, 2), [(0, 1, 0.2), (1, 3, 0.8)])
     assert len(group) == 2
-    assert list(group) == [
-        ScoredPair(0, 1, 0.2, JACCARD, (0, 2)),
-        ScoredPair(1, 3, 0.8, JACCARD, (0, 2)),
-    ]
-    assert all(type(x) is int for p in group for x in (p.u, p.v))
-    assert all(type(p.raw_score) is float for p in group)
     kept = group.where(np.array([False, True]))
-    assert list(kept) == [ScoredPair(1, 3, 0.8, JACCARD, (0, 2))]
+    assert (kept.algorithm, kept.subset) == (JACCARD, (0, 2))
+    assert group_scores(kept) == {(1, 3): 0.8}
     assert kept.exclusive is group.exclusive and kept.normalized_score is None
 
 
@@ -207,13 +216,13 @@ def test_normalize_drops_all_zero_group_with_warning():
         warnings.simplefilter("error")  # an empty group is not "all zero"
         assert len(normalize_scores(_group(JACCARD, (1,), []))) == 0
     kept = normalize_scores(_group(JACCARD, (1,), [(0, 2, 0.5)]))
-    assert [(p.u, p.v, p.subset) for p in kept] == [(0, 2, (1,))]
+    assert group_scores(kept) == {(0, 2): 0.5} and kept.subset == (1,)
 
 
 def test_threshold_is_strict():
     group = normalize_scores(_group(JACCARD, (0,), [(0, 1, 1.0), (0, 2, 0.5)]))
     kept = threshold_filter(group, 0.5)
-    assert [(p.u, p.v) for p in kept] == [(0, 1)]
+    assert group_scores(kept) == {(0, 1): 1.0}
     assert kept.normalized_score.tolist() == [1.0]
     with pytest.raises(ValueError, match="requires normalized scores"):
         threshold_filter(_group(JACCARD, (0,), [(0, 1, 1.0)]))
@@ -276,19 +285,18 @@ def test_assign_weights_means_match_np_mean_across_the_unroll_boundary():
 def test_run_stage_weights_match_plain_loop_flow_means():
     rng = np.random.default_rng(606)
     checked = 0
-    for trial in range(40):
+    for trial in range(90):
         n = int(rng.integers(5, 13))
         l = int(rng.integers(1, 4))
         net = random_multiplex(rng, n, l, directed=bool(trial % 2), p=float(rng.uniform(0.2, 0.6)))
         for k in range(1, l + 1):
-            for algorithm in (JACCARD, ADAMIC_ADAR):
-                for threshold in (0.5, 0.0):
-                    for link in run_stage(net, k, algorithm, threshold):
-                        mean_flow = oracle_flow_mean(net, link.subset, link.u, link.v)
-                        assert mean_flow is not None  # every kept pair has flow context
-                        assert link.weight == link.normalized_score * mean_flow  # exact
-                        checked += 1
-    assert checked > 2200  # the seed draws 836 links at 0.5 and 1,386 at 0.0
+            for threshold in (0.5, 0.0):
+                for link in run_stage(net, k, threshold):
+                    mean_flow = oracle_flow_mean(net, link.subset, link.u, link.v)
+                    assert mean_flow is not None  # every kept pair has flow context
+                    assert link.weight == link.normalized_score * mean_flow  # exact
+                    checked += 1
+    assert checked > 2200  # the seed draws 1,035 union links at 0.5 and 1,462 at 0.0
 
 
 def test_dedupe_keeps_max_weight_then_lexicographic_tags():
@@ -311,7 +319,7 @@ def test_dedupe_keeps_max_weight_then_lexicographic_tags():
 def test_run_stage_dedupes_across_subsets_in_order():
     rng = np.random.default_rng(7)
     net = random_multiplex(rng, 8, 3, p=0.5)
-    links = run_stage(net, 2, JACCARD, threshold=0.5)
+    links = run_stage(net, 2, threshold=0.5)
     pairs = [(l.u, l.v) for l in links]
     assert pairs == sorted(pairs)
     assert len(pairs) == len(set(pairs))
@@ -319,8 +327,10 @@ def test_run_stage_dedupes_across_subsets_in_order():
         assert l.stage == 2
         assert len(l.subset) == 2
         assert l.normalized_score > 0.5
-    with pytest.raises(ValueError, match="algorithm"):
-        run_stage(net, 1, "katz")
+        assert (l.algorithm, l.subset, l.stage) in l.sources
+    # the stage is the union of both algorithms, and a pair both found keeps both tags
+    assert {tag[0] for l in links for tag in l.sources} == {JACCARD, ADAMIC_ADAR}
+    assert any({tag[0] for tag in l.sources} == {JACCARD, ADAMIC_ADAR} for l in links)
 
 
 def test_links_csv_round_trip(tmp_path):

@@ -66,7 +66,8 @@ def test_integrate_links_is_idempotent(case, placement):
 
 @st.composite
 def stage_links(draw):
-    """Links unique per (pair, algorithm, subset), as run_stage yields them."""
+    """Links unique per (pair, algorithm, subset), as a stage's groups yield them
+    before run_stage deduplicates them."""
     subsets = [(0,), (1,), (0, 1), (0, 2), (0, 1, 2)]
     keys = draw(
         st.lists(
@@ -98,7 +99,7 @@ def test_dedupe_links_ignores_input_order(case):
 @SETTINGS
 @given(stage_links(), stage_links())
 def test_dedupe_links_keeps_sources_when_deduped_again(first, second):
-    # the CLI dedupes per stage, then the union of both algorithms, then the merge
+    # run_stage dedupes each stage, then the CLI dedupes the stages' union to merge them
     again = dedupe_links(dedupe_links(first) + dedupe_links(second))
     assert again == dedupe_links(first + second)
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import sys
+from collections import Counter
+from importlib.resources import files as package_files
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -24,3 +26,19 @@ def test_tracer_installs_and_uninstalls_on_every_layer():
     assert wrapped and trace.wrapped == []
     for owner, attr, original in wrapped:
         assert getattr(owner, attr) is original
+
+
+def test_traced_pipeline_scores_each_subset_once_per_algorithm(tmp_path):
+    toy = str(package_files("multinav").joinpath("data/toy_multiplex.csv"))
+    trace = tracer.Tracer()
+    try:
+        tracer.install(trace)
+        assert cli.main(["pipeline", "--input", toy, "--out", str(tmp_path / "out")]) == 0
+    finally:
+        trace.uninstall()
+    calls = Counter(span["name"] for span in trace.spans)
+    # three stages over three layers: 3 + 3 + 1 subsets, each scored by both
+    # algorithms; one dedupe per stage plus the merge
+    assert calls["prediction.stage"] == 3
+    assert calls["prediction.score"] == 14
+    assert calls["prediction.dedupe"] == 4
