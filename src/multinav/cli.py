@@ -6,7 +6,10 @@ the parsed options themselves, so it records every setting and nothing
 else. The manifest also hashes inputs and artifacts, and records a run_hash
 over everything except wall-clock timings, the output location and the
 input paths (inputs count by content), so identical runs are verifiable by
-hash comparison. Files are written atomically (temp file + rename).
+hash comparison. The output policy lives in ``_Run``: it makes --out,
+writes each artifact atomically (temp file + rename) and records its name,
+times each phase and writes the manifest. The option ranges live in
+``RANGES``, which ``main`` checks before a command makes --out.
 
 Exit codes: 0 success (including a t90 of "not reached"), 1 usage error,
 2 input/parse error, 3 numerical degradation.
@@ -110,6 +113,10 @@ def _sha256_path(path: Path | str) -> str:
     return digest.hexdigest()
 
 
+def _write_json(path: Path, value) -> None:
+    path.write_text(json.dumps(value, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
 def _write_manifest(
     out_dir: Path,
     args: argparse.Namespace,
@@ -138,8 +145,34 @@ def _write_manifest(
     payload = json.dumps(hashed, sort_keys=True, separators=(",", ":"))
     manifest["run_hash"] = hashlib.sha256(payload.encode()).hexdigest()
     with _atomic(out_dir / "manifest.json") as tmp:
-        tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        _write_json(tmp, manifest)
     return manifest["run_hash"]
+
+
+class _Run:
+    """One command's output: makes --out, writes and records each artifact,
+    times each phase, and writes the manifest last."""
+
+    def __init__(self, args: argparse.Namespace) -> None:
+        self.args = args
+        self.out = Path(args.out)
+        self.out.mkdir(parents=True, exist_ok=True)
+        self.artifacts: list[str] = []
+        self.timings: dict[str, float] = {}
+
+    def write(self, name: str, writer, *content) -> None:
+        with _atomic(self.out / name) as tmp:
+            writer(tmp, *content)
+        self.artifacts.append(name)
+
+    @contextlib.contextmanager
+    def phase(self, name: str):
+        start = time.perf_counter()
+        yield
+        self.timings[name] = time.perf_counter() - start
+
+    def finish(self, inputs: list[str]) -> str:
+        return _write_manifest(self.out, self.args, inputs, self.artifacts, self.timings)
 
 
 def _load_edges(paths: list[str]) -> EdgeList:
@@ -168,24 +201,27 @@ def _load_edges(paths: list[str]) -> EdgeList:
     return EdgeList(tuple(merged), tuple(index))
 
 
-def _check_range(name: str, value: float, low: float, high: float, low_open: bool, high_open: bool) -> None:
-    ok_low = value > low if low_open else value >= low
-    ok_high = value < high if high_open else value <= high
-    if not (ok_low and ok_high):
-        lo = "(" if low_open else "["
-        hi = ")" if high_open else "]"
-        raise UsageError(f"{name} must lie in {lo}{low}, {high}{hi}, got {value}")
+# option -> interval its value must lie in, with "(" or ")" marking an open
+# edge; NaN lies in none, and an unset --trim-ratio means no trimming
+RANGES = {
+    "trim_ratio": ("(", 0.0, 1.0, "]"),
+    "threshold": ("[", 0.0, 1.0, ")"),
+    "coupling": ("[", 0.0, np.inf, ")"),
+    "fraction": ("[", 0.0, 1.0, ")"),
+    "layers": ("[", 1, np.inf, ")"),
+}
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _write_edges_atomic(path: Path, edges, labels) -> None:
-    with _atomic(path) as tmp:
-        write_edge_csv(tmp, edges, labels)
+def _check_ranges(args: argparse.Namespace) -> None:
+    for dest, (lo, low, high, hi) in RANGES.items():
+        value = getattr(args, dest, None)
+        if value is None:
+            continue
+        above = value > low if lo == "(" else value >= low
+        below = value < high if hi == ")" else value <= high
+        if not (above and below):
+            option = "--" + dest.replace("_", "-")
+            raise UsageError(f"{option} must lie in {lo}{low}, {high}{hi}, got {value}")
 
 
 def _layer_count(edges: EdgeList, args) -> int:
@@ -203,11 +239,6 @@ def _build_from_args(edges: EdgeList, args, frame: list[FlowEdge], **options) ->
     )
 
 
-def _check_trim(args) -> None:
-    if args.trim_ratio is not None:
-        _check_range("--trim-ratio", args.trim_ratio, 0.0, 1.0, True, False)
-
-
 def _trim_if_asked(edges: EdgeList, args) -> list[FlowEdge]:
     if args.trim_ratio is None:
         return list(edges.edges)
@@ -215,15 +246,13 @@ def _trim_if_asked(edges: EdgeList, args) -> list[FlowEdge]:
 
 
 def cmd_trim(args) -> int:
-    _check_trim(args)
-    out = _out_dir(args)
-    start = time.perf_counter()
-    edges = _load_edges(args.inputs)
-    kept = _trim_if_asked(edges, args)
-    _write_edges_atomic(out / "trimmed.csv", kept, edges.labels)
-    elapsed = time.perf_counter() - start
+    run = _Run(args)
+    with run.phase("trim"):
+        edges = _load_edges(args.inputs)
+        kept = _trim_if_asked(edges, args)
+        run.write("trimmed.csv", write_edge_csv, kept, edges.labels)
     print(f"kept {len(kept)} / removed {len(edges.edges) - len(kept)}")
-    _write_manifest(out, args, args.inputs, ["trimmed.csv"], {"trim": elapsed})
+    run.finish(args.inputs)
     return EXIT_OK
 
 
@@ -245,166 +274,123 @@ def _predict_stages(net, stages, threshold):
     return results
 
 
-def _write_link_files(out: Path, results: dict, labels, artifacts: list[str]) -> None:
+def _write_link_files(run: _Run, results: dict, labels) -> None:
     """One links file per stage plus their deduplicated merge."""
     everything = []
     for k, union in sorted(results.items()):
-        name = f"links_stage{k}.csv"
-        with _atomic(out / name) as tmp:
-            write_links_csv(tmp, union, labels)
-        artifacts.append(name)
+        run.write(f"links_stage{k}.csv", write_links_csv, union, labels)
         everything.extend(union)
     merged = dedupe_links(everything)
-    with _atomic(out / "links_merged.csv") as tmp:
-        write_links_csv(tmp, merged, labels)
-    artifacts.append("links_merged.csv")
+    run.write("links_merged.csv", write_links_csv, merged, labels)
     print(f"merged unique links: {len(merged)}")
 
 
 def cmd_predict(args) -> int:
-    _check_range("--threshold", args.threshold, 0.0, 1.0, False, True)
-    _check_trim(args)
-    out = _out_dir(args)
-    start = time.perf_counter()
-    edges = _load_edges(args.inputs)
-    frame = _trim_if_asked(edges, args)
-    if not frame:
-        print("warning: empty network; writing empty outputs", file=sys.stderr)
-    # scoring reads only the layers, so the coupling stays build_multiplex's default
-    net = _build_from_args(edges, args, frame) if _layer_count(edges, args) else None
-    results = _predict_stages(net, args.stages, args.threshold)
-    artifacts: list[str] = []
-    _write_link_files(out, results, edges.labels, artifacts)
-    elapsed = time.perf_counter() - start
-    _write_manifest(out, args, args.inputs, artifacts, {"predict": elapsed})
+    run = _Run(args)
+    with run.phase("predict"):
+        edges = _load_edges(args.inputs)
+        frame = _trim_if_asked(edges, args)
+        if not frame:
+            print("warning: empty network; writing empty outputs", file=sys.stderr)
+        # scoring reads only the layers, so the coupling stays build_multiplex's default
+        net = _build_from_args(edges, args, frame) if _layer_count(edges, args) else None
+        results = _predict_stages(net, args.stages, args.threshold)
+        _write_link_files(run, results, edges.labels)
+    run.finish(args.inputs)
     return EXIT_OK
 
 
 def cmd_integrate(args) -> int:
-    out = _out_dir(args)
-    start = time.perf_counter()
-    edges = _load_edges(args.inputs)
-    # the output holds intra-layer edges only, so the coupling is never written
-    net = _build_from_args(edges, args, list(edges.edges))
-    links = read_links_csv(args.links, net.label_index())
-    integrated = integrate_links(net, links, placement=args.placement)
-    _write_edges_atomic(out / "integrated.csv", export_edges(integrated), net.labels)
-    elapsed = time.perf_counter() - start
+    run = _Run(args)
+    with run.phase("integrate"):
+        edges = _load_edges(args.inputs)
+        # the output holds intra-layer edges only, so the coupling is never written
+        net = _build_from_args(edges, args, list(edges.edges))
+        links = read_links_csv(args.links, net.label_index())
+        integrated = integrate_links(net, links, placement=args.placement)
+        run.write("integrated.csv", write_edge_csv, export_edges(integrated), net.labels)
     print(f"integrated {len(links)} links into {net.n_layers} layers")
-    _write_manifest(
-        out, args, args.inputs + [args.links], ["integrated.csv"], {"integrate": elapsed}
-    )
+    run.finish(args.inputs + [args.links])
     return EXIT_OK
 
 
-def _emit_report(out: Path, report, strategy: str, label: str, artifacts: list[str]) -> None:
+def _emit_report(run: _Run, report, strategy: str, label: str) -> None:
     curve_name = f"curve_{strategy}_{label}.csv"
-    report_name = f"report_{strategy}_{label}.json"
-    with _atomic(out / curve_name) as tmp:
-        write_curve_csv(tmp, report.curve)
-    with _atomic(out / report_name) as tmp:
-        write_report_json(tmp, report, curve_name)
-    artifacts.extend([curve_name, report_name])
+    run.write(curve_name, write_curve_csv, report.curve)
+    run.write(f"report_{strategy}_{label}.json", write_report_json, report, curve_name)
     shown = NOT_REACHED if report.t90 is None else f"{report.t90:.6g}"
     print(f"{strategy} {label}: spectral gap {report.spectral_gap:.6g}, t90 {shown}")
 
 
 def cmd_navigability(args) -> int:
-    _check_trim(args)
-    _check_range("--coupling", args.coupling, 0.0, np.inf, False, True)
-    out = _out_dir(args)
-    start = time.perf_counter()
-    edges = _load_edges(args.inputs)
-    net = _build_from_args(edges, args, _trim_if_asked(edges, args), coupling=args.coupling)
-    artifacts = []
-    for strategy in args.strategies:
-        report = navigability_report(net, strategy)
-        _emit_report(out, report, strategy, "original", artifacts)
-    elapsed = time.perf_counter() - start
-    _write_manifest(out, args, args.inputs, artifacts, {"navigability": elapsed})
+    run = _Run(args)
+    with run.phase("navigability"):
+        edges = _load_edges(args.inputs)
+        net = _build_from_args(edges, args, _trim_if_asked(edges, args), coupling=args.coupling)
+        for strategy in args.strategies:
+            _emit_report(run, navigability_report(net, strategy), strategy, "original")
+    run.finish(args.inputs)
     return EXIT_OK
 
 
 def cmd_pipeline(args) -> int:
-    _check_trim(args)
-    _check_range("--threshold", args.threshold, 0.0, 1.0, False, True)
-    _check_range("--coupling", args.coupling, 0.0, np.inf, False, True)
-    out = _out_dir(args)
-    timings: dict[str, float] = {}
-    artifacts: list[str] = []
+    run = _Run(args)
+    with run.phase("ingest"):
+        edges = _load_edges(args.inputs)
 
-    start = time.perf_counter()
-    edges = _load_edges(args.inputs)
-    timings["ingest"] = time.perf_counter() - start
+    with run.phase("trim"):
+        trimmed = _trim_if_asked(edges, args)
+        run.write("trimmed.csv", write_edge_csv, trimmed, edges.labels)
+        print(f"trim: kept {len(trimmed)} / removed {len(edges.edges) - len(trimmed)}")
 
-    start = time.perf_counter()
-    trimmed = _trim_if_asked(edges, args)
-    _write_edges_atomic(out / "trimmed.csv", trimmed, edges.labels)
-    artifacts.append("trimmed.csv")
-    print(f"trim: kept {len(trimmed)} / removed {len(edges.edges) - len(trimmed)}")
-    timings["trim"] = time.perf_counter() - start
+    with run.phase("build"):
+        net = _build_from_args(edges, args, trimmed, coupling=args.coupling)
 
-    start = time.perf_counter()
-    net = _build_from_args(edges, args, trimmed, coupling=args.coupling)
-    timings["build"] = time.perf_counter() - start
+    with run.phase("predict"):
+        results = _predict_stages(net, args.stages, args.threshold)
+        _write_link_files(run, results, net.labels)
 
-    start = time.perf_counter()
-    results = _predict_stages(net, args.stages, args.threshold)
-    _write_link_files(out, results, net.labels, artifacts)
-    timings["predict"] = time.perf_counter() - start
+    with run.phase("integrate"):
+        variants = [("original", net)]
+        for k, union in sorted(results.items()):
+            variants.append((f"stage{k}", integrate_links(net, union, placement=PLACEMENT_SUBSET)))
 
-    start = time.perf_counter()
-    variants = [("original", net)]
-    for k, union in sorted(results.items()):
-        variants.append((f"stage{k}", integrate_links(net, union, placement=PLACEMENT_SUBSET)))
-    timings["integrate"] = time.perf_counter() - start
+    with run.phase("navigability"):
+        for strategy in args.strategies:
+            reports = []
+            for label, variant in variants:
+                report = navigability_report(variant, strategy, stage_label=label)
+                _emit_report(run, report, strategy, label)
+                reports.append(report)
+            run.write(f"comparison_{strategy}.json", _write_json, compare_stages(reports))
 
-    start = time.perf_counter()
-    for strategy in args.strategies:
-        reports = []
-        for label, variant in variants:
-            report = navigability_report(variant, strategy, stage_label=label)
-            _emit_report(out, report, strategy, label, artifacts)
-            reports.append(report)
-        comparison = compare_stages(reports)
-        name = f"comparison_{strategy}.json"
-        with _atomic(out / name) as tmp:
-            tmp.write_text(json.dumps(comparison, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        artifacts.append(name)
-    timings["navigability"] = time.perf_counter() - start
-
-    run_hash = _write_manifest(out, args, args.inputs, artifacts, timings)
-    print(f"run hash: {run_hash}")
+    print(f"run hash: {run.finish(args.inputs)}")
     return EXIT_OK
 
 
 def cmd_scenario(args) -> int:
-    _check_range("--fraction", args.fraction, 0.0, 1.0, False, True)
-    if args.layers < 1:
-        raise UsageError(f"--layers must be >= 1, got {args.layers}")
-    out = _out_dir(args)
-    start = time.perf_counter()
-    base = _load_edges(args.inputs)
-    if len({e.layer for e in base.edges}) > 1:
-        raise ParseError("scenario base must be a single-layer edge list")
-    n = base.n_nodes
-    count = round(args.fraction * n)
-    net = build_multiplex(
-        [FlowEdge(e.source, e.target, k, e.flow) for k in range(args.layers) for e in base.edges],
-        n_layers=args.layers,
-        directed=args.directed,
-        labels=base.labels,
-    )
-    for k in range(args.layers):
-        rng = np.random.default_rng(phase_seed(args.seed, f"scenario.layer{k}"))
-        net = knockout_nodes(net, rng.choice(n, size=count, replace=False).tolist(), k)
-    replicated = export_edges(net)
-    kept = Counter(e.layer for e in replicated)
-    for k in range(args.layers):
-        print(f"layer {k}: knocked out {count} nodes, kept {kept[k]} edges")
-    _write_edges_atomic(out / "scenario.csv", replicated, base.labels)
-    elapsed = time.perf_counter() - start
-    _write_manifest(out, args, args.inputs, ["scenario.csv"], {"scenario": elapsed})
+    run = _Run(args)
+    with run.phase("scenario"):
+        base = _load_edges(args.inputs)
+        if len({e.layer for e in base.edges}) > 1:
+            raise ParseError("scenario base must be a single-layer edge list")
+        n = base.n_nodes
+        count = round(args.fraction * n)
+        net = build_multiplex(
+            [FlowEdge(e.source, e.target, k, e.flow) for k in range(args.layers) for e in base.edges],
+            n_layers=args.layers,
+            directed=args.directed,
+            labels=base.labels,
+        )
+        for k in range(args.layers):
+            rng = np.random.default_rng(phase_seed(args.seed, f"scenario.layer{k}"))
+            net = knockout_nodes(net, rng.choice(n, size=count, replace=False).tolist(), k)
+        replicated = export_edges(net)
+        kept = Counter(e.layer for e in replicated)
+        for k in range(args.layers):
+            print(f"layer {k}: knocked out {count} nodes, kept {kept[k]} edges")
+        run.write("scenario.csv", write_edge_csv, replicated, base.labels)
+    run.finish(args.inputs)
     return EXIT_OK
 
 
@@ -516,6 +502,7 @@ def main(argv: list[str] | None = None) -> int:
     if hasattr(args, "stages"):
         args.stages = list(dict.fromkeys(args.stages))
     try:
+        _check_ranges(args)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

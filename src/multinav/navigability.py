@@ -45,6 +45,10 @@ RESIDUAL_LIMIT = 1e-8
 CHUNK_BYTES = 16 * 2**20  # budget for survival's mode factors plus one origin block
 TIME_CHUNK = 64  # time points per batched survival product
 DRAW_BYTES = 2**20  # budget for one block of Monte Carlo draws
+# Largest x passed to exp(-x). numpy's exp is ~150x slower where its result is
+# subnormal (x in [708.4, 745]); e^-700 ~ 1e-304 cannot move rho or a Poisson
+# mixture, and 1 - e^-x is already exactly 1.0 from x = 38.
+EXP_CAP = 700.0
 NOT_REACHED = "not reached"
 
 ANALYTIC = "analytic"
@@ -224,6 +228,7 @@ class AnalyticCoverageState:
         small = np.abs(lam) <= ZERO_EIGENVALUE_TOL
         safe = np.where(small, 1.0, lam)
         modes = np.multiply.outer(times, -safe)
+        np.maximum(modes.real, -EXP_CAP, out=modes.real)
         with np.errstate(over="ignore"):
             np.exp(modes, out=modes)
         np.subtract(1.0, modes, out=modes)
@@ -240,7 +245,7 @@ class AnalyticCoverageState:
                 exponent = (modes[start : start + TIME_CHUNK] @ coefficients).real
                 # (origin, time, target) view of the output block
                 view = out[start : start + TIME_CHUNK, first : first + block].transpose(1, 0, 2)
-                np.maximum(exponent, 0.0, out=view)
+                np.clip(exponent, 0.0, EXP_CAP, out=view)
                 np.negative(view, out=view)
                 np.exp(view, out=view)
         own = np.arange(n)
@@ -383,11 +388,12 @@ def _poisson_weights(times: np.ndarray, n_steps: int) -> np.ndarray:
 
     pmf(k; t) = exp(k log t - log k! - t), with log k! from lgamma: a running
     sum of logs drifts, by 1.6e-12 at k = 400. Rows at t = 0 are exactly
-    one-hot.
+    one-hot, and no weight lies below e^-EXP_CAP.
     """
     log_factorial = np.array([math.lgamma(k + 1.0) for k in range(n_steps)])
     rate = np.maximum(times, 1e-300)[:, None]
-    weights = np.exp(np.arange(n_steps) * np.log(rate) - log_factorial - rate)
+    log_pmf = np.arange(n_steps) * np.log(rate) - log_factorial - rate
+    weights = np.exp(np.maximum(log_pmf, -EXP_CAP, out=log_pmf), out=log_pmf)
     weights[times == 0.0] = 0.0
     weights[times == 0.0, 0] = 1.0
     return weights

@@ -343,6 +343,12 @@ def test_exit_codes_for_bad_inputs(tmp_path, capsys):
     unused = tmp_path / "unused"
     assert main(["navigability", "--input", TOY, "--out", str(unused), "--coupling=-1"]) == 1
     assert main(["pipeline", "--input", TOY, "--out", str(unused), "--coupling", "nan"]) == 1
+    # a value on an open edge of its range, or past a closed one
+    assert main(["trim", "--input", TOY, "--out", str(unused), "--trim-ratio", "0"]) == 1
+    assert main(["predict", "--input", TOY, "--out", str(unused), "--threshold=-0.1"]) == 1
+    assert main(["pipeline", "--input", TOY, "--out", str(unused), "--coupling", "inf"]) == 1
+    assert main(["scenario", "--input", TOY, "--out", str(unused), "--fraction=-0.1"]) == 1
+    assert main(["scenario", "--input", TOY, "--out", str(unused), "--layers", "0"]) == 1
     assert not unused.exists()
 
 
@@ -370,8 +376,10 @@ def test_manifest_config_records_every_option_of_the_command(command, tmp_path):
     out = tmp_path / "out"
     extra = ["--links", str(links)] if command == "integrate" else []
     assert main([command, "--input", base, "--out", str(out), *extra]) == 0
-    config = json.loads((out / "manifest.json").read_text())["config"]
-    assert set(config) == _option_dests(command)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest["config"]) == _option_dests(command)
+    # every file the command leaves is an artifact the manifest hashes
+    assert set(manifest["artifacts"]) == {p.name for p in out.iterdir()} - {"manifest.json"}
 
 
 @pytest.mark.parametrize(

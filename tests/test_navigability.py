@@ -439,6 +439,22 @@ def test_poisson_weights_match_scipy_on_the_montecarlo_grid():
     assert np.max(np.abs(mixed.rho - expected)) <= 1e-12
 
 
+def test_no_survival_or_poisson_weight_lies_below_e_minus_700():
+    """numpy's exp is slow where its result is subnormal, so survival and the
+    Poisson weights cap every exp argument at 700: a value is 0 or >= e^-700."""
+    floor = np.exp(-700.0)
+    for directed in (False, True):  # the real and the complex eigenbasis
+        net = connected_random_multiplex(
+            np.random.default_rng(0), max_nodes=12, max_layers=3, directed=directed
+        )
+        delta = analytic_state(net, "rwc").survival(default_time_grid())
+        assert not np.any((delta > 0.0) & (delta < floor))
+        assert np.any(delta == floor)  # the default grid runs past the cap
+    times = np.concatenate([[0.0], np.logspace(-2.0, np.log10(300.0), 300)])
+    weights = navigability._poisson_weights(times, 401)
+    assert not np.any((weights > 0.0) & (weights < floor))
+
+
 def test_spectral_gap_reference_values():
     assert spectral_gap(build_supra_transition(complete_graph(4), "rwc")) == pytest.approx(
         4.0 / 3.0, abs=1e-9
