@@ -6,10 +6,11 @@ the parsed options themselves, so it records every setting and nothing
 else. The manifest also hashes inputs and artifacts, and records a run_hash
 over everything except wall-clock timings, the output location and the
 input paths (inputs count by content), so identical runs are verifiable by
-hash comparison. The output policy lives in ``_Run``: it makes --out,
-writes each artifact atomically (temp file + rename) and records its name,
-times each phase and writes the manifest. The option ranges live in
-``RANGES``, which ``main`` checks before a command makes --out.
+hash comparison. The output policy lives in ``_Run``: it makes --out with
+the first artifact, once the inputs have loaded, writes each artifact
+atomically (temp file + rename) and records its name, times each phase and
+writes the manifest. The option ranges live in ``RANGES``, which ``main``
+checks before a command makes --out.
 
 Exit codes: 0 success (including a t90 of "not reached"), 1 usage error,
 2 input/parse error, 3 numerical degradation.
@@ -150,17 +151,19 @@ def _write_manifest(
 
 
 class _Run:
-    """One command's output: makes --out, writes and records each artifact,
-    times each phase, and writes the manifest last."""
+    """One command's output: writes and records each artifact, times each
+    phase, and writes the manifest last. The first artifact makes --out, so
+    an input that fails to load leaves none behind."""
 
     def __init__(self, args: argparse.Namespace) -> None:
         self.args = args
         self.out = Path(args.out)
-        self.out.mkdir(parents=True, exist_ok=True)
         self.artifacts: list[str] = []
         self.timings: dict[str, float] = {}
 
     def write(self, name: str, writer, *content) -> None:
+        if not self.artifacts:
+            self.out.mkdir(parents=True, exist_ok=True)
         with _atomic(self.out / name) as tmp:
             writer(tmp, *content)
         self.artifacts.append(name)

@@ -26,6 +26,10 @@ PLACEMENT_ALL = "all"
 TRIM_PER_LAYER = "per-layer"
 TRIM_GLOBAL = "global"
 
+# memory budget for the temporaries of one array pass: survival's mode factors
+# plus one origin block, or a block of a prediction stage's subsets or rows
+CHUNK_BYTES = 16 * 2**20
+
 
 class ParseError(ValueError):
     """Malformed edge-list content; carries the offending 1-based line number."""
@@ -304,8 +308,8 @@ def integrate_links(
     """
     if placement not in (PLACEMENT_SUBSET, PLACEMENT_ALL):
         raise ValueError(f"unknown placement {placement!r}")
-    intra = net.intra.copy()
     all_layers = tuple(range(net.n_layers))
+    ends, weights, targets = [], [], []
     for link in links:
         if not link.weight > 0:  # also NaN
             raise ValueError(f"predicted link weight must be positive, got {link.weight}")
@@ -316,10 +320,18 @@ def integrate_links(
             raise ValueError(f"predicted link joins node {u} to itself")
         if not all(0 <= k < net.n_layers for k in link.subset):
             raise ValueError(f"link subset {link.subset} names a layer out of range [0, {net.n_layers})")
-        target_layers = link.subset if placement == PLACEMENT_SUBSET else all_layers
-        for k in target_layers:
-            intra[k, u, v] = max(intra[k, u, v], link.weight)
-            intra[k, v, u] = max(intra[k, v, u], link.weight)
+        ends.append((u, v))
+        weights.append(link.weight)
+        targets.append(link.subset if placement == PLACEMENT_SUBSET else all_layers)
+    # one (layer, u, v, weight) row per link and target layer; the maximum
+    # is the same in any order, so repeated cells need no loop
+    count = [len(target) for target in targets]
+    layer = np.array([k for target in targets for k in target], dtype=np.intp)
+    u, v = np.repeat(np.array(ends, dtype=np.intp).reshape(-1, 2), count, axis=0).T
+    weight = np.repeat(np.array(weights, dtype=float), count)
+    intra = net.intra.copy()
+    np.maximum.at(intra, (layer, u, v), weight)
+    np.maximum.at(intra, (layer, v, u), weight)
     return MultiplexNetwork(
         directed=net.directed,
         intra=intra,

@@ -36,13 +36,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .multiplex import MultiplexNetwork
+from .multiplex import CHUNK_BYTES, MultiplexNetwork
 from .walks import SupraTransitionMatrix, build_supra_transition, normalize_strategy
 
 ZERO_EIGENVALUE_TOL = 1e-9
 COND_LIMIT = 1e12
 RESIDUAL_LIMIT = 1e-8
-CHUNK_BYTES = 16 * 2**20  # budget for survival's mode factors plus one origin block
 TIME_CHUNK = 64  # time points per batched survival product
 DRAW_BYTES = 2**20  # budget for one block of Monte Carlo draws
 # Largest x passed to exp(-x). numpy's exp is ~150x slower where its result is

@@ -3,19 +3,27 @@
 A neighbor u of v is *exclusive* to a layer subset D when every (u, v) edge
 of the multiplex lies inside D. The classic Jaccard and Adamic-Adar scores
 are evaluated on these exclusive neighborhoods for every candidate pair that
-has no edge in any layer of D. Each (algorithm, subset) is one ``ScoredPairs``
-group of score columns, normalized and thresholded as arrays; only the pairs
+has no edge in any layer of D. A stage is every subset of one size k, and
+each step works on the whole stage at once: a scorer returns one
+``ScoredPairs`` for all of the stage's subsets, normalize_scores scales each
+subset by its own maximum, threshold_filter keeps rows, and only the pairs
 that survive become weighted ``PredictedLink`` objects, using nearby flow
-values. A stage is the deduplicated union of both algorithms over its
-subsets, and a link's ``sources`` lists every contributing
-(algorithm, subset, stage). A self-loop makes no node its own neighbor, so it
-adds to no exclusive neighborhood or degree.
+values. run_stage thus makes one trip per algorithm through these steps and
+returns the deduplicated union of both algorithms, where a link's
+``sources`` lists every contributing (algorithm, subset, stage). A self-loop
+makes no node its own neighbor, so it adds to no exclusive neighborhood or
+degree.
 
 Each subset is scored on one boolean exclusive adjacency ``E = inside & ~outside``,
-which the group keeps for assign_weights: Jaccard is ``C / (d_u + d_v - C)`` with
-``C = E @ E.T``, and Adamic-Adar adds each shared neighbor's ``1 / ln(union degree)``
-in ascending order from 0.0, so every score is bit-identical to a per-pair loop
-over neighbor sets.
+built from the per-layer adjacency, which a scorer computes once; the
+``(S, N, N)`` stack of them stays with the scores for assign_weights. Both
+scorers list each hub's pairs of exclusive neighbors once, in O(sum of
+deg^2): Jaccard is ``C / (d_u + d_v - C)`` with C the pair's count of shared
+neighbors, and Adamic-Adar adds each shared neighbor's ``1 / ln(union degree)``
+in ascending order from 0.0, so every score is bit-identical to a per-pair
+loop over neighbor sets. On a large network run_stage splits a stage into
+passes of as many subsets as fit ``CHUNK_BYTES``, and assign_weights takes
+its rows in blocks within it; no result depends on where a pass ends.
 """
 
 from __future__ import annotations
@@ -23,13 +31,13 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .multiplex import MultiplexNetwork, enumerate_layer_subsets
+from .multiplex import CHUNK_BYTES, MultiplexNetwork, enumerate_layer_subsets
 
 JACCARD = "jaccard"
 ADAMIC_ADAR = "adamic_adar"
@@ -48,15 +56,18 @@ LINK_CSV_COLUMNS = (
 
 @dataclass(frozen=True, eq=False)
 class ScoredPairs:
-    """Every scored candidate of one (algorithm, subset), as columns.
+    """Every scored candidate of one algorithm over a stage's subsets, as columns.
 
-    Rows are pairs u < v in row-major order; ``exclusive`` is the exclusive
-    adjacency the scores came from, and ``normalized_score`` is None until
+    Rows come subset by subset in the order of ``subsets``, and within a
+    subset as pairs u < v in row-major order; ``subset_index`` is each row's
+    position in ``subsets``. ``exclusive`` stacks the exclusive adjacency of
+    every subset, ``(S, N, N)``, and ``normalized_score`` is None until
     normalize_scores fills it.
     """
 
     algorithm: str
-    subset: tuple[int, ...]
+    subsets: tuple[tuple[int, ...], ...]
+    subset_index: np.ndarray
     u: np.ndarray
     v: np.ndarray
     raw_score: np.ndarray
@@ -69,8 +80,8 @@ class ScoredPairs:
     def where(self, mask: np.ndarray) -> ScoredPairs:
         """The rows where ``mask`` holds."""
         normalized = None if self.normalized_score is None else self.normalized_score[mask]
-        return ScoredPairs(self.algorithm, self.subset, self.u[mask], self.v[mask],
-                           self.raw_score[mask], self.exclusive, normalized)
+        return replace(self, subset_index=self.subset_index[mask], u=self.u[mask], v=self.v[mask],
+                       raw_score=self.raw_score[mask], normalized_score=normalized)
 
 
 @dataclass(frozen=True)
@@ -92,30 +103,48 @@ class PredictedLink:
     sources: tuple[tuple[str, tuple[int, ...], int], ...] = ()
 
 
-def _unoriented_adjacency(net: MultiplexNetwork, layer: int) -> np.ndarray:
-    """Edge presence in one layer, either direction; a node is not its own neighbor."""
-    adj = net.intra[layer] > 0
+def _passes(count: int, item_bytes: int) -> Iterator[slice]:
+    """Consecutive slices of ``count`` items, as many per slice as fit
+    CHUNK_BYTES at ``item_bytes`` each, and at least one."""
+    step = max(1, CHUNK_BYTES // max(1, item_bytes))
+    return (slice(start, start + step) for start in range(0, count, step))
+
+
+def _unoriented_adjacency(net: MultiplexNetwork) -> np.ndarray:
+    """Edge presence per layer, either direction, as an (L, N, N) stack; a
+    node is not its own neighbor."""
+    adj = net.intra > 0
     if net.directed:
-        adj = adj | adj.T
-    np.fill_diagonal(adj, False)
+        adj = adj | adj.transpose(0, 2, 1)
+    diagonal = np.arange(net.n_nodes)
+    adj[:, diagonal, diagonal] = False
     return adj
 
 
-def _exclusive_adjacency(net: MultiplexNetwork, subset: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """(exclusive adjacency ``inside & ~outside``, adjacency within any layer of the subset)."""
-    subset = tuple(subset)
-    if not subset or not all(0 <= k < net.n_layers for k in subset):
-        raise ValueError(f"layer subset {subset} out of range [0, {net.n_layers})")
-    n = net.n_nodes
-    inside = np.zeros((n, n), dtype=bool)
-    outside = np.zeros((n, n), dtype=bool)
-    for k in range(net.n_layers):
-        mask = _unoriented_adjacency(net, k)
-        if k in subset:
-            inside |= mask
-        else:
-            outside |= mask
-    return inside & ~outside, inside
+def _stage_subsets(net: MultiplexNetwork, subsets: Iterable[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """The subsets as tuples, each non-empty and within [0, L), all of one size."""
+    subsets = tuple(tuple(subset) for subset in subsets)
+    for subset in subsets:
+        if not subset or not all(0 <= k < net.n_layers for k in subset):
+            raise ValueError(f"layer subset {subset} out of range [0, {net.n_layers})")
+    sizes = sorted({len(subset) for subset in subsets})
+    if len(sizes) > 1:
+        raise ValueError(f"a stage's subsets must share one size, got sizes {sizes}")
+    return subsets
+
+
+def _exclusive_stack(adjacency: np.ndarray, subsets: Sequence[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
+    """(exclusive adjacency ``inside & ~outside``, adjacency within any layer of
+    the subset), one (N, N) slice per subset: a pair is inside when some layer
+    of the subset holds it, and exclusive when every layer holding it does."""
+    count = np.min_scalar_type(len(adjacency))  # holds any count of layers
+    member = np.zeros((len(subsets), len(adjacency)), dtype=count)
+    for row, subset in enumerate(subsets):
+        member[row, list(subset)] = 1
+    held = adjacency.astype(count)
+    within = np.einsum("sl,lij->sij", member, held)
+    inside = within > 0
+    return inside & (within == held.sum(axis=0, dtype=count)), inside
 
 
 def exclusive_neighbors(
@@ -126,15 +155,15 @@ def exclusive_neighbors(
     """Neighbors of v linked to it solely within the given layer subset."""
     if not 0 <= v < net.n_nodes:
         raise ValueError(f"node {v} out of range [0, {net.n_nodes})")
-    exclusive, _ = _exclusive_adjacency(net, subset)
-    return frozenset(np.flatnonzero(exclusive[v]).tolist())
+    exclusive, _ = _exclusive_stack(_unoriented_adjacency(net), _stage_subsets(net, [subset]))
+    return frozenset(np.flatnonzero(exclusive[0, v]).tolist())
 
 
 def jaccard_classic(net: MultiplexNetwork, layer: int, u: int, v: int) -> float:
     """Single-layer Jaccard coefficient: |intersection| / |union| of neighborhoods."""
     if u == v:
         raise ValueError("Jaccard requires two distinct nodes")
-    adj = _unoriented_adjacency(net, layer)
+    adj = _unoriented_adjacency(net)[layer]
     union = int(np.count_nonzero(adj[u] | adj[v]))
     if not union:
         return 0.0
@@ -150,7 +179,7 @@ def adamic_adar_classic(net: MultiplexNetwork, layer: int, u: int, v: int) -> fl
     """
     if u == v:
         raise ValueError("Adamic-Adar requires two distinct nodes")
-    adj = _unoriented_adjacency(net, layer)
+    adj = _unoriented_adjacency(net)[layer]
     degree = adj.sum(axis=1)
     score = 0.0
     for w in np.flatnonzero(adj[u] & adj[v]):
@@ -159,70 +188,102 @@ def adamic_adar_classic(net: MultiplexNetwork, layer: int, u: int, v: int) -> fl
     return score
 
 
-def _scored_pairs(
-    keep: np.ndarray, exclusive: np.ndarray, inside: np.ndarray, scores: np.ndarray,
-    algorithm: str, subset: tuple[int, ...],
-) -> ScoredPairs:
-    """Pairs u < v with no edge inside the subset where ``keep`` holds, in row-major order."""
-    u, v = np.nonzero(np.triu(keep & ~inside, 1))
-    return ScoredPairs(algorithm, subset, u, v, scores[u, v], exclusive)
+def _score_stage(net: MultiplexNetwork, subsets: Iterable[Sequence[int]], algorithm: str,
+                 score) -> ScoredPairs:
+    """Pairs u < v with no edge inside their subset where ``score`` keeps them;
+    ``score(exclusive, inside)`` maps the (S, N, N) stacks to (keep, scores)
+    of the same shape."""
+    subsets = _stage_subsets(net, subsets)
+    exclusive, inside = _exclusive_stack(_unoriented_adjacency(net), subsets)
+    keep, scores = score(exclusive, inside)
+    above = ~np.tri(net.n_nodes, dtype=bool)  # u < v
+    index, u, v = np.nonzero(keep & ~inside & above)
+    return ScoredPairs(algorithm, subsets, index, u, v, scores[index, u, v], exclusive)
 
 
-def modified_jaccard(net: MultiplexNetwork, subset: Sequence[int]) -> ScoredPairs:
-    """Jaccard over exclusive neighborhoods for every non-edge pair of the subset.
+def _shared_pairs(exclusive: np.ndarray, hubs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(hub, cell) for every pair x < y of a hub's exclusive neighbors.
 
-    Pairs whose exclusive neighborhoods are both empty are omitted; pairs with
-    a non-empty union but empty intersection score 0.
+    ``hubs`` is an (S, N) mask; ``hub`` indexes its true entries in C order,
+    and ``cell`` is the flat index of (subset, x, y) in the (S, N, N) stack.
+    Entries come subset by subset, hubs ascending, in O(sum of deg^2).
     """
-    subset = tuple(subset)
-    exclusive, inside = _exclusive_adjacency(net, subset)
-    counts = exclusive.astype(float)
-    common = counts @ counts.T  # integer counts, exact in float64
-    degree = counts.sum(axis=1)
-    union = degree[:, None] + degree[None, :] - common
-    scores = np.divide(common, union, out=np.zeros_like(common), where=union > 0)
-    return _scored_pairs(union > 0, exclusive, inside, scores, JACCARD, subset)
-
-
-def modified_adamic_adar(net: MultiplexNetwork, subset: Sequence[int]) -> ScoredPairs:
-    """Adamic-Adar over exclusive neighborhoods for non-edge pairs of the subset.
-
-    Each shared exclusive neighbor contributes the inverse log of its degree in
-    the union graph of the subset; pairs sharing no exclusive neighbor are
-    omitted. The terms of a pair are added from 0.0 in ascending order of the
-    shared neighbor w: one (w, x, y) triple per pair x < y of w's exclusive
-    neighbors, w ascending, summed by ``np.add.at``, in O(sum of deg^2).
-    """
-    subset = tuple(subset)
-    exclusive, inside = _exclusive_adjacency(net, subset)
-    union_degree = inside.sum(axis=1)
-    # E is symmetric: row w holds the nodes sharing w. Entries (hub, x) come
-    # hubs ascending, and each pairs with the x's after it in its hub's row.
-    hubs = np.flatnonzero(union_degree > 1)
-    row, x = np.nonzero(exclusive[hubs])
-    end = np.cumsum(np.bincount(row, minlength=hubs.size))[row]
+    # E is symmetric: row w holds the nodes sharing w, and each entry (hub, x)
+    # pairs with the x's after it in its hub's row
+    group, hub = np.nonzero(hubs)
+    row, x = np.nonzero(exclusive[group, hub])
+    end = np.cumsum(np.bincount(row, minlength=hub.size))[row]
     later = end - 1 - np.arange(row.size)
     entry = np.repeat(np.arange(row.size), later)
     y = x[entry + 1 + np.arange(entry.size) - (np.cumsum(later) - later)[entry]]
-    # math.log, not np.log, whose last bit may differ
-    weight = np.array([1.0 / math.log(d) for d in union_degree[hubs].tolist()])
+    n = exclusive.shape[-1]
+    return row[entry], (group[row[entry]] * n + x[entry]) * n + y
+
+
+def _jaccard(exclusive: np.ndarray, inside: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    degree = exclusive.sum(axis=2)
+    _, cell = _shared_pairs(exclusive, degree > 1)
+    # C, the shared neighbors of each pair: exact counts, filled for u < v only,
+    # the cells _score_stage reads
+    common = np.bincount(cell, minlength=exclusive.size).reshape(exclusive.shape)
+    union = degree[:, :, None] + degree[:, None, :] - common
+    scores = np.divide(common, union, out=np.zeros(exclusive.shape), where=union > 0)
+    return union > 0, scores
+
+
+def _adamic_adar(exclusive: np.ndarray, inside: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    union_degree = inside.sum(axis=2)
+    hubs = union_degree > 1
+    hub, cell = _shared_pairs(exclusive, hubs)
+    # one term per degree; math.log, not np.log, whose last bit may differ
+    degree = union_degree[hubs]
+    term = [0.0, 0.0] + [1.0 / math.log(d) for d in range(2, int(degree.max(initial=1)) + 1)]
     scores = np.zeros(exclusive.shape)
-    np.add.at(scores, (x[entry], y), weight[row[entry]])
+    np.add.at(scores.reshape(-1), cell, np.array(term)[degree][hub])
     # a candidate's shared neighbor is joined to both endpoints, so its degree
     # is at least 2: a positive score is the same as sharing a neighbor
-    return _scored_pairs(scores > 0, exclusive, inside, scores, ADAMIC_ADAR, subset)
+    return scores > 0, scores
+
+
+def modified_jaccard(net: MultiplexNetwork, subsets: Iterable[Sequence[int]]) -> ScoredPairs:
+    """Jaccard over exclusive neighborhoods for every non-edge pair of each subset.
+
+    ``subsets`` is a stage: layer subsets all of one size. Pairs whose
+    exclusive neighborhoods are both empty are omitted; pairs with a
+    non-empty union but empty intersection score 0.
+    """
+    return _score_stage(net, subsets, JACCARD, _jaccard)
+
+
+def modified_adamic_adar(net: MultiplexNetwork, subsets: Iterable[Sequence[int]]) -> ScoredPairs:
+    """Adamic-Adar over exclusive neighborhoods for non-edge pairs of each subset.
+
+    ``subsets`` is a stage: layer subsets all of one size. Each shared
+    exclusive neighbor contributes the inverse log of its degree in the
+    union graph of the subset; pairs sharing no exclusive neighbor are
+    omitted. The terms of a pair are added from 0.0 in ascending order of the
+    shared neighbor w: one (subset, w, x, y) entry per pair x < y of w's
+    exclusive neighbors, w ascending, summed by ``np.add.at`` over
+    (subset, x, y), in O(sum of deg^2).
+    """
+    return _score_stage(net, subsets, ADAMIC_ADAR, _adamic_adar)
 
 
 def normalize_scores(group: ScoredPairs) -> ScoredPairs:
-    """Scale raw scores to [0, 1] relative to the group's maximum; an
-    all-zero group is dropped (returned empty) with a warning."""
-    top = group.raw_score.max(initial=0.0)
-    if top == 0.0 and len(group):
-        key = (group.algorithm, group.subset)
+    """Scale each subset's raw scores to [0, 1] relative to that subset's
+    maximum; a subset whose scores are all zero is dropped with a warning."""
+    # rows come subset by subset, so each subset's rows are one segment
+    rows = np.bincount(group.subset_index, minlength=len(group.subsets))
+    held = rows > 0
+    top = np.zeros(len(group.subsets))
+    top[held] = np.maximum.reduceat(group.raw_score, (np.cumsum(rows) - rows)[held])
+    dropped = np.flatnonzero(held & (top == 0.0))
+    for s in dropped.tolist():
+        key = (group.algorithm, group.subsets[s])
         warnings.warn(f"all scores are zero for {key}; group dropped", stacklevel=2)
-        group = group.where(np.zeros(len(group), dtype=bool))
-    return ScoredPairs(group.algorithm, group.subset, group.u, group.v, group.raw_score,
-                       group.exclusive, group.raw_score / top)  # empty when top is 0
+    if dropped.size:
+        group = group.where(top[group.subset_index] > 0.0)
+    return replace(group, normalized_score=group.raw_score / top[group.subset_index])
 
 
 def threshold_filter(group: ScoredPairs, threshold: float = 0.5) -> ScoredPairs:
@@ -242,45 +303,52 @@ def assign_weights(group: ScoredPairs, net: MultiplexNetwork) -> list[PredictedL
     """Turn thresholded pairs into weighted links.
 
     The weight is the normalized score times the mean flow on edges joining
-    either endpoint to their shared exclusive neighbors, over the subset's
-    layers. Every pair kept by threshold_filter shares such a neighbor; a
-    pair that shares none raises ValueError. A pair's positive flows are
-    taken in the order shared neighbor w, layer, endpoint (u, v), direction
-    (into the endpoint, then out of it), and summed by ``np.add.reduce``
-    along rows of one length, so each mean is bit-identical to ``np.mean``
-    of that context.
+    either endpoint to their shared exclusive neighbors, over the layers of
+    the row's subset. Every pair kept by threshold_filter shares such a
+    neighbor; a pair that shares none raises ValueError. A pair's positive
+    flows are taken in the order shared neighbor w, layer, endpoint (u, v),
+    direction (into the endpoint, then out of it), and summed by
+    ``np.add.reduce`` along rows of one length, so each mean is bit-identical
+    to ``np.mean`` of that context. Rows go in blocks whose two (rows, N)
+    boolean gathers fit CHUNK_BYTES.
     """
     if group.normalized_score is None:
         raise ValueError("assign_weights requires normalized scores")
-    subset = group.subset
-    # a candidate has no edge inside the subset, so neither endpoint is shared
-    pair, w = np.nonzero(group.exclusive[group.u] & group.exclusive[group.v])
-    ends = np.stack([group.u, group.v], axis=1)[pair]
-    hub, layers = w[:, None], np.array(subset)[:, None, None]
-    # cells[row, k, a, d]: flow a -> w in layer subset[k] (d = 0) and, when
-    # directed, w -> a (d = 1), for each endpoint a of the row's pair
-    into = net.intra[layers, ends, hub]
-    cells = np.stack([into, net.intra[layers, hub, ends]] if net.directed else [into], axis=-1)
-    cells = cells.transpose(1, 0, 2, 3)
-    positive = cells > 0
-    context = cells[positive]  # every pair's flows, pairs in order
-    size = np.bincount(pair, weights=positive.sum(axis=(1, 2, 3)), minlength=len(group))
-    size = size.astype(np.intp)
-    if np.any(size == 0):
-        first = int(np.flatnonzero(size == 0)[0])
-        u, v = int(group.u[first]), int(group.v[first])
-        raise ValueError(f"pair ({u}, {v}) shares no exclusive neighbor in layers {subset}")
+    layers = np.array(group.subsets, dtype=np.intp).reshape(len(group.subsets), -1)
     mean = np.empty(len(group))
-    offset = np.cumsum(size) - size
-    for n in np.unique(size).tolist():
-        rows = np.flatnonzero(size == n)
-        mean[rows] = np.add.reduce(context[offset[rows, None] + np.arange(n)], axis=1) / n
+    for block in _passes(len(group), 2 * net.n_nodes):
+        index, u, v = group.subset_index[block], group.u[block], group.v[block]
+        # a candidate has no edge inside its subset, so neither endpoint is shared
+        shared = group.exclusive[index, u]
+        shared &= group.exclusive[index, v]
+        pair, w = np.nonzero(shared)
+        ends, hub = np.stack([u, v], axis=1)[pair, None, :], w[:, None, None]
+        own = layers[index[pair], :, None]
+        # cells[p, k, a, d]: flow a -> w in the subset's k-th layer (d = 0)
+        # and, when directed, w -> a (d = 1), for each endpoint a of the pair
+        into = net.intra[own, ends, hub]
+        cells = np.stack([into, net.intra[own, hub, ends]] if net.directed else [into], axis=-1)
+        positive = cells > 0
+        context = cells[positive]  # every pair's flows, pairs in order
+        size = np.bincount(pair, weights=positive.sum(axis=(1, 2, 3)), minlength=len(u))
+        size = size.astype(np.intp)
+        if np.any(size == 0):
+            first = int(np.flatnonzero(size == 0)[0])
+            subset = group.subsets[index[first]]
+            raise ValueError(f"pair ({u[first]}, {v[first]}) shares no exclusive neighbor "
+                             f"in layers {subset}")
+        offset = np.cumsum(size) - size
+        part = mean[block]  # a view: filling it fills mean
+        for n in np.unique(size).tolist():
+            rows = np.flatnonzero(size == n)
+            part[rows] = np.add.reduce(context[offset[rows, None] + np.arange(n)], axis=1) / n
     weight = group.normalized_score * mean
+    subsets = [group.subsets[s] for s in group.subset_index.tolist()]
     return [
         PredictedLink(u, v, raw, norm, wt, group.algorithm, subset, len(subset))
-        for u, v, raw, norm, wt in zip(
+        for u, v, raw, norm, wt, subset in zip(
             group.u.tolist(), group.v.tolist(), group.raw_score.tolist(),
-            group.normalized_score.tolist(), weight.tolist(),
+            group.normalized_score.tolist(), weight.tolist(), subsets,
         )
     ]
 
@@ -313,12 +381,18 @@ def dedupe_links(links: Iterable[PredictedLink]) -> list[PredictedLink]:
 
 def run_stage(net: MultiplexNetwork, k: int, threshold: float = 0.5) -> list[PredictedLink]:
     """Score every layer subset of size k with both algorithms; normalize,
-    threshold and weight each group, then deduplicate the stage's links once,
-    across subsets and algorithms."""
+    threshold and weight the scored subsets together, then deduplicate the
+    stage's links once, across subsets and algorithms.
+
+    Subsets go through in passes, each as many as fit CHUNK_BYTES at five
+    float64 (N, N) arrays per subset: one pass per stage, so one trip per
+    algorithm, unless the network is large. No link depends on the split.
+    """
+    subsets = enumerate_layer_subsets(net.n_layers, k)
     links: list[PredictedLink] = []
-    for subset in enumerate_layer_subsets(net.n_layers, k):
+    for chunk in _passes(len(subsets), 40 * net.n_nodes**2):
         for scorer in (modified_jaccard, modified_adamic_adar):
-            kept = threshold_filter(normalize_scores(scorer(net, subset)), threshold)
+            kept = threshold_filter(normalize_scores(scorer(net, subsets[chunk])), threshold)
             links.extend(assign_weights(kept, net))
     return dedupe_links(links)
 

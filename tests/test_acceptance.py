@@ -76,8 +76,8 @@ def test_single_subset_scores_reduce_to_classic():
         net = random_single_layer(rng, int(rng.integers(3, 13)))
         present = (net.intra[0] > 0) | (net.intra[0] > 0).T
         modified = {
-            JACCARD: group_scores(modified_jaccard(net, (0,))),
-            ADAMIC_ADAR: group_scores(modified_adamic_adar(net, (0,))),
+            JACCARD: group_scores(modified_jaccard(net, [(0,)])),
+            ADAMIC_ADAR: group_scores(modified_adamic_adar(net, [(0,)])),
         }
         for u in range(net.n_nodes):
             for v in range(u + 1, net.n_nodes):
@@ -120,7 +120,7 @@ def test_subset_scores_match_exhaustive_oracle():
                     (JACCARD, modified_jaccard),
                     (ADAMIC_ADAR, modified_adamic_adar),
                 ):
-                    got = group_scores(score_fn(net, subset))
+                    got = group_scores(score_fn(net, [subset]))
                     want = oracle_scores(net, subset, tag)
                     if set(got) != set(want):
                         mismatched_sets += 1

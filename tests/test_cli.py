@@ -352,6 +352,20 @@ def test_exit_codes_for_bad_inputs(tmp_path, capsys):
     assert not unused.exists()
 
 
+def test_an_input_that_fails_to_load_leaves_no_out(tmp_path):
+    missing = str(tmp_path / "missing.csv")
+    links = tmp_path / "links.csv"
+    write_links_csv(links, [], ())
+    calls = [[command, "--input", missing] for command in
+             ("trim", "predict", "navigability", "pipeline", "scenario")]
+    calls += [["integrate", "--input", missing, "--links", str(links)],
+              ["integrate", "--input", TOY, "--links", missing]]
+    for index, call in enumerate(calls):
+        out = tmp_path / f"out{index}"
+        assert main(call + ["--out", str(out)]) == 2, call
+        assert not out.exists(), call
+
+
 def test_argparse_failures_exit_one(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate"])

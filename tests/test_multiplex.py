@@ -6,6 +6,7 @@ import io
 
 import numpy as np
 import pytest
+from conftest import random_multiplex
 
 from multinav import (
     ConstructionError,
@@ -274,6 +275,39 @@ def test_integrate_rejects_self_loop_link():
     net = build_multiplex([FlowEdge(0, 1, 0, 1.0)])
     with pytest.raises(ValueError, match="itself"):
         integrate_links(net, [_link(1, 1, 74.25)])
+
+
+def _integrate_oracle(net, links, placement):
+    """The maximum of each cell and every link weight, one link and layer at a time."""
+    intra = net.intra.copy()
+    for link in links:
+        for k in link.subset if placement == PLACEMENT_SUBSET else range(net.n_layers):
+            intra[k, link.u, link.v] = max(intra[k, link.u, link.v], link.weight)
+            intra[k, link.v, link.u] = max(intra[k, link.v, link.u], link.weight)
+    return intra
+
+
+def test_integrate_matches_a_per_link_loop():
+    rng = np.random.default_rng(41)
+    for trial in range(40):
+        n, l = int(rng.integers(3, 9)), int(rng.integers(1, 5))
+        net = random_multiplex(rng, n, l, directed=bool(trial % 2))
+        # a few pairs drawn many times, in both orientations, some weights
+        # equal to a present flow so collisions tie
+        flows = net.intra[net.intra > 0]
+        links = []
+        for _ in range(int(rng.integers(0, 30))):
+            u, v = rng.choice(min(n, 4), size=2, replace=False).tolist()
+            size = int(rng.integers(1, l + 1))
+            subset = tuple(sorted(rng.choice(l, size=size, replace=False).tolist()))
+            weight = float(rng.choice(flows)) if flows.size and rng.random() < 0.3 \
+                else float(rng.uniform(0.1, 3.0))
+            links.append(_link(u, v, weight, subset=subset))
+        for placement in (PLACEMENT_SUBSET, PLACEMENT_ALL):
+            got = integrate_links(net, links, placement=placement)
+            want = _integrate_oracle(net, links, placement)
+            assert got.intra.dtype == want.dtype and got.intra.tobytes() == want.tobytes()
+            assert got.directed == net.directed and got.coupling == net.coupling
 
 
 def test_export_round_trip():

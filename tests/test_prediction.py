@@ -27,6 +27,7 @@ from multinav import (
     run_stage,
     threshold_filter,
 )
+from multinav import prediction
 from multinav.prediction import (
     ADAMIC_ADAR,
     JACCARD,
@@ -141,24 +142,42 @@ def test_modified_scores_match_bruteforce_oracle():
     for net in nets:
         l = net.n_layers
         for k in range(1, l + 1):
-            for subset in enumerate_layer_subsets(l, k):
-                for algorithm, scorer in (
-                    (JACCARD, modified_jaccard),
-                    (ADAMIC_ADAR, modified_adamic_adar),
-                ):
-                    got = group_scores(scorer(net, subset))
+            subsets = enumerate_layer_subsets(l, k)
+            for algorithm, scorer in (
+                (JACCARD, modified_jaccard),
+                (ADAMIC_ADAR, modified_adamic_adar),
+            ):
+                stage = scorer(net, subsets)
+                assert stage.subsets == tuple(subsets)
+                # rows go subset by subset, then row-major u < v
+                order = list(zip(stage.subset_index.tolist(), stage.u.tolist(), stage.v.tolist()))
+                assert order == sorted(order) and all(u < v for _, u, v in order)
+                for s, subset in enumerate(subsets):
                     want = oracle_scores(net, subset, algorithm)
-                    assert got.keys() == want.keys()
-                    for pair, score in want.items():
-                        assert got[pair] == score  # identical arithmetic, exact
+                    for got in (group_scores(stage.where(stage.subset_index == s)),
+                                group_scores(scorer(net, [subset]))):
+                        assert got.keys() == want.keys()
+                        for pair, score in want.items():
+                            assert got[pair] == score  # identical arithmetic, exact
+
+
+def test_scorers_reject_subsets_of_mixed_size_or_out_of_range():
+    net = _two_layer_net()
+    for scorer in (modified_jaccard, modified_adamic_adar):
+        with pytest.raises(ValueError, match="share one size"):
+            scorer(net, [(0,), (0, 1)])
+        with pytest.raises(ValueError, match="out of range"):
+            scorer(net, [(0,), (2,)])
+        stage = scorer(net, [])
+        assert len(stage) == 0 and stage.exclusive.shape == (0, 3, 3)
 
 
 def test_self_loops_add_no_neighbor_or_degree():
     # 2 joins 0 and 1 and has a loop: its union degree is 2, not 3
     edges = [FlowEdge(0, 2, 0, 1.0), FlowEdge(1, 2, 0, 1.0), FlowEdge(2, 2, 0, 1.0)]
     net = build_multiplex(edges, n_nodes=4)
-    assert group_scores(modified_adamic_adar(net, (0,))) == {(0, 1): 1.0 / math.log(2)}
-    assert group_scores(modified_jaccard(net, (0,)))[(0, 1)] == 1.0
+    assert group_scores(modified_adamic_adar(net, [(0,)])) == {(0, 1): 1.0 / math.log(2)}
+    assert group_scores(modified_jaccard(net, [(0,)]))[(0, 1)] == 1.0
     assert exclusive_neighbors(net, 2, (0,)) == {0, 1}
 
 
@@ -166,66 +185,73 @@ def test_modified_jaccard_keeps_zero_scores_when_union_nonempty():
     # 0-2 via exclusive neighbor sets {1} and {3}: union nonempty, empty meet
     edges = [FlowEdge(0, 1, 0, 1.0), FlowEdge(2, 3, 0, 1.0)]
     net = build_multiplex(edges, n_nodes=4)
-    assert group_scores(modified_jaccard(net, (0,)))[(0, 2)] == 0.0
-    assert (0, 2) not in group_scores(modified_adamic_adar(net, (0,)))  # empty intersection omitted
+    assert group_scores(modified_jaccard(net, [(0,)]))[(0, 2)] == 0.0
+    assert (0, 2) not in group_scores(modified_adamic_adar(net, [(0,)]))  # empty intersection omitted
 
 
 def test_modified_candidates_exclude_subset_union_edges_only():
     # (0,1) is an edge in layer 1 but not layer 0, so it is a candidate for D={0}
     edges = [FlowEdge(0, 2, 0, 1.0), FlowEdge(1, 2, 0, 1.0), FlowEdge(0, 1, 1, 1.0)]
     net = build_multiplex(edges, n_layers=2)
-    assert (0, 1) in group_scores(modified_jaccard(net, (0,)))
+    assert (0, 1) in group_scores(modified_jaccard(net, [(0,)]))
 
 
 # --- normalize / threshold / weights -----------------------------------------
 
-def _group(algorithm, subset, rows, exclusive=None, normalized=None):
-    """A hand-built ScoredPairs from (u, v, raw_score) rows."""
-    u, v, raw = np.array(rows, dtype=float).reshape(-1, 3).T
+def _group(algorithm, subsets, rows, exclusive=None, normalized=None):
+    """A hand-built ScoredPairs from (subset index, u, v, raw_score) rows."""
+    index, u, v, raw = np.array(rows, dtype=float).reshape(-1, 4).T
     return ScoredPairs(
-        algorithm, subset, u.astype(int), v.astype(int), raw,
-        np.zeros((4, 4), dtype=bool) if exclusive is None else exclusive,
+        algorithm, tuple(subsets), index.astype(int), u.astype(int), v.astype(int), raw,
+        np.zeros((len(subsets), 4, 4), dtype=bool) if exclusive is None else exclusive,
         None if normalized is None else np.array(normalized, dtype=float),
     )
 
 
 def test_scored_pairs_where_keeps_the_masked_rows():
-    group = _group(JACCARD, (0, 2), [(0, 1, 0.2), (1, 3, 0.8)])
+    group = _group(JACCARD, [(0, 2), (1, 2)], [(0, 0, 1, 0.2), (1, 1, 3, 0.8)])
     assert len(group) == 2
     kept = group.where(np.array([False, True]))
-    assert (kept.algorithm, kept.subset) == (JACCARD, (0, 2))
-    assert group_scores(kept) == {(1, 3): 0.8}
+    assert (kept.algorithm, kept.subsets) == (JACCARD, ((0, 2), (1, 2)))
+    assert group_scores(kept) == {(1, 3): 0.8} and kept.subset_index.tolist() == [1]
     assert kept.exclusive is group.exclusive and kept.normalized_score is None
 
 
 def test_normalize_scales_each_group_by_its_maximum():
-    jaccard = normalize_scores(_group(JACCARD, (0,), [(0, 1, 0.2), (0, 2, 0.8)]))
-    adamic_adar = normalize_scores(_group(ADAMIC_ADAR, (0,), [(0, 3, 3.0)]))
-    assert jaccard.normalized_score.tolist() == [0.25, 1.0]
-    assert adamic_adar.normalized_score.tolist() == [1.0]
-    assert jaccard.raw_score.tolist() == [0.2, 0.8]
+    group = normalize_scores(_group(JACCARD, [(0,), (1,), (2,)],
+                                    [(0, 0, 1, 0.2), (0, 0, 2, 0.8), (2, 0, 3, 3.0)]))
+    assert group.normalized_score.tolist() == [0.25, 1.0, 1.0]
+    assert group.raw_score.tolist() == [0.2, 0.8, 3.0]
+    assert group.subset_index.tolist() == [0, 0, 2]
 
 
 def test_normalize_drops_all_zero_group_with_warning():
-    zero = _group(JACCARD, (0,), [(0, 1, 0.0), (0, 2, 0.0)])
+    rows = [(0, 0, 1, 0.0), (0, 0, 2, 0.0), (1, 0, 2, 0.5), (1, 1, 3, 0.25), (2, 1, 2, 0.0)]
+    with pytest.warns(UserWarning) as caught:
+        out = normalize_scores(_group(JACCARD, [(0,), (1,), (2,)], rows))
+    assert [str(w.message) for w in caught] == [
+        "all scores are zero for ('jaccard', (0,)); group dropped",
+        "all scores are zero for ('jaccard', (2,)); group dropped",
+    ]
+    assert group_scores(out) == {(0, 2): 0.5, (1, 3): 0.25}
+    assert out.subset_index.tolist() == [1, 1] and out.normalized_score.tolist() == [1.0, 0.5]
     with pytest.warns(UserWarning, match=r"all scores are zero for \('jaccard', \(0,\)\)"):
-        out = normalize_scores(zero)
-    assert len(out) == 0 and out.normalized_score.size == 0
-    assert len(threshold_filter(out)) == 0
+        zero = normalize_scores(_group(JACCARD, [(0,)], [(0, 0, 1, 0.0), (0, 0, 2, 0.0)]))
+    assert len(zero) == 0 and zero.normalized_score.size == 0
+    assert len(threshold_filter(zero)) == 0
     with warnings.catch_warnings():
-        warnings.simplefilter("error")  # an empty group is not "all zero"
-        assert len(normalize_scores(_group(JACCARD, (1,), []))) == 0
-    kept = normalize_scores(_group(JACCARD, (1,), [(0, 2, 0.5)]))
-    assert group_scores(kept) == {(0, 2): 0.5} and kept.subset == (1,)
+        warnings.simplefilter("error")  # an empty subset is not "all zero"
+        assert len(normalize_scores(_group(JACCARD, [(1,)], []))) == 0
+        assert len(normalize_scores(_group(JACCARD, [], []))) == 0
 
 
 def test_threshold_is_strict():
-    group = normalize_scores(_group(JACCARD, (0,), [(0, 1, 1.0), (0, 2, 0.5)]))
+    group = normalize_scores(_group(JACCARD, [(0,)], [(0, 0, 1, 1.0), (0, 0, 2, 0.5)]))
     kept = threshold_filter(group, 0.5)
     assert group_scores(kept) == {(0, 1): 1.0}
     assert kept.normalized_score.tolist() == [1.0]
     with pytest.raises(ValueError, match="requires normalized scores"):
-        threshold_filter(_group(JACCARD, (0,), [(0, 1, 1.0)]))
+        threshold_filter(_group(JACCARD, [(0,)], [(0, 0, 1, 1.0)]))
     for outside in (-0.1, 1.0):
         with pytest.raises(ValueError, match=r"threshold must lie in \[0, 1\)"):
             threshold_filter(group, outside)
@@ -235,11 +261,11 @@ def test_assign_weights_means_flows_to_shared_exclusive_neighbors():
     # shared exclusive neighbor 2 with flows 4 and 8 to the endpoints
     edges = [FlowEdge(0, 2, 0, 4.0), FlowEdge(1, 2, 0, 8.0)]
     net = build_multiplex(edges)
-    group = threshold_filter(normalize_scores(modified_jaccard(net, (0,))), 0.5)
+    group = threshold_filter(normalize_scores(modified_jaccard(net, [(0,)])), 0.5)
     links = assign_weights(group, net)
     assert links == [PredictedLink(0, 1, 1.0, 1.0, 6.0, JACCARD, (0,), 1)]  # mean(4, 8) * 1.0
     with pytest.raises(ValueError, match="requires normalized scores"):
-        assign_weights(modified_jaccard(net, (0,)), net)
+        assign_weights(modified_jaccard(net, [(0,)]), net)
 
 
 def test_assign_weights_rejects_pair_without_shared_exclusive_neighbor():
@@ -247,7 +273,8 @@ def test_assign_weights_rejects_pair_without_shared_exclusive_neighbor():
     # positive scores, and a positive score means a shared neighbor
     edges = [FlowEdge(0, 1, 0, 4.0), FlowEdge(2, 3, 0, 8.0)]
     net = build_multiplex(edges, n_nodes=5)
-    fabricated = _group(JACCARD, (0,), [(0, 4, 0.7)], exclusive=net.intra[0] > 0, normalized=[0.7])
+    fabricated = _group(JACCARD, [(0,)], [(0, 0, 4, 0.7)], exclusive=net.intra[:1] > 0,
+                        normalized=[0.7])
     with pytest.raises(ValueError, match=r"pair \(0, 4\) shares no exclusive neighbor in layers \(0,\)"):
         assign_weights(fabricated, net)
 
@@ -269,14 +296,14 @@ def test_assign_weights_means_match_np_mean_across_the_unroll_boundary():
         for w, flow in zip(hubs, flows):
             intra[0, u, w] = intra[0, w, u] = flow  # v's flows to the hubs stay 0
             exclusive[[u, v], w] = exclusive[w, [u, v]] = True
-        rows.append((u, v, 1.0))
+        rows.append((0, u, v, 1.0))
         contexts.append(flows)
         first += 2 + count
     net = MultiplexNetwork(directed=False, intra=intra, coupling=1.0)
     normalized = rng.uniform(0.5, 1.0, len(counts))
-    group = _group(ADAMIC_ADAR, (0,), rows, exclusive=exclusive, normalized=normalized)
+    group = _group(ADAMIC_ADAR, [(0,)], rows, exclusive=exclusive[None], normalized=normalized)
     links = assign_weights(group, net)
-    assert [(l.u, l.v) for l in links] == [(u, v) for u, v, _ in rows]
+    assert [(l.u, l.v) for l in links] == [(u, v) for _, u, v, _ in rows]
     for link, norm, context in zip(links, normalized, contexts):
         assert link.weight == norm * float(np.mean(context))  # exact
 
@@ -331,6 +358,70 @@ def test_run_stage_dedupes_across_subsets_in_order():
     # the stage is the union of both algorithms, and a pair both found keeps both tags
     assert {tag[0] for l in links for tag in l.sources} == {JACCARD, ADAMIC_ADAR}
     assert any({tag[0] for tag in l.sources} == {JACCARD, ADAMIC_ADAR} for l in links)
+
+
+def _oracle_stage(net, k, threshold):
+    """A stage from the plain-dict oracle: each (algorithm, subset) scaled by
+    its own maximum (an all-zero one dropped), thresholded and weighted."""
+    links = []
+    for subset in enumerate_layer_subsets(net.n_layers, k):
+        for algorithm in (JACCARD, ADAMIC_ADAR):
+            scores = oracle_scores(net, subset, algorithm)
+            top = max(scores.values(), default=0.0)
+            for (u, v), raw in sorted(scores.items()):
+                if top > 0 and raw / top > threshold:
+                    weight = raw / top * oracle_flow_mean(net, subset, u, v)
+                    links.append(PredictedLink(u, v, raw, raw / top, weight, algorithm, subset, k))
+    return dedupe_links(links)
+
+
+def test_run_stage_of_an_empty_network_or_stage_is_empty_without_warning():
+    complete = [FlowEdge(i, j, 0, 1.0) for i in range(5) for j in range(i + 1, 5)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        no_nodes = MultiplexNetwork(directed=False, intra=np.zeros((2, 0, 0)), coupling=1.0)
+        assert run_stage(no_nodes, 1) == run_stage(no_nodes, 2) == []
+        # no candidate: no exclusive neighbor anywhere, or every pair an edge
+        assert run_stage(build_multiplex([], n_layers=2, n_nodes=5), 2) == []
+        assert run_stage(build_multiplex(complete), 1, threshold=0.0) == []
+
+
+def test_run_stage_drops_only_the_all_zero_subset():
+    # layer 0 holds two disjoint edges on nodes 0-3: every Jaccard candidate
+    # of subset (0,) scores 0 and Adamic-Adar has none; layers 1 and 2 are
+    # random on nodes 4-11 only
+    rng = np.random.default_rng(31)
+    edges = [FlowEdge(0, 1, 0, 2.0), FlowEdge(2, 3, 0, 3.0)]
+    for layer in (1, 2):
+        edges += [FlowEdge(i, j, layer, float(rng.uniform(0.5, 2.0)))
+                  for i in range(4, 12) for j in range(i + 1, 12) if rng.random() < 0.4]
+    net = build_multiplex(edges, n_layers=3, n_nodes=12)
+    with pytest.warns(UserWarning) as caught:
+        links = run_stage(net, 1, threshold=0.3)
+    assert [str(w.message) for w in caught] == [
+        "all scores are zero for ('jaccard', (0,)); group dropped"
+    ]
+    assert {l.subset for l in links} == {(1,), (2,)}
+    assert links == _oracle_stage(net, 1, 0.3)
+
+
+def test_run_stage_does_not_depend_on_the_pass_budget(monkeypatch):
+    rng = np.random.default_rng(77)
+    nets = [random_multiplex(rng, int(rng.integers(5, 11)), 4, directed=bool(trial % 2), p=0.45)
+            for trial in range(6)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # an all-zero subset warns once per pass
+        default = [run_stage(net, k, threshold) for net in nets for k in (1, 2, 3)
+                   for threshold in (0.0, 0.5)]
+        scored = []
+        scorer = prediction.modified_jaccard
+        monkeypatch.setattr(prediction, "modified_jaccard",
+                            lambda net, subsets: scored.append(len(subsets)) or scorer(net, subsets))
+        monkeypatch.setattr(prediction, "CHUNK_BYTES", 1)  # one subset, one row per pass
+        split = [run_stage(net, k, threshold) for net in nets for k in (1, 2, 3)
+                 for threshold in (0.0, 0.5)]
+    assert split == default
+    assert set(scored) == {1} and len(scored) == len(nets) * (4 + 6 + 4) * 2
 
 
 def test_links_csv_round_trip(tmp_path):

@@ -3,6 +3,7 @@ cleanly, and importing the package needs numpy alone."""
 
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
@@ -29,3 +30,12 @@ def test_importing_the_package_and_cli_loads_no_scipy():
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True)
     assert result.stdout.strip() == "[]"
+
+
+def test_every_module_parses_as_python_3_10():
+    """pyproject.toml declares requires-python >= 3.10; the grammar is checked
+    here, since a 3.10 interpreter with numpy may not be at hand."""
+    modules = sorted(Path(multinav.__file__).parent.glob("*.py"))
+    assert modules
+    for path in modules:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))

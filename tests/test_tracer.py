@@ -28,7 +28,7 @@ def test_tracer_installs_and_uninstalls_on_every_layer():
         assert getattr(owner, attr) is original
 
 
-def test_traced_pipeline_scores_each_subset_once_per_algorithm(tmp_path):
+def test_traced_pipeline_scores_each_stage_once_per_algorithm(tmp_path):
     toy = str(package_files("multinav").joinpath("data/toy_multiplex.csv"))
     trace = tracer.Tracer()
     try:
@@ -37,8 +37,10 @@ def test_traced_pipeline_scores_each_subset_once_per_algorithm(tmp_path):
     finally:
         trace.uninstall()
     calls = Counter(span["name"] for span in trace.spans)
-    # three stages over three layers: 3 + 3 + 1 subsets, each scored by both
-    # algorithms; one dedupe per stage plus the merge
+    # three stages over three layers, each scored, normalized, thresholded
+    # and weighted in one trip per algorithm, whatever its subset count;
+    # one dedupe per stage plus the merge
     assert calls["prediction.stage"] == 3
-    assert calls["prediction.score"] == 14
+    for step in ("score", "normalize", "threshold", "weights"):
+        assert calls[f"prediction.{step}"] == 6, step
     assert calls["prediction.dedupe"] == 4
