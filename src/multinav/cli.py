@@ -343,11 +343,12 @@ def cmd_pipeline(args) -> int:
 
     with run.phase("trim"):
         trimmed = _trim_if_asked(edges, args)
-        run.write("trimmed.csv", write_edge_csv, trimmed, edges.labels)
         print(f"trim: kept {len(trimmed)} / removed {len(edges.edges) - len(trimmed)}")
 
     with run.phase("build"):
         net = _build_from_args(edges, args, trimmed, coupling=args.coupling)
+        # written once the network builds, so an input that cannot build leaves no --out
+        run.write("trimmed.csv", write_edge_csv, trimmed, edges.labels)
 
     with run.phase("predict"):
         results = _predict_stages(net, args.stages, args.threshold)

@@ -303,16 +303,16 @@ def integrate_links(
     layers with ``placement="all"``). Links carry no orientation, so both
     matrix cells are written even in directed mode. Collisions with existing
     edges keep the larger weight, which makes integration idempotent. A link
-    whose weight is not positive, whose endpoints are equal or out of range,
-    or whose subset names a layer outside [0, L) raises ValueError.
+    whose weight is not positive and finite, whose endpoints are equal or out
+    of range, or whose subset names a layer outside [0, L) raises ValueError.
     """
     if placement not in (PLACEMENT_SUBSET, PLACEMENT_ALL):
         raise ValueError(f"unknown placement {placement!r}")
     all_layers = tuple(range(net.n_layers))
     ends, weights, targets = [], [], []
     for link in links:
-        if not link.weight > 0:  # also NaN
-            raise ValueError(f"predicted link weight must be positive, got {link.weight}")
+        if not 0 < link.weight < np.inf:  # also NaN
+            raise ValueError(f"predicted link weight must be positive and finite, got {link.weight}")
         u, v = link.u, link.v
         if not (0 <= u < net.n_nodes and 0 <= v < net.n_nodes):
             raise ValueError(f"link endpoint out of range: ({u}, {v})")

@@ -15,15 +15,16 @@ makes no node its own neighbor, so it adds to no exclusive neighborhood or
 degree.
 
 Each subset is scored on one boolean exclusive adjacency ``E = inside & ~outside``,
-built from the per-layer adjacency, which a scorer computes once; the
-``(S, N, N)`` stack of them stays with the scores for assign_weights. Both
-scorers list each hub's pairs of exclusive neighbors once, in O(sum of
-deg^2): Jaccard is ``C / (d_u + d_v - C)`` with C the pair's count of shared
-neighbors, and Adamic-Adar adds each shared neighbor's ``1 / ln(union degree)``
-in ascending order from 0.0, so every score is bit-identical to a per-pair
-loop over neighbor sets. On a large network run_stage splits a stage into
-passes of as many subsets as fit ``CHUNK_BYTES``, and assign_weights takes
-its rows in blocks within it; no result depends on where a pass ends.
+built from the per-layer adjacency, which a scorer computes once. A scorer
+lists each hub's pairs of exclusive neighbors once, in O(sum of deg^2), and
+both the score and the weight read that list: Jaccard is ``C / (d_u + d_v - C)``
+with C the pair's count of shared neighbors, Adamic-Adar adds each shared
+neighbor's ``1 / ln(union degree)`` in ascending order from 0.0, and the
+list stays with the scores, so assign_weights looks a pair's shared
+neighbors up in it. Every score is bit-identical to a per-pair loop over
+neighbor sets. On a large network run_stage splits a stage into passes of
+as many subsets as fit ``CHUNK_BYTES``; no result depends on where a pass
+ends.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -60,9 +61,12 @@ class ScoredPairs:
 
     Rows come subset by subset in the order of ``subsets``, and within a
     subset as pairs u < v in row-major order; ``subset_index`` is each row's
-    position in ``subsets``. ``exclusive`` stacks the exclusive adjacency of
-    every subset, ``(S, N, N)``, and ``normalized_score`` is None until
-    normalize_scores fills it.
+    position in ``subsets``. ``cell`` and ``neighbor`` list the stage's shared
+    exclusive neighbors, one entry per subset, node w and pair x < y of w's
+    exclusive neighbors: ``cell`` is the flat index of (subset, x, y) in an
+    (S, N, N) grid and ``neighbor`` is w, sorted by cell and, within a cell,
+    by w. They list every pair of the stage, row or not, and ``where`` keeps
+    them whole. ``normalized_score`` is None until normalize_scores fills it.
     """
 
     algorithm: str
@@ -71,7 +75,8 @@ class ScoredPairs:
     u: np.ndarray
     v: np.ndarray
     raw_score: np.ndarray
-    exclusive: np.ndarray
+    cell: np.ndarray
+    neighbor: np.ndarray
     normalized_score: np.ndarray | None = None
 
     def __len__(self) -> int:
@@ -101,13 +106,6 @@ class PredictedLink:
     subset: tuple[int, ...]
     stage: int
     sources: tuple[tuple[str, tuple[int, ...], int], ...] = ()
-
-
-def _passes(count: int, item_bytes: int) -> Iterator[slice]:
-    """Consecutive slices of ``count`` items, as many per slice as fit
-    CHUNK_BYTES at ``item_bytes`` each, and at least one."""
-    step = max(1, CHUNK_BYTES // max(1, item_bytes))
-    return (slice(start, start + step) for start in range(0, count, step))
 
 
 def _unoriented_adjacency(net: MultiplexNetwork) -> np.ndarray:
@@ -191,38 +189,42 @@ def adamic_adar_classic(net: MultiplexNetwork, layer: int, u: int, v: int) -> fl
 def _score_stage(net: MultiplexNetwork, subsets: Iterable[Sequence[int]], algorithm: str,
                  score) -> ScoredPairs:
     """Pairs u < v with no edge inside their subset where ``score`` keeps them;
-    ``score(exclusive, inside)`` maps the (S, N, N) stacks to (keep, scores)
-    of the same shape."""
+    ``score(exclusive, inside, site, cell)`` maps the (S, N, N) stacks and the
+    shared-neighbor entries to (keep, scores) of the stacks' shape."""
     subsets = _stage_subsets(net, subsets)
     exclusive, inside = _exclusive_stack(_unoriented_adjacency(net), subsets)
-    keep, scores = score(exclusive, inside)
+    site, cell = _shared_pairs(exclusive)
+    keep, scores = score(exclusive, inside, site, cell)
+    neighbor = np.remainder(site, net.n_nodes, out=site)  # w of each site, in place
     above = ~np.tri(net.n_nodes, dtype=bool)  # u < v
     index, u, v = np.nonzero(keep & ~inside & above)
-    return ScoredPairs(algorithm, subsets, index, u, v, scores[index, u, v], exclusive)
+    return ScoredPairs(algorithm, subsets, index, u, v, scores[index, u, v], cell, neighbor)
 
 
-def _shared_pairs(exclusive: np.ndarray, hubs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(hub, cell) for every pair x < y of a hub's exclusive neighbors.
+def _shared_pairs(exclusive: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(site, cell) for every pair x < y of a hub's exclusive neighbors.
 
-    ``hubs`` is an (S, N) mask; ``hub`` indexes its true entries in C order,
-    and ``cell`` is the flat index of (subset, x, y) in the (S, N, N) stack.
-    Entries come subset by subset, hubs ascending, in O(sum of deg^2).
+    A hub is a (subset, w) with at least two exclusive neighbors; ``site`` is
+    the flat index of (subset, w) in the (S, N) grid and ``cell`` that of
+    (subset, x, y) in the (S, N, N) stack. Entries are listed in O(sum of
+    deg^2), hub by hub, then sorted by cell with a stable sort, so w stays
+    ascending within a cell.
     """
-    # E is symmetric: row w holds the nodes sharing w, and each entry (hub, x)
-    # pairs with the x's after it in its hub's row
-    group, hub = np.nonzero(hubs)
-    row, x = np.nonzero(exclusive[group, hub])
-    end = np.cumsum(np.bincount(row, minlength=hub.size))[row]
-    later = end - 1 - np.arange(row.size)
-    entry = np.repeat(np.arange(row.size), later)
-    y = x[entry + 1 + np.arange(entry.size) - (np.cumsum(later) - later)[entry]]
+    # E is symmetric: row w holds the nodes sharing w, and each entry (w, x)
+    # pairs with the x's after it in w's row; a lone x pairs with none
     n = exclusive.shape[-1]
-    return row[entry], (group[row[entry]] * n + x[entry]) * n + y
+    site, x = np.divmod(np.flatnonzero(exclusive), n)
+    later = np.cumsum(np.bincount(site))[site] - 1 - np.arange(site.size)
+    entry = np.repeat(np.arange(site.size), later)
+    y = x[entry + 1 + np.arange(entry.size) - (np.cumsum(later) - later)[entry]]
+    site = site[entry]
+    cell = (site - site % n + x[entry]) * n + y
+    order = np.argsort(cell, kind="stable")
+    return site[order], cell[order]
 
 
-def _jaccard(exclusive: np.ndarray, inside: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _jaccard(exclusive, inside, site, cell) -> tuple[np.ndarray, np.ndarray]:
     degree = exclusive.sum(axis=2)
-    _, cell = _shared_pairs(exclusive, degree > 1)
     # C, the shared neighbors of each pair: exact counts, filled for u < v only,
     # the cells _score_stage reads
     common = np.bincount(cell, minlength=exclusive.size).reshape(exclusive.shape)
@@ -231,15 +233,12 @@ def _jaccard(exclusive: np.ndarray, inside: np.ndarray) -> tuple[np.ndarray, np.
     return union > 0, scores
 
 
-def _adamic_adar(exclusive: np.ndarray, inside: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    union_degree = inside.sum(axis=2)
-    hubs = union_degree > 1
-    hub, cell = _shared_pairs(exclusive, hubs)
+def _adamic_adar(exclusive, inside, site, cell) -> tuple[np.ndarray, np.ndarray]:
+    union_degree = inside.sum(axis=2).reshape(-1)
     # one term per degree; math.log, not np.log, whose last bit may differ
-    degree = union_degree[hubs]
-    term = [0.0, 0.0] + [1.0 / math.log(d) for d in range(2, int(degree.max(initial=1)) + 1)]
+    term = [0.0, 0.0] + [1.0 / math.log(d) for d in range(2, int(union_degree.max(initial=1)) + 1)]
     scores = np.zeros(exclusive.shape)
-    np.add.at(scores.reshape(-1), cell, np.array(term)[degree][hub])
+    np.add.at(scores.reshape(-1), cell, np.array(term)[union_degree[site]])
     # a candidate's shared neighbor is joined to both endpoints, so its degree
     # is at least 2: a positive score is the same as sharing a neighbor
     return scores > 0, scores
@@ -304,50 +303,50 @@ def assign_weights(group: ScoredPairs, net: MultiplexNetwork) -> list[PredictedL
 
     The weight is the normalized score times the mean flow on edges joining
     either endpoint to their shared exclusive neighbors, over the layers of
-    the row's subset. Every pair kept by threshold_filter shares such a
-    neighbor; a pair that shares none raises ValueError. A pair's positive
-    flows are taken in the order shared neighbor w, layer, endpoint (u, v),
-    direction (into the endpoint, then out of it), and summed by
-    ``np.add.reduce`` along rows of one length, so each mean is bit-identical
-    to ``np.mean`` of that context. Rows go in blocks whose two (rows, N)
-    boolean gathers fit CHUNK_BYTES.
+    the row's subset. A row's shared neighbors are its run of the group's
+    ``cell`` entries, found by binary search. Every pair kept by
+    threshold_filter shares such a neighbor; a pair that shares none raises
+    ValueError. A pair's positive flows are taken in the order shared
+    neighbor w, layer, endpoint (u, v), direction (into the endpoint, then
+    out of it), and summed by ``np.add.reduce`` along rows of one length, so
+    each mean is bit-identical to ``np.mean`` of that context.
     """
     if group.normalized_score is None:
         raise ValueError("assign_weights requires normalized scores")
     layers = np.array(group.subsets, dtype=np.intp).reshape(len(group.subsets), -1)
+    index, u, v, n = group.subset_index, group.u, group.v, net.n_nodes
+    cell = (index * n + u) * n + v
+    start = np.searchsorted(group.cell, cell)
+    count = np.searchsorted(group.cell, cell, side="right") - start
+    # each row's run of entries: rows ascending, then w ascending
+    pair = np.repeat(np.arange(len(group)), count)
+    entry = np.arange(pair.size) + np.repeat(start - (np.cumsum(count) - count), count)
+    ends, hub = np.stack([u, v], axis=1)[pair, None, :], group.neighbor[entry, None, None]
+    own = layers[index[pair], :, None]
+    # cells[p, k, a, d]: flow a -> w in the subset's k-th layer (d = 0)
+    # and, when directed, w -> a (d = 1), for each endpoint a of the pair
+    into = net.intra[own, ends, hub]
+    cells = np.stack([into, net.intra[own, hub, ends]] if net.directed else [into], axis=-1)
+    positive = cells > 0
+    context = cells[positive]  # every pair's flows, pairs in order
+    size = np.bincount(pair, weights=positive.sum(axis=(1, 2, 3)), minlength=len(u))
+    size = size.astype(np.intp)
+    if np.any(size == 0):
+        first = int(np.flatnonzero(size == 0)[0])
+        subset = group.subsets[index[first]]
+        raise ValueError(f"pair ({u[first]}, {v[first]}) shares no exclusive neighbor "
+                         f"in layers {subset}")
+    offset = np.cumsum(size) - size
     mean = np.empty(len(group))
-    for block in _passes(len(group), 2 * net.n_nodes):
-        index, u, v = group.subset_index[block], group.u[block], group.v[block]
-        # a candidate has no edge inside its subset, so neither endpoint is shared
-        shared = group.exclusive[index, u]
-        shared &= group.exclusive[index, v]
-        pair, w = np.nonzero(shared)
-        ends, hub = np.stack([u, v], axis=1)[pair, None, :], w[:, None, None]
-        own = layers[index[pair], :, None]
-        # cells[p, k, a, d]: flow a -> w in the subset's k-th layer (d = 0)
-        # and, when directed, w -> a (d = 1), for each endpoint a of the pair
-        into = net.intra[own, ends, hub]
-        cells = np.stack([into, net.intra[own, hub, ends]] if net.directed else [into], axis=-1)
-        positive = cells > 0
-        context = cells[positive]  # every pair's flows, pairs in order
-        size = np.bincount(pair, weights=positive.sum(axis=(1, 2, 3)), minlength=len(u))
-        size = size.astype(np.intp)
-        if np.any(size == 0):
-            first = int(np.flatnonzero(size == 0)[0])
-            subset = group.subsets[index[first]]
-            raise ValueError(f"pair ({u[first]}, {v[first]}) shares no exclusive neighbor "
-                             f"in layers {subset}")
-        offset = np.cumsum(size) - size
-        part = mean[block]  # a view: filling it fills mean
-        for n in np.unique(size).tolist():
-            rows = np.flatnonzero(size == n)
-            part[rows] = np.add.reduce(context[offset[rows, None] + np.arange(n)], axis=1) / n
+    for length in np.unique(size).tolist():
+        rows = np.flatnonzero(size == length)
+        mean[rows] = np.add.reduce(context[offset[rows, None] + np.arange(length)], axis=1) / length
     weight = group.normalized_score * mean
-    subsets = [group.subsets[s] for s in group.subset_index.tolist()]
+    subsets = [group.subsets[s] for s in index.tolist()]
     return [
         PredictedLink(u, v, raw, norm, wt, group.algorithm, subset, len(subset))
         for u, v, raw, norm, wt, subset in zip(
-            group.u.tolist(), group.v.tolist(), group.raw_score.tolist(),
+            u.tolist(), v.tolist(), group.raw_score.tolist(),
             group.normalized_score.tolist(), weight.tolist(), subsets,
         )
     ]
@@ -389,11 +388,13 @@ def run_stage(net: MultiplexNetwork, k: int, threshold: float = 0.5) -> list[Pre
     algorithm, unless the network is large. No link depends on the split.
     """
     subsets = enumerate_layer_subsets(net.n_layers, k)
+    step = max(1, CHUNK_BYTES // max(1, 40 * net.n_nodes**2))
     links: list[PredictedLink] = []
-    for chunk in _passes(len(subsets), 40 * net.n_nodes**2):
+    for start in range(0, len(subsets), step):
         for scorer in (modified_jaccard, modified_adamic_adar):
-            kept = threshold_filter(normalize_scores(scorer(net, subsets[chunk])), threshold)
-            links.extend(assign_weights(kept, net))
+            # one expression, so no group outlives its trip
+            links.extend(assign_weights(threshold_filter(
+                normalize_scores(scorer(net, subsets[start:start + step])), threshold), net))
     return dedupe_links(links)
 
 
@@ -439,16 +440,12 @@ def read_links_csv(path: str | Path, label_index: dict[str, int]) -> list[Predic
                 v = label_index[row["v_label"]]
             except KeyError as exc:
                 raise ValueError(f"unknown node label {exc.args[0]!r} in links file") from None
-            links.append(
-                PredictedLink(
-                    u=u,
-                    v=v,
-                    raw_score=float(row["raw_score"]),
-                    normalized_score=float(row["normalized_score"]),
-                    weight=float(row["weight"]),
-                    algorithm=row["algorithm"],
-                    subset=parse_subset(row["subset"]),
-                    stage=int(row["stage"]),
-                )
-            )
+            values = {}
+            for name, parse in (("raw_score", float), ("normalized_score", float),
+                                ("weight", float), ("subset", parse_subset), ("stage", int)):
+                try:
+                    values[name] = parse(row[name])
+                except (TypeError, ValueError):  # TypeError: a short row's None
+                    raise ValueError(f"links file line {reader.line_num}: bad {name} {row[name]!r}") from None
+            links.append(PredictedLink(u, v, algorithm=row["algorithm"], **values))
     return links

@@ -20,7 +20,13 @@ from multinav import (
 from multinav.cli import _load_edges, build_parser, main
 from multinav.multiplex import TRIM_PER_LAYER
 from multinav.navigability import NOT_REACHED, read_curve_csv
-from multinav.prediction import ADAMIC_ADAR, JACCARD, read_links_csv, write_links_csv
+from multinav.prediction import (
+    ADAMIC_ADAR,
+    JACCARD,
+    LINK_CSV_COLUMNS,
+    read_links_csv,
+    write_links_csv,
+)
 
 TOY = str(package_files("multinav").joinpath("data/toy_multiplex.csv"))
 
@@ -350,6 +356,17 @@ def test_exit_codes_for_bad_inputs(tmp_path, capsys):
     assert main(["scenario", "--input", TOY, "--out", str(unused), "--fraction=-0.1"]) == 1
     assert main(["scenario", "--input", TOY, "--out", str(unused), "--layers", "0"]) == 1
     assert not unused.exists()
+    # a bad value in a links file gets the links' own message, not the network's
+    base = _write_csv(tmp_path / "base.csv", ["0,a,b,1.0", "0,b,c,1.0"])
+    links = tmp_path / "links.csv"
+    for bad, message in (("a,c,jaccard,0,1,1.0,1.0,inf", "link weight must be positive and finite, got inf"),
+                         ("a,c,jaccard,,1,1.0,1.0,0.5", "links file line 3: bad subset ''"),
+                         ("a,c,jaccard,0,1,1.0", "links file line 3: bad normalized_score None")):
+        rows = [",".join(LINK_CSV_COLUMNS), "a,c,jaccard,0,1,1.0,1.0,0.5", bad]
+        links.write_text("".join(f"{r}\n" for r in rows), encoding="utf-8")
+        assert main(["integrate", "--input", base, "--links", str(links), "--out", str(unused)]) == 2
+        assert message in capsys.readouterr().err
+        assert not unused.exists()
 
 
 def test_an_input_that_fails_to_load_leaves_no_out(tmp_path):
@@ -364,6 +381,15 @@ def test_an_input_that_fails_to_load_leaves_no_out(tmp_path):
         out = tmp_path / f"out{index}"
         assert main(call + ["--out", str(out)]) == 2, call
         assert not out.exists(), call
+
+
+def test_an_input_that_cannot_build_leaves_no_out(tmp_path, capsys):
+    header_only = _write_csv(tmp_path / "empty.csv", [])
+    for command in ("navigability", "pipeline"):
+        out = tmp_path / command
+        assert main([command, "--input", header_only, "--out", str(out)]) == 2
+        assert "at least one layer" in capsys.readouterr().err
+        assert not out.exists(), command
 
 
 def test_argparse_failures_exit_one(capsys):

@@ -250,6 +250,8 @@ def test_integrate_rejects_bad_links():
     net = build_multiplex([FlowEdge(0, 1, 0, 1.0)])
     with pytest.raises(ValueError, match="positive"):
         integrate_links(net, [_link(0, 1, 0.0)])
+    with pytest.raises(ValueError, match="finite"):
+        integrate_links(net, [_link(0, 1, float("inf"))])
     with pytest.raises(ValueError, match="out of range"):
         integrate_links(net, [_link(0, 7, 1.0)])
     with pytest.raises(ValueError, match="placement"):

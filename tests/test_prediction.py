@@ -7,7 +7,14 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import group_scores, oracle_flow_mean, oracle_scores, random_multiplex
+from conftest import (
+    group_scores,
+    oracle_exclusive,
+    oracle_flow_mean,
+    oracle_pair_layers,
+    oracle_scores,
+    random_multiplex,
+)
 
 from multinav import (
     FlowEdge,
@@ -169,7 +176,41 @@ def test_scorers_reject_subsets_of_mixed_size_or_out_of_range():
         with pytest.raises(ValueError, match="out of range"):
             scorer(net, [(0,), (2,)])
         stage = scorer(net, [])
-        assert len(stage) == 0 and stage.exclusive.shape == (0, 3, 3)
+        assert len(stage) == 0 and stage.cell.size == stage.neighbor.size == 0
+
+
+def _entries(stage, s, u, v, n):
+    """The shared neighbors a stage lists for pair (u, v) of its s-th subset."""
+    return stage.neighbor[stage.cell == (s * n + u) * n + v].tolist()
+
+
+def test_shared_neighbor_entries_match_the_oracle():
+    rng = np.random.default_rng(4321)
+    checked = 0
+    for trial in range(16):
+        n = int(rng.integers(3, 9))
+        l = int(rng.integers(1, 5))
+        net = random_multiplex(rng, n, l, directed=bool(trial % 2), p=float(rng.uniform(0.3, 0.7)))
+        pair_layers = oracle_pair_layers(net)
+        for k in range(1, min(l, 3) + 1):
+            subsets = enumerate_layer_subsets(l, k)
+            for scorer in (modified_jaccard, modified_adamic_adar):
+                stage = scorer(net, subsets)
+                # sorted by cell, then by shared neighbor within a cell
+                order = list(zip(stage.cell.tolist(), stage.neighbor.tolist()))
+                assert order == sorted(order)
+                for s, subset in enumerate(subsets):
+                    exclusive = [oracle_exclusive(pair_layers, n, x, subset) for x in range(n)]
+                    for u in range(n):
+                        for v in range(u + 1, n):
+                            want = sorted(exclusive[u] & exclusive[v])
+                            assert _entries(stage, s, u, v, n) == want
+                            checked += len(want)
+                if scorer is modified_jaccard:
+                    zero = stage.where(stage.raw_score == 0.0)
+                    for s, u, v in zip(zero.subset_index.tolist(), zero.u.tolist(), zero.v.tolist()):
+                        assert _entries(zero, s, u, v, n) == []
+    assert checked > 1000
 
 
 def test_self_loops_add_no_neighbor_or_degree():
@@ -198,23 +239,26 @@ def test_modified_candidates_exclude_subset_union_edges_only():
 
 # --- normalize / threshold / weights -----------------------------------------
 
-def _group(algorithm, subsets, rows, exclusive=None, normalized=None):
-    """A hand-built ScoredPairs from (subset index, u, v, raw_score) rows."""
+def _group(algorithm, subsets, rows, shared=(), normalized=None):
+    """A hand-built ScoredPairs from (subset index, u, v, raw_score) rows and
+    (cell, shared neighbor) entries, given sorted."""
     index, u, v, raw = np.array(rows, dtype=float).reshape(-1, 4).T
+    cell, neighbor = np.array(shared, dtype=np.intp).reshape(-1, 2).T
     return ScoredPairs(
         algorithm, tuple(subsets), index.astype(int), u.astype(int), v.astype(int), raw,
-        np.zeros((len(subsets), 4, 4), dtype=bool) if exclusive is None else exclusive,
-        None if normalized is None else np.array(normalized, dtype=float),
+        cell, neighbor, None if normalized is None else np.array(normalized, dtype=float),
     )
 
 
 def test_scored_pairs_where_keeps_the_masked_rows():
-    group = _group(JACCARD, [(0, 2), (1, 2)], [(0, 0, 1, 0.2), (1, 1, 3, 0.8)])
+    group = _group(JACCARD, [(0, 2), (1, 2)], [(0, 0, 1, 0.2), (1, 1, 3, 0.8)],
+                   shared=[(1, 2), (23, 0)])
     assert len(group) == 2
     kept = group.where(np.array([False, True]))
     assert (kept.algorithm, kept.subsets) == (JACCARD, ((0, 2), (1, 2)))
     assert group_scores(kept) == {(1, 3): 0.8} and kept.subset_index.tolist() == [1]
-    assert kept.exclusive is group.exclusive and kept.normalized_score is None
+    assert kept.cell is group.cell and kept.neighbor is group.neighbor
+    assert kept.normalized_score is None
 
 
 def test_normalize_scales_each_group_by_its_maximum():
@@ -273,7 +317,8 @@ def test_assign_weights_rejects_pair_without_shared_exclusive_neighbor():
     # positive scores, and a positive score means a shared neighbor
     edges = [FlowEdge(0, 1, 0, 4.0), FlowEdge(2, 3, 0, 8.0)]
     net = build_multiplex(edges, n_nodes=5)
-    fabricated = _group(JACCARD, [(0,)], [(0, 0, 4, 0.7)], exclusive=net.intra[:1] > 0,
+    # entries for the pairs (0, 3) and (1, 3), the cells either side of (0, 4)'s
+    fabricated = _group(JACCARD, [(0,)], [(0, 0, 4, 0.7)], shared=[(3, 1), (8, 2)],
                         normalized=[0.7])
     with pytest.raises(ValueError, match=r"pair \(0, 4\) shares no exclusive neighbor in layers \(0,\)"):
         assign_weights(fabricated, net)
@@ -288,20 +333,19 @@ def test_assign_weights_means_match_np_mean_across_the_unroll_boundary():
     rng = np.random.default_rng(12)
     n = sum(2 + c for c in counts)
     intra = np.zeros((1, n, n))
-    exclusive = np.zeros((n, n), dtype=bool)
-    rows, contexts, first = [], [], 0
+    rows, shared, contexts, first = [], [], [], 0
     for count in counts:
         u, v, hubs = first, first + 1, range(first + 2, first + 2 + count)
         flows = 10.0 ** rng.uniform(-6, 6, count)
         for w, flow in zip(hubs, flows):
             intra[0, u, w] = intra[0, w, u] = flow  # v's flows to the hubs stay 0
-            exclusive[[u, v], w] = exclusive[w, [u, v]] = True
+            shared.append((u * n + v, w))
         rows.append((0, u, v, 1.0))
         contexts.append(flows)
         first += 2 + count
     net = MultiplexNetwork(directed=False, intra=intra, coupling=1.0)
     normalized = rng.uniform(0.5, 1.0, len(counts))
-    group = _group(ADAMIC_ADAR, [(0,)], rows, exclusive=exclusive[None], normalized=normalized)
+    group = _group(ADAMIC_ADAR, [(0,)], rows, shared=shared, normalized=normalized)
     links = assign_weights(group, net)
     assert [(l.u, l.v) for l in links] == [(u, v) for _, u, v, _ in rows]
     for link, norm, context in zip(links, normalized, contexts):
@@ -417,7 +461,7 @@ def test_run_stage_does_not_depend_on_the_pass_budget(monkeypatch):
         scorer = prediction.modified_jaccard
         monkeypatch.setattr(prediction, "modified_jaccard",
                             lambda net, subsets: scored.append(len(subsets)) or scorer(net, subsets))
-        monkeypatch.setattr(prediction, "CHUNK_BYTES", 1)  # one subset, one row per pass
+        monkeypatch.setattr(prediction, "CHUNK_BYTES", 1)  # one subset per pass
         split = [run_stage(net, k, threshold) for net in nets for k in (1, 2, 3)
                  for threshold in (0.0, 0.5)]
     assert split == default

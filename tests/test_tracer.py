@@ -44,3 +44,7 @@ def test_traced_pipeline_scores_each_stage_once_per_algorithm(tmp_path):
     for step in ("score", "normalize", "threshold", "weights"):
         assert calls[f"prediction.{step}"] == 6, step
     assert calls["prediction.dedupe"] == 4
+    # the pairs both scorers return and the rows that pass the threshold
+    counts = trace.counts[tracer.WORKLOAD_RUN]
+    assert counts["prediction.pairs_scored"] == 329
+    assert counts["prediction.links_kept"] == 89
