@@ -44,6 +44,7 @@ from .navigability import (
     time_to_coverage,
 )
 from .prediction import (
+    LinkTable,
     PredictedLink,
     ScoredPairs,
     adamic_adar_classic,
@@ -74,6 +75,7 @@ __all__ = [
     "DegradedDecompositionError",
     "EdgeList",
     "FlowEdge",
+    "LinkTable",
     "MultiplexNetwork",
     "NavigabilityReport",
     "ParseError",

@@ -58,8 +58,7 @@ from .navigability import (
     write_report_json,
 )
 from .prediction import (
-    ADAMIC_ADAR,
-    JACCARD,
+    ALGORITHMS,
     dedupe_links,
     read_links_csv,
     run_stage,
@@ -270,20 +269,17 @@ def _predict_stages(net, stages, threshold):
             continue
         results[k] = union = run_stage(net, k, threshold)
         # a union link holds an algorithm's tag exactly when it produced that pair
-        found = {alg: sum(any(tag[0] == alg for tag in l.sources) for l in union)
-                 for alg in (ADAMIC_ADAR, JACCARD)}
-        print(f"stage {k}: {ADAMIC_ADAR} {found[ADAMIC_ADAR]}, {JACCARD} {found[JACCARD]}, "
-              f"union {len(union)}")
+        found = ", ".join(f"{name} {np.unique(union.source_row[union.source_algorithm == code]).size}"
+                          for code, name in enumerate(ALGORITHMS))
+        print(f"stage {k}: {found}, union {len(union)}")
     return results
 
 
 def _write_link_files(run: _Run, results: dict, labels) -> None:
     """One links file per stage plus their deduplicated merge."""
-    everything = []
     for k, union in sorted(results.items()):
         run.write(f"links_stage{k}.csv", write_links_csv, union, labels)
-        everything.extend(union)
-    merged = dedupe_links(everything)
+    merged = dedupe_links([union for _, union in sorted(results.items())])
     run.write("links_merged.csv", write_links_csv, merged, labels)
     print(f"merged unique links: {len(merged)}")
 

@@ -294,44 +294,41 @@ def knockout_nodes(
 
 def integrate_links(
     net: MultiplexNetwork,
-    links: Iterable,
+    links,
     placement: str = PLACEMENT_SUBSET,
 ) -> MultiplexNetwork:
-    """Add weighted predicted links back into the network.
+    """Add weighted predicted links, a prediction LinkTable, back into the network.
 
     Each link lands in every layer of the subset that produced it (or in all
     layers with ``placement="all"``). Links carry no orientation, so both
     matrix cells are written even in directed mode. Collisions with existing
     edges keep the larger weight, which makes integration idempotent. A link
-    whose weight is not positive and finite, whose endpoints are equal or out
-    of range, or whose subset names a layer outside [0, L) raises ValueError.
+    whose weight is not positive and finite, whose endpoints are out of range
+    or equal, or whose subset names a layer outside [0, L) raises ValueError,
+    checked in that order, for the first such link.
     """
     if placement not in (PLACEMENT_SUBSET, PLACEMENT_ALL):
         raise ValueError(f"unknown placement {placement!r}")
-    all_layers = tuple(range(net.n_layers))
-    ends, weights, targets = [], [], []
-    for link in links:
-        if not 0 < link.weight < np.inf:  # also NaN
-            raise ValueError(f"predicted link weight must be positive and finite, got {link.weight}")
-        u, v = link.u, link.v
-        if not (0 <= u < net.n_nodes and 0 <= v < net.n_nodes):
-            raise ValueError(f"link endpoint out of range: ({u}, {v})")
-        if u == v:
-            raise ValueError(f"predicted link joins node {u} to itself")
-        if not all(0 <= k < net.n_layers for k in link.subset):
-            raise ValueError(f"link subset {link.subset} names a layer out of range [0, {net.n_layers})")
-        ends.append((u, v))
-        weights.append(link.weight)
-        targets.append(link.subset if placement == PLACEMENT_SUBSET else all_layers)
-    # one (layer, u, v, weight) row per link and target layer; the maximum
+    u, v, weight, code, subsets = links.u, links.v, links.weight, links.subset, links.subsets
+    outside = np.array([not all(0 <= k < net.n_layers for k in s) for s in subsets], dtype=bool)
+    faults = np.stack([~((0 < weight) & (weight < np.inf)),  # also NaN
+                       (np.minimum(u, v) < 0) | (np.maximum(u, v) >= net.n_nodes), u == v, outside[code]])
+    if faults.any():
+        row = int(np.argmax(faults.any(axis=0)))
+        raise ValueError((
+            f"predicted link weight must be positive and finite, got {float(weight[row])}",
+            f"link endpoint out of range: ({u[row]}, {v[row]})",
+            f"predicted link joins node {u[row]} to itself",
+            f"link subset {subsets[code[row]]} names a layer out of range [0, {net.n_layers})",
+        )[int(np.argmax(faults[:, row]))])
+    # one (layer, u, v, weight) entry per link and target layer; the maximum
     # is the same in any order, so repeated cells need no loop
-    count = [len(target) for target in targets]
-    layer = np.array([k for target in targets for k in target], dtype=np.intp)
-    u, v = np.repeat(np.array(ends, dtype=np.intp).reshape(-1, 2), count, axis=0).T
-    weight = np.repeat(np.array(weights, dtype=float), count)
+    inside = np.array([[placement == PLACEMENT_ALL or k in s for k in range(net.n_layers)]
+                       for s in subsets], dtype=bool).reshape(-1, net.n_layers)
+    row, layer = np.nonzero(inside[code])
     intra = net.intra.copy()
-    np.maximum.at(intra, (layer, u, v), weight)
-    np.maximum.at(intra, (layer, v, u), weight)
+    np.maximum.at(intra, (layer, u[row], v[row]), weight[row])
+    np.maximum.at(intra, (layer, v[row], u[row]), weight[row])
     return MultiplexNetwork(
         directed=net.directed,
         intra=intra,

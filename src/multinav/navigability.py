@@ -217,10 +217,11 @@ class AnalyticCoverageState:
         The diagonal is 0 at every time, and delta[0] is 1 - identity. The
         mode factors are computed once; origins then go in blocks whose
         coefficients ``origin_coefficients[j, l] * target_coefficients[l, i]``
-        and products fit CHUNK_BYTES beside the modes. Each TIME_CHUNK of
-        times is one batched matmul, a (TIME_CHUNK, NL) @ (NL, N) product
-        per origin. Every product has that shape whatever the block size, so
-        the budget never changes the result.
+        and products fit CHUNK_BYTES beside the modes. In each TIME_CHUNK of
+        times, the modes from m on have settled (Re(lambda) * t >= 38, so the
+        factor is 1/lambda; see EXP_CAP) and add one (NL - m,) @ (NL - m, N)
+        product per origin; the rest are one batched (TIME_CHUNK, m) @ (m, N)
+        product. No shape depends on the block size, so neither does the result.
         """
         times = np.asarray(times, dtype=float)
         lam = self.eigenvalues
@@ -241,9 +242,13 @@ class AnalyticCoverageState:
         for first in range(0, n, block):
             coefficients = self.origin_coefficients[first : first + block, :, None] * targets
             for start in range(0, times.size, TIME_CHUNK):
-                exponent = (modes[start : start + TIME_CHUNK] @ coefficients).real
+                chunk = slice(start, start + TIME_CHUNK)
+                m = 1 + int(np.flatnonzero(small | (lam.real * times[chunk].min() < 38.0)).max(initial=-1))
+                exponent = (modes[chunk, :m] @ coefficients[:, :m]).real
+                if m < lam.size:  # settled modes, which a zero term would only slow
+                    exponent += ((1.0 / safe[m:]) @ coefficients[:, m:]).real[:, None, :]
                 # (origin, time, target) view of the output block
-                view = out[start : start + TIME_CHUNK, first : first + block].transpose(1, 0, 2)
+                view = out[chunk, first : first + block].transpose(1, 0, 2)
                 np.clip(exponent, 0.0, EXP_CAP, out=view)
                 np.negative(view, out=view)
                 np.exp(view, out=view)

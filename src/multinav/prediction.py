@@ -6,13 +6,13 @@ are evaluated on these exclusive neighborhoods for every candidate pair that
 has no edge in any layer of D. A stage is every subset of one size k, and
 each step works on the whole stage at once: a scorer returns one
 ``ScoredPairs`` for all of the stage's subsets, normalize_scores scales each
-subset by its own maximum, threshold_filter keeps rows, and only the pairs
-that survive become weighted ``PredictedLink`` objects, using nearby flow
-values. run_stage thus makes one trip per algorithm through these steps and
-returns the deduplicated union of both algorithms, where a link's
-``sources`` lists every contributing (algorithm, subset, stage). A self-loop
-makes no node its own neighbor, so it adds to no exclusive neighborhood or
-degree.
+subset by its own maximum, threshold_filter keeps rows, and assign_weights
+weights the survivors, using nearby flow values, as one columnar ``LinkTable``.
+run_stage thus makes one trip per algorithm through these steps and returns
+both algorithms' deduplicated union, one table whose provenance lists every
+contributing (algorithm, subset) of a link; links stay columns to disk and
+to integrate_links. A self-loop makes no node its own neighbor, so it adds
+to no exclusive neighborhood or degree.
 
 Each subset is scored on one boolean exclusive adjacency ``E = inside & ~outside``,
 built from the per-layer adjacency, which a scorer computes once. A scorer
@@ -34,7 +34,7 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -42,6 +42,7 @@ from .multiplex import CHUNK_BYTES, MultiplexNetwork, enumerate_layer_subsets
 
 JACCARD = "jaccard"
 ADAMIC_ADAR = "adamic_adar"
+ALGORITHMS = (ADAMIC_ADAR, JACCARD)  # a LinkTable's algorithm codes, in string order
 
 LINK_CSV_COLUMNS = (
     "u_label",
@@ -91,7 +92,7 @@ class ScoredPairs:
 
 @dataclass(frozen=True)
 class PredictedLink:
-    """A thresholded, flow-weighted predicted link.
+    """One row of a LinkTable: a thresholded, flow-weighted predicted link.
 
     ``sources`` lists every (algorithm, subset, stage) occurrence that
     contributed the same node pair; it is filled by dedupe_links.
@@ -106,6 +107,65 @@ class PredictedLink:
     subset: tuple[int, ...]
     stage: int
     sources: tuple[tuple[str, tuple[int, ...], int], ...] = ()
+
+
+@dataclass(frozen=True, eq=False)
+class LinkTable:
+    """Predicted links as columns, one row per link; iterating yields PredictedLinks.
+
+    ``algorithm`` indexes ALGORITHMS and ``subset`` indexes ``subsets``, layer
+    tuples in lexicographic order, so codes compare as names and tuples do; a
+    row's stage is its subset's size. The provenance, filled by dedupe_links,
+    lists each row's (algorithm, subset) tags in ``source_*``, by row and tag.
+    """
+
+    u: np.ndarray
+    v: np.ndarray
+    raw_score: np.ndarray
+    normalized_score: np.ndarray
+    weight: np.ndarray
+    algorithm: np.ndarray
+    subset: np.ndarray
+    subsets: tuple[tuple[int, ...], ...]
+    source_row: np.ndarray
+    source_algorithm: np.ndarray
+    source_subset: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.u)
+
+    def __iter__(self) -> Iterator[PredictedLink]:
+        # (algorithm, subset, stage) of each row, then of each provenance entry
+        tags = [(ALGORITHMS[a], self.subsets[s], len(self.subsets[s])) for a, s in zip(
+            np.r_[self.algorithm, self.source_algorithm].tolist(), np.r_[self.subset, self.source_subset].tolist())]
+        bounds = (len(self) + np.searchsorted(self.source_row, np.arange(len(self) + 1))).tolist()
+        columns = (self.u, self.v, self.raw_score, self.normalized_score, self.weight)
+        for row, values in enumerate(zip(*(column.tolist() for column in columns))):
+            yield PredictedLink(*values, *tags[row], tuple(tags[bounds[row]:bounds[row + 1]]))
+
+    @classmethod
+    def from_links(cls, links: Sequence[PredictedLink]) -> LinkTable:
+        """The links as a table, ``sources`` included; a stage is its subset's size."""
+        return cls._from_rows(
+            [(l.u, l.v, ALGORITHMS.index(l.algorithm), l.raw_score, l.normalized_score, l.weight,
+              l.subset) for l in links],
+            [(row, ALGORITHMS.index(a), s) for row, l in enumerate(links) for a, s, _ in l.sources])
+
+    @classmethod
+    def _from_rows(cls, rows: Sequence[Sequence], tags: Sequence[tuple] = ()) -> LinkTable:
+        """The table of (u, v, algorithm code, 3 scores, subset) rows and (row, code, subset) tags."""
+        subsets, (code, tag_code) = _subset_codes([r[-1] for r in rows], [t[-1] for t in tags])
+        u, v, algorithm = np.array([r[:3] for r in rows], dtype=np.intp).reshape(-1, 3).T
+        scores = np.array([r[3:6] for r in rows], dtype=float).reshape(-1, 3).T
+        source = np.array([t[:2] for t in tags], dtype=np.intp).reshape(-1, 2).T
+        return cls(u, v, *scores, algorithm, code, subsets, *np.unique(np.vstack([source, tag_code]), axis=1))
+
+
+def _subset_codes(*groups: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], list[np.ndarray]]:
+    """The sorted union of the groups' layer subsets, and each group's as positions in it."""
+    subsets = tuple(sorted({tuple(subset) for group in groups for subset in group}))
+    position = {subset: i for i, subset in enumerate(subsets)}
+    return subsets, [np.array([position[tuple(s)] for s in group], dtype=np.intp) for group in groups]
 
 
 def _unoriented_adjacency(net: MultiplexNetwork) -> np.ndarray:
@@ -298,8 +358,8 @@ def threshold_filter(group: ScoredPairs, threshold: float = 0.5) -> ScoredPairs:
     return group.where(group.normalized_score > threshold)
 
 
-def assign_weights(group: ScoredPairs, net: MultiplexNetwork) -> list[PredictedLink]:
-    """Turn thresholded pairs into weighted links.
+def assign_weights(group: ScoredPairs, net: MultiplexNetwork) -> LinkTable:
+    """Turn thresholded pairs into a table of weighted links, row for row.
 
     The weight is the normalized score times the mean flow on edges joining
     either endpoint to their shared exclusive neighbors, over the layers of
@@ -309,7 +369,7 @@ def assign_weights(group: ScoredPairs, net: MultiplexNetwork) -> list[PredictedL
     ValueError. A pair's positive flows are taken in the order shared
     neighbor w, layer, endpoint (u, v), direction (into the endpoint, then
     out of it), and summed by ``np.add.reduce`` along rows of one length, so
-    each mean is bit-identical to ``np.mean`` of that context.
+    each mean is bit-identical to ``np.mean`` of that context; rows carry no provenance.
     """
     if group.normalized_score is None:
         raise ValueError("assign_weights requires normalized scores")
@@ -341,47 +401,48 @@ def assign_weights(group: ScoredPairs, net: MultiplexNetwork) -> list[PredictedL
     for length in np.unique(size).tolist():
         rows = np.flatnonzero(size == length)
         mean[rows] = np.add.reduce(context[offset[rows, None] + np.arange(length)], axis=1) / length
-    weight = group.normalized_score * mean
-    subsets = [group.subsets[s] for s in index.tolist()]
-    return [
-        PredictedLink(u, v, raw, norm, wt, group.algorithm, subset, len(subset))
-        for u, v, raw, norm, wt, subset in zip(
-            u.tolist(), v.tolist(), group.raw_score.tolist(),
-            group.normalized_score.tolist(), weight.tolist(), subsets,
-        )
-    ]
+    subsets, (code,) = _subset_codes(group.subsets)
+    return LinkTable(u, v, group.raw_score, group.normalized_score, group.normalized_score * mean,
+                     np.full(len(u), ALGORITHMS.index(group.algorithm), dtype=np.intp),
+                     code[index], subsets, *np.zeros((3, 0), dtype=np.intp))
 
 
-def dedupe_links(links: Iterable[PredictedLink]) -> list[PredictedLink]:
-    """Collapse to one link per unordered node pair.
+def dedupe_links(tables: Iterable[LinkTable]) -> LinkTable:
+    """Collapse the tables' rows to one link per unordered node pair, in pair order.
 
-    The maximum-weight instance wins; weight ties go to the lexicographically
-    smallest (algorithm, subset). The winner records every contributing
-    (algorithm, subset, stage) tag: a link's own tag, or the ``sources`` it
-    already carries from an earlier dedupe, so deduplicating again loses
-    none. Ordered by node pair for determinism.
+    One stable ``np.lexsort`` orders rows by pair, weight down and (algorithm,
+    subset) up; each pair's first row wins, so an exact tie goes to the first
+    input. The winner keeps its orientation and records every contributing
+    tag: a row's own, or the provenance it carries from an earlier dedupe.
     """
-    groups: dict[tuple[int, int], list[PredictedLink]] = {}
-    for link in links:
-        key = (min(link.u, link.v), max(link.u, link.v))
-        groups.setdefault(key, []).append(link)
-    out = []
-    for key in sorted(groups):
-        candidates = groups[key]
-        winner = min(candidates, key=lambda l: (-l.weight, l.algorithm, l.subset))
-        tags = sorted(
-            {tag for l in candidates for tag in l.sources or [(l.algorithm, l.subset, l.stage)]}
-        )
-        out.append(PredictedLink(winner.u, winner.v, winner.raw_score, winner.normalized_score,
-                                 winner.weight, winner.algorithm, winner.subset, winner.stage,
-                                 tuple(tags)))
-    return out
+    tables = list(tables) or [LinkTable.from_links([])]
+    subsets, codes = _subset_codes(*(table.subsets for table in tables))
+    offsets = np.cumsum([0] + [len(table) for table in tables])
+    # the tables' rows one after another, subset codes into the merged subsets
+    u, v, raw, normalized, weight, algorithm, subset, carried, source_algorithm, source_subset = (
+        np.concatenate(parts) for parts in zip(*(
+            (t.u, t.v, t.raw_score, t.normalized_score, t.weight, t.algorithm, code[t.subset],
+             t.source_row + offset, t.source_algorithm, code[t.source_subset])
+            for code, t, offset in zip(codes, tables, offsets))))
+    n = 1 + max(u.max(initial=0), v.max(initial=0))
+    pairs = np.ravel_multi_index(np.sort([u, v], axis=0), (n, n))  # in (min, max) pair order
+    order = np.lexsort((subset, algorithm, -weight, pairs))
+    _, first, pair = np.unique(pairs[order], return_index=True, return_inverse=True)
+    output = pair[np.argsort(order)]  # each input row's output row
+    # a row's tags: the provenance it carries, or its own tag when it carries none
+    bare = np.bincount(carried, minlength=order.size) == 0
+    tags = np.stack([output[np.concatenate([carried, np.flatnonzero(bare)])],
+                     np.concatenate([source_algorithm, algorithm[bare]]),
+                     np.concatenate([source_subset, subset[bare]])])
+    shape, win = (first.size, len(ALGORITHMS), len(subsets)), order[first]
+    return LinkTable(u[win], v[win], raw[win], normalized[win], weight[win], algorithm[win], subset[win],
+                     subsets, *np.unravel_index(np.unique(np.ravel_multi_index(tags, shape)), shape))
 
 
-def run_stage(net: MultiplexNetwork, k: int, threshold: float = 0.5) -> list[PredictedLink]:
+def run_stage(net: MultiplexNetwork, k: int, threshold: float = 0.5) -> LinkTable:
     """Score every layer subset of size k with both algorithms; normalize,
     threshold and weight the scored subsets together, then deduplicate the
-    stage's links once, across subsets and algorithms.
+    stage's tables once, across subsets and algorithms, into one table.
 
     Subsets go through in passes, each as many as fit CHUNK_BYTES at five
     float64 (N, N) arrays per subset: one pass per stage, so one trip per
@@ -389,13 +450,13 @@ def run_stage(net: MultiplexNetwork, k: int, threshold: float = 0.5) -> list[Pre
     """
     subsets = enumerate_layer_subsets(net.n_layers, k)
     step = max(1, CHUNK_BYTES // max(1, 40 * net.n_nodes**2))
-    links: list[PredictedLink] = []
+    tables = []
     for start in range(0, len(subsets), step):
         for scorer in (modified_jaccard, modified_adamic_adar):
             # one expression, so no group outlives its trip
-            links.extend(assign_weights(threshold_filter(
+            tables.append(assign_weights(threshold_filter(
                 normalize_scores(scorer(net, subsets[start:start + step])), threshold), net))
-    return dedupe_links(links)
+    return dedupe_links(tables)
 
 
 def format_subset(subset: Sequence[int]) -> str:
@@ -403,32 +464,30 @@ def format_subset(subset: Sequence[int]) -> str:
 
 
 def parse_subset(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split("+"))
+    """The layers of a format_subset string, which are strictly increasing."""
+    subset = tuple(int(part) for part in text.split("+"))
+    if any(a >= b for a, b in zip(subset, subset[1:])):
+        raise ValueError(f"subset {text!r} is not strictly increasing")
+    return subset
 
 
-def write_links_csv(path: str | Path, links: Iterable[PredictedLink], labels: Sequence[str]) -> None:
-    """Export predicted links with labeled endpoints."""
+def write_links_csv(path: str | Path, links: LinkTable, labels: Sequence[str]) -> None:
+    """Export predicted links with labeled endpoints, one line per table row."""
+    names = [format_subset(subset) for subset in links.subsets]
+    subset = links.subset.tolist()
     with open(path, "w", encoding="utf-8", newline="") as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(LINK_CSV_COLUMNS)
-        for l in links:
-            writer.writerow(
-                [
-                    labels[l.u],
-                    labels[l.v],
-                    l.algorithm,
-                    format_subset(l.subset),
-                    l.stage,
-                    repr(float(l.raw_score)),
-                    repr(float(l.normalized_score)),
-                    repr(float(l.weight)),
-                ]
-            )
+        writer.writerows(zip(
+            [labels[u] for u in links.u.tolist()], [labels[v] for v in links.v.tolist()],
+            [ALGORITHMS[a] for a in links.algorithm.tolist()], [names[s] for s in subset],
+            [len(links.subsets[s]) for s in subset],
+            *(map(repr, c.tolist()) for c in (links.raw_score, links.normalized_score, links.weight))))
 
 
-def read_links_csv(path: str | Path, label_index: dict[str, int]) -> list[PredictedLink]:
-    """Read a predicted-links CSV, mapping labels back to node indices."""
-    links = []
+def read_links_csv(path: str | Path, label_index: dict[str, int]) -> LinkTable:
+    """Read a predicted-links CSV into a table, mapping labels back to node indices."""
+    rows = []
     with open(path, encoding="utf-8", newline="") as stream:
         reader = csv.DictReader(stream)
         missing = set(LINK_CSV_COLUMNS) - set(reader.fieldnames or ())
@@ -436,16 +495,17 @@ def read_links_csv(path: str | Path, label_index: dict[str, int]) -> list[Predic
             raise ValueError(f"links file missing columns {sorted(missing)}")
         for row in reader:
             try:
-                u = label_index[row["u_label"]]
-                v = label_index[row["v_label"]]
+                values = [label_index[row["u_label"]], label_index[row["v_label"]]]
             except KeyError as exc:
                 raise ValueError(f"unknown node label {exc.args[0]!r} in links file") from None
-            values = {}
-            for name, parse in (("raw_score", float), ("normalized_score", float),
-                                ("weight", float), ("subset", parse_subset), ("stage", int)):
+            for name, parse in (("algorithm", ALGORITHMS.index), ("raw_score", float),
+                                ("normalized_score", float), ("weight", float),
+                                ("subset", parse_subset), ("stage", int)):
                 try:
-                    values[name] = parse(row[name])
-                except (TypeError, ValueError):  # TypeError: a short row's None
+                    values.append(parse(row[name]))
+                except (AttributeError, TypeError, ValueError):  # a short row holds None
                     raise ValueError(f"links file line {reader.line_num}: bad {name} {row[name]!r}") from None
-            links.append(PredictedLink(u, v, algorithm=row["algorithm"], **values))
-    return links
+            if values.pop() != len(values[-1]):
+                raise ValueError(f"links file line {reader.line_num}: bad stage {row['stage']!r} for subset {row['subset']!r}")
+            rows.append(values)
+    return LinkTable._from_rows(rows)

@@ -5,6 +5,7 @@ cross-check the array implementations."""
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from scipy.sparse import csgraph, csr_matrix
@@ -168,6 +169,24 @@ def oracle_flow_mean(net, subset, u, v):
                 if net.directed and net.intra[k, w, a] > 0:
                     flows.append(float(net.intra[k, w, a]))
     return float(np.mean(flows)) if flows else None
+
+
+def oracle_dedupe(links):
+    """dedupe_links over PredictedLink objects, one dict group per unordered
+    pair: the first of the maximum weight and smallest (algorithm, subset)
+    wins, keeping its orientation, with every tag its group carries (a link's
+    ``sources``, or its own tag when it has none), pairs in order."""
+    groups = {}
+    for link in links:
+        groups.setdefault((min(link.u, link.v), max(link.u, link.v)), []).append(link)
+    out = []
+    for key in sorted(groups):
+        candidates = groups[key]
+        winner = min(candidates, key=lambda l: (-l.weight, l.algorithm, l.subset))
+        tags = sorted({tag for l in candidates
+                       for tag in l.sources or [(l.algorithm, l.subset, l.stage)]})
+        out.append(replace(winner, sources=tuple(tags)))
+    return out
 
 
 # --- plain-loop sampler oracles: one walker and one draw at a time ------------

@@ -292,7 +292,7 @@ def test_reference_dataset_numbers():
         variants = [("original", net)]
         for k in (1, 2, 3):
             union = run_stage(net, k, 0.5)
-            merged.extend(union)
+            merged.append(union)
             variants.append(
                 (f"stage{k}", integrate_links(net, union, placement=PLACEMENT_SUBSET))
             )

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from multinav import (
+    LinkTable,
     PredictedLink,
     build_multiplex,
     dedupe_links,
@@ -67,7 +68,7 @@ def test_predict_stage_files_match_library(tmp_path):
     merged_expected = []
     for k in (1, 2):
         expected = run_stage(net, k, 0.5)
-        merged_expected.extend(expected)
+        merged_expected.append(expected)
         got = read_links_csv(out / f"links_stage{k}.csv", index)
         # the CSV keeps everything except the dedupe provenance
         strip = lambda l: (l.u, l.v, l.algorithm, l.subset, l.stage,
@@ -129,7 +130,7 @@ def test_integrate_applies_links_with_max_collision(tmp_path):
                       weight=5.0, algorithm=ADAMIC_ADAR, subset=(0,), stage=1),
     ]
     links_path = tmp_path / "links.csv"
-    write_links_csv(links_path, links, ["A", "B", "C"])
+    write_links_csv(links_path, LinkTable.from_links(links), ["A", "B", "C"])
     out = tmp_path / "out"
     assert main(
         ["integrate", "--input", base, "--links", str(links_path), "--out", str(out)]
@@ -147,13 +148,25 @@ def test_integrate_rejects_link_subset_outside_the_layers(tmp_path, capsys):
     link = PredictedLink(u=0, v=2, raw_score=1.0, normalized_score=1.0,
                          weight=0.7, algorithm=JACCARD, subset=(7,), stage=1)
     links_path = tmp_path / "links.csv"
-    write_links_csv(links_path, [link], ["A", "B", "C"])
+    write_links_csv(links_path, LinkTable.from_links([link]), ["A", "B", "C"])
     out = tmp_path / "out"
     assert main(
         ["integrate", "--input", base, "--links", str(links_path), "--out", str(out)]
     ) == 2
     assert "subset" in capsys.readouterr().err
     assert not (out / "integrated.csv").exists()
+
+
+def test_pipeline_builds_no_link_objects(tmp_path, monkeypatch):
+    # links stay columns from scorer to disk: iterating a table is for callers
+    built = []
+    init = PredictedLink.__init__
+    monkeypatch.setattr(PredictedLink, "__init__",
+                        lambda self, *args, **kwargs: built.append(args) or init(self, *args, **kwargs))
+    assert main(["pipeline", "--input", TOY, "--out", str(tmp_path / "out")]) == 0
+    assert built == []
+    PredictedLink(0, 1, 1.0, 1.0, 1.0, JACCARD, (0,), 1)
+    assert len(built) == 1  # the count sees a construction
 
 
 def test_navigability_report_schema(tmp_path, capsys):
@@ -361,7 +374,11 @@ def test_exit_codes_for_bad_inputs(tmp_path, capsys):
     links = tmp_path / "links.csv"
     for bad, message in (("a,c,jaccard,0,1,1.0,1.0,inf", "link weight must be positive and finite, got inf"),
                          ("a,c,jaccard,,1,1.0,1.0,0.5", "links file line 3: bad subset ''"),
-                         ("a,c,jaccard,0,1,1.0", "links file line 3: bad normalized_score None")):
+                         ("a,c,jaccard,0,1,1.0", "links file line 3: bad normalized_score None"),
+                         # values a links table cannot hold
+                         ("a,c,bogus,0,1,1.0,1.0,0.5", "links file line 3: bad algorithm 'bogus'"),
+                         ("a,c,jaccard,1+0+1,3,1.0,1.0,0.5", "links file line 3: bad subset '1+0+1'"),
+                         ("a,c,jaccard,0,7,1.0,1.0,0.5", "links file line 3: bad stage '7' for subset '0'")):
         rows = [",".join(LINK_CSV_COLUMNS), "a,c,jaccard,0,1,1.0,1.0,0.5", bad]
         links.write_text("".join(f"{r}\n" for r in rows), encoding="utf-8")
         assert main(["integrate", "--input", base, "--links", str(links), "--out", str(unused)]) == 2
@@ -372,7 +389,7 @@ def test_exit_codes_for_bad_inputs(tmp_path, capsys):
 def test_an_input_that_fails_to_load_leaves_no_out(tmp_path):
     missing = str(tmp_path / "missing.csv")
     links = tmp_path / "links.csv"
-    write_links_csv(links, [], ())
+    write_links_csv(links, LinkTable.from_links([]), ())
     calls = [[command, "--input", missing] for command in
              ("trim", "predict", "navigability", "pipeline", "scenario")]
     calls += [["integrate", "--input", missing, "--links", str(links)],
@@ -412,7 +429,7 @@ def _option_dests(command):
 def test_manifest_config_records_every_option_of_the_command(command, tmp_path):
     base = _write_csv(tmp_path / "base.csv", ["0,a,b,1.0", "0,b,c,1.0", "0,c,d,1.0"])
     links = tmp_path / "links.csv"
-    write_links_csv(links, [], ["a", "b", "c", "d"])
+    write_links_csv(links, LinkTable.from_links([]), ["a", "b", "c", "d"])
     out = tmp_path / "out"
     extra = ["--links", str(links)] if command == "integrate" else []
     assert main([command, "--input", base, "--out", str(out), *extra]) == 0

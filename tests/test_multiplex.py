@@ -24,7 +24,7 @@ from multinav import (
     write_edge_csv,
 )
 from multinav.multiplex import PLACEMENT_ALL, PLACEMENT_SUBSET, TRIM_GLOBAL
-from multinav.prediction import PredictedLink
+from multinav.prediction import LinkTable, PredictedLink
 
 
 def _parse(text):
@@ -223,9 +223,13 @@ def _link(u, v, weight, subset=(0,)):
     )
 
 
+def _table(*links):
+    return LinkTable.from_links(links)
+
+
 def test_integrate_places_links_in_subset_layers():
     net = build_multiplex([FlowEdge(0, 1, 0, 1.0), FlowEdge(1, 2, 1, 1.0)], n_layers=3)
-    out = integrate_links(net, [_link(0, 2, 5.0, subset=(0, 2))])
+    out = integrate_links(net, _table(_link(0, 2, 5.0, subset=(0, 2))))
     assert out.intra[0, 0, 2] == 5.0 and out.intra[0, 2, 0] == 5.0
     assert out.intra[2, 0, 2] == 5.0
     assert out.intra[1, 0, 2] == 0.0
@@ -233,15 +237,15 @@ def test_integrate_places_links_in_subset_layers():
 
 def test_integrate_collision_keeps_maximum():
     net = build_multiplex([FlowEdge(0, 1, 0, 9.0)])
-    low = integrate_links(net, [_link(0, 1, 2.0)])
+    low = integrate_links(net, _table(_link(0, 1, 2.0)))
     assert low.intra[0, 0, 1] == 9.0
-    high = integrate_links(net, [_link(0, 1, 12.0)])
+    high = integrate_links(net, _table(_link(0, 1, 12.0)))
     assert high.intra[0, 0, 1] == 12.0
 
 
 def test_integrate_all_layers_placement():
     net = build_multiplex([FlowEdge(0, 1, 0, 1.0)], n_layers=2)
-    out = integrate_links(net, [_link(0, 1, 3.0)], placement=PLACEMENT_ALL)
+    out = integrate_links(net, _table(_link(0, 1, 3.0)), placement=PLACEMENT_ALL)
     assert out.intra[0, 0, 1] == 3.0
     assert out.intra[1, 0, 1] == 3.0
 
@@ -249,13 +253,13 @@ def test_integrate_all_layers_placement():
 def test_integrate_rejects_bad_links():
     net = build_multiplex([FlowEdge(0, 1, 0, 1.0)])
     with pytest.raises(ValueError, match="positive"):
-        integrate_links(net, [_link(0, 1, 0.0)])
+        integrate_links(net, _table(_link(0, 1, 0.0)))
     with pytest.raises(ValueError, match="finite"):
-        integrate_links(net, [_link(0, 1, float("inf"))])
+        integrate_links(net, _table(_link(0, 1, float("inf"))))
     with pytest.raises(ValueError, match="out of range"):
-        integrate_links(net, [_link(0, 7, 1.0)])
+        integrate_links(net, _table(_link(0, 7, 1.0)))
     with pytest.raises(ValueError, match="placement"):
-        integrate_links(net, [], placement="everywhere")
+        integrate_links(net, _table(), placement="everywhere")
 
 
 @pytest.mark.parametrize("placement", [PLACEMENT_SUBSET, PLACEMENT_ALL])
@@ -263,20 +267,33 @@ def test_integrate_rejects_bad_links():
 def test_integrate_rejects_subset_layer_out_of_range(subset, placement):
     net = build_multiplex([FlowEdge(0, 1, 0, 1.0)], n_layers=3, n_nodes=3)
     with pytest.raises(ValueError, match="subset"):
-        integrate_links(net, [_link(0, 2, 1.0, subset=subset)], placement=placement)
+        integrate_links(net, _table(_link(0, 2, 1.0, subset=subset)), placement=placement)
 
 
 @pytest.mark.parametrize("weight", [float("nan"), -2.0])
 def test_integrate_rejects_weight_that_is_not_positive(weight):
     net = build_multiplex([FlowEdge(0, 1, 0, 1.0)], n_nodes=3)
     with pytest.raises(ValueError, match="positive"):
-        integrate_links(net, [_link(0, 2, 3.0), _link(1, 2, weight)])
+        integrate_links(net, _table(_link(0, 2, 3.0), _link(1, 2, weight)))
 
 
 def test_integrate_rejects_self_loop_link():
     net = build_multiplex([FlowEdge(0, 1, 0, 1.0)])
     with pytest.raises(ValueError, match="itself"):
-        integrate_links(net, [_link(1, 1, 74.25)])
+        integrate_links(net, _table(_link(1, 1, 74.25)))
+
+
+def test_integrate_reports_the_first_failing_link_by_its_first_failing_check():
+    net = build_multiplex([FlowEdge(0, 1, 0, 1.0)], n_nodes=3)
+    for links, message in (
+        ([_link(0, 2, 1.0), _link(1, 1, 2.0), _link(0, 1, -1.0)], "predicted link joins node 1 to itself"),
+        ([_link(0, 7, float("nan"), subset=(4,))], "predicted link weight must be positive and finite, got nan"),
+        ([_link(2, 7, 1.0, subset=(4,)), _link(0, 0, 1.0)], "link endpoint out of range: (2, 7)"),
+        ([_link(0, 2, 1.0, subset=(0, 4))], "link subset (0, 4) names a layer out of range [0, 1)"),
+    ):
+        with pytest.raises(ValueError) as caught:
+            integrate_links(net, _table(*links))
+        assert str(caught.value) == message
 
 
 def _integrate_oracle(net, links, placement):
@@ -306,7 +323,7 @@ def test_integrate_matches_a_per_link_loop():
                 else float(rng.uniform(0.1, 3.0))
             links.append(_link(u, v, weight, subset=subset))
         for placement in (PLACEMENT_SUBSET, PLACEMENT_ALL):
-            got = integrate_links(net, links, placement=placement)
+            got = integrate_links(net, _table(*links), placement=placement)
             want = _integrate_oracle(net, links, placement)
             assert got.intra.dtype == want.dtype and got.intra.tobytes() == want.tobytes()
             assert got.directed == net.directed and got.coupling == net.coupling

@@ -129,7 +129,7 @@ def _survival_by_loop(state, times):
 
 
 @pytest.mark.parametrize("directed", [True, False])
-def test_survival_matches_mode_by_mode_sum(directed):
+def test_survival_matches_mode_by_mode_sum(directed, monkeypatch):
     net = connected_random_multiplex(
         np.random.default_rng(0), max_nodes=7, max_layers=2, directed=directed
     )
@@ -138,10 +138,17 @@ def test_survival_matches_mode_by_mode_sum(directed):
         assert np.abs(state.eigenvalues.imag).max() > 0.1
     else:
         assert state.eigenvalues.dtype == np.float64
-    times = np.array([0.0, 0.05, 0.7, 3.0, 40.0])
-    delta = state.survival(times)
-    assert delta.shape == (times.size, net.n_nodes, net.n_nodes)
-    assert np.allclose(delta, _survival_by_loop(state, times), rtol=0.0, atol=1e-12)
+    times = np.array([0.0, 0.05, 0.7, 3.0, 40.0, 1e3, 1e6])
+    # from t = 40 on, 8 and then all 13 nonzero modes have Re(lambda) * t >= 38
+    settled = [np.count_nonzero(state.eigenvalues.real * t >= 38.0) for t in times]
+    assert settled[4] == 8 and settled[-1] == state.eigenvalues.size - 1
+    expected = _survival_by_loop(state, times)
+    # one chunk holds t = 0, where no mode settles; one time per chunk folds them
+    for chunk in (navigability.TIME_CHUNK, 1):
+        monkeypatch.setattr(navigability, "TIME_CHUNK", chunk)
+        delta = state.survival(times)
+        assert delta.shape == (times.size, net.n_nodes, net.n_nodes)
+        assert np.allclose(delta, expected, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("directed", [True, False])

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from conftest import (
     group_scores,
+    oracle_dedupe,
     oracle_exclusive,
     oracle_flow_mean,
     oracle_pair_layers,
@@ -18,6 +19,7 @@ from conftest import (
 
 from multinav import (
     FlowEdge,
+    LinkTable,
     MultiplexNetwork,
     PredictedLink,
     ScoredPairs,
@@ -38,6 +40,7 @@ from multinav import prediction
 from multinav.prediction import (
     ADAMIC_ADAR,
     JACCARD,
+    LINK_CSV_COLUMNS,
     format_subset,
     parse_subset,
     read_links_csv,
@@ -307,7 +310,7 @@ def test_assign_weights_means_flows_to_shared_exclusive_neighbors():
     net = build_multiplex(edges)
     group = threshold_filter(normalize_scores(modified_jaccard(net, [(0,)])), 0.5)
     links = assign_weights(group, net)
-    assert links == [PredictedLink(0, 1, 1.0, 1.0, 6.0, JACCARD, (0,), 1)]  # mean(4, 8) * 1.0
+    assert list(links) == [PredictedLink(0, 1, 1.0, 1.0, 6.0, JACCARD, (0,), 1)]  # mean(4, 8) * 1.0
     with pytest.raises(ValueError, match="requires normalized scores"):
         assign_weights(modified_jaccard(net, [(0,)]), net)
 
@@ -371,20 +374,43 @@ def test_run_stage_weights_match_plain_loop_flow_means():
 
 
 def test_dedupe_keeps_max_weight_then_lexicographic_tags():
-    def link(weight, algorithm, subset):
-        return PredictedLink(0, 1, 0.5, 0.9, weight, algorithm, subset, len(subset))
+    def link(weight, algorithm, subset, raw=0.5, ends=(0, 1)):
+        return PredictedLink(*ends, raw, 0.9, weight, algorithm, subset, len(subset))
 
-    winner = dedupe_links(
-        [link(2.0, ADAMIC_ADAR, (1,)), link(5.0, JACCARD, (0,)), link(5.0, ADAMIC_ADAR, (0,))]
-    )
+    winner = list(dedupe_links([
+        LinkTable.from_links([link(2.0, ADAMIC_ADAR, (1,)), link(5.0, JACCARD, (0,))]),
+        LinkTable.from_links([link(5.0, ADAMIC_ADAR, (0, 2)), link(5.0, ADAMIC_ADAR, (0,))]),
+    ]))
     assert len(winner) == 1
-    assert winner[0].algorithm == ADAMIC_ADAR  # "adamic_adar" < "jaccard"
-    assert winner[0].weight == 5.0
+    # "adamic_adar" < "jaccard", then (0,) < (0, 2) across the tables' subsets
+    assert (winner[0].algorithm, winner[0].subset, winner[0].weight) == (ADAMIC_ADAR, (0,), 5.0)
     assert winner[0].sources == (
         (ADAMIC_ADAR, (0,), 1),
+        (ADAMIC_ADAR, (0, 2), 2),
         (ADAMIC_ADAR, (1,), 1),
         (JACCARD, (0,), 1),
     )
+    # an exact tie goes to the first row in input order, which keeps its orientation
+    tied = [link(5.0, JACCARD, (0,), raw=0.25, ends=(1, 0)), link(5.0, JACCARD, (0,), raw=0.75)]
+    for links in (tied, tied[::-1]):
+        got = list(dedupe_links([LinkTable.from_links(links)]))
+        assert got == oracle_dedupe(links)
+        assert (got[0].u, got[0].v, got[0].raw_score) == (links[0].u, links[0].v, links[0].raw_score)
+        assert got[0].sources == ((JACCARD, (0,), 1),)
+
+
+def test_link_table_round_trips_links_with_sources():
+    links = [
+        PredictedLink(3, 1, 0.5, 1.0, 2.0, JACCARD, (0, 2), 2,
+                      ((ADAMIC_ADAR, (1, 2), 2), (JACCARD, (0, 2), 2))),
+        PredictedLink(0, 4, 0.25, 0.5, 1.0, ADAMIC_ADAR, (1,), 1),
+    ]
+    table = LinkTable.from_links(links)
+    assert len(table) == 2 and table.subsets == ((0, 2), (1,), (1, 2))
+    assert table.algorithm.tolist() == [1, 0] and table.subset.tolist() == [0, 1]
+    assert list(table) == links and list(table) == links  # iterable again
+    empty = LinkTable.from_links([])
+    assert len(empty) == 0 and list(empty) == [] and empty.subsets == ()
 
 
 def test_run_stage_dedupes_across_subsets_in_order():
@@ -416,7 +442,7 @@ def _oracle_stage(net, k, threshold):
                 if top > 0 and raw / top > threshold:
                     weight = raw / top * oracle_flow_mean(net, subset, u, v)
                     links.append(PredictedLink(u, v, raw, raw / top, weight, algorithm, subset, k))
-    return dedupe_links(links)
+    return oracle_dedupe(links)
 
 
 def test_run_stage_of_an_empty_network_or_stage_is_empty_without_warning():
@@ -424,10 +450,10 @@ def test_run_stage_of_an_empty_network_or_stage_is_empty_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         no_nodes = MultiplexNetwork(directed=False, intra=np.zeros((2, 0, 0)), coupling=1.0)
-        assert run_stage(no_nodes, 1) == run_stage(no_nodes, 2) == []
+        assert len(run_stage(no_nodes, 1)) == len(run_stage(no_nodes, 2)) == 0
         # no candidate: no exclusive neighbor anywhere, or every pair an edge
-        assert run_stage(build_multiplex([], n_layers=2, n_nodes=5), 2) == []
-        assert run_stage(build_multiplex(complete), 1, threshold=0.0) == []
+        assert len(run_stage(build_multiplex([], n_layers=2, n_nodes=5), 2)) == 0
+        assert len(run_stage(build_multiplex(complete), 1, threshold=0.0)) == 0
 
 
 def test_run_stage_drops_only_the_all_zero_subset():
@@ -446,7 +472,7 @@ def test_run_stage_drops_only_the_all_zero_subset():
         "all scores are zero for ('jaccard', (0,)); group dropped"
     ]
     assert {l.subset for l in links} == {(1,), (2,)}
-    assert links == _oracle_stage(net, 1, 0.3)
+    assert list(links) == _oracle_stage(net, 1, 0.3)
 
 
 def test_run_stage_does_not_depend_on_the_pass_budget(monkeypatch):
@@ -455,14 +481,14 @@ def test_run_stage_does_not_depend_on_the_pass_budget(monkeypatch):
             for trial in range(6)]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # an all-zero subset warns once per pass
-        default = [run_stage(net, k, threshold) for net in nets for k in (1, 2, 3)
+        default = [list(run_stage(net, k, threshold)) for net in nets for k in (1, 2, 3)
                    for threshold in (0.0, 0.5)]
         scored = []
         scorer = prediction.modified_jaccard
         monkeypatch.setattr(prediction, "modified_jaccard",
                             lambda net, subsets: scored.append(len(subsets)) or scorer(net, subsets))
         monkeypatch.setattr(prediction, "CHUNK_BYTES", 1)  # one subset per pass
-        split = [run_stage(net, k, threshold) for net in nets for k in (1, 2, 3)
+        split = [list(run_stage(net, k, threshold)) for net in nets for k in (1, 2, 3)
                  for threshold in (0.0, 0.5)]
     assert split == default
     assert set(scored) == {1} and len(scored) == len(nets) * (4 + 6 + 4) * 2
@@ -471,14 +497,22 @@ def test_run_stage_does_not_depend_on_the_pass_budget(monkeypatch):
 def test_links_csv_round_trip(tmp_path):
     link = PredictedLink(0, 2, 0.75, 1.0, 5.25, JACCARD, (0, 2), 2)
     path = tmp_path / "links.csv"
-    write_links_csv(path, [link], ("a", "b", "c"))
+    write_links_csv(path, LinkTable.from_links([link]), ("a", "b", "c"))
     back = read_links_csv(path, {"a": 0, "b": 1, "c": 2})
-    assert back == [link]
+    assert list(back) == [link]
     with pytest.raises(ValueError, match="unknown node label"):
         read_links_csv(path, {"x": 0})
+    # columns in any order: a short row's missing subset is a bad value, not a crash
+    columns = [c for c in LINK_CSV_COLUMNS if c != "subset"] + ["subset"]
+    path.write_text(",".join(columns) + "\na,c,jaccard,2,0.75,1.0,5.25\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="line 2: bad subset None"):
+        read_links_csv(path, {"a": 0, "b": 1, "c": 2})
 
 
 def test_subset_format_round_trip():
     assert format_subset((0, 2)) == "0+2"
     assert parse_subset("0+2") == (0, 2)
     assert parse_subset("1") == (1,)
+    for text in ("2+0", "1+1"):  # format_subset writes layers strictly increasing
+        with pytest.raises(ValueError, match="strictly increasing"):
+            parse_subset(text)

@@ -11,9 +11,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import oracle_dedupe
+
 from multinav import (
     DegradedDecompositionError,
     FlowEdge,
+    LinkTable,
     PredictedLink,
     build_multiplex,
     build_supra_transition,
@@ -52,7 +55,7 @@ def networks_and_links(draw):
         PredictedLink(u, v, 1.0, 1.0, draw(st.floats(0.01, 10.0)), JACCARD, tuple(sorted(s)), len(s))
         for (u, v), s in draw(st.lists(st.tuples(pairs, layers), max_size=8))
     ]
-    return net, links
+    return net, LinkTable.from_links(links)
 
 
 @SETTINGS
@@ -89,19 +92,25 @@ def stage_links(draw):
     ]
 
 
+def _deduped(*groups):
+    return list(dedupe_links([LinkTable.from_links(links) for links in groups]))
+
+
 @SETTINGS
 @given(stage_links().flatmap(lambda links: st.tuples(st.just(links), st.permutations(links))))
 def test_dedupe_links_ignores_input_order(case):
     links, shuffled = case
-    assert dedupe_links(shuffled) == dedupe_links(links)
+    assert _deduped(shuffled) == _deduped(links) == oracle_dedupe(links)
 
 
 @SETTINGS
 @given(stage_links(), stage_links())
 def test_dedupe_links_keeps_sources_when_deduped_again(first, second):
-    # run_stage dedupes each stage, then the CLI dedupes the stages' union to merge them
-    again = dedupe_links(dedupe_links(first) + dedupe_links(second))
-    assert again == dedupe_links(first + second)
+    # run_stage dedupes each stage, then the CLI dedupes the stages' tables to merge them
+    again = dedupe_links([dedupe_links([LinkTable.from_links(first)]),
+                          dedupe_links([LinkTable.from_links(second)])])
+    assert list(again) == _deduped(first, second) == _deduped(first + second)
+    assert list(again) == oracle_dedupe(oracle_dedupe(first) + oracle_dedupe(second))
 
 
 @SETTINGS
