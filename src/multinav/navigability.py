@@ -17,6 +17,9 @@ quadrature. Coverage is
     rho(t) = 1 - (1/N^2) * sum_ij delta[i,j](t)
 
 which starts at 1/N and, on a strongly connected supra-graph, tends to 1.
+AnalyticCoverageState.survival streams the inner sum: for each origin j it
+returns sum_i delta[i,j](t), built chunk by chunk without the (T, N, N) array
+of delta.
 
 This is the paper's mean-field formula, not the walk's exact coverage: the
 hit rate comes from the unconditioned occupation p_j(t) rather than from the
@@ -197,10 +200,11 @@ class AnalyticCoverageState:
 
     The mode-l coefficient of pair (i, j) factors as
     origin_coefficients[j, l] * target_coefficients[l, i], avoiding the
-    N*N*NL tensor. Origin j starts on its layer-0 replica, so it holds one
-    row per physical node and survival starts at 1 - identity: each origin
-    has discovered itself and nothing else. The factors keep the dtype of
-    the decomposition, so a real basis gives a real survival product.
+    N*N*NL tensor; ``survival`` forms it for one block of origins at a time.
+    Origin j starts on its layer-0 replica, so it holds one row per physical
+    node and each origin starts with n - 1 undiscovered targets: it has
+    discovered itself and nothing else. The factors keep the dtype of the
+    decomposition, so a real basis gives a real survival product.
     """
 
     eigenvalues: np.ndarray
@@ -212,48 +216,90 @@ class AnalyticCoverageState:
         return self.origin_coefficients.shape[0]
 
     def survival(self, times: np.ndarray) -> np.ndarray:
-        """delta[t, j, i]: probability target i is unvisited by time t from origin j.
+        """S[t, j]: expected number of targets origin j has not discovered by time t.
 
-        The diagonal is 0 at every time, and delta[0] is 1 - identity. The
-        mode factors are computed once; origins then go in blocks whose
-        coefficients ``origin_coefficients[j, l] * target_coefficients[l, i]``
-        and products fit CHUNK_BYTES beside the modes. In each TIME_CHUNK of
-        times, the modes from m on have settled (Re(lambda) * t >= 38, so the
-        factor is 1/lambda; see EXP_CAP) and add one (NL - m,) @ (NL - m, N)
-        product per origin; the rest are one batched (TIME_CHUNK, m) @ (m, N)
-        product. No shape depends on the block size, so neither does the result.
+        S[t, j] is the sum over targets i != j of delta[t, j, i], the
+        probability that i is still unvisited from j, so S[0] is n - 1. It is
+        computed in one streaming pass that holds no (T, N, N) array:
+
+        - Each TIME_CHUNK of times computes the factors of its unsettled modes
+          0 .. m-1 only. The modes from m on have settled (Re(lambda) * t >=
+          38, so the factor is 1/lambda; see EXP_CAP) and add one term per
+          pair, computed once for each distinct m.
+        - Origins go in blocks whose coefficients ``origin_coefficients[j, l]
+          * target_coefficients[l, i]`` and one chunk's exponents fit
+          CHUNK_BYTES beside the mode factors. The exponents land in (time,
+          origin * target) layout, one (TIME_CHUNK, m) @ (m, N) product per
+          origin, so no shape and no result depends on the block size. They
+          are clipped, exponentiated in place and summed over targets.
+        - With increasing times, one zero mode, no negative off-diagonal
+          zero-mode coefficient in the block and every other mode settled,
+          no exponent can fall: from the first time at which all of them reach
+          EXP_CAP, the block's sums are copied to the rest of the grid.
         """
         times = np.asarray(times, dtype=float)
+        n, targets = self.n_nodes, self.target_coefficients
+        if n == 0:
+            raise ValueError("analytic coverage needs at least one node")
         lam = self.eigenvalues
         small = np.abs(lam) <= ZERO_EIGENVALUE_TOL
         safe = np.where(small, 1.0, lam)
-        modes = np.multiply.outer(times, -safe)
-        np.maximum(modes.real, -EXP_CAP, out=modes.real)
-        with np.errstate(over="ignore"):
-            np.exp(modes, out=modes)
-        np.subtract(1.0, modes, out=modes)
-        modes /= safe
-        modes[:, small] = times[:, None]
-        n, targets = self.n_nodes, self.target_coefficients
-        out = np.empty((times.size, n, n))
-        # one origin's coefficients and products; the modes share the budget
+        starts = np.arange(0, times.size, TIME_CHUNK)
+        # m per chunk: 1 + the last mode not settled at the chunk's earliest time
+        unsettled = small | (np.multiply.outer(np.minimum.reduceat(times, starts), lam.real) < 38.0)
+        counts = (unsettled * np.arange(1, lam.size + 1)).max(axis=1, initial=0)
+        chunks = []  # (rows, m, negated factors of modes 0 .. m-1)
+        for start, m in zip(starts.tolist(), counts.tolist()):
+            t = times[start : start + TIME_CHUNK]
+            modes = np.multiply.outer(t, -safe[:m])
+            np.maximum(modes.real, -EXP_CAP, out=modes.real)
+            with np.errstate(over="ignore"):
+                np.exp(modes, out=modes)
+            np.subtract(modes, 1.0, out=modes)
+            modes /= safe[:m]
+            modes[:, small[:m]] = -t[:, None]
+            chunks.append((slice(start, start + t.size), m, modes))
+        rising = bool(np.all(np.diff(times) >= 0.0))
+        out = np.empty((times.size, n))
+        # one origin's coefficients and exponents; the mode factors share the budget
         per_origin = (targets.shape[0] + TIME_CHUNK) * n * targets.itemsize
-        block = max(1, (CHUNK_BYTES - modes.nbytes) // per_origin)
+        block = min(n, max(1, (CHUNK_BYTES - sum(modes.nbytes for _, _, modes in chunks)) // per_origin))
+        # reused by every block: fresh pages for each would cost more than the products
+        coefficient_space = np.empty(block * targets.size, dtype=targets.dtype)
+        exponent_space = np.empty(TIME_CHUNK * block * n, dtype=targets.dtype)
         for first in range(0, n, block):
-            coefficients = self.origin_coefficients[first : first + block, :, None] * targets
-            for start in range(0, times.size, TIME_CHUNK):
-                chunk = slice(start, start + TIME_CHUNK)
-                m = 1 + int(np.flatnonzero(small | (lam.real * times[chunk].min() < 38.0)).max(initial=-1))
-                exponent = (modes[chunk, :m] @ coefficients[:, :m]).real
+            origins = self.origin_coefficients[first : first + block]
+            width = origins.shape[0]
+            own = np.arange(width)
+            coefficients = coefficient_space[: width * targets.size].reshape(width, *targets.shape)
+            np.einsum("jl,li->jli", origins, targets, out=coefficients)
+            zero_rate = coefficients[:, 0].real.copy()
+            zero_rate[own, first + own] = 0.0
+            monotone = rising and bool(small[0]) and zero_rate.min() >= 0.0
+            settled_m, settled = lam.size, None
+            for rows, m, modes in chunks:
+                # negated exponents; origin j's product fills column block j
+                exponent = exponent_space[: modes.shape[0] * width * n].reshape(-1, width, n)
+                np.matmul(modes, coefficients[:, :m], out=exponent.transpose(1, 0, 2))
+                values = exponent.real
                 if m < lam.size:  # settled modes, which a zero term would only slow
-                    exponent += ((1.0 / safe[m:]) @ coefficients[:, m:]).real[:, None, :]
-                # (origin, time, target) view of the output block
-                view = out[chunk, first : first + block].transpose(1, 0, 2)
-                np.clip(exponent, 0.0, EXP_CAP, out=view)
-                np.negative(view, out=view)
-                np.exp(view, out=view)
-        own = np.arange(n)
-        out[:, own, own] = 0.0  # an origin is discovered from the start
+                    if m != settled_m:
+                        settled_m, settled = m, ((-1.0 / safe[m:]) @ coefficients[:, m:]).real
+                    values += settled
+                np.clip(values, -EXP_CAP, 0.0, out=values)
+                values[:, own, first + own] = -np.inf  # an origin is discovered from the start
+                stop = None
+                if monotone and m == 1:
+                    capped = np.flatnonzero(values.max(axis=(1, 2)) <= -EXP_CAP)
+                    if capped.size:
+                        stop = int(capped[0]) + 1
+                        values = values[:stop]
+                np.exp(values, out=values)
+                sums = out[rows, first : first + width]
+                np.einsum("tjn->tj", values, out=sums[:stop])
+                if stop is not None:  # every later exponent stays at the cap
+                    out[rows.start + stop :, first : first + width] = sums[stop - 1]
+                    break
         return out
 
 
@@ -287,8 +333,7 @@ def _curve_from_state(state: AnalyticCoverageState, times: np.ndarray | None) ->
     times = np.asarray(times, dtype=float)
     if times.size == 0 or times[0] != 0.0 or np.any(np.diff(times) <= 0):
         raise ValueError("time grid must start at 0 and increase strictly")
-    delta = state.survival(times)
-    rho = 1.0 - delta.mean(axis=(1, 2))
+    rho = 1.0 - state.survival(times).mean(axis=1) / state.n_nodes
     drops = np.diff(rho).min(initial=0.0)
     if drops < -1e-9:
         raise DegradedDecompositionError(

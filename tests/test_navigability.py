@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -138,17 +139,19 @@ def test_survival_matches_mode_by_mode_sum(directed, monkeypatch):
         assert np.abs(state.eigenvalues.imag).max() > 0.1
     else:
         assert state.eigenvalues.dtype == np.float64
-    times = np.array([0.0, 0.05, 0.7, 3.0, 40.0, 1e3, 1e6])
+    # 1e6 and 1e7 lie past saturation, where every off-diagonal exponent is
+    # capped; with one time per chunk, survival copies the 1e6 sums to 1e7
+    times = np.array([0.0, 0.05, 0.7, 3.0, 40.0, 1e3, 1e6, 1e7])
     # from t = 40 on, 8 and then all 13 nonzero modes have Re(lambda) * t >= 38
     settled = [np.count_nonzero(state.eigenvalues.real * t >= 38.0) for t in times]
-    assert settled[4] == 8 and settled[-1] == state.eigenvalues.size - 1
-    expected = _survival_by_loop(state, times)
+    assert settled[4] == 8 and settled[-2] == settled[-1] == state.eigenvalues.size - 1
+    expected = _survival_by_loop(state, times).sum(axis=2)
     # one chunk holds t = 0, where no mode settles; one time per chunk folds them
     for chunk in (navigability.TIME_CHUNK, 1):
         monkeypatch.setattr(navigability, "TIME_CHUNK", chunk)
-        delta = state.survival(times)
-        assert delta.shape == (times.size, net.n_nodes, net.n_nodes)
-        assert np.allclose(delta, expected, rtol=0.0, atol=1e-12)
+        remaining = state.survival(times)
+        assert remaining.shape == (times.size, net.n_nodes)
+        assert np.allclose(remaining, expected, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("directed", [True, False])
@@ -161,6 +164,25 @@ def test_survival_chunk_size_does_not_change_the_result(directed, monkeypatch):
     default = state.survival(times)
     monkeypatch.setattr(navigability, "CHUNK_BYTES", 1)  # one time point per chunk
     assert np.array_equal(state.survival(times), default)
+
+
+def test_survival_streams_without_a_pair_tensor(monkeypatch):
+    """One survival call holds no (T, N, N) array: under a small CHUNK_BYTES
+    its peak allocation is a small fraction of T * N^2 * 8 bytes, and its
+    result is the default budget's."""
+    n = 60
+    state = analytic_state(random_multiplex(np.random.default_rng(5), n, 2, directed=False), "rwc")
+    times = default_time_grid()
+    default = state.survival(times)
+    monkeypatch.setattr(navigability, "CHUNK_BYTES", 2**16)
+    tracemalloc.start()
+    try:
+        small = state.survival(times)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < times.size * n * n * 8 / 10
+    assert np.array_equal(small, default)
 
 
 def test_decompose_rejects_defective_matrix():
@@ -248,6 +270,9 @@ def test_coverage_analytic_isolated_nodes_stay_at_floor():
     assert np.allclose(curve.rho, 0.25, atol=1e-12)
     report = navigability_report(net, "rwc")
     assert report.t90 is None
+    # no node at all is an error, as it is for coverage_montecarlo
+    with pytest.raises(ValueError, match="at least one node"):
+        coverage_analytic(build_multiplex([], n_layers=2, n_nodes=0), "rwc")
 
 
 def test_coverage_montecarlo_axioms_and_determinism():
@@ -448,15 +473,18 @@ def test_poisson_weights_match_scipy_on_the_montecarlo_grid():
 
 def test_no_survival_or_poisson_weight_lies_below_e_minus_700():
     """numpy's exp is slow where its result is subnormal, so survival and the
-    Poisson weights cap every exp argument at 700: a value is 0 or >= e^-700."""
+    Poisson weights cap every exp argument at 700: a value is 0 or >= e^-700.
+    Survival sums n - 1 such probabilities per origin, so no sum lies below
+    (n - 1) * e^-700, and one that reaches it has every target at the cap."""
     floor = np.exp(-700.0)
     for directed in (False, True):  # the real and the complex eigenbasis
         net = connected_random_multiplex(
             np.random.default_rng(0), max_nodes=12, max_layers=3, directed=directed
         )
-        delta = analytic_state(net, "rwc").survival(default_time_grid())
-        assert not np.any((delta > 0.0) & (delta < floor))
-        assert np.any(delta == floor)  # the default grid runs past the cap
+        n = net.n_nodes
+        ratio = analytic_state(net, "rwc").survival(default_time_grid()) / floor
+        assert ratio.min() >= (n - 1) * (1.0 - 1e-12)
+        assert np.any(np.abs(ratio - (n - 1)) <= 1e-9)  # the default grid runs past the cap
     times = np.concatenate([[0.0], np.logspace(-2.0, np.log10(300.0), 300)])
     weights = navigability._poisson_weights(times, 401)
     assert not np.any((weights > 0.0) & (weights < floor))

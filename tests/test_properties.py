@@ -203,9 +203,10 @@ def test_analytic_coverage_starts_at_one_over_n_and_never_drops(net, strategy):
     assert abs(curve.rho[0] - 1.0 / n) <= 1e-12
     assert np.all(np.diff(curve.rho) >= 0.0)
     assert curve.rho.max() <= 1.0
-    delta = analytic_state(net, strategy).survival(default_time_grid())
-    assert np.array_equal(delta[0], 1.0 - np.eye(n))
-    assert delta.min() >= 0.0 and delta.max() <= 1.0
+    # the expected number of targets each origin has not yet discovered
+    remaining = analytic_state(net, strategy).survival(default_time_grid())
+    assert np.all(remaining[0] == n - 1)
+    assert remaining.min() >= 0.0 and remaining.max() <= n - 1
 
 
 @st.composite
