@@ -6,11 +6,11 @@ the parsed options themselves, so it records every setting and nothing
 else. The manifest also hashes inputs and artifacts, and records a run_hash
 over everything except wall-clock timings, the output location and the
 input paths (inputs count by content), so identical runs are verifiable by
-hash comparison. The output policy lives in ``_Run``: it makes --out with
-the first artifact, once the inputs have loaded, writes each artifact
-atomically (temp file + rename) and records its name, times each phase and
-writes the manifest. The option ranges live in ``RANGES``, which ``main``
-checks before a command makes --out.
+hash comparison. The output policy lives in ``_Run``, the only writer of
+files: it makes --out with the first artifact, once the inputs have loaded,
+writes each artifact atomically (temp file + rename) and records its name,
+times each phase and writes the manifest last, the same way. The option
+ranges live in ``RANGES``, which ``main`` checks before a command makes --out.
 
 Exit codes: 0 success (including a t90 of "not reached"), 1 usage error,
 2 input/parse error, 3 numerical degradation.
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import json
 import os
@@ -54,8 +55,8 @@ from .navigability import (
     NOT_REACHED,
     compare_stages,
     navigability_report,
+    report_to_json_dict,
     write_curve_csv,
-    write_report_json,
 )
 from .prediction import (
     ALGORITHMS,
@@ -117,38 +118,6 @@ def _write_json(path: Path, value) -> None:
     path.write_text(json.dumps(value, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _write_manifest(
-    out_dir: Path,
-    args: argparse.Namespace,
-    inputs: list[str],
-    artifacts: list[str],
-    timings: dict[str, float],
-) -> str:
-    command = args.command
-    config = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
-    digests = [_sha256_path(p) for p in inputs]
-    manifest = {
-        "tool": "multinav",
-        "version": __version__,
-        "command": command,
-        "config": config,
-        "inputs": dict(zip(inputs, digests)),
-        "artifacts": {name: _sha256_path(out_dir / name) for name in sorted(artifacts)},
-        "timings": timings,
-    }
-    hashed = {
-        "command": command,
-        "config": {k: v for k, v in config.items() if k not in ("out", "inputs", "links")},
-        "inputs": digests,
-        "artifacts": manifest["artifacts"],
-    }
-    payload = json.dumps(hashed, sort_keys=True, separators=(",", ":"))
-    manifest["run_hash"] = hashlib.sha256(payload.encode()).hexdigest()
-    with _atomic(out_dir / "manifest.json") as tmp:
-        _write_json(tmp, manifest)
-    return manifest["run_hash"]
-
-
 class _Run:
     """One command's output: writes and records each artifact, times each
     phase, and writes the manifest last. The first artifact makes --out, so
@@ -174,7 +143,31 @@ class _Run:
         self.timings[name] = time.perf_counter() - start
 
     def finish(self, inputs: list[str]) -> str:
-        return _write_manifest(self.out, self.args, inputs, self.artifacts, self.timings)
+        """Write manifest.json, hashing the inputs and every artifact but itself."""
+        command = self.args.command
+        config = {k: v for k, v in vars(self.args).items() if k not in ("command", "func")}
+        digests = [_sha256_path(p) for p in inputs]
+        artifacts = {name: _sha256_path(self.out / name) for name in sorted(self.artifacts)}
+        hashed = {
+            "command": command,
+            "config": {k: v for k, v in config.items() if k not in ("out", "inputs", "links")},
+            "inputs": digests,
+            "artifacts": artifacts,
+        }
+        payload = json.dumps(hashed, sort_keys=True, separators=(",", ":"))
+        run_hash = hashlib.sha256(payload.encode()).hexdigest()
+        manifest = {
+            "tool": "multinav",
+            "version": __version__,
+            "command": command,
+            "config": config,
+            "inputs": dict(zip(inputs, digests)),
+            "artifacts": artifacts,
+            "timings": self.timings,
+            "run_hash": run_hash,
+        }
+        self.write("manifest.json", _write_json, manifest)
+        return run_hash
 
 
 def _load_edges(paths: list[str]) -> EdgeList:
@@ -316,7 +309,7 @@ def cmd_integrate(args) -> int:
 def _emit_report(run: _Run, report, strategy: str, label: str) -> None:
     curve_name = f"curve_{strategy}_{label}.csv"
     run.write(curve_name, write_curve_csv, report.curve)
-    run.write(f"report_{strategy}_{label}.json", write_report_json, report, curve_name)
+    run.write(f"report_{strategy}_{label}.json", _write_json, report_to_json_dict(report, curve_name))
     shown = NOT_REACHED if report.t90 is None else f"{report.t90:.6g}"
     print(f"{strategy} {label}: spectral gap {report.spectral_gap:.6g}, t90 {shown}")
 
@@ -437,6 +430,7 @@ def _add_strategy(sub: argparse.ArgumentParser) -> None:
                      help="walk strategy, repeatable (default: rwc)")
 
 
+@functools.cache  # built on first use, then shared by every main call of the process
 def build_parser() -> CliParser:
     parser = CliParser(prog="multinav", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"multinav {__version__}")

@@ -32,7 +32,6 @@ on sparse ones.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -223,9 +222,11 @@ class AnalyticCoverageState:
         computed in one streaming pass that holds no (T, N, N) array:
 
         - Each TIME_CHUNK of times computes the factors of its unsettled modes
-          0 .. m-1 only. The modes from m on have settled (Re(lambda) * t >=
-          38, so the factor is 1/lambda; see EXP_CAP) and add one term per
-          pair, computed once for each distinct m.
+          0 .. m-1 only: (1 - e^(-lambda t)) / lambda, and t only where
+          lambda is exactly 0, so a slow mode is not taken for a zero mode.
+          The modes from m on have settled (Re(lambda) * t >= 38, so the
+          factor is 1/lambda; see EXP_CAP) and add one term per pair,
+          computed once for each distinct m.
         - Origins go in blocks whose coefficients ``origin_coefficients[j, l]
           * target_coefficients[l, i]`` and one chunk's exponents fit
           CHUNK_BYTES beside the mode factors. The exponents land in (time,
@@ -242,11 +243,10 @@ class AnalyticCoverageState:
         if n == 0:
             raise ValueError("analytic coverage needs at least one node")
         lam = self.eigenvalues
-        small = np.abs(lam) <= ZERO_EIGENVALUE_TOL
-        safe = np.where(small, 1.0, lam)
+        safe = np.where(lam == 0.0, 1.0, lam)
         starts = np.arange(0, times.size, TIME_CHUNK)
         # m per chunk: 1 + the last mode not settled at the chunk's earliest time
-        unsettled = small | (np.multiply.outer(np.minimum.reduceat(times, starts), lam.real) < 38.0)
+        unsettled = np.multiply.outer(np.minimum.reduceat(times, starts), lam.real) < 38.0
         counts = (unsettled * np.arange(1, lam.size + 1)).max(axis=1, initial=0)
         chunks = []  # (rows, m, negated factors of modes 0 .. m-1)
         for start, m in zip(starts.tolist(), counts.tolist()):
@@ -254,10 +254,9 @@ class AnalyticCoverageState:
             modes = np.multiply.outer(t, -safe[:m])
             np.maximum(modes.real, -EXP_CAP, out=modes.real)
             with np.errstate(over="ignore"):
-                np.exp(modes, out=modes)
-            np.subtract(modes, 1.0, out=modes)
+                np.expm1(modes, out=modes)  # exp - 1 would cancel a slow mode's small lambda * t
             modes /= safe[:m]
-            modes[:, small[:m]] = -t[:, None]
+            modes[:, lam[:m] == 0.0] = -t[:, None]
             chunks.append((slice(start, start + t.size), m, modes))
         rising = bool(np.all(np.diff(times) >= 0.0))
         out = np.empty((times.size, n))
@@ -275,7 +274,7 @@ class AnalyticCoverageState:
             np.einsum("jl,li->jli", origins, targets, out=coefficients)
             zero_rate = coefficients[:, 0].real.copy()
             zero_rate[own, first + own] = 0.0
-            monotone = rising and bool(small[0]) and zero_rate.min() >= 0.0
+            monotone = rising and abs(lam[0]) <= ZERO_EIGENVALUE_TOL and zero_rate.min() >= 0.0
             settled_m, settled = lam.size, None
             for rows, m, modes in chunks:
                 # negated exponents; origin j's product fills column block j
@@ -558,10 +557,8 @@ def compare_stages(reports: list[NavigabilityReport]) -> list[dict]:
 
 
 def write_curve_csv(path: str | Path, curve: CoverageCurve) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as stream:
-        stream.write("time,rho\n")
-        for t, r in zip(curve.times.tolist(), curve.rho.tolist()):
-            stream.write(f"{t!r},{r!r}\n")
+    rows = "".join(f"{t!r},{r!r}\n" for t, r in zip(curve.times.tolist(), curve.rho.tolist()))
+    Path(path).write_text("time,rho\n" + rows, encoding="utf-8", newline="")
 
 
 def read_curve_csv(path: str | Path, method: str) -> CoverageCurve:
@@ -577,9 +574,3 @@ def report_to_json_dict(report: NavigabilityReport, curve_file: str) -> dict:
         "curve_file": curve_file,
         "eigenvalue_head": [[v.real, v.imag] for v in report.eigenvalue_head],
     }
-
-
-def write_report_json(path: str | Path, report: NavigabilityReport, curve_file: str) -> None:
-    with open(path, "w", encoding="utf-8") as stream:
-        json.dump(report_to_json_dict(report, curve_file), stream, indent=2, sort_keys=True)
-        stream.write("\n")

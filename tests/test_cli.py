@@ -418,6 +418,16 @@ def test_argparse_failures_exit_one(capsys):
     assert excinfo.value.code == 1
 
 
+def test_main_builds_the_parser_once_per_process(tmp_path):
+    build_parser.cache_clear()
+    for name in ("first", "second"):
+        assert main(["trim", "--input", TOY, "--out", str(tmp_path / name)]) == 0
+    assert build_parser.cache_info().misses == 1
+    # the shared parser keeps nothing of the first call's options
+    manifest = json.loads((tmp_path / "second" / "manifest.json").read_text())
+    assert manifest["config"]["out"] == str(tmp_path / "second")
+
+
 def _option_dests(command):
     commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     return {a.dest for a in commands.choices[command]._actions if a.dest != "help"}

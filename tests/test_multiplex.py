@@ -120,6 +120,8 @@ def test_trim_global_uses_single_maximum():
     ]
     kept = trim_edges(edges, ratio=0.9, scope=TRIM_GLOBAL)
     assert [e.flow for e in kept] == [100.0, 95.0]
+    with pytest.raises(ValueError, match="unknown trim scope 'layer'"):
+        trim_edges(edges, ratio=0.9, scope="layer")
 
 
 def test_trim_preserves_order_and_handles_empty():
@@ -170,6 +172,21 @@ def test_network_validation_rejects_asymmetric_undirected():
         MultiplexNetwork(directed=False, intra=intra, coupling=0.0)
 
 
+@pytest.mark.parametrize(
+    ("intra", "message"),
+    [
+        (np.zeros((2, 2)), r"shape \(L, N, N\)"),
+        (np.zeros((1, 2, 3)), r"shape \(L, N, N\)"),
+        (np.array([[[0.0, -1.0], [-1.0, 0.0]]]), "finite and non-negative"),
+        (np.array([[[0.0, np.inf], [np.inf, 0.0]]]), "finite and non-negative"),
+        (np.array([[[0.0, np.nan], [np.nan, 0.0]]]), "finite and non-negative"),
+    ],
+)
+def test_network_rejects_intra_that_is_not_a_finite_non_negative_stack(intra, message):
+    with pytest.raises(ConstructionError, match=message):
+        MultiplexNetwork(directed=False, intra=intra, coupling=0.0)
+
+
 @pytest.mark.parametrize("coupling", [np.ones(2), np.full((2, 1, 1), 0.5), float("nan"), np.inf])
 def test_network_rejects_coupling_that_is_not_one_finite_number(coupling):
     with pytest.raises(ConstructionError, match="coupling"):
@@ -181,6 +198,8 @@ def test_network_default_labels_and_uniqueness():
     assert net.labels == ("n0", "n1")
     with pytest.raises(ConstructionError, match="unique"):
         build_multiplex([FlowEdge(0, 1, 0, 1.0)], labels=("x", "x"))
+    with pytest.raises(ConstructionError, match="labels length must equal the node count"):
+        MultiplexNetwork(directed=False, intra=np.zeros((1, 2, 2)), coupling=0.0, labels=("x",))
 
 
 def test_enumerate_layer_subsets_lexicographic():

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import tracemalloc
 
 import numpy as np
@@ -18,6 +17,7 @@ from conftest import (
     triangle_network,
 )
 from scipy import stats
+from scipy.linalg import expm
 
 from multinav import (
     CoverageCurve,
@@ -42,11 +42,11 @@ from multinav import navigability
 from multinav.navigability import (
     RESIDUAL_LIMIT,
     ZERO_EIGENVALUE_TOL,
+    AnalyticCoverageState,
     analytic_state,
     read_curve_csv,
     report_to_json_dict,
     write_curve_csv,
-    write_report_json,
 )
 
 
@@ -189,12 +189,18 @@ def test_decompose_rejects_defective_matrix():
     jordan = np.array([[1.0, 1.0], [0.0, 1.0]])
     with pytest.raises(DegradedDecompositionError, match="montecarlo"):
         decompose(jordan)
+    # a well-conditioned basis, but no random-walk Laplacian has a growing mode
+    with pytest.raises(DegradedDecompositionError, match="negative eigenvalue real part beyond tolerance"):
+        decompose(np.diag([0.0, -2.0 * ZERO_EIGENVALUE_TOL]))
 
 
 def test_decompose_rejects_bad_scale():
     L = supra_laplacian(build_supra_transition(triangle_network(), "rwc"))
     with pytest.raises(ValueError):
         decompose(L, scale=np.array([1.0, -1.0, 1.0]))
+    # positive, but the triangle's walk is reversible only for equal strengths
+    with pytest.raises(ValueError, match="wrong scale vector"):
+        decompose(L, scale=np.array([1.0, 2.0, 3.0]))
     with pytest.raises(ValueError):
         decompose(np.zeros((2, 3)))
 
@@ -206,6 +212,8 @@ def test_coverage_curve_validation():
         CoverageCurve(np.array([1.0, 0.5]), np.array([0.1, 0.2]), "analytic")
     with pytest.raises(ValueError, match="escape"):
         CoverageCurve(np.array([0.0, 1.0]), np.array([0.1, 1.5]), "analytic")
+    with pytest.raises(ValueError, match="equal length"):
+        CoverageCurve(np.array([0.0, 1.0]), np.array([0.1, 0.2, 0.3]), "analytic")
 
 
 @pytest.mark.parametrize(
@@ -256,6 +264,80 @@ def test_coverage_analytic_grid_validation():
         coverage_analytic(net, "rwc", times=np.array([0.0, 2.0, 1.0]))
 
 
+def test_a_falling_analytic_curve_is_a_degraded_decomposition():
+    # the exposure (1 - e^-10t) / 10 - 0.09 (1 - e^-t) peaks near t = 0.3 and
+    # then falls to 0.01, which no walk's exposure can do
+    state = AnalyticCoverageState(
+        eigenvalues=np.array([10.0, 1.0]),
+        origin_coefficients=np.ones((2, 2)),
+        target_coefficients=np.array([[1.0, 1.0], [-0.09, -0.09]]),
+    )
+    with pytest.raises(DegradedDecompositionError, match="analytic coverage decreased"):
+        navigability._curve_from_state(state, None)
+
+
+def _two_triangles(weight):
+    """Two unit triangles joined by one edge of the given weight."""
+    pairs = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
+    edges = [FlowEdge(u, v, 0, 1.0) for u, v in pairs] + [FlowEdge(2, 3, 0, weight)]
+    return build_multiplex(edges, coupling=0.0)
+
+
+def _coverage_by_van_loan(net, strategy, times):
+    """rho(t) of the mean-field formula without an eigenbasis.
+
+    The exposure int_0^t exp(-L s) ds @ flux is the top-right block of
+    expm(t [[-L, flux], [0, 0]]) (Van Loan), with flux as in analytic_state.
+    """
+    supra = build_supra_transition(net, strategy)
+    n, dim = supra.n_nodes, supra.dim
+    flux = supra.matrix.reshape(dim, supra.n_layers, n).sum(axis=1)
+    flux[np.arange(dim), np.arange(dim) % n] = 0.0
+    generator = np.zeros((dim + n, dim + n))
+    generator[:dim, :dim] = supra.matrix - np.eye(dim)
+    generator[:dim, dim:] = flux
+    rho = []
+    for t in times:
+        survival = np.exp(-expm(t * generator)[:n, dim:])
+        np.fill_diagonal(survival, 0.0)
+        rho.append(1.0 - survival.sum() / n**2)
+    return np.array(rho)
+
+
+@pytest.mark.parametrize("weight", [1e-9, 1e-12])
+def test_a_slow_mode_below_the_zero_tolerance_keeps_its_exposure(weight):
+    """The slow mode's factor is (1 - e^-lambda t) / lambda, not t: taken as a
+    zero mode, it cancels the stationary mode's growth and rho stalls at 1/2."""
+    net = _two_triangles(weight)
+    slow = analytic_state(net, "rwc").eigenvalues[1]
+    assert 0.0 < slow < ZERO_EIGENVALUE_TOL
+    times = np.array([0.0, 1e5, 1e6, 1e7])
+    curve = coverage_analytic(net, "rwc", times=times)
+    assert np.allclose(curve.rho, _coverage_by_van_loan(net, "rwc", times), rtol=0.0, atol=1e-9)
+
+
+def _heavy_first_edge_path():
+    """A nine-node path whose first edge weighs 1e6 and the other seven 1."""
+    edges = [FlowEdge(0, 1, 0, 1e6)] + [FlowEdge(i, i + 1, 0, 1.0) for i in range(1, 8)]
+    return build_multiplex(edges, coupling=0.0)
+
+
+@pytest.mark.parametrize(
+    ("network", "strategy", "points", "last", "t90"),
+    [
+        # short of 0.9 at t = 1e7 and still climbing: one more decade reaches it
+        (_heavy_first_edge_path, "rwd", 446, 1e8, pytest.approx(1.2947e7, rel=1e-4)),
+        # the trap's curve is flat, so the grid stays as it is
+        (directed_trap_network, "rwc", 401, 1e7, None),
+    ],
+)
+def test_navigability_report_extends_the_grid_of_a_climbing_curve_only(network, strategy, points, last, t90):
+    report = navigability_report(network(), strategy)
+    assert report.curve.times.size == points
+    assert report.curve.times[-1] == pytest.approx(last)
+    assert report.t90 == t90
+
+
 def test_coverage_analytic_trap_plateaus_below_one():
     curve = coverage_analytic(directed_trap_network(), "rwc")
     assert curve.rho[-1] < 0.75
@@ -286,6 +368,8 @@ def test_coverage_montecarlo_axioms_and_determinism():
     assert np.array_equal(curve.rho, again.rho)
     with pytest.raises(ValueError):
         coverage_montecarlo(P, walkers_per_origin=0, horizon=5, seed=1)
+    with pytest.raises(ValueError, match="horizon must be non-negative"):
+        coverage_montecarlo(P, walkers_per_origin=1, horizon=-1, seed=1)
 
 
 def test_coverage_montecarlo_draw_on_a_cumulative_value_skips_zero_probability_states(monkeypatch):
@@ -452,6 +536,9 @@ def test_poisson_clock_matches_endpoints():
     analytic = coverage_analytic(complete_graph(5), "rwc", times=np.array([0.0, 1.0, 5.0, 20.0]))
     with pytest.raises(ValueError):
         poisson_clock(analytic, np.array([0.0, 1.0]))
+    skipping = CoverageCurve(np.array([0.0, 2.0]), np.array([0.4, 0.9]), "montecarlo")
+    with pytest.raises(ValueError, match="every integer step"):
+        poisson_clock(skipping, np.array([0.0, 1.0]))
 
 
 def test_poisson_weights_match_scipy_on_the_montecarlo_grid():
@@ -500,6 +587,8 @@ def test_spectral_gap_reference_values():
     single = build_multiplex([], n_layers=1, n_nodes=1, coupling=0.0)
     with pytest.raises(ValueError):
         spectral_gap(build_supra_transition(single, "rwc"))
+    with pytest.raises(ValueError, match="at least two supra-states"):
+        navigability_report(single, "rwc")
 
 
 def test_time_to_coverage_interpolation():
@@ -573,14 +662,11 @@ def test_curve_csv_round_trip(tmp_path):
     assert np.array_equal(back.rho, curve.rho)
 
 
-def test_report_json_not_reached_and_fields(tmp_path):
+def test_report_json_not_reached_and_fields():
     report = navigability_report(directed_trap_network(), "rwc")
     payload = report_to_json_dict(report, "curve.csv")
     assert payload["t90"] == "not reached"
     assert set(payload) == {"config", "spectral_gap", "t90", "curve_file", "eigenvalue_head"}
-    path = tmp_path / "report.json"
-    write_report_json(path, report, "curve.csv")
-    assert json.loads(path.read_text())["curve_file"] == "curve.csv"
 
 
 def test_pagerank_coverage_reaches_everyone():

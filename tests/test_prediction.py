@@ -507,6 +507,10 @@ def test_links_csv_round_trip(tmp_path):
     path.write_text(",".join(columns) + "\na,c,jaccard,2,0.75,1.0,5.25\n", encoding="utf-8")
     with pytest.raises(ValueError, match="line 2: bad subset None"):
         read_links_csv(path, {"a": 0, "b": 1, "c": 2})
+    header = ",".join(c for c in LINK_CSV_COLUMNS if c != "weight")
+    path.write_text(header + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"links file missing columns \['weight'\]"):
+        read_links_csv(path, {"a": 0, "b": 1, "c": 2})
 
 
 def test_subset_format_round_trip():
