@@ -262,7 +262,7 @@ def _predict_stages(net, stages, threshold):
             continue
         results[k] = union = run_stage(net, k, threshold)
         # a union link holds an algorithm's tag exactly when it produced that pair
-        found = ", ".join(f"{name} {np.unique(union.source_row[union.source_algorithm == code]).size}"
+        found = ", ".join(f"{name} {np.count_nonzero(union.sources[:, code].any(axis=1))}"
                           for code, name in enumerate(ALGORITHMS))
         print(f"stage {k}: {found}, union {len(union)}")
     return results

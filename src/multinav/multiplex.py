@@ -9,12 +9,13 @@ returns a new instance.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Sequence, TextIO
+from typing import ContextManager, Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -122,10 +123,11 @@ class MultiplexNetwork:
         return {lab: i for i, lab in enumerate(self.labels)}
 
 
-def _open_source(source: TextIO | str | Path) -> TextIO:
+def _open_source(source: TextIO | str | Path) -> ContextManager[TextIO]:
+    """A path opened with any byte-order mark skipped, or a given stream, left open."""
     if isinstance(source, (str, Path)):
         return open(source, encoding="utf-8-sig", newline="")
-    return source
+    return contextlib.nullcontext(source)
 
 
 def parse_edge_list(source: TextIO | str | Path) -> EdgeList:
@@ -133,60 +135,58 @@ def parse_edge_list(source: TextIO | str | Path) -> EdgeList:
 
     The header must contain the layer, source, target and flow columns, in
     any order. Node labels become indices in first-appearance order. Rejects
-    malformed rows, negative flows and self-loops, reporting the 1-based
-    line number.
+    malformed rows, negative flows, self-loops and fields over csv's size
+    limit, reporting the 1-based line number.
     """
-    stream = _open_source(source)
-    close = stream is not source
-    try:
-        reader = csv.reader(stream)
+    with _open_source(source) as stream:
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty input, expected a header row", line=1) from None
-        header = [h.strip() for h in header]
-        col_pos = {}
-        for name in EDGE_COLUMNS:
-            if name not in header:
-                raise SchemaError(f"missing column {name!r} in header {header}")
-            col_pos[name] = header.index(name)
-
-        labels: list[str] = []
-        index: dict[str, int] = {}
-
-        def intern(label: str) -> int:
-            if label not in index:
-                index[label] = len(labels)
-                labels.append(label)
-            return index[label]
-
-        edges: list[FlowEdge] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError(f"expected {len(header)} fields, got {len(row)}", line=lineno)
+            reader = csv.reader(stream)
             try:
-                layer = int(row[col_pos["layer"]])
-            except ValueError:
-                raise ParseError(f"non-integer layer {row[col_pos['layer']]!r}", line=lineno) from None
-            try:
-                flow = float(row[col_pos["flow"]])
-            except ValueError:
-                raise ParseError(f"non-numeric flow {row[col_pos['flow']]!r}", line=lineno) from None
-            if not np.isfinite(flow) or flow < 0:
-                raise ParseError(f"flow must be finite and non-negative, got {flow}", line=lineno)
-            if layer < 0:
-                raise ParseError(f"negative layer index {layer}", line=lineno)
-            src = row[col_pos["source"]].strip()
-            dst = row[col_pos["target"]].strip()
-            if src == dst:
-                raise ParseError(f"self-loop on node {src!r}", line=lineno)
-            edges.append(FlowEdge(intern(src), intern(dst), layer, flow))
-        return EdgeList(tuple(edges), tuple(labels))
-    finally:
-        if close:
-            stream.close()
+                header = next(reader)
+            except StopIteration:
+                raise ParseError("empty input, expected a header row", line=1) from None
+            header = [h.strip() for h in header]
+            col_pos = {}
+            for name in EDGE_COLUMNS:
+                if name not in header:
+                    raise SchemaError(f"missing column {name!r} in header {header}")
+                col_pos[name] = header.index(name)
+
+            labels: list[str] = []
+            index: dict[str, int] = {}
+
+            def intern(label: str) -> int:
+                if label not in index:
+                    index[label] = len(labels)
+                    labels.append(label)
+                return index[label]
+
+            edges: list[FlowEdge] = []
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise ParseError(f"expected {len(header)} fields, got {len(row)}", line=lineno)
+                try:
+                    layer = int(row[col_pos["layer"]])
+                except ValueError:
+                    raise ParseError(f"non-integer layer {row[col_pos['layer']]!r}", line=lineno) from None
+                try:
+                    flow = float(row[col_pos["flow"]])
+                except ValueError:
+                    raise ParseError(f"non-numeric flow {row[col_pos['flow']]!r}", line=lineno) from None
+                if not np.isfinite(flow) or flow < 0:
+                    raise ParseError(f"flow must be finite and non-negative, got {flow}", line=lineno)
+                if layer < 0:
+                    raise ParseError(f"negative layer index {layer}", line=lineno)
+                src = row[col_pos["source"]].strip()
+                dst = row[col_pos["target"]].strip()
+                if src == dst:
+                    raise ParseError(f"self-loop on node {src!r}", line=lineno)
+                edges.append(FlowEdge(intern(src), intern(dst), layer, flow))
+            return EdgeList(tuple(edges), tuple(labels))
+        except csv.Error as exc:  # a field over the limit; not a ValueError
+            raise ParseError(str(exc), line=reader.line_num) from None
 
 
 def trim_edges(
@@ -284,12 +284,7 @@ def knockout_nodes(
     intra = net.intra.copy()
     intra[layer, victims, :] = 0.0
     intra[layer, :, victims] = 0.0
-    return MultiplexNetwork(
-        directed=net.directed,
-        intra=intra,
-        coupling=net.coupling,
-        labels=net.labels,
-    )
+    return replace(net, intra=intra)
 
 
 def integrate_links(
@@ -329,12 +324,7 @@ def integrate_links(
     intra = net.intra.copy()
     np.maximum.at(intra, (layer, u[row], v[row]), weight[row])
     np.maximum.at(intra, (layer, v[row], u[row]), weight[row])
-    return MultiplexNetwork(
-        directed=net.directed,
-        intra=intra,
-        coupling=net.coupling,
-        labels=net.labels,
-    )
+    return replace(net, intra=intra)
 
 
 def export_edges(net: MultiplexNetwork) -> list[FlowEdge]:

@@ -9,7 +9,7 @@ each step works on the whole stage at once: a scorer returns one
 subset by its own maximum, threshold_filter keeps rows, and assign_weights
 weights the survivors, using nearby flow values, as one columnar ``LinkTable``.
 run_stage thus makes one trip per algorithm through these steps and returns
-both algorithms' deduplicated union, one table whose provenance lists every
+both algorithms' deduplicated union, one table whose provenance marks every
 contributing (algorithm, subset) of a link; links stay columns to disk and
 to integrate_links. A self-loop makes no node its own neighbor, so it adds
 to no exclusive neighborhood or degree.
@@ -115,8 +115,8 @@ class LinkTable:
 
     ``algorithm`` indexes ALGORITHMS and ``subset`` indexes ``subsets``, layer
     tuples in lexicographic order, so codes compare as names and tuples do; a
-    row's stage is its subset's size. The provenance, filled by dedupe_links,
-    lists each row's (algorithm, subset) tags in ``source_*``, by row and tag.
+    row's stage is its subset's size. The provenance mask ``sources``, filled by
+    dedupe_links, sets bit [r, a, s] when algorithm a on subset s produced row r's pair.
     """
 
     u: np.ndarray
@@ -127,21 +127,21 @@ class LinkTable:
     algorithm: np.ndarray
     subset: np.ndarray
     subsets: tuple[tuple[int, ...], ...]
-    source_row: np.ndarray
-    source_algorithm: np.ndarray
-    source_subset: np.ndarray
+    sources: np.ndarray
 
     def __len__(self) -> int:
         return len(self.u)
 
     def __iter__(self) -> Iterator[PredictedLink]:
-        # (algorithm, subset, stage) of each row, then of each provenance entry
-        tags = [(ALGORITHMS[a], self.subsets[s], len(self.subsets[s])) for a, s in zip(
-            np.r_[self.algorithm, self.source_algorithm].tolist(), np.r_[self.subset, self.source_subset].tolist())]
-        bounds = (len(self) + np.searchsorted(self.source_row, np.arange(len(self) + 1))).tolist()
-        columns = (self.u, self.v, self.raw_score, self.normalized_score, self.weight)
-        for row, values in enumerate(zip(*(column.tolist() for column in columns))):
-            yield PredictedLink(*values, *tags[row], tuple(tags[bounds[row]:bounds[row + 1]]))
+        # (algorithm, subset, stage) of each bit of a row's mask, in mask order
+        tags = [(name, subset, len(subset)) for name in ALGORITHMS for subset in self.subsets]
+        row, bit = np.nonzero(self.sources.reshape(len(self), len(tags)))
+        sources = [tags[b] for b in bit.tolist()]
+        bounds = np.searchsorted(row, np.arange(len(self) + 1)).tolist()
+        columns = (self.u, self.v, self.raw_score, self.normalized_score, self.weight,
+                   self.algorithm * len(self.subsets) + self.subset)  # a row's own tag
+        for r, (*values, own) in enumerate(zip(*(column.tolist() for column in columns))):
+            yield PredictedLink(*values, *tags[own], tuple(sources[bounds[r]:bounds[r + 1]]))
 
     @classmethod
     def from_links(cls, links: Sequence[PredictedLink]) -> LinkTable:
@@ -157,8 +157,10 @@ class LinkTable:
         subsets, (code, tag_code) = _subset_codes([r[-1] for r in rows], [t[-1] for t in tags])
         u, v, algorithm = np.array([r[:3] for r in rows], dtype=np.intp).reshape(-1, 3).T
         scores = np.array([r[3:6] for r in rows], dtype=float).reshape(-1, 3).T
-        source = np.array([t[:2] for t in tags], dtype=np.intp).reshape(-1, 2).T
-        return cls(u, v, *scores, algorithm, code, subsets, *np.unique(np.vstack([source, tag_code]), axis=1))
+        row, tag_algorithm = np.array([t[:2] for t in tags], dtype=np.intp).reshape(-1, 2).T
+        sources = np.zeros((len(rows), len(ALGORITHMS), len(subsets)), dtype=bool)
+        sources[row, tag_algorithm, tag_code] = True
+        return cls(u, v, *scores, algorithm, code, subsets, sources)
 
 
 def _subset_codes(*groups: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], list[np.ndarray]]:
@@ -404,7 +406,7 @@ def assign_weights(group: ScoredPairs, net: MultiplexNetwork) -> LinkTable:
     subsets, (code,) = _subset_codes(group.subsets)
     return LinkTable(u, v, group.raw_score, group.normalized_score, group.normalized_score * mean,
                      np.full(len(u), ALGORITHMS.index(group.algorithm), dtype=np.intp),
-                     code[index], subsets, *np.zeros((3, 0), dtype=np.intp))
+                     code[index], subsets, np.zeros((len(u), len(ALGORITHMS), len(subsets)), dtype=bool))
 
 
 def dedupe_links(tables: Iterable[LinkTable]) -> LinkTable:
@@ -417,26 +419,21 @@ def dedupe_links(tables: Iterable[LinkTable]) -> LinkTable:
     """
     tables = list(tables) or [LinkTable.from_links([])]
     subsets, codes = _subset_codes(*(table.subsets for table in tables))
-    offsets = np.cumsum([0] + [len(table) for table in tables])
-    # the tables' rows one after another, subset codes into the merged subsets
-    u, v, raw, normalized, weight, algorithm, subset, carried, source_algorithm, source_subset = (
-        np.concatenate(parts) for parts in zip(*(
-            (t.u, t.v, t.raw_score, t.normalized_score, t.weight, t.algorithm, code[t.subset],
-             t.source_row + offset, t.source_algorithm, code[t.source_subset])
-            for code, t, offset in zip(codes, tables, offsets))))
+    # the tables' rows one after another, subset codes and masks widened onto
+    # the merged subsets (a one-hot matrix maps each table's subsets there)
+    u, v, raw, normalized, weight, algorithm, subset, sources = (np.concatenate(parts) for parts in zip(*(
+        (t.u, t.v, t.raw_score, t.normalized_score, t.weight, t.algorithm, code[t.subset],
+         t.sources @ np.eye(len(subsets), dtype=bool)[code]) for code, t in zip(codes, tables))))
+    # a row's tags: the provenance it carries, or its own tag when it carries none
+    bare = np.flatnonzero(~sources.any(axis=(1, 2)))
+    sources[bare, algorithm[bare], subset[bare]] = True
     n = 1 + max(u.max(initial=0), v.max(initial=0))
     pairs = np.ravel_multi_index(np.sort([u, v], axis=0), (n, n))  # in (min, max) pair order
     order = np.lexsort((subset, algorithm, -weight, pairs))
-    _, first, pair = np.unique(pairs[order], return_index=True, return_inverse=True)
-    output = pair[np.argsort(order)]  # each input row's output row
-    # a row's tags: the provenance it carries, or its own tag when it carries none
-    bare = np.bincount(carried, minlength=order.size) == 0
-    tags = np.stack([output[np.concatenate([carried, np.flatnonzero(bare)])],
-                     np.concatenate([source_algorithm, algorithm[bare]]),
-                     np.concatenate([source_subset, subset[bare]])])
-    shape, win = (first.size, len(ALGORITHMS), len(subsets)), order[first]
+    _, first = np.unique(pairs[order], return_index=True)
+    win = order[first]
     return LinkTable(u[win], v[win], raw[win], normalized[win], weight[win], algorithm[win], subset[win],
-                     subsets, *np.unravel_index(np.unique(np.ravel_multi_index(tags, shape)), shape))
+                     subsets, np.logical_or.reduceat(sources[order], first))
 
 
 def run_stage(net: MultiplexNetwork, k: int, threshold: float = 0.5) -> LinkTable:
@@ -486,26 +483,34 @@ def write_links_csv(path: str | Path, links: LinkTable, labels: Sequence[str]) -
 
 
 def read_links_csv(path: str | Path, label_index: dict[str, int]) -> LinkTable:
-    """Read a predicted-links CSV into a table, mapping labels back to node indices."""
+    """Read a predicted-links CSV, with or without a byte-order mark, into a table,
+    mapping labels back to node indices; each rejected row names its line."""
     rows = []
-    with open(path, encoding="utf-8", newline="") as stream:
+    with open(path, encoding="utf-8-sig", newline="") as stream:
         reader = csv.DictReader(stream)
-        missing = set(LINK_CSV_COLUMNS) - set(reader.fieldnames or ())
-        if missing:
-            raise ValueError(f"links file missing columns {sorted(missing)}")
-        for row in reader:
-            try:
-                values = [label_index[row["u_label"]], label_index[row["v_label"]]]
-            except KeyError as exc:
-                raise ValueError(f"unknown node label {exc.args[0]!r} in links file") from None
-            for name, parse in (("algorithm", ALGORITHMS.index), ("raw_score", float),
-                                ("normalized_score", float), ("weight", float),
-                                ("subset", parse_subset), ("stage", int)):
+        try:
+            missing = set(LINK_CSV_COLUMNS) - set(reader.fieldnames or ())
+            if missing:
+                raise ValueError(f"links file missing columns {sorted(missing)}")
+            for row in reader:
+                line = f"links file line {reader.line_num}"
+                if None in row:  # DictReader files a long row's extra fields under None
+                    raise ValueError(f"{line}: {len(row[None])} fields more than the header")
                 try:
-                    values.append(parse(row[name]))
-                except (AttributeError, TypeError, ValueError):  # a short row holds None
-                    raise ValueError(f"links file line {reader.line_num}: bad {name} {row[name]!r}") from None
-            if values.pop() != len(values[-1]):
-                raise ValueError(f"links file line {reader.line_num}: bad stage {row['stage']!r} for subset {row['subset']!r}")
-            rows.append(values)
+                    values = [label_index[row["u_label"]], label_index[row["v_label"]]]
+                except KeyError as exc:
+                    raise ValueError(f"unknown node label {exc.args[0]!r} in links file") from None
+                for name, parse in (("algorithm", ALGORITHMS.index), ("raw_score", float),
+                                    ("normalized_score", float), ("weight", float),
+                                    ("subset", parse_subset), ("stage", int)):
+                    try:
+                        values.append(parse(row[name]))
+                    except (AttributeError, TypeError, ValueError):  # a short row holds None
+                        raise ValueError(f"{line}: bad {name} {row[name]!r}") from None
+                if values.pop() != len(values[-1]):
+                    raise ValueError(f"{line}: bad stage {row['stage']!r} for subset {row['subset']!r}")
+                rows.append(values)
+        except csv.Error as exc:  # a field over the size limit, which is no ValueError
+            # DictReader counts only the lines of the rows it has returned
+            raise ValueError(f"links file line {reader.reader.line_num}: {exc}") from None
     return LinkTable._from_rows(rows)

@@ -114,9 +114,12 @@ def build_supra_transition(net: MultiplexNetwork, strategy: str) -> SupraTransit
         raise ConstructionError("negative weights cannot be normalized into probabilities")
     # a state's strength: its intra-layer row sum (outgoing only when
     # directed) plus the coupling to each of the L - 1 other layers
-    intra = net.intra.sum(axis=2).T  # (N, L)
     inter = net.coupling * (l - 1)
-    total = intra + inter
+    with np.errstate(over="ignore"):  # finite flows may still overflow; raised below
+        intra = net.intra.sum(axis=2).T  # (N, L)
+        total = intra + inter
+    if not np.all(np.isfinite(total)):
+        raise ConstructionError("a state's strength overflows float64: scale the flows or the coupling down")
     # every move and switch leaving a state is divided by that state's
     # denominator: its own strength for rwc, the global s_max for rwd (1.0 on
     # an edgeless network, whose rwd matrix is then the identity)

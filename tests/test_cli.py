@@ -357,6 +357,9 @@ def test_exit_codes_for_bad_inputs(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
     self_loop = _write_csv(tmp_path / "loop.csv", ["0,a,a,1.0"])
     assert main(["trim", "--input", self_loop, "--out", out]) == 2
+    big_field = _write_csv(tmp_path / "big.csv", ["0,a,b,1.0", f"0,{'x' * 200_000},b,1.0"])
+    assert main(["trim", "--input", big_field, "--out", out]) == 2
+    assert "line 3: field larger than field limit" in capsys.readouterr().err
     assert main(["trim", "--input", TOY, "--out", out, "--trim-ratio", "1.5"]) == 1
     assert main(["predict", "--input", TOY, "--out", out, "--threshold", "1.0"]) == 1
     unused = tmp_path / "unused"
@@ -378,12 +381,42 @@ def test_exit_codes_for_bad_inputs(tmp_path, capsys):
                          # values a links table cannot hold
                          ("a,c,bogus,0,1,1.0,1.0,0.5", "links file line 3: bad algorithm 'bogus'"),
                          ("a,c,jaccard,1+0+1,3,1.0,1.0,0.5", "links file line 3: bad subset '1+0+1'"),
-                         ("a,c,jaccard,0,7,1.0,1.0,0.5", "links file line 3: bad stage '7' for subset '0'")):
+                         ("a,c,jaccard,0,7,1.0,1.0,0.5", "links file line 3: bad stage '7' for subset '0'"),
+                         # rows the csv reader itself rejects or files under a None key
+                         ("a,c,jaccard,0,1,1.0,1.0,0.5,extra,more", "links file line 3: 2 fields more than the header"),
+                         (f"a,c,jaccard,0,1,1.0,1.0,{'x' * 200_000}", "links file line 3: field larger than field limit")):
         rows = [",".join(LINK_CSV_COLUMNS), "a,c,jaccard,0,1,1.0,1.0,0.5", bad]
         links.write_text("".join(f"{r}\n" for r in rows), encoding="utf-8")
         assert main(["integrate", "--input", base, "--links", str(links), "--out", str(unused)]) == 2
         assert message in capsys.readouterr().err
         assert not unused.exists()
+
+
+def test_links_file_with_a_byte_order_mark_integrates(tmp_path):
+    base = _write_csv(tmp_path / "base.csv", ["0,a,b,1.0", "0,b,c,1.0"])
+    links = tmp_path / "links.csv"
+    rows = [",".join(LINK_CSV_COLUMNS), "a,c,jaccard,0,1,1.0,1.0,0.5"]
+    links.write_text("".join(f"{r}\n" for r in rows), encoding="utf-8-sig")
+    assert links.read_bytes().startswith(b"\xef\xbb\xbf")
+    out = tmp_path / "out"
+    assert main(["integrate", "--input", base, "--links", str(links), "--out", str(out)]) == 0
+    integrated = parse_edge_list(str(out / "integrated.csv"))
+    assert sorted((integrated.labels[e.source], integrated.labels[e.target], e.flow)
+                  for e in integrated.edges) == [("a", "b", 1.0), ("a", "c", 0.5), ("b", "c", 1.0)]
+
+
+@pytest.mark.parametrize("strategy", ["rwc", "rwd", "pagerank"])
+def test_a_strength_that_overflows_exits_two(strategy, tmp_path, capsys):
+    # finite flows whose sum, node a's strength, overflows to inf
+    edges = _write_csv(tmp_path / "edges.csv", ["0,a,b,1e308", "0,a,c,1e308"])
+    out = tmp_path / "out"
+    assert main(["navigability", "--input", edges, "--out", str(out), "--strategy", strategy]) == 2
+    assert "strength overflows" in capsys.readouterr().err
+    # the toy's three layers each add the coupling twice
+    assert main(["navigability", "--input", TOY, "--out", str(out), "--strategy", strategy,
+                 "--coupling", "1e308"]) == 2
+    assert "strength overflows" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_an_input_that_fails_to_load_leaves_no_out(tmp_path):

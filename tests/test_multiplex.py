@@ -63,6 +63,8 @@ def test_parse_empty_input():
         ("-1,a,b,2.0", "negative layer"),
         ("0,a,a,2.0", "self-loop"),
         ("0,a,b", "expected 4 fields"),
+        # a csv.Error, which is no ValueError
+        pytest.param(f"0,{'x' * 200_000},b,1.0", "field larger than field limit", id="field-over-limit"),
     ],
 )
 def test_parse_rejects_malformed_rows_with_line_numbers(row, fragment):

@@ -39,6 +39,7 @@ from multinav import (
 from multinav import prediction
 from multinav.prediction import (
     ADAMIC_ADAR,
+    ALGORITHMS,
     JACCARD,
     LINK_CSV_COLUMNS,
     format_subset,
@@ -411,6 +412,22 @@ def test_link_table_round_trips_links_with_sources():
     assert list(table) == links and list(table) == links  # iterable again
     empty = LinkTable.from_links([])
     assert len(empty) == 0 and list(empty) == [] and empty.subsets == ()
+
+
+def test_link_table_sources_is_one_boolean_mask_per_row_algorithm_and_subset():
+    rng = np.random.default_rng(7)
+    net = random_multiplex(rng, 8, 3, p=0.5)
+    weighted = assign_weights(threshold_filter(normalize_scores(
+        modified_jaccard(net, enumerate_layer_subsets(3, 2)))), net)
+    union = run_stage(net, 2, threshold=0.5)
+    tables = (weighted, union, dedupe_links([weighted, union]), LinkTable.from_links(list(union)),
+              LinkTable.from_links([]))
+    for table in tables:
+        assert table.sources.dtype == bool
+        assert table.sources.shape == (len(table), len(ALGORITHMS), len(table.subsets))
+    # a weighted row carries no provenance; a deduplicated row carries at least its own tag
+    assert not weighted.sources.any() and len(weighted)
+    assert union.sources[np.arange(len(union)), union.algorithm, union.subset].all()
 
 
 def test_run_stage_dedupes_across_subsets_in_order():

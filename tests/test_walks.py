@@ -160,6 +160,18 @@ def test_negative_weights_rejected():
         build_supra_transition(net, RWC)
 
 
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_a_strength_that_overflows_is_rejected_for_every_strategy(strategy):
+    # each flow is finite, but node a's strength, their sum, is not
+    net = build_multiplex([FlowEdge(0, 1, 0, 1e308), FlowEdge(0, 2, 0, 1e308)])
+    with pytest.raises(ConstructionError, match="strength overflows"):
+        build_supra_transition(net, strategy)
+    # so is a coupling whose L - 1 copies overflow
+    coupled = build_multiplex([FlowEdge(0, 1, k, 1.0) for k in range(3)], coupling=1e308)
+    with pytest.raises(ConstructionError, match="strength overflows"):
+        build_supra_transition(coupled, strategy)
+
+
 def test_row_stochastic_check_reports_worst_row():
     P = build_supra_transition(triangle_network(), RWC)
     ok, deviation = row_stochastic_check(P)
