@@ -8,9 +8,10 @@ over everything except wall-clock timings, the output location and the
 input paths (inputs count by content), so identical runs are verifiable by
 hash comparison. The output policy lives in ``_Run``, the only writer of
 files: it makes --out with the first artifact, once the inputs have loaded,
-writes each artifact atomically (temp file + rename) and records its name,
-times each phase and writes the manifest last, the same way. The option
-ranges live in ``RANGES``, which ``main`` checks before a command makes --out.
+writes each artifact atomically (temp file + rename), records its name and
+the sha256 of the bytes it wrote, times each phase and writes the manifest
+last, the same way. The option ranges live in ``RANGES``, which ``main``
+checks before a command makes --out.
 
 Exit codes: 0 success (including a t90 of "not reached"), 1 usage error,
 2 input/parse error, 3 numerical degradation.
@@ -22,6 +23,7 @@ import argparse
 import contextlib
 import functools
 import hashlib
+import io
 import json
 import os
 import sys
@@ -29,6 +31,7 @@ import time
 import uuid
 from collections import Counter
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -91,21 +94,6 @@ def phase_seed(root_seed: int, phase: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-@contextlib.contextmanager
-def _atomic(path: Path):
-    """Yield a temp path in the target's directory, renamed over it on success.
-
-    The name is unique per call, so runs sharing an output directory never
-    touch each other's temp files.
-    """
-    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
-    try:
-        yield tmp
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
 def _sha256_path(path: Path | str) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as stream:
@@ -114,27 +102,46 @@ def _sha256_path(path: Path | str) -> str:
     return digest.hexdigest()
 
 
-def _write_json(path: Path, value) -> None:
-    path.write_text(json.dumps(value, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+def _write_json(stream: TextIO, value) -> None:
+    stream.write(json.dumps(value, indent=2, sort_keys=True) + "\n")
 
 
 class _Run:
-    """One command's output: writes and records each artifact, times each
+    """One command's output: writes and hashes each artifact, times each
     phase, and writes the manifest last. The first artifact makes --out, so
     an input that fails to load leaves none behind."""
 
     def __init__(self, args: argparse.Namespace) -> None:
         self.args = args
         self.out = Path(args.out)
-        self.artifacts: list[str] = []
+        self.artifacts: dict[str, str] = {}  # name -> sha256 of the bytes written
         self.timings: dict[str, float] = {}
+        # unique per run, so runs sharing an output directory never touch
+        # each other's temp files
+        self.tmp_suffix = f".{uuid.uuid4().hex}.tmp"
 
     def write(self, name: str, writer, *content) -> None:
+        """Write one artifact by ``writer(stream, *content)``, atomically.
+
+        The writer fills a text buffer, so one that fails leaves no file. The
+        bytes are hashed, written to a temp file in --out and renamed over
+        the target; a temp file that is not renamed is removed.
+        """
+        buffer = io.StringIO()
+        writer(buffer, *content)
+        data = buffer.getvalue().encode("utf-8")
         if not self.artifacts:
             self.out.mkdir(parents=True, exist_ok=True)
-        with _atomic(self.out / name) as tmp:
-            writer(tmp, *content)
-        self.artifacts.append(name)
+        path = self.out / name
+        tmp = self.out / (name + self.tmp_suffix)
+        try:
+            with open(tmp, "wb") as stream:
+                stream.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+        self.artifacts[name] = hashlib.sha256(data).hexdigest()
 
     @contextlib.contextmanager
     def phase(self, name: str):
@@ -147,7 +154,7 @@ class _Run:
         command = self.args.command
         config = {k: v for k, v in vars(self.args).items() if k not in ("command", "func")}
         digests = [_sha256_path(p) for p in inputs]
-        artifacts = {name: _sha256_path(self.out / name) for name in sorted(self.artifacts)}
+        artifacts = dict(sorted(self.artifacts.items()))
         hashed = {
             "command": command,
             "config": {k: v for k, v in config.items() if k not in ("out", "inputs", "links")},

@@ -13,6 +13,7 @@ import contextlib
 import csv
 import io
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import ContextManager, Iterable, Sequence, TextIO
@@ -130,13 +131,38 @@ def _open_source(source: TextIO | str | Path) -> ContextManager[TextIO]:
     return contextlib.nullcontext(source)
 
 
+def open_sink(target: TextIO | str | Path) -> ContextManager[TextIO]:
+    """A path opened for UTF-8 text without newline translation, or a given
+    text stream, left open: where the ``write_*`` functions write."""
+    if isinstance(target, io.TextIOBase):
+        return contextlib.nullcontext(target)
+    return open(target, "w", encoding="utf-8", newline="")
+
+
+def csv_cells(values: Sequence[str]) -> list[str]:
+    """Each string as ``csv.writer`` writes it as one field of a row: quoted
+    only where csv must quote it, so rows can be joined with commas."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(values)
+    if buffer.getvalue() == ",".join(values) + "\n":  # no field was quoted
+        return list(values)
+    cells = []
+    for value in values:
+        buffer.seek(0)
+        buffer.truncate()
+        writer.writerow((value, ""))  # beside a second field, "" stays unquoted
+        cells.append(buffer.getvalue()[:-2])
+    return cells
+
+
 def parse_edge_list(source: TextIO | str | Path) -> EdgeList:
     """Parse a CSV edge list into FlowEdges with labels interned to dense indices.
 
     The header must contain the layer, source, target and flow columns, in
     any order. Node labels become indices in first-appearance order. Rejects
     malformed rows, negative flows, self-loops and fields over csv's size
-    limit, reporting the 1-based line number.
+    limit, reporting the 1-based line number on which the row ends.
     """
     with _open_source(source) as stream:
         try:
@@ -146,45 +172,38 @@ def parse_edge_list(source: TextIO | str | Path) -> EdgeList:
             except StopIteration:
                 raise ParseError("empty input, expected a header row", line=1) from None
             header = [h.strip() for h in header]
-            col_pos = {}
             for name in EDGE_COLUMNS:
                 if name not in header:
                     raise SchemaError(f"missing column {name!r} in header {header}")
-                col_pos[name] = header.index(name)
+            at_layer, at_source, at_target, at_flow = map(header.index, EDGE_COLUMNS)
 
-            labels: list[str] = []
-            index: dict[str, int] = {}
-
-            def intern(label: str) -> int:
-                if label not in index:
-                    index[label] = len(labels)
-                    labels.append(label)
-                return index[label]
-
+            index: dict[str, int] = {}  # label -> its index, in first-appearance order
             edges: list[FlowEdge] = []
-            for lineno, row in enumerate(reader, start=2):
+            for row in reader:
+                lineno = reader.line_num  # the row's last line; a quoted field may span lines
                 if not row:
                     continue
                 if len(row) != len(header):
                     raise ParseError(f"expected {len(header)} fields, got {len(row)}", line=lineno)
                 try:
-                    layer = int(row[col_pos["layer"]])
+                    layer = int(row[at_layer])
                 except ValueError:
-                    raise ParseError(f"non-integer layer {row[col_pos['layer']]!r}", line=lineno) from None
+                    raise ParseError(f"non-integer layer {row[at_layer]!r}", line=lineno) from None
                 try:
-                    flow = float(row[col_pos["flow"]])
+                    flow = float(row[at_flow])
                 except ValueError:
-                    raise ParseError(f"non-numeric flow {row[col_pos['flow']]!r}", line=lineno) from None
-                if not np.isfinite(flow) or flow < 0:
+                    raise ParseError(f"non-numeric flow {row[at_flow]!r}", line=lineno) from None
+                if not math.isfinite(flow) or flow < 0:
                     raise ParseError(f"flow must be finite and non-negative, got {flow}", line=lineno)
                 if layer < 0:
                     raise ParseError(f"negative layer index {layer}", line=lineno)
-                src = row[col_pos["source"]].strip()
-                dst = row[col_pos["target"]].strip()
+                src = row[at_source].strip()
+                dst = row[at_target].strip()
                 if src == dst:
                     raise ParseError(f"self-loop on node {src!r}", line=lineno)
-                edges.append(FlowEdge(intern(src), intern(dst), layer, flow))
-            return EdgeList(tuple(edges), tuple(labels))
+                source = index.setdefault(src, len(index))
+                edges.append(FlowEdge(source, index.setdefault(dst, len(index)), layer, flow))
+            return EdgeList(tuple(edges), tuple(index))
         except csv.Error as exc:  # a field over the limit; not a ValueError
             raise ParseError(str(exc), line=reader.line_num) from None
 
@@ -341,13 +360,7 @@ def export_edges(net: MultiplexNetwork) -> list[FlowEdge]:
 
 def write_edge_csv(path: str | Path | TextIO, edges: Iterable[FlowEdge], labels: Sequence[str]) -> None:
     """Write edges in the canonical ``layer,source,target,flow`` CSV format."""
-    stream = path if isinstance(path, io.TextIOBase) else open(path, "w", encoding="utf-8", newline="")
-    close = stream is not path
-    try:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(EDGE_COLUMNS)
-        for e in edges:
-            writer.writerow([e.layer, labels[e.source], labels[e.target], repr(float(e.flow))])
-    finally:
-        if close:
-            stream.close()
+    cells = csv_cells(labels)
+    rows = [f"{e.layer},{cells[e.source]},{cells[e.target]},{float(e.flow)!r}\n" for e in edges]
+    with open_sink(path) as stream:
+        stream.write("".join([",".join(EDGE_COLUMNS) + "\n", *rows]))

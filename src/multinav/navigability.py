@@ -32,13 +32,15 @@ on sparse ones.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
-from .multiplex import CHUNK_BYTES, MultiplexNetwork
+from .multiplex import CHUNK_BYTES, MultiplexNetwork, open_sink
 from .walks import SupraTransitionMatrix, build_supra_transition, normalize_strategy
 
 ZERO_EIGENVALUE_TOL = 1e-9
@@ -70,7 +72,9 @@ class DegradedDecompositionError(RuntimeError):
 
 def supra_laplacian(supra: SupraTransitionMatrix) -> np.ndarray:
     """Random-walk normalized supra-Laplacian L = I - P (zero row sums)."""
-    return np.eye(supra.dim) - supra.matrix
+    laplacian = np.subtract(0.0, supra.matrix)  # 0 - p, as in I - P, so no zero turns -0.0
+    laplacian.flat[:: supra.dim + 1] += 1.0
+    return laplacian
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,8 +95,27 @@ class SpectralDecomposition:
 
 
 def _residual(laplacian, eigenvalues, vectors, inverse) -> float:
-    reconstructed = (vectors * eigenvalues[None, :]) @ inverse
-    return float(np.linalg.norm(laplacian - reconstructed.real))
+    difference = ((vectors * eigenvalues[None, :]) @ inverse).real
+    return float(np.linalg.norm(np.subtract(laplacian, difference, out=difference)))
+
+
+def _close_to_transpose(matrix: np.ndarray, atol: float) -> bool:
+    """``np.allclose(matrix, matrix.T, atol=atol)``, in fewer passes and temporaries.
+
+    Entry x and its transposed entry y are close when |x - y| <= atol +
+    1e-5 * |y|, or when x == y. The bound is capped at the largest float, so
+    an infinite y admits only an equal x, as in np.isclose; NaN is close to
+    nothing.
+    """
+    transpose = matrix.T
+    bound = np.abs(transpose)
+    bound *= 1e-5
+    bound += atol
+    np.minimum(bound, np.finfo(float).max, out=bound)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        gap = np.subtract(matrix, transpose)
+    close = np.abs(gap, out=gap) <= bound
+    return bool(close.all() or (close | (matrix == transpose)).all())
 
 
 def decompose(laplacian: np.ndarray, scale: np.ndarray | None = None) -> SpectralDecomposition:
@@ -120,15 +143,18 @@ def decompose(laplacian: np.ndarray, scale: np.ndarray | None = None) -> Spectra
         scale = np.asarray(scale, dtype=float)
         if scale.shape != (n,) or np.any(scale <= 0):
             raise ValueError("scale must be a positive vector matching the matrix size")
-    elif np.allclose(laplacian, laplacian.T, atol=1e-12):
+    elif _close_to_transpose(laplacian, atol=1e-12):
         scale = np.ones(n)
     tolerance = RESIDUAL_LIMIT * np.linalg.norm(laplacian)
     if scale is not None:
         root = np.sqrt(scale)
-        scaled = laplacian * (root[:, None] / root[None, :])
-        if not np.allclose(scaled, scaled.T, atol=1e-10):
+        scaled = np.divide.outer(root, root)
+        scaled *= laplacian
+        if not _close_to_transpose(scaled, atol=1e-10):
             raise ValueError("scaled supra-Laplacian is not symmetric; wrong scale vector")
-        eigenvalues, ortho = np.linalg.eigh(0.5 * (scaled + scaled.T))
+        hermitian = scaled + scaled.T
+        hermitian *= 0.5
+        eigenvalues, ortho = np.linalg.eigh(hermitian)
         vectors = ortho / root[:, None]
         inverse = ortho.T * root[None, :]
         # ortho is orthogonal, so the basis is as conditioned as diag(1/root)
@@ -556,9 +582,21 @@ def compare_stages(reports: list[NavigabilityReport]) -> list[dict]:
     return rows
 
 
-def write_curve_csv(path: str | Path, curve: CoverageCurve) -> None:
-    rows = "".join(f"{t!r},{r!r}\n" for t, r in zip(curve.times.tolist(), curve.rho.tolist()))
-    Path(path).write_text("time,rho\n" + rows, encoding="utf-8", newline="")
+@functools.cache  # a program constant, shared by every curve on the default grid
+def _default_grid_text() -> tuple[bytes, tuple[str, ...]]:
+    """The default grid's bytes and the ``time,`` text of each of its rows."""
+    grid = default_time_grid()
+    return grid.tobytes(), tuple(f"{t!r}," for t in grid.tolist())
+
+
+def write_curve_csv(path: str | Path | TextIO, curve: CoverageCurve) -> None:
+    """Write ``time,rho`` rows, each value as its repr, to a path or a text stream."""
+    grid, times = _default_grid_text()
+    if curve.times.tobytes() != grid:  # bit for bit, so -0.0 keeps its sign
+        times = [f"{t!r}," for t in curve.times.tolist()]
+    rows = [f"{t}{r!r}\n" for t, r in zip(times, curve.rho.tolist())]
+    with open_sink(path) as stream:
+        stream.write("".join(["time,rho\n", *rows]))
 
 
 def read_curve_csv(path: str | Path, method: str) -> CoverageCurve:

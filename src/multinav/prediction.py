@@ -34,11 +34,11 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
-from .multiplex import CHUNK_BYTES, MultiplexNetwork, enumerate_layer_subsets
+from .multiplex import CHUNK_BYTES, MultiplexNetwork, csv_cells, enumerate_layer_subsets, open_sink
 
 JACCARD = "jaccard"
 ADAMIC_ADAR = "adamic_adar"
@@ -370,8 +370,10 @@ def assign_weights(group: ScoredPairs, net: MultiplexNetwork) -> LinkTable:
     threshold_filter shares such a neighbor; a pair that shares none raises
     ValueError. A pair's positive flows are taken in the order shared
     neighbor w, layer, endpoint (u, v), direction (into the endpoint, then
-    out of it), and summed by ``np.add.reduce`` along rows of one length, so
-    each mean is bit-identical to ``np.mean`` of that context; rows carry no provenance.
+    out of it), and summed as ``np.mean`` sums them: fewer than 8 by one
+    running sum per row, more by ``np.add.reduce`` along rows of one length.
+    Each mean is thus bit-identical to ``np.mean`` of that context; rows carry
+    no provenance.
     """
     if group.normalized_score is None:
         raise ValueError("assign_weights requires normalized scores")
@@ -389,20 +391,27 @@ def assign_weights(group: ScoredPairs, net: MultiplexNetwork) -> LinkTable:
     # and, when directed, w -> a (d = 1), for each endpoint a of the pair
     into = net.intra[own, ends, hub]
     cells = np.stack([into, net.intra[own, hub, ends]] if net.directed else [into], axis=-1)
-    positive = cells > 0
-    context = cells[positive]  # every pair's flows, pairs in order
-    size = np.bincount(pair, weights=positive.sum(axis=(1, 2, 3)), minlength=len(u))
-    size = size.astype(np.intp)
+    flat = np.flatnonzero(cells > 0)
+    context = cells.reshape(-1)[flat]  # every pair's flows, pairs in order
+    row = pair[flat // math.prod(cells.shape[1:])]
+    size = np.bincount(row, minlength=len(u))
     if np.any(size == 0):
         first = int(np.flatnonzero(size == 0)[0])
         subset = group.subsets[index[first]]
         raise ValueError(f"pair ({u[first]}, {v[first]}) shares no exclusive neighbor "
                          f"in layers {subset}")
     offset = np.cumsum(size) - size
-    mean = np.empty(len(group))
-    for length in np.unique(size).tolist():
+    # np.mean adds fewer than 8 values one by one from the left: a running sum
+    # along a row of 7 that holds a pair's flows, then +0.0, which changes none
+    column = np.arange(flat.size) - offset[row]
+    short = column < 7
+    padded = np.zeros((len(u), 7))
+    padded[row[short], column[short]] = context[short]
+    total = np.cumsum(padded, axis=1)[:, -1]
+    for length in np.unique(size[size >= 8]).tolist():
         rows = np.flatnonzero(size == length)
-        mean[rows] = np.add.reduce(context[offset[rows, None] + np.arange(length)], axis=1) / length
+        total[rows] = np.add.reduce(context[offset[rows, None] + np.arange(length)], axis=1)
+    mean = total / size
     subsets, (code,) = _subset_codes(group.subsets)
     return LinkTable(u, v, group.raw_score, group.normalized_score, group.normalized_score * mean,
                      np.full(len(u), ALGORITHMS.index(group.algorithm), dtype=np.intp),
@@ -419,18 +428,21 @@ def dedupe_links(tables: Iterable[LinkTable]) -> LinkTable:
     """
     tables = list(tables) or [LinkTable.from_links([])]
     subsets, codes = _subset_codes(*(table.subsets for table in tables))
-    # the tables' rows one after another, subset codes and masks widened onto
-    # the merged subsets (a one-hot matrix maps each table's subsets there)
-    u, v, raw, normalized, weight, algorithm, subset, sources = (np.concatenate(parts) for parts in zip(*(
-        (t.u, t.v, t.raw_score, t.normalized_score, t.weight, t.algorithm, code[t.subset],
-         t.sources @ np.eye(len(subsets), dtype=bool)[code]) for code, t in zip(codes, tables))))
+    # the tables' rows one after another, subset codes and mask columns moved
+    # onto the merged subsets
+    u, v, raw, normalized, weight, algorithm, subset = (np.concatenate(parts) for parts in zip(*(
+        (t.u, t.v, t.raw_score, t.normalized_score, t.weight, t.algorithm, code[t.subset])
+        for code, t in zip(codes, tables))))
+    sources = np.zeros((len(u), len(ALGORITHMS), len(subsets)), dtype=bool)
+    for stop, code, t in zip(np.cumsum([len(t) for t in tables]).tolist(), codes, tables):
+        sources[stop - len(t):stop, :, code] = t.sources
     # a row's tags: the provenance it carries, or its own tag when it carries none
     bare = np.flatnonzero(~sources.any(axis=(1, 2)))
     sources[bare, algorithm[bare], subset[bare]] = True
     n = 1 + max(u.max(initial=0), v.max(initial=0))
     pairs = np.ravel_multi_index(np.sort([u, v], axis=0), (n, n))  # in (min, max) pair order
     order = np.lexsort((subset, algorithm, -weight, pairs))
-    _, first = np.unique(pairs[order], return_index=True)
+    first = np.flatnonzero(np.diff(pairs[order], prepend=-1))  # each pair's first row in order
     win = order[first]
     return LinkTable(u[win], v[win], raw[win], normalized[win], weight[win], algorithm[win], subset[win],
                      subsets, np.logical_or.reduceat(sources[order], first))
@@ -468,18 +480,18 @@ def parse_subset(text: str) -> tuple[int, ...]:
     return subset
 
 
-def write_links_csv(path: str | Path, links: LinkTable, labels: Sequence[str]) -> None:
-    """Export predicted links with labeled endpoints, one line per table row."""
-    names = [format_subset(subset) for subset in links.subsets]
-    subset = links.subset.tolist()
-    with open(path, "w", encoding="utf-8", newline="") as stream:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(LINK_CSV_COLUMNS)
-        writer.writerows(zip(
-            [labels[u] for u in links.u.tolist()], [labels[v] for v in links.v.tolist()],
-            [ALGORITHMS[a] for a in links.algorithm.tolist()], [names[s] for s in subset],
-            [len(links.subsets[s]) for s in subset],
-            *(map(repr, c.tolist()) for c in (links.raw_score, links.normalized_score, links.weight))))
+def write_links_csv(path: str | Path | TextIO, links: LinkTable, labels: Sequence[str]) -> None:
+    """Export predicted links with labeled endpoints, one line per table row,
+    to a path or a text stream."""
+    cells = csv_cells(labels)
+    # a subset's name and stage, by subset code
+    names = [f"{format_subset(subset)},{len(subset)}" for subset in links.subsets]
+    rows = [f"{cells[u]},{cells[v]},{ALGORITHMS[a]},{names[s]},{raw!r},{normalized!r},{weight!r}\n"
+            for u, v, a, s, raw, normalized, weight in zip(*(column.tolist() for column in (
+                links.u, links.v, links.algorithm, links.subset,
+                links.raw_score, links.normalized_score, links.weight)))]
+    with open_sink(path) as stream:
+        stream.write("".join([",".join(LINK_CSV_COLUMNS) + "\n", *rows]))
 
 
 def read_links_csv(path: str | Path, label_index: dict[str, int]) -> LinkTable:

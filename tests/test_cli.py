@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import argparse
+import errno
+import hashlib
 import json
+import os
 from importlib.resources import files as package_files
 
 import numpy as np
@@ -212,6 +215,8 @@ def test_pipeline_artifacts_and_run_hash(tmp_path, capsys):
     for label in ("original", "stage1", "stage2", "stage3"):
         expected |= {f"curve_rwc_{label}.csv", f"report_rwc_{label}.json"}
     assert set(manifest["artifacts"]) == expected
+    for name, digest in manifest["artifacts"].items():  # hashed as written, checked as stored
+        assert digest == hashlib.sha256((out / name).read_bytes()).hexdigest(), name
     assert manifest["run_hash"] in stdout
     comparison = json.loads((out / "comparison_rwc.json").read_text())
     assert [row["stage"] for row in comparison] == ["original", "stage1", "stage2", "stage3"]
@@ -260,6 +265,32 @@ def test_atomic_writes_ignore_stale_temp_names(tmp_path):
     assert main(["trim", "--input", TOY, "--out", str(out)]) == 0
     assert stale.is_dir()  # another run's temp name is left alone
     assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "trimmed.csv", "trimmed.csv.tmp"]
+
+
+def test_a_writer_that_fails_leaves_neither_temp_file_nor_partial_target(tmp_path, monkeypatch, capsys):
+    def fill_the_disk(stream, curve):
+        stream.write("time,rho\n0.0,")
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr("multinav.cli.write_curve_csv", fill_the_disk)
+    out = tmp_path / "out"
+    assert main(["pipeline", "--input", TOY, "--out", str(out), "--stages", "1"]) == 2
+    assert "No space left on device" in capsys.readouterr().err
+    left = sorted(p.name for p in out.iterdir())
+    assert "trimmed.csv" in left  # written before the failing artifact
+    assert not [name for name in left if name.startswith("curve_") or name.endswith(".tmp")]
+    assert "manifest.json" not in left
+
+
+def test_a_rename_that_fails_leaves_no_temp_file(tmp_path, monkeypatch, capsys):
+    def refuse(source, target):
+        raise PermissionError(errno.EACCES, "Permission denied", str(target))
+
+    monkeypatch.setattr(os, "replace", refuse)
+    out = tmp_path / "out"
+    assert main(["trim", "--input", TOY, "--out", str(out)]) == 2
+    assert "Permission denied" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_solver_failure_exits_numeric(tmp_path, monkeypatch, capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import io
 
 import numpy as np
@@ -65,12 +66,15 @@ def test_parse_empty_input():
         ("0,a,b", "expected 4 fields"),
         # a csv.Error, which is no ValueError
         pytest.param(f"0,{'x' * 200_000},b,1.0", "field larger than field limit", id="field-over-limit"),
+        # a quoted field spanning two lines puts the self-loop on line 4
+        pytest.param('0,"a\nb",c,1.0\n0,d,d,1.0', "self-loop", id="after-multiline-field"),
     ],
 )
 def test_parse_rejects_malformed_rows_with_line_numbers(row, fragment):
     with pytest.raises(ParseError, match=fragment) as err:
         _parse(f"layer,source,target,flow\n{row}\n")
-    assert "line 2" in str(err.value)
+    line = 2 + row.count("\n")  # the faulty row is the last
+    assert f"line {line}:" in str(err.value) and err.value.line == line
 
 
 def test_parse_accepts_utf8_bom_header(tmp_path):
@@ -88,6 +92,22 @@ def test_csv_round_trip(tmp_path):
     back = parse_edge_list(path)
     assert back.edges == tuple(edges)
     assert back.labels == ("a", "b", "c")
+
+
+# labels that csv must quote, one it must not, and "", which it quotes only alone
+AWKWARD_LABELS = ("plain", "", "a,b", 'say "hi"', "two\nlines", "cr\rhere", " spaced ")
+
+
+def test_edge_csv_quotes_labels_as_csv_writer_does():
+    edges = [FlowEdge(s, t, s % 2, 1.0 + s / 3) for s in range(7) for t in range(7) if s != t]
+    got = io.StringIO()
+    write_edge_csv(got, edges, AWKWARD_LABELS)
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(["layer", "source", "target", "flow"])
+    writer.writerows([e.layer, AWKWARD_LABELS[e.source], AWKWARD_LABELS[e.target], repr(e.flow)]
+                     for e in edges)
+    assert got.getvalue() == want.getvalue()
 
 
 def test_trim_keeps_at_least_ratio_times_max():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import tracemalloc
 
 import numpy as np
@@ -203,6 +204,49 @@ def test_decompose_rejects_bad_scale():
         decompose(L, scale=np.array([1.0, 2.0, 3.0]))
     with pytest.raises(ValueError):
         decompose(np.zeros((2, 3)))
+    # the scaled matrix must pass np.allclose(scaled, scaled.T, atol=1e-10): with
+    # unit scale it is the input itself, which is accepted or rejected exactly
+    # where np.allclose says, at either side of each bound and off the finite
+    verdicts = [(np.allclose(matrix, matrix.T, atol=1e-10), _passes_symmetry_check(matrix))
+                for matrix in _matrices_near_the_symmetry_bound()]
+    assert [check for _, check in verdicts] == [close for close, _ in verdicts]
+    assert {close for close, _ in verdicts} == {True, False}
+
+
+def _passes_symmetry_check(matrix) -> bool:
+    try:
+        with np.errstate(all="ignore"):
+            decompose(matrix, scale=np.ones(len(matrix)))
+    except ValueError as exc:  # LinAlgError and DegradedDecompositionError come later
+        if "wrong scale vector" in str(exc):
+            return False
+    except DegradedDecompositionError:
+        pass
+    return True
+
+
+def _matrices_near_the_symmetry_bound():
+    """Seeded symmetric matrices with one entry moved to a few ulps either side
+    of 1e-10 + 1e-5 * |its transposed entry|, then entries that are not finite."""
+    rng = np.random.default_rng(7)
+    base = rng.normal(size=(5, 5)) * 10.0 ** rng.integers(-12, 3, size=(5, 5))
+    base = base + base.T
+    base[0, 1] = base[1, 0] = 0.0  # a bound of atol alone
+    for i, j in ((0, 1), (1, 2), (3, 0), (2, 4)):
+        y = base[j, i]
+        edge = y + np.copysign(1e-10 + 1e-5 * abs(y), y)  # away from 0, so (j, i)'s bound is wider
+        for steps in (-2, -1, 0, 1, 2):
+            matrix = base.copy()
+            matrix[i, j] = edge + steps * np.spacing(edge)
+            yield matrix
+    for x, y in ((np.inf, np.inf), (-np.inf, -np.inf), (np.inf, -np.inf), (np.inf, 1.0),
+                 (1.0, -np.inf), (np.nan, np.nan), (np.nan, 1.0)):
+        matrix = base.copy()
+        matrix[1, 3], matrix[3, 1] = x, y
+        yield matrix
+    matrix = base.copy()
+    matrix[2, 2] = np.nan  # NaN is not close even to itself
+    yield matrix
 
 
 def test_coverage_curve_validation():
@@ -651,6 +695,19 @@ def test_compare_stages_rows_and_validation():
         compare_stages([original, other])
     with pytest.raises(ValueError):
         compare_stages([])
+
+
+def test_curve_csv_writes_each_value_as_its_repr():
+    """The default grid's text is formatted once per process; a grid that
+    differs from it in any bit, such as one that starts at -0.0, is not."""
+    state = analytic_state(triangle_network(), "rwc")
+    grid = default_time_grid()
+    for times in (grid, np.concatenate([[-0.0], grid[1:]]), grid[:3]):
+        curve = navigability._curve_from_state(state, times)
+        written = io.StringIO()
+        write_curve_csv(written, curve)
+        assert written.getvalue() == "time,rho\n" + "".join(
+            f"{t!r},{r!r}\n" for t, r in zip(curve.times.tolist(), curve.rho.tolist()))
 
 
 def test_curve_csv_round_trip(tmp_path):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import warnings
 
@@ -509,6 +511,22 @@ def test_run_stage_does_not_depend_on_the_pass_budget(monkeypatch):
                  for threshold in (0.0, 0.5)]
     assert split == default
     assert set(scored) == {1} and len(scored) == len(nets) * (4 + 6 + 4) * 2
+
+
+def test_links_csv_quotes_labels_as_csv_writer_does():
+    labels = ("plain", "", "a,b", 'say "hi"', "two\nlines", "cr\rhere", " spaced ")
+    links = LinkTable.from_links([
+        PredictedLink(u, v, 0.1 * u + 0.7, 1.0 / (v + 1), 3.0 * u + v / 7, ALGORITHMS[u % 2],
+                      ((0, 2), (1,), (0, 1, 2))[v % 3], len(((0, 2), (1,), (0, 1, 2))[v % 3]))
+        for u in range(7) for v in range(u + 1, 7)])
+    got = io.StringIO()
+    write_links_csv(got, links, labels)
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(LINK_CSV_COLUMNS)
+    writer.writerows([labels[l.u], labels[l.v], l.algorithm, format_subset(l.subset), l.stage,
+                      repr(l.raw_score), repr(l.normalized_score), repr(l.weight)] for l in links)
+    assert got.getvalue() == want.getvalue()
 
 
 def test_links_csv_round_trip(tmp_path):
