@@ -20,11 +20,11 @@ from .multiplex import (
     build_multiplex,
     enumerate_layer_subsets,
     export_edges,
+    format_edge_csv,
     integrate_links,
     knockout_nodes,
     parse_edge_list,
     trim_edges,
-    write_edge_csv,
 )
 from .navigability import (
     AnalyticCoverageState,
@@ -98,6 +98,7 @@ __all__ = [
     "enumerate_layer_subsets",
     "exclusive_neighbors",
     "export_edges",
+    "format_edge_csv",
     "integrate_links",
     "jaccard_classic",
     "knockout_nodes",
@@ -114,5 +115,4 @@ __all__ = [
     "threshold_filter",
     "time_to_coverage",
     "trim_edges",
-    "write_edge_csv",
 ]

@@ -6,12 +6,14 @@ the parsed options themselves, so it records every setting and nothing
 else. The manifest also hashes inputs and artifacts, and records a run_hash
 over everything except wall-clock timings, the output location and the
 input paths (inputs count by content), so identical runs are verifiable by
-hash comparison. The output policy lives in ``_Run``, the only writer of
-files: it makes --out with the first artifact, once the inputs have loaded,
-writes each artifact atomically (temp file + rename), records its name and
-the sha256 of the bytes it wrote, times each phase and writes the manifest
-last, the same way. The option ranges live in ``RANGES``, which ``main``
-checks before a command makes --out.
+hash comparison. Several --input files are read by ``parse_edge_list`` as
+one layer each. Every layer formats its artifacts as text, and
+``_Run.write`` is the only code that writes a file: it makes --out with the
+first artifact, once the inputs have loaded, writes each artifact
+atomically (temp file + rename) and records its name and the sha256 of its
+bytes. ``_Run`` also times each phase and writes the manifest last, the
+same way. The option ranges live in ``RANGES``, which ``main`` checks
+before a command makes --out.
 
 Exit codes: 0 success (including a t90 of "not reached"), 1 usage error,
 2 input/parse error, 3 numerical degradation.
@@ -23,7 +25,6 @@ import argparse
 import contextlib
 import functools
 import hashlib
-import io
 import json
 import os
 import sys
@@ -31,7 +32,6 @@ import time
 import uuid
 from collections import Counter
 from pathlib import Path
-from typing import TextIO
 
 import numpy as np
 
@@ -47,26 +47,26 @@ from .multiplex import (
     TRIM_PER_LAYER,
     build_multiplex,
     export_edges,
+    format_edge_csv,
     integrate_links,
     knockout_nodes,
     parse_edge_list,
     trim_edges,
-    write_edge_csv,
 )
 from .navigability import (
     DegradedDecompositionError,
     NOT_REACHED,
     compare_stages,
+    format_curve_csv,
     navigability_report,
     report_to_json_dict,
-    write_curve_csv,
 )
 from .prediction import (
     ALGORITHMS,
     dedupe_links,
+    format_links_csv,
     read_links_csv,
     run_stage,
-    write_links_csv,
 )
 from .walks import STRATEGIES
 
@@ -102,8 +102,8 @@ def _sha256_path(path: Path | str) -> str:
     return digest.hexdigest()
 
 
-def _write_json(stream: TextIO, value) -> None:
-    stream.write(json.dumps(value, indent=2, sort_keys=True) + "\n")
+def _format_json(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
 
 
 class _Run:
@@ -120,16 +120,13 @@ class _Run:
         # each other's temp files
         self.tmp_suffix = f".{uuid.uuid4().hex}.tmp"
 
-    def write(self, name: str, writer, *content) -> None:
-        """Write one artifact by ``writer(stream, *content)``, atomically.
+    def write(self, name: str, text: str) -> None:
+        """Write one artifact's text atomically.
 
-        The writer fills a text buffer, so one that fails leaves no file. The
-        bytes are hashed, written to a temp file in --out and renamed over
-        the target; a temp file that is not renamed is removed.
+        The UTF-8 bytes are hashed, written to a temp file in --out and
+        renamed over the target; a temp file that is not renamed is removed.
         """
-        buffer = io.StringIO()
-        writer(buffer, *content)
-        data = buffer.getvalue().encode("utf-8")
+        data = text.encode("utf-8")
         if not self.artifacts:
             self.out.mkdir(parents=True, exist_ok=True)
         path = self.out / name
@@ -173,34 +170,8 @@ class _Run:
             "timings": self.timings,
             "run_hash": run_hash,
         }
-        self.write("manifest.json", _write_json, manifest)
+        self.write("manifest.json", _format_json(manifest))
         return run_hash
-
-
-def _load_edges(paths: list[str]) -> EdgeList:
-    """Read one combined CSV, or several per-layer CSVs merged in order.
-
-    With multiple inputs, file k becomes layer k; each file must carry a
-    single layer value of its own. An empty file adds no edge, so the layer
-    count is taken from the file count (``_layer_count``).
-    """
-    if len(paths) == 1:
-        return parse_edge_list(paths[0])
-    index: dict[str, int] = {}
-    merged: list[FlowEdge] = []
-    for position, path in enumerate(paths):
-        part = parse_edge_list(path)
-        distinct = {e.layer for e in part.edges}
-        if len(distinct) > 1:
-            raise ParseError(
-                f"{path}: per-layer input holds {len(distinct)} layer values; "
-                "pass a single combined CSV instead"
-            )
-        # part.labels are in first-appearance order and each sits on an edge,
-        # so interning them in order keeps the merged first-appearance order
-        local = [index.setdefault(label, len(index)) for label in part.labels]
-        merged.extend(FlowEdge(local[e.source], local[e.target], position, e.flow) for e in part.edges)
-    return EdgeList(tuple(merged), tuple(index))
 
 
 # option -> interval its value must lie in, with "(" or ")" marking an open
@@ -226,15 +197,10 @@ def _check_ranges(args: argparse.Namespace) -> None:
             raise UsageError(f"{option} must lie in {lo}{low}, {high}{hi}, got {value}")
 
 
-def _layer_count(edges: EdgeList, args) -> int:
-    """One layer per input file when there are several, so an empty file keeps its layer."""
-    return len(args.inputs) if len(args.inputs) > 1 else edges.n_layers
-
-
 def _build_from_args(edges: EdgeList, args, frame: list[FlowEdge], **options) -> MultiplexNetwork:
     return build_multiplex(
         frame,
-        n_layers=_layer_count(edges, args),
+        n_layers=edges.n_layers,
         directed=args.directed,
         labels=edges.labels,
         **options,
@@ -250,9 +216,9 @@ def _trim_if_asked(edges: EdgeList, args) -> list[FlowEdge]:
 def cmd_trim(args) -> int:
     run = _Run(args)
     with run.phase("trim"):
-        edges = _load_edges(args.inputs)
+        edges = parse_edge_list(*args.inputs)
         kept = _trim_if_asked(edges, args)
-        run.write("trimmed.csv", write_edge_csv, kept, edges.labels)
+        run.write("trimmed.csv", format_edge_csv(kept, edges.labels))
     print(f"kept {len(kept)} / removed {len(edges.edges) - len(kept)}")
     run.finish(args.inputs)
     return EXIT_OK
@@ -278,21 +244,21 @@ def _predict_stages(net, stages, threshold):
 def _write_link_files(run: _Run, results: dict, labels) -> None:
     """One links file per stage plus their deduplicated merge."""
     for k, union in sorted(results.items()):
-        run.write(f"links_stage{k}.csv", write_links_csv, union, labels)
+        run.write(f"links_stage{k}.csv", format_links_csv(union, labels))
     merged = dedupe_links([union for _, union in sorted(results.items())])
-    run.write("links_merged.csv", write_links_csv, merged, labels)
+    run.write("links_merged.csv", format_links_csv(merged, labels))
     print(f"merged unique links: {len(merged)}")
 
 
 def cmd_predict(args) -> int:
     run = _Run(args)
     with run.phase("predict"):
-        edges = _load_edges(args.inputs)
+        edges = parse_edge_list(*args.inputs)
         frame = _trim_if_asked(edges, args)
         if not frame:
             print("warning: empty network; writing empty outputs", file=sys.stderr)
         # scoring reads only the layers, so the coupling stays build_multiplex's default
-        net = _build_from_args(edges, args, frame) if _layer_count(edges, args) else None
+        net = _build_from_args(edges, args, frame) if edges.n_layers else None
         results = _predict_stages(net, args.stages, args.threshold)
         _write_link_files(run, results, edges.labels)
     run.finish(args.inputs)
@@ -302,12 +268,12 @@ def cmd_predict(args) -> int:
 def cmd_integrate(args) -> int:
     run = _Run(args)
     with run.phase("integrate"):
-        edges = _load_edges(args.inputs)
+        edges = parse_edge_list(*args.inputs)
         # the output holds intra-layer edges only, so the coupling is never written
         net = _build_from_args(edges, args, list(edges.edges))
         links = read_links_csv(args.links, net.label_index())
         integrated = integrate_links(net, links, placement=args.placement)
-        run.write("integrated.csv", write_edge_csv, export_edges(integrated), net.labels)
+        run.write("integrated.csv", format_edge_csv(export_edges(integrated), net.labels))
     print(f"integrated {len(links)} links into {net.n_layers} layers")
     run.finish(args.inputs + [args.links])
     return EXIT_OK
@@ -315,8 +281,8 @@ def cmd_integrate(args) -> int:
 
 def _emit_report(run: _Run, report, strategy: str, label: str) -> None:
     curve_name = f"curve_{strategy}_{label}.csv"
-    run.write(curve_name, write_curve_csv, report.curve)
-    run.write(f"report_{strategy}_{label}.json", _write_json, report_to_json_dict(report, curve_name))
+    run.write(curve_name, format_curve_csv(report.curve))
+    run.write(f"report_{strategy}_{label}.json", _format_json(report_to_json_dict(report, curve_name)))
     shown = NOT_REACHED if report.t90 is None else f"{report.t90:.6g}"
     print(f"{strategy} {label}: spectral gap {report.spectral_gap:.6g}, t90 {shown}")
 
@@ -324,7 +290,7 @@ def _emit_report(run: _Run, report, strategy: str, label: str) -> None:
 def cmd_navigability(args) -> int:
     run = _Run(args)
     with run.phase("navigability"):
-        edges = _load_edges(args.inputs)
+        edges = parse_edge_list(*args.inputs)
         net = _build_from_args(edges, args, _trim_if_asked(edges, args), coupling=args.coupling)
         for strategy in args.strategies:
             _emit_report(run, navigability_report(net, strategy), strategy, "original")
@@ -335,7 +301,7 @@ def cmd_navigability(args) -> int:
 def cmd_pipeline(args) -> int:
     run = _Run(args)
     with run.phase("ingest"):
-        edges = _load_edges(args.inputs)
+        edges = parse_edge_list(*args.inputs)
 
     with run.phase("trim"):
         trimmed = _trim_if_asked(edges, args)
@@ -344,7 +310,7 @@ def cmd_pipeline(args) -> int:
     with run.phase("build"):
         net = _build_from_args(edges, args, trimmed, coupling=args.coupling)
         # written once the network builds, so an input that cannot build leaves no --out
-        run.write("trimmed.csv", write_edge_csv, trimmed, edges.labels)
+        run.write("trimmed.csv", format_edge_csv(trimmed, edges.labels))
 
     with run.phase("predict"):
         results = _predict_stages(net, args.stages, args.threshold)
@@ -362,7 +328,7 @@ def cmd_pipeline(args) -> int:
                 report = navigability_report(variant, strategy, stage_label=label)
                 _emit_report(run, report, strategy, label)
                 reports.append(report)
-            run.write(f"comparison_{strategy}.json", _write_json, compare_stages(reports))
+            run.write(f"comparison_{strategy}.json", _format_json(compare_stages(reports)))
 
     print(f"run hash: {run.finish(args.inputs)}")
     return EXIT_OK
@@ -371,7 +337,7 @@ def cmd_pipeline(args) -> int:
 def cmd_scenario(args) -> int:
     run = _Run(args)
     with run.phase("scenario"):
-        base = _load_edges(args.inputs)
+        base = parse_edge_list(*args.inputs)
         if len({e.layer for e in base.edges}) > 1:
             raise ParseError("scenario base must be a single-layer edge list")
         n = base.n_nodes
@@ -389,7 +355,7 @@ def cmd_scenario(args) -> int:
         kept = Counter(e.layer for e in replicated)
         for k in range(args.layers):
             print(f"layer {k}: knocked out {count} nodes, kept {kept[k]} edges")
-        run.write("scenario.csv", write_edge_csv, replicated, base.labels)
+        run.write("scenario.csv", format_edge_csv(replicated, base.labels))
     run.finish(args.inputs)
     return EXIT_OK
 

@@ -61,18 +61,16 @@ class FlowEdge:
 
 @dataclass(frozen=True)
 class EdgeList:
-    """Parsed edge list plus the label table interned during parsing."""
+    """Parsed edge list plus the label table interned during parsing, and the
+    layer count: 1 + the largest layer of one source, or the source count."""
 
     edges: tuple[FlowEdge, ...]
     labels: tuple[str, ...]
+    n_layers: int
 
     @property
     def n_nodes(self) -> int:
         return len(self.labels)
-
-    @property
-    def n_layers(self) -> int:
-        return 1 + max((e.layer for e in self.edges), default=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,14 +129,6 @@ def _open_source(source: TextIO | str | Path) -> ContextManager[TextIO]:
     return contextlib.nullcontext(source)
 
 
-def open_sink(target: TextIO | str | Path) -> ContextManager[TextIO]:
-    """A path opened for UTF-8 text without newline translation, or a given
-    text stream, left open: where the ``write_*`` functions write."""
-    if isinstance(target, io.TextIOBase):
-        return contextlib.nullcontext(target)
-    return open(target, "w", encoding="utf-8", newline="")
-
-
 def csv_cells(values: Sequence[str]) -> list[str]:
     """Each string as ``csv.writer`` writes it as one field of a row: quoted
     only where csv must quote it, so rows can be joined with commas."""
@@ -156,56 +146,81 @@ def csv_cells(values: Sequence[str]) -> list[str]:
     return cells
 
 
-def parse_edge_list(source: TextIO | str | Path) -> EdgeList:
-    """Parse a CSV edge list into FlowEdges with labels interned to dense indices.
+def parse_edge_list(*sources: TextIO | str | Path) -> EdgeList:
+    """Parse CSV edge lists into FlowEdges with labels interned to dense indices.
 
-    The header must contain the layer, source, target and flow columns, in
-    any order. Node labels become indices in first-appearance order. Rejects
-    malformed rows, negative flows, self-loops and fields over csv's size
+    One source is a combined edge list. With several, source k becomes layer
+    k, and each must carry a single layer value of its own; an empty source
+    still adds its layer. Each header must contain the layer, source, target
+    and flow columns once each, in any order. Node labels become indices in
+    first-appearance order across all sources. Rejects malformed rows,
+    negative flows, empty labels, self-loops and fields over csv's size
     limit, reporting the 1-based line number on which the row ends.
     """
-    with _open_source(source) as stream:
-        try:
-            reader = csv.reader(stream)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise ParseError("empty input, expected a header row", line=1) from None
-            header = [h.strip() for h in header]
-            for name in EDGE_COLUMNS:
-                if name not in header:
-                    raise SchemaError(f"missing column {name!r} in header {header}")
-            at_layer, at_source, at_target, at_flow = map(header.index, EDGE_COLUMNS)
+    index: dict[str, int] = {}  # label -> its index, in first-appearance order
+    edges: list[FlowEdge] = []
+    n_layers = len(sources)
+    for position, source in enumerate(sources):
+        fixed = None if len(sources) == 1 else position
+        with _open_source(source) as stream:
+            values = _read_edges(stream, index, edges, fixed)
+        if fixed is None:
+            n_layers = 1 + max(values, default=-1)
+        elif len(values) > 1:
+            name = source if isinstance(source, (str, Path)) else f"source {position}"
+            raise ParseError(f"{name}: per-layer input holds {len(values)} layer values; "
+                             "pass a single combined CSV instead")
+    return EdgeList(tuple(edges), tuple(index), n_layers)
 
-            index: dict[str, int] = {}  # label -> its index, in first-appearance order
-            edges: list[FlowEdge] = []
-            for row in reader:
-                lineno = reader.line_num  # the row's last line; a quoted field may span lines
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise ParseError(f"expected {len(header)} fields, got {len(row)}", line=lineno)
-                try:
-                    layer = int(row[at_layer])
-                except ValueError:
-                    raise ParseError(f"non-integer layer {row[at_layer]!r}", line=lineno) from None
-                try:
-                    flow = float(row[at_flow])
-                except ValueError:
-                    raise ParseError(f"non-numeric flow {row[at_flow]!r}", line=lineno) from None
-                if not math.isfinite(flow) or flow < 0:
-                    raise ParseError(f"flow must be finite and non-negative, got {flow}", line=lineno)
-                if layer < 0:
-                    raise ParseError(f"negative layer index {layer}", line=lineno)
-                src = row[at_source].strip()
-                dst = row[at_target].strip()
-                if src == dst:
-                    raise ParseError(f"self-loop on node {src!r}", line=lineno)
-                source = index.setdefault(src, len(index))
-                edges.append(FlowEdge(source, index.setdefault(dst, len(index)), layer, flow))
-            return EdgeList(tuple(edges), tuple(index))
-        except csv.Error as exc:  # a field over the limit; not a ValueError
-            raise ParseError(str(exc), line=reader.line_num) from None
+
+def _read_edges(stream: TextIO, index: dict[str, int], edges: list[FlowEdge], fixed: int | None) -> set[int]:
+    """Append one source's edges, in layer ``fixed`` unless it is None, interning
+    labels into ``index``; return the layer values the source holds."""
+    values: set[int] = set()
+    try:
+        reader = csv.reader(stream)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ParseError("empty input, expected a header row", line=1) from None
+        header = [h.strip() for h in header]
+        for name in EDGE_COLUMNS:
+            if header.count(name) != 1:
+                problem = "missing" if name not in header else "duplicated"
+                raise SchemaError(f"{problem} column {name!r} in header {header}")
+        at_layer, at_source, at_target, at_flow = map(header.index, EDGE_COLUMNS)
+
+        for row in reader:
+            lineno = reader.line_num  # the row's last line; a quoted field may span lines
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ParseError(f"expected {len(header)} fields, got {len(row)}", line=lineno)
+            try:
+                layer = int(row[at_layer])
+            except ValueError:
+                raise ParseError(f"non-integer layer {row[at_layer]!r}", line=lineno) from None
+            try:
+                flow = float(row[at_flow])
+            except ValueError:
+                raise ParseError(f"non-numeric flow {row[at_flow]!r}", line=lineno) from None
+            if not math.isfinite(flow) or flow < 0:
+                raise ParseError(f"flow must be finite and non-negative, got {flow}", line=lineno)
+            if layer < 0:
+                raise ParseError(f"negative layer index {layer}", line=lineno)
+            src = row[at_source].strip()
+            dst = row[at_target].strip()
+            if not (src and dst):
+                raise ParseError(f"empty {'target' if src else 'source'} label", line=lineno)
+            if src == dst:
+                raise ParseError(f"self-loop on node {src!r}", line=lineno)
+            values.add(layer)
+            source = index.setdefault(src, len(index))
+            edges.append(FlowEdge(source, index.setdefault(dst, len(index)),
+                                  layer if fixed is None else fixed, flow))
+        return values
+    except csv.Error as exc:  # a field over the limit; not a ValueError
+        raise ParseError(str(exc), line=reader.line_num) from None
 
 
 def trim_edges(
@@ -358,9 +373,8 @@ def export_edges(net: MultiplexNetwork) -> list[FlowEdge]:
     return edges
 
 
-def write_edge_csv(path: str | Path | TextIO, edges: Iterable[FlowEdge], labels: Sequence[str]) -> None:
-    """Write edges in the canonical ``layer,source,target,flow`` CSV format."""
+def format_edge_csv(edges: Iterable[FlowEdge], labels: Sequence[str]) -> str:
+    """The text of edges in the canonical ``layer,source,target,flow`` CSV format."""
     cells = csv_cells(labels)
     rows = [f"{e.layer},{cells[e.source]},{cells[e.target]},{float(e.flow)!r}\n" for e in edges]
-    with open_sink(path) as stream:
-        stream.write("".join([",".join(EDGE_COLUMNS) + "\n", *rows]))
+    return "".join([",".join(EDGE_COLUMNS) + "\n", *rows])

@@ -36,11 +36,10 @@ import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TextIO
 
 import numpy as np
 
-from .multiplex import CHUNK_BYTES, MultiplexNetwork, open_sink
+from .multiplex import CHUNK_BYTES, MultiplexNetwork
 from .walks import SupraTransitionMatrix, build_supra_transition, normalize_strategy
 
 ZERO_EIGENVALUE_TOL = 1e-9
@@ -589,14 +588,13 @@ def _default_grid_text() -> tuple[bytes, tuple[str, ...]]:
     return grid.tobytes(), tuple(f"{t!r}," for t in grid.tolist())
 
 
-def write_curve_csv(path: str | Path | TextIO, curve: CoverageCurve) -> None:
-    """Write ``time,rho`` rows, each value as its repr, to a path or a text stream."""
+def format_curve_csv(curve: CoverageCurve) -> str:
+    """The CSV text of ``time,rho`` rows, each value as its repr."""
     grid, times = _default_grid_text()
     if curve.times.tobytes() != grid:  # bit for bit, so -0.0 keeps its sign
         times = [f"{t!r}," for t in curve.times.tolist()]
     rows = [f"{t}{r!r}\n" for t, r in zip(times, curve.rho.tolist())]
-    with open_sink(path) as stream:
-        stream.write("".join(["time,rho\n", *rows]))
+    return "".join(["time,rho\n", *rows])
 
 
 def read_curve_csv(path: str | Path, method: str) -> CoverageCurve:

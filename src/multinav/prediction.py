@@ -34,11 +34,11 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .multiplex import CHUNK_BYTES, MultiplexNetwork, csv_cells, enumerate_layer_subsets, open_sink
+from .multiplex import CHUNK_BYTES, MultiplexNetwork, csv_cells, enumerate_layer_subsets
 
 JACCARD = "jaccard"
 ADAMIC_ADAR = "adamic_adar"
@@ -480,9 +480,8 @@ def parse_subset(text: str) -> tuple[int, ...]:
     return subset
 
 
-def write_links_csv(path: str | Path | TextIO, links: LinkTable, labels: Sequence[str]) -> None:
-    """Export predicted links with labeled endpoints, one line per table row,
-    to a path or a text stream."""
+def format_links_csv(links: LinkTable, labels: Sequence[str]) -> str:
+    """The CSV text of predicted links with labeled endpoints, one line per table row."""
     cells = csv_cells(labels)
     # a subset's name and stage, by subset code
     names = [f"{format_subset(subset)},{len(subset)}" for subset in links.subsets]
@@ -490,8 +489,7 @@ def write_links_csv(path: str | Path | TextIO, links: LinkTable, labels: Sequenc
             for u, v, a, s, raw, normalized, weight in zip(*(column.tolist() for column in (
                 links.u, links.v, links.algorithm, links.subset,
                 links.raw_score, links.normalized_score, links.weight)))]
-    with open_sink(path) as stream:
-        stream.write("".join([",".join(LINK_CSV_COLUMNS) + "\n", *rows]))
+    return "".join([",".join(LINK_CSV_COLUMNS) + "\n", *rows])
 
 
 def read_links_csv(path: str | Path, label_index: dict[str, int]) -> LinkTable:
@@ -501,9 +499,14 @@ def read_links_csv(path: str | Path, label_index: dict[str, int]) -> LinkTable:
     with open(path, encoding="utf-8-sig", newline="") as stream:
         reader = csv.DictReader(stream)
         try:
-            missing = set(LINK_CSV_COLUMNS) - set(reader.fieldnames or ())
+            header = reader.fieldnames or []
+            missing = set(LINK_CSV_COLUMNS) - set(header)
             if missing:
                 raise ValueError(f"links file missing columns {sorted(missing)}")
+            # DictReader would keep only the last of a repeated column
+            repeated = [name for name in LINK_CSV_COLUMNS if header.count(name) > 1]
+            if repeated:
+                raise ValueError(f"links file repeats columns {repeated}")
             for row in reader:
                 line = f"links file line {reader.line_num}"
                 if None in row:  # DictReader files a long row's extra fields under None

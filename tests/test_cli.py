@@ -21,15 +21,15 @@ from multinav import (
     run_stage,
     trim_edges,
 )
-from multinav.cli import _load_edges, build_parser, main
+from multinav.cli import build_parser, main
 from multinav.multiplex import TRIM_PER_LAYER
 from multinav.navigability import NOT_REACHED, read_curve_csv
 from multinav.prediction import (
     ADAMIC_ADAR,
     JACCARD,
     LINK_CSV_COLUMNS,
+    format_links_csv,
     read_links_csv,
-    write_links_csv,
 )
 
 TOY = str(package_files("multinav").joinpath("data/toy_multiplex.csv"))
@@ -54,6 +54,24 @@ def test_trim_writes_artifacts_and_counts(tmp_path, capsys):
     assert set(manifest["inputs"]) == {TOY}
     assert len(manifest["run_hash"]) == 64
     assert manifest["config"]["trim_ratio"] == 0.9
+
+
+# sha256 of the toy pipeline's edge and link files; the curves and reports are
+# left out, since their last bits depend on the eigensolver and BLAS
+TOY_DIGESTS = {
+    "trimmed.csv": "b9fd7de59a6e0114febcd842f7641f69c45cd62063c3a5edf8197159cab6a955",
+    "links_stage1.csv": "183929c4a86787357fb3bb2f09f9b84c0c9f3485688807797a13c5ffaf9f8a66",
+    "links_stage2.csv": "9418707a109421029fe1df67a9af7227d3e87bc7433f65662e6a0102f2cfe250",
+    "links_stage3.csv": "f4848e20fd34781eaa3ad4f1d4ee8f38c126b7bf09fe81312b8027a6f4ae2326",
+    "links_merged.csv": "2c436d9312bab001a3dedf4dddd27a710e5416e66cfaa5e89397fda5af6cbef7",
+}
+
+
+def test_toy_pipeline_edge_and_link_files_are_pinned(tmp_path):
+    out = tmp_path / "out"
+    assert main(["pipeline", "--input", TOY, "--out", str(out)]) == 0
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in TOY_DIGESTS}
+    assert got == TOY_DIGESTS
 
 
 def test_predict_stage_files_match_library(tmp_path):
@@ -133,7 +151,7 @@ def test_integrate_applies_links_with_max_collision(tmp_path):
                       weight=5.0, algorithm=ADAMIC_ADAR, subset=(0,), stage=1),
     ]
     links_path = tmp_path / "links.csv"
-    write_links_csv(links_path, LinkTable.from_links(links), ["A", "B", "C"])
+    links_path.write_text(format_links_csv(LinkTable.from_links(links), ["A", "B", "C"]), encoding="utf-8")
     out = tmp_path / "out"
     assert main(
         ["integrate", "--input", base, "--links", str(links_path), "--out", str(out)]
@@ -151,7 +169,7 @@ def test_integrate_rejects_link_subset_outside_the_layers(tmp_path, capsys):
     link = PredictedLink(u=0, v=2, raw_score=1.0, normalized_score=1.0,
                          weight=0.7, algorithm=JACCARD, subset=(7,), stage=1)
     links_path = tmp_path / "links.csv"
-    write_links_csv(links_path, LinkTable.from_links([link]), ["A", "B", "C"])
+    links_path.write_text(format_links_csv(LinkTable.from_links([link]), ["A", "B", "C"]), encoding="utf-8")
     out = tmp_path / "out"
     assert main(
         ["integrate", "--input", base, "--links", str(links_path), "--out", str(out)]
@@ -268,11 +286,10 @@ def test_atomic_writes_ignore_stale_temp_names(tmp_path):
 
 
 def test_a_writer_that_fails_leaves_neither_temp_file_nor_partial_target(tmp_path, monkeypatch, capsys):
-    def fill_the_disk(stream, curve):
-        stream.write("time,rho\n0.0,")
+    def fill_the_disk(curve):
         raise OSError(errno.ENOSPC, "No space left on device")
 
-    monkeypatch.setattr("multinav.cli.write_curve_csv", fill_the_disk)
+    monkeypatch.setattr("multinav.cli.format_curve_csv", fill_the_disk)
     out = tmp_path / "out"
     assert main(["pipeline", "--input", TOY, "--out", str(out), "--stages", "1"]) == 2
     assert "No space left on device" in capsys.readouterr().err
@@ -319,10 +336,10 @@ def test_multiple_inputs_become_layers(tmp_path):
         (e.layer, merged.labels[e.source], merged.labels[e.target]) for e in merged.edges
     )
     assert rows == [(0, "p", "q"), (1, "q", "r")]
-    assert _load_edges([a, b]).labels == ("p", "q", "r")
+    assert parse_edge_list(a, b).labels == ("p", "q", "r")
     # a file that names a new label before an old one keeps first-appearance order
     d = _write_csv(tmp_path / "d.csv", ["0,s,q,1.0", "0,q,p,3.0"])
-    loaded = _load_edges([a, d])
+    loaded = parse_edge_list(a, d)
     assert loaded.labels == ("p", "q", "s")
     assert [(e.source, e.target, e.layer, e.flow) for e in loaded.edges] == [
         (0, 1, 0, 1.0), (2, 1, 1, 1.0), (1, 0, 1, 3.0)
@@ -453,7 +470,7 @@ def test_a_strength_that_overflows_exits_two(strategy, tmp_path, capsys):
 def test_an_input_that_fails_to_load_leaves_no_out(tmp_path):
     missing = str(tmp_path / "missing.csv")
     links = tmp_path / "links.csv"
-    write_links_csv(links, LinkTable.from_links([]), ())
+    links.write_text(format_links_csv(LinkTable.from_links([]), ()), encoding="utf-8")
     calls = [[command, "--input", missing] for command in
              ("trim", "predict", "navigability", "pipeline", "scenario")]
     calls += [["integrate", "--input", missing, "--links", str(links)],
@@ -503,7 +520,7 @@ def _option_dests(command):
 def test_manifest_config_records_every_option_of_the_command(command, tmp_path):
     base = _write_csv(tmp_path / "base.csv", ["0,a,b,1.0", "0,b,c,1.0", "0,c,d,1.0"])
     links = tmp_path / "links.csv"
-    write_links_csv(links, LinkTable.from_links([]), ["a", "b", "c", "d"])
+    links.write_text(format_links_csv(LinkTable.from_links([]), ["a", "b", "c", "d"]), encoding="utf-8")
     out = tmp_path / "out"
     extra = ["--links", str(links)] if command == "integrate" else []
     assert main([command, "--input", base, "--out", str(out), *extra]) == 0

@@ -18,11 +18,11 @@ from multinav import (
     build_multiplex,
     enumerate_layer_subsets,
     export_edges,
+    format_edge_csv,
     integrate_links,
     knockout_nodes,
     parse_edge_list,
     trim_edges,
-    write_edge_csv,
 )
 from multinav.multiplex import PLACEMENT_ALL, PLACEMENT_SUBSET, TRIM_GLOBAL
 from multinav.prediction import LinkTable, PredictedLink
@@ -50,6 +50,25 @@ def test_parse_missing_column_is_schema_error():
         _parse("layer,source,target\n0,a,b\n")
 
 
+def test_parse_rejects_a_repeated_required_column():
+    with pytest.raises(SchemaError, match="duplicated column 'flow'"):
+        _parse("layer,source,target,flow,flow\n0,a,b,1.0,2.0\n")
+    # a repeated column that is not required is read past
+    assert _parse("layer,source,target,flow,note,note\n0,a,b,1.0,x,y\n").edges == (FlowEdge(0, 1, 0, 1.0),)
+
+
+def test_parse_reads_each_source_as_one_layer():
+    header = "layer,source,target,flow\n"
+    a, b = header + "4,p,q,1.0\n", header + "0,s,q,2.0\n0,q,p,3.0\n"
+    assert _parse(a).n_layers == 5  # one source keeps its layer values
+    got = parse_edge_list(io.StringIO(a), io.StringIO(b), io.StringIO(header))
+    assert got.labels == ("p", "q", "s")  # first appearance across the sources
+    assert got.edges == (FlowEdge(0, 1, 0, 1.0), FlowEdge(2, 1, 1, 2.0), FlowEdge(1, 0, 1, 3.0))
+    assert got.n_layers == 3  # the trailing empty source still adds its layer
+    with pytest.raises(ParseError, match="source 1: per-layer input holds 2 layer values"):
+        parse_edge_list(io.StringIO(a), io.StringIO(header + "0,p,q,1.0\n1,q,r,1.0\n"))
+
+
 def test_parse_empty_input():
     with pytest.raises(ParseError, match="header"):
         _parse("")
@@ -63,6 +82,9 @@ def test_parse_empty_input():
         ("0,a,b,-2.0", "non-negative"),
         ("-1,a,b,2.0", "negative layer"),
         ("0,a,a,2.0", "self-loop"),
+        ("0,,b,2.0", "empty source label"),
+        ("0,a, \t,2.0", "empty target label"),
+        ("0,,,2.0", "empty source label"),
         ("0,a,b", "expected 4 fields"),
         # a csv.Error, which is no ValueError
         pytest.param(f"0,{'x' * 200_000},b,1.0", "field larger than field limit", id="field-over-limit"),
@@ -88,7 +110,7 @@ def test_parse_accepts_utf8_bom_header(tmp_path):
 def test_csv_round_trip(tmp_path):
     edges = [FlowEdge(0, 1, 0, 100.0), FlowEdge(1, 2, 1, 0.125)]
     path = tmp_path / "edges.csv"
-    write_edge_csv(path, edges, ("a", "b", "c"))
+    path.write_text(format_edge_csv(edges, ("a", "b", "c")), encoding="utf-8")
     back = parse_edge_list(path)
     assert back.edges == tuple(edges)
     assert back.labels == ("a", "b", "c")
@@ -100,14 +122,13 @@ AWKWARD_LABELS = ("plain", "", "a,b", 'say "hi"', "two\nlines", "cr\rhere", " sp
 
 def test_edge_csv_quotes_labels_as_csv_writer_does():
     edges = [FlowEdge(s, t, s % 2, 1.0 + s / 3) for s in range(7) for t in range(7) if s != t]
-    got = io.StringIO()
-    write_edge_csv(got, edges, AWKWARD_LABELS)
+    got = format_edge_csv(edges, AWKWARD_LABELS)
     want = io.StringIO()
     writer = csv.writer(want, lineterminator="\n")
     writer.writerow(["layer", "source", "target", "flow"])
     writer.writerows([e.layer, AWKWARD_LABELS[e.source], AWKWARD_LABELS[e.target], repr(e.flow)]
                      for e in edges)
-    assert got.getvalue() == want.getvalue()
+    assert got == want.getvalue()
 
 
 def test_trim_keeps_at_least_ratio_times_max():

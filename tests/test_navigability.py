@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 import tracemalloc
 
 import numpy as np
@@ -45,9 +44,9 @@ from multinav.navigability import (
     ZERO_EIGENVALUE_TOL,
     AnalyticCoverageState,
     analytic_state,
+    format_curve_csv,
     read_curve_csv,
     report_to_json_dict,
-    write_curve_csv,
 )
 
 
@@ -704,16 +703,14 @@ def test_curve_csv_writes_each_value_as_its_repr():
     grid = default_time_grid()
     for times in (grid, np.concatenate([[-0.0], grid[1:]]), grid[:3]):
         curve = navigability._curve_from_state(state, times)
-        written = io.StringIO()
-        write_curve_csv(written, curve)
-        assert written.getvalue() == "time,rho\n" + "".join(
+        assert format_curve_csv(curve) == "time,rho\n" + "".join(
             f"{t!r},{r!r}\n" for t, r in zip(curve.times.tolist(), curve.rho.tolist()))
 
 
 def test_curve_csv_round_trip(tmp_path):
     curve = coverage_analytic(triangle_network(), "rwc", times=np.array([0.0, 1.0, 2.0]))
     path = tmp_path / "curve.csv"
-    write_curve_csv(path, curve)
+    path.write_text(format_curve_csv(curve), encoding="utf-8")
     back = read_curve_csv(path, "analytic")
     assert np.array_equal(back.times, curve.times)
     assert np.array_equal(back.rho, curve.rho)

@@ -46,8 +46,8 @@ from multinav.prediction import (
     LINK_CSV_COLUMNS,
     format_subset,
     parse_subset,
+    format_links_csv,
     read_links_csv,
-    write_links_csv,
 )
 
 
@@ -519,20 +519,19 @@ def test_links_csv_quotes_labels_as_csv_writer_does():
         PredictedLink(u, v, 0.1 * u + 0.7, 1.0 / (v + 1), 3.0 * u + v / 7, ALGORITHMS[u % 2],
                       ((0, 2), (1,), (0, 1, 2))[v % 3], len(((0, 2), (1,), (0, 1, 2))[v % 3]))
         for u in range(7) for v in range(u + 1, 7)])
-    got = io.StringIO()
-    write_links_csv(got, links, labels)
+    got = format_links_csv(links, labels)
     want = io.StringIO()
     writer = csv.writer(want, lineterminator="\n")
     writer.writerow(LINK_CSV_COLUMNS)
     writer.writerows([labels[l.u], labels[l.v], l.algorithm, format_subset(l.subset), l.stage,
                       repr(l.raw_score), repr(l.normalized_score), repr(l.weight)] for l in links)
-    assert got.getvalue() == want.getvalue()
+    assert got == want.getvalue()
 
 
 def test_links_csv_round_trip(tmp_path):
     link = PredictedLink(0, 2, 0.75, 1.0, 5.25, JACCARD, (0, 2), 2)
     path = tmp_path / "links.csv"
-    write_links_csv(path, LinkTable.from_links([link]), ("a", "b", "c"))
+    path.write_text(format_links_csv(LinkTable.from_links([link]), ("a", "b", "c")), encoding="utf-8")
     back = read_links_csv(path, {"a": 0, "b": 1, "c": 2})
     assert list(back) == [link]
     with pytest.raises(ValueError, match="unknown node label"):
@@ -545,6 +544,14 @@ def test_links_csv_round_trip(tmp_path):
     header = ",".join(c for c in LINK_CSV_COLUMNS if c != "weight")
     path.write_text(header + "\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r"links file missing columns \['weight'\]"):
+        read_links_csv(path, {"a": 0, "b": 1, "c": 2})
+
+
+def test_links_csv_rejects_a_repeated_column(tmp_path):
+    path = tmp_path / "links.csv"
+    path.write_text(",".join(LINK_CSV_COLUMNS) + ",weight\na,c,jaccard,0+2,2,0.75,1.0,5.25,9.0\n",
+                    encoding="utf-8")
+    with pytest.raises(ValueError, match=r"links file repeats columns \['weight'\]"):
         read_links_csv(path, {"a": 0, "b": 1, "c": 2})
 
 

@@ -23,11 +23,11 @@ from multinav import (
     coverage_analytic,
     dedupe_links,
     default_time_grid,
+    format_edge_csv,
     integrate_links,
     parse_edge_list,
     simulate_walk,
     trim_edges,
-    write_edge_csv,
 )
 from multinav.multiplex import PLACEMENT_ALL, PLACEMENT_SUBSET, TRIM_GLOBAL, TRIM_PER_LAYER
 from multinav.navigability import analytic_state
@@ -156,9 +156,7 @@ def test_edge_csv_round_trips_labels_and_flows(case):
     names, rows = case
     index = {name: i for i, name in enumerate(names)}
     edges = [FlowEdge(index[a], index[b], layer, flow) for layer, (a, b), flow in rows]
-    buffer = io.StringIO()
-    write_edge_csv(buffer, edges, names)
-    back = parse_edge_list(io.StringIO(buffer.getvalue()))
+    back = parse_edge_list(io.StringIO(format_edge_csv(edges, names)))
     assert [(e.layer, back.labels[e.source], back.labels[e.target], e.flow) for e in back.edges] == [
         (layer, a, b, flow) for layer, (a, b), flow in rows
     ]
