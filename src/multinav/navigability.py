@@ -395,7 +395,8 @@ def coverage_montecarlo(
     number of the row's cumulative sums <= u, ties to the right, capped at
     the last state. ``CumulativeTable.search`` finds it for every walker at
     once, from the guide's count for u's bin and ``span.bit_length()``
-    branchless rounds. With one walker per origin, walker j follows
+    branchless rounds: one on a pagerank table of up to 256 states, two
+    beyond. With one walker per origin, walker j follows
     ``simulate_walk(supra, j, horizon, seed)``.
     """
     if walkers_per_origin < 1:

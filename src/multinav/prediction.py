@@ -499,7 +499,8 @@ def read_links_csv(path: str | Path, label_index: dict[str, int]) -> LinkTable:
     with open(path, encoding="utf-8-sig", newline="") as stream:
         reader = csv.DictReader(stream)
         try:
-            header = reader.fieldnames or []
+            # as parse_edge_list does, "u_label, v_label" names u_label and v_label
+            reader.fieldnames = header = [name.strip() for name in reader.fieldnames or []]
             missing = set(LINK_CSV_COLUMNS) - set(header)
             if missing:
                 raise ValueError(f"links file missing columns {sorted(missing)}")

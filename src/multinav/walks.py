@@ -66,8 +66,9 @@ class CumulativeTable:
     """A transition matrix's cumulative rows, with a guide into each row.
 
     ``rows`` holds the (dim, width) cumulative sums, padded with +inf;
-    ``guide[r, b]`` counts row r's sums <= b / bins; ``span`` is the most
-    sums a bin leaves to search (see ``_cumulative_table``). ``search`` and
+    ``guide[r, b]`` counts row r's sums <= b / bins, in the smallest
+    unsigned dtype that holds dim - 1; ``span`` is the most sums a bin
+    leaves to search (see ``_cumulative_table``). ``search`` and
     ``simulate_walk`` map a draw u to the number of the row's sums <= u: a
     binary search with ties to the right, so a draw equal to a sum skips
     zero-probability states, capped at the last state.
@@ -85,10 +86,12 @@ class CumulativeTable:
         base = states * width
         cursor = base + self.guide.reshape(-1)[states * (self.bins + 1) + (u * self.bins).astype(np.intp)]
         # branchless: each round moves the cursor past the window's half if
-        # its last entry is <= u; rounds cover 2**rounds - 1 >= span entries
+        # its last entry is <= u; rounds cover 2**rounds - 1 >= span entries,
+        # and the last round, of half 1, adds the comparison itself
         for k in reversed(range(self.span.bit_length())):
             half = 1 << k
-            cursor += half * (flat[half - 1 :][cursor] <= u)
+            past = flat[half - 1 :][cursor] <= u
+            cursor += half * past if k else past
         return cursor - base
 
 
@@ -173,36 +176,85 @@ def _cumulative_table(matrix: np.ndarray) -> CumulativeTable:
     non-decreasing. The last state's sum is stored as +inf: the last state
     takes every draw above the row's second-to-last sum, which keeps a draw
     on the last state when rounding leaves the row's total below it. ``bins``
-    is the power of two at or above dim, so u * bins and b / bins are exact,
-    and ``guide[r, b]`` counts row r's sums <= b / bins: those are the sums
-    found without a search. For every u in [b / bins, (b + 1) / bins) the
-    count of sums <= u then lies between guide[r, b] and guide[r, b + 1],
-    and ``span`` is the widest such window. A branchless search of
-    ``span.bit_length()`` rounds never moves past the count it seeks, at
-    most dim - 1, and a round reads at most span - 1 entries beyond it, so
-    ``span`` columns of +inf after each row keep every read in that row.
+    is a power of two, so u * bins and b / bins are exact, and ``guide[r,
+    b]`` counts row r's sums <= b / bins: those are the sums found without a
+    search. For every u in [b / bins, (b + 1) / bins) the count of sums <= u
+    then lies between guide[r, b] and guide[r, b + 1], and ``span`` is the
+    widest such window. A branchless search of ``span.bit_length()`` rounds
+    never moves past the count it seeks, at most dim - 1, and a round reads
+    at most span - 1 entries beyond it, so ``span`` columns of +inf after
+    each row keep every read in that row.
+
+    Doubling ``bins`` splits every bin in two, so ``span`` never grows with
+    it. The guide is stored in the smallest unsigned dtype that holds
+    dim - 1, and may take as many bytes as an int64 guide at the power of
+    two at or above dim: 8 times those bins in uint8 (dim <= 256), 4 times
+    in uint16. ``bins`` is the fewest that give the fewest rounds within
+    that cap. Teleportation makes every pagerank sum at least 0.15 / dim
+    above the one before, so a pagerank table reaches 1 or 2 rounds; a run
+    of zero-probability states keeps its sums in one bin at any ``bins``,
+    so an rwc or rwd table stays at the power of two at or above dim.
     """
     dim = matrix.shape[0]
-    bins = 1 << max(dim - 1, 0).bit_length()
     sums = np.cumsum(matrix, axis=1)
     sums[:, -1:] = np.inf
-    guide = _guide(sums, bins)
-    span = int(np.diff(guide, axis=1).max(initial=0))
+    dtype = np.min_scalar_type(max(dim - 1, 0))
+    least = 1 << max(dim - 1, 0).bit_length()
+    bins = least * (8 // dtype.itemsize)
+    keys = _inner_keys(sums, bins, np.empty_like(sums))
+    rounds = 0
+    while _shares_key(keys, 1 << rounds):
+        rounds += 1
+    # halve while fewer than 2**rounds sums share a key; the keys of bins / 2
+    # are ceil(key / 2), exactly
+    while bins > least:
+        np.ceil(np.multiply(keys, 0.5, out=keys), out=keys)
+        if _shares_key(keys, 1 << rounds):
+            break
+        bins //= 2
+    # span has ``rounds`` bits, the top one set; find the others in the keys
+    # of bins, as the sampler's search finds a count
+    span = 1 << rounds >> 1
+    if rounds > 1:
+        _inner_keys(sums, bins, keys)
+    for k in reversed(range(rounds - 1)):
+        if _shares_key(keys, span + (1 << k)):
+            span += 1 << k
     rows = np.full((dim, dim + span), np.inf)
     rows[:, :dim] = sums
-    return CumulativeTable(rows=rows, guide=guide, bins=bins, span=span)
+    runs = _runs(sums, bins, keys.view(np.int64))  # in the buffer of keys
+    del sums  # kept in rows: free it before the guide is built
+    guide = np.repeat(np.tile(np.arange(dim, dtype=dtype), dim), runs.reshape(-1))
+    return CumulativeTable(rows=rows, guide=guide.reshape(dim, bins + 1), bins=bins, span=span)
 
 
-def _guide(sums: np.ndarray, bins: int) -> np.ndarray:
-    """guide[r, b], the count of row r's sums <= b / bins, for b = 0..bins."""
-    dim = sums.shape[0]
+def _inner_keys(sums: np.ndarray, bins: int, out: np.ndarray) -> np.ndarray:
+    """Each sum's key ceil(s * bins), the first bin edge b / bins at or above
+    it, written to ``out``. A search only passes sums in (0, 1], keys
+    1..bins; the others become NaN, which no key equals."""
+    np.ceil(np.multiply(sums, bins, out=out), out=out)
+    out[(out < 1) | (out > bins)] = np.nan
+    return out
+
+
+def _shares_key(keys: np.ndarray, count: int) -> bool:
+    """Whether ``count`` consecutive sums of some row share one key: then
+    some bin leaves at least ``count`` sums to search."""
+    width = keys.shape[1]
+    return count <= width and bool(np.any(keys[:, count - 1 :] == keys[:, : width - count + 1]))
+
+
+def _runs(sums: np.ndarray, bins: int, out: np.ndarray) -> np.ndarray:
+    """out[r, j], the number of bins b whose guide[r, b] is j: guide[r, b]
+    counts row r's sums <= b / bins, so it is j from sum j - 1's key up to
+    sum j's. Overwrites ``sums`` with the keys."""
     # a sum s is counted from b = ceil(s * bins) on; sums above 1 (and the
     # +inf) land in bin bins + 1, which no guide entry counts
-    keys = np.clip(np.ceil(sums * bins), 0, bins + 1).astype(np.intp)
-    keys += np.arange(dim)[:, None] * (bins + 2)
-    counts = np.bincount(keys.reshape(-1), minlength=dim * (bins + 2))
-    del keys  # as large as the table: free it before the guide is built
-    return np.cumsum(counts.reshape(dim, bins + 2)[:, : bins + 1], axis=1)
+    keys = np.ceil(np.multiply(sums, bins, out=sums), out=sums)
+    np.clip(keys, 0, bins + 1, out=keys)
+    out[:, :1] = keys[:, :1]
+    np.subtract(keys[:, 1:], keys[:, :-1], out=out[:, 1:], casting="unsafe")
+    return out
 
 
 def simulate_walk(

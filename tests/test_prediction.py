@@ -555,6 +555,19 @@ def test_links_csv_rejects_a_repeated_column(tmp_path):
         read_links_csv(path, {"a": 0, "b": 1, "c": 2})
 
 
+def test_links_csv_header_names_are_stripped(tmp_path):
+    """A header of "u_label, v_label, ..." names the columns, as in an edge list."""
+    link = PredictedLink(0, 2, 0.75, 1.0, 5.25, JACCARD, (0, 2), 2)
+    body = format_links_csv(LinkTable.from_links([link]), ("a", "b", "c")).split("\n", 1)[1]
+    path = tmp_path / "links.csv"
+    path.write_text(", ".join(LINK_CSV_COLUMNS) + "\n" + body, encoding="utf-8")
+    assert list(read_links_csv(path, {"a": 0, "b": 1, "c": 2})) == [link]
+    # a stripped name still counts once: " weight" repeats weight
+    path.write_text(",".join(LINK_CSV_COLUMNS) + ", weight\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"links file repeats columns \['weight'\]"):
+        read_links_csv(path, {"a": 0, "b": 1, "c": 2})
+
+
 def test_subset_format_round_trip():
     assert format_subset((0, 2)) == "0+2"
     assert parse_subset("0+2") == (0, 2)

@@ -231,6 +231,14 @@ class FixedDraw:
         return np.full(size, self.u)
 
 
+def _span(sums, bins):
+    """The most sums of one row in ((b - 1) / bins, b / bins] for any bin b,
+    the last state's sum left out: the sums a search may have to pass."""
+    inner = [row[:-1][(row[:-1] > 0) & (row[:-1] <= 1)] for row in sums]
+    shared = [np.unique(np.ceil(row * bins), return_counts=True)[1] for row in inner]
+    return max((int(counts.max(initial=0)) for counts in shared), default=0)
+
+
 @SETTINGS
 @given(
     multiplexes_with_dangling_states(),
@@ -253,6 +261,12 @@ def test_guided_search_is_the_capped_right_search_of_the_row(net, strategy, rand
     expected = np.minimum([np.searchsorted(row, draws, "right") for row in sums], supra.dim - 1)
     states = np.repeat(np.arange(supra.dim), draws.size)
     assert np.array_equal(table.search(states, np.tile(draws, supra.dim)), expected.reshape(-1))
+    # no more bytes and no more rounds than a guide at the power of two at or
+    # above dim; the rounds are those of the table's own span
+    least = 1 << max(supra.dim - 1, 0).bit_length()
+    assert table.guide.nbytes <= 8 * supra.dim * (least + 1)
+    assert table.span == _span(sums, table.bins)
+    assert table.span.bit_length() <= _span(sums, least).bit_length()
     # simulate_walk seeds its generator (seed, origin): the seed picks the draw
     with mock.patch.object(np.random, "default_rng", lambda seed: FixedDraw(draws[seed[0]])):
         for state in range(supra.dim):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from conftest import oracle_supra, random_multiplex, triangle_network
@@ -13,6 +15,7 @@ from multinav import (
     MultiplexNetwork,
     build_multiplex,
     build_supra_transition,
+    coverage_montecarlo,
     row_stochastic_check,
     simulate_walk,
 )
@@ -231,23 +234,59 @@ def test_one_step_frequencies_follow_transition_row():
     assert p_value > 0.001
 
 
-def _ring_lattice(rng, n, n_layers):
-    """Each layer a directed ring plus one random chord per node, lognormal flows."""
+def _ring_lattice(rng, n, n_layers, directed=True):
+    """Each layer a ring plus one random chord per node, lognormal flows."""
     edges = []
     for layer in range(n_layers):
         for i in range(n):
             edges.append(FlowEdge(i, (i + 1) % n, layer, float(rng.lognormal(3.0, 0.5))))
             chord = (i + 2 + int(rng.integers(n - 3))) % n  # neither i nor i + 1
             edges.append(FlowEdge(i, chord, layer, float(rng.lognormal(3.0, 0.5))))
-    return build_multiplex(edges, n_layers=n_layers, n_nodes=n, directed=True)
+    return build_multiplex(edges, n_layers=n_layers, n_nodes=n, directed=directed)
 
 
 @pytest.mark.parametrize("n", [40, 200, 400])
 def test_pagerank_guide_rounds_do_not_grow_with_dim(n):
-    """Teleportation adds (1 - damping) / dim >= 0.15 / dim to every sum, and a
-    bin is 1 / bins <= 1 / dim wide, so no bin holds more than 7 sums: a
-    search takes at most 3 rounds at any size."""
+    """Teleportation puts every sum at least (1 - damping) / dim = 0.15 / dim
+    above the one before. In the bytes of an int64 guide at the power of two
+    at or above dim, a uint8 guide (dim <= 256) has 8 times those bins and a
+    uint16 guide 4 times, at most 0.125 / dim or 0.25 / dim wide: a bin
+    holds at most 1 or 2 sums, and a search takes 1 or 2 rounds at any size."""
     supra = build_supra_transition(_ring_lattice(np.random.default_rng(n), n, 5), PAGERANK)
     table = supra.cumulative
+    least = 1 << (supra.dim - 1).bit_length()
     assert table.bins >= supra.dim
-    assert table.span <= 7
+    assert table.span <= (1 if supra.dim <= 256 else 2)
+    assert table.guide.nbytes <= 8 * supra.dim * (least + 1)
+
+
+# sha256 of coverage_montecarlo(supra, 10, 100, seed=7).rho.tobytes() and of
+# the int64 steps of simulate_walk(supra, origin, 100, seed=7), origin by
+# origin, on the N=40, L=5 ring lattice of seed 40; recorded with the int64
+# guide of a fixed power-of-two bins that the sampler's table used before
+SAMPLED = {
+    (True, RWC): ("e7c93b76d6ee675aa6a1af0505d1a05e4083f19b2738240bbc8ab11587290529",
+                  "9c7edb5693c7a56a9fb63066180d79cde0ed3e9dbc02d07b15a6798798f5d66a"),
+    (True, RWD): ("3c50e5a964d448e98a8c17471fbd1ab1a5f6bdef9dcbf15d46e8d3508b46e2fe",
+                  "42d547ceb4f3a49172d8024c825f41243d873964a8b2152a27b9e896fde91528"),
+    (True, PAGERANK): ("e33d72071b6f0ccf7abe5e1f2e524b344eb9dcfcd66b24923ea2417a18da7944",
+                       "31411afb644a1aaffbdbf0360cb64e86435860dcbae6c66b60ab54f8952fce96"),
+    (False, RWC): ("3d6330f5a55308a69ebfa07a08184555682df96f4785279b5079dcaff7d726fb",
+                   "450bce9d92786fd59f68d72a34fe29c3ccbf40a0b8f45abed2d65e0fae2bdf57"),
+    (False, RWD): ("6243110db3d92be8031f91205f62b182533de7f7b5b0bb3fc38b8c20160286dd",
+                   "789f174688c499fc752b0b44c9c5a6934a6c95c23389a987cc9ce826921e9687"),
+    (False, PAGERANK): ("191052f47bcee95107e1f70458f09bf0ac01520b982b9afb3877b1d72dba799c",
+                        "84162cded42408d2a4b8967aaeb6f144554ae3bd0a9fd1329b39f14bf0aafee4"),
+}
+
+
+@pytest.mark.parametrize(("directed", "strategy"), sorted(SAMPLED))
+def test_sampled_walks_and_coverage_are_bit_identical(directed, strategy):
+    """The samplers' outputs, bit for bit: a change to the search table's
+    layout must leave every walk and every coverage value as it is."""
+    supra = build_supra_transition(_ring_lattice(np.random.default_rng(40), 40, 5, directed), strategy)
+    rho = coverage_montecarlo(supra, 10, 100, seed=7).rho
+    steps = hashlib.sha256()
+    for origin in range(supra.dim):
+        steps.update(np.asarray(simulate_walk(supra, origin, 100, seed=7).steps, dtype=np.int64).tobytes())
+    assert (hashlib.sha256(rho.tobytes()).hexdigest(), steps.hexdigest()) == SAMPLED[directed, strategy]
