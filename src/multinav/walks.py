@@ -68,7 +68,9 @@ class CumulativeTable:
     ``rows`` holds the (dim, width) cumulative sums, padded with +inf;
     ``guide[r, b]`` counts row r's sums <= b / bins, in the smallest
     unsigned dtype that holds dim - 1; ``span`` is the most sums a bin
-    leaves to search (see ``_cumulative_table``). ``search`` and
+    leaves to search. ``bins`` is a power of two, the fewest that reach the
+    fewest rounds within a byte cap: the guide of bins / 2 is every other
+    column of the guide of bins (``_cumulative_table``). ``search`` and
     ``simulate_walk`` map a draw u to the number of the row's sums <= u: a
     binary search with ties to the right, so a draw equal to a sum skips
     zero-probability states, capped at the last state.
@@ -185,76 +187,53 @@ def _cumulative_table(matrix: np.ndarray) -> CumulativeTable:
     at most span - 1 entries beyond it, so ``span`` columns of +inf after
     each row keep every read in that row.
 
-    Doubling ``bins`` splits every bin in two, so ``span`` never grows with
-    it. The guide is stored in the smallest unsigned dtype that holds
-    dim - 1, and may take as many bytes as an int64 guide at the power of
-    two at or above dim: 8 times those bins in uint8 (dim <= 256), 4 times
-    in uint16. ``bins`` is the fewest that give the fewest rounds within
-    that cap. Teleportation makes every pagerank sum at least 0.15 / dim
-    above the one before, so a pagerank table reaches 1 or 2 rounds; a run
-    of zero-probability states keeps its sums in one bin at any ``bins``,
-    so an rwc or rwd table stays at the power of two at or above dim.
+    The guide is stored in the smallest unsigned dtype that holds dim - 1,
+    and may take as many bytes as an int64 guide at the power of two at or
+    above dim: 8 times those bins in uint8 (dim <= 256), 4 times in uint16.
+    It is built once at that cap and strided: the guide of bins / 2 is every
+    other column of the guide of bins, its windows pairwise sums of those
+    of bins, and ``bins`` is the fewest that give the fewest rounds.
+    Teleportation makes every pagerank sum at least 0.15 / dim above the one
+    before, so a pagerank table reaches 1 or 2 rounds; a run of
+    zero-probability states keeps its sums in one bin at any ``bins``, so an
+    rwc or rwd table stays at the power of two at or above dim.
     """
     dim = matrix.shape[0]
     sums = np.cumsum(matrix, axis=1)
     sums[:, -1:] = np.inf
     dtype = np.min_scalar_type(max(dim - 1, 0))
     least = 1 << max(dim - 1, 0).bit_length()
-    bins = least * (8 // dtype.itemsize)
-    keys = _inner_keys(sums, bins, np.empty_like(sums))
-    rounds = 0
-    while _shares_key(keys, 1 << rounds):
-        rounds += 1
-    # halve while fewer than 2**rounds sums share a key; the keys of bins / 2
-    # are ceil(key / 2), exactly
+    cap = bins = least * (8 // dtype.itemsize)
+    guide = np.repeat(np.tile(np.arange(dim, dtype=dtype), dim), _runs(sums, cap).ravel())
+    guide = guide.reshape(dim, cap + 1)
+    # halve while the rounds stay; a window holds <= dim - 1 sums, so its sums stay in dtype
+    windows = np.diff(guide, axis=1)
+    span = int(windows.max(initial=0))
     while bins > least:
-        np.ceil(np.multiply(keys, 0.5, out=keys), out=keys)
-        if _shares_key(keys, 1 << rounds):
+        halved = windows[:, ::2] + windows[:, 1::2]
+        halved_span = int(halved.max(initial=0))
+        if halved_span.bit_length() > span.bit_length():
             break
-        bins //= 2
-    # span has ``rounds`` bits, the top one set; find the others in the keys
-    # of bins, as the sampler's search finds a count
-    span = 1 << rounds >> 1
-    if rounds > 1:
-        _inner_keys(sums, bins, keys)
-    for k in reversed(range(rounds - 1)):
-        if _shares_key(keys, span + (1 << k)):
-            span += 1 << k
+        windows, span, bins = halved, halved_span, bins // 2
+    del windows, halved  # free them before rows and the strided guide are made
     rows = np.full((dim, dim + span), np.inf)
     rows[:, :dim] = sums
-    runs = _runs(sums, bins, keys.view(np.int64))  # in the buffer of keys
-    del sums  # kept in rows: free it before the guide is built
-    guide = np.repeat(np.tile(np.arange(dim, dtype=dtype), dim), runs.reshape(-1))
-    return CumulativeTable(rows=rows, guide=guide.reshape(dim, bins + 1), bins=bins, span=span)
+    guide = np.ascontiguousarray(guide[:, :: cap // bins])
+    return CumulativeTable(rows=rows, guide=guide, bins=bins, span=span)
 
 
-def _inner_keys(sums: np.ndarray, bins: int, out: np.ndarray) -> np.ndarray:
-    """Each sum's key ceil(s * bins), the first bin edge b / bins at or above
-    it, written to ``out``. A search only passes sums in (0, 1], keys
-    1..bins; the others become NaN, which no key equals."""
-    np.ceil(np.multiply(sums, bins, out=out), out=out)
-    out[(out < 1) | (out > bins)] = np.nan
-    return out
-
-
-def _shares_key(keys: np.ndarray, count: int) -> bool:
-    """Whether ``count`` consecutive sums of some row share one key: then
-    some bin leaves at least ``count`` sums to search."""
-    width = keys.shape[1]
-    return count <= width and bool(np.any(keys[:, count - 1 :] == keys[:, : width - count + 1]))
-
-
-def _runs(sums: np.ndarray, bins: int, out: np.ndarray) -> np.ndarray:
-    """out[r, j], the number of bins b whose guide[r, b] is j: guide[r, b]
+def _runs(sums: np.ndarray, bins: int) -> np.ndarray:
+    """runs[r, j], the number of bins b whose guide[r, b] is j: guide[r, b]
     counts row r's sums <= b / bins, so it is j from sum j - 1's key up to
-    sum j's. Overwrites ``sums`` with the keys."""
+    sum j's."""
     # a sum s is counted from b = ceil(s * bins) on; sums above 1 (and the
     # +inf) land in bin bins + 1, which no guide entry counts
-    keys = np.ceil(np.multiply(sums, bins, out=sums), out=sums)
-    np.clip(keys, 0, bins + 1, out=keys)
-    out[:, :1] = keys[:, :1]
-    np.subtract(keys[:, 1:], keys[:, :-1], out=out[:, 1:], casting="unsafe")
-    return out
+    keys = np.multiply(sums, bins)
+    np.clip(np.ceil(keys, out=keys), 0, bins + 1, out=keys)
+    runs = np.empty(keys.shape, np.intp)
+    runs[:, :1] = keys[:, :1]
+    np.subtract(keys[:, 1:], keys[:, :-1], out=runs[:, 1:], casting="unsafe")
+    return runs
 
 
 def simulate_walk(

@@ -7,6 +7,8 @@ import hashlib
 import numpy as np
 import pytest
 from conftest import oracle_supra, random_multiplex, triangle_network
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from multinav import (
@@ -25,6 +27,7 @@ from multinav.walks import (
     RWD,
     STRATEGIES,
     DEFAULT_DAMPING,
+    _cumulative_table,
     normalize_strategy,
 )
 
@@ -258,6 +261,57 @@ def test_pagerank_guide_rounds_do_not_grow_with_dim(n):
     assert table.bins >= supra.dim
     assert table.span <= (1 if supra.dim <= 256 else 2)
     assert table.guide.nbytes <= 8 * supra.dim * (least + 1)
+
+
+@st.composite
+def row_stochastic_matrices(draw):
+    """Row-stochastic matrices of dim 1 to 12, 255, 256, 257 or 300: on both
+    sides of the uint8 guide's 256 states. Dyadic rows share 2**k units of mass among
+    the states: their sums fall exactly on bin edges, often after runs of
+    zero-probability states. The others hold random weights on a random
+    support, some with a pagerank-like floor under every entry."""
+    dim = draw(st.one_of(st.integers(1, 12), st.sampled_from([255, 256, 257, 300])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        units = 1 << draw(st.integers(0, 12))
+        return rng.multinomial(units, np.full(dim, 1.0 / dim), size=dim) / units
+    matrix = rng.random((dim, dim)) * (rng.random((dim, dim)) < draw(st.floats(0.01, 1.0)))
+    matrix[np.arange(dim), rng.integers(dim, size=dim)] += matrix.sum(axis=1) == 0
+    matrix /= matrix.sum(axis=1, keepdims=True)
+    return 0.85 * matrix + 0.15 / dim if draw(st.booleans()) else matrix
+
+
+def _reference_table(matrix):
+    """(bins, span, guide) by brute force: each power of two from the least at
+    or above dim to the byte cap (8 times it in uint8, 4 times in uint16)
+    gets its own guide, each row's count of sums <= b / bins with the last
+    sum as +inf; span is the widest window between two guide columns, and
+    bins the fewest that reach the fewest rounds, span.bit_length()."""
+    dim = matrix.shape[0]
+    sums = np.cumsum(matrix, axis=1)
+    sums[:, -1] = np.inf
+    least = 1 << (dim - 1).bit_length()
+    candidates = [least << k for k in range(4 if dim <= 256 else 3)]
+    guides = {b: np.array([np.searchsorted(row, np.arange(b + 1) / b, side="right") for row in sums])
+              for b in candidates}
+    spans = {b: int(np.diff(guide, axis=1).max(initial=0)) for b, guide in guides.items()}
+    rounds = min(span.bit_length() for span in spans.values())
+    bins = min(b for b in candidates if spans[b].bit_length() == rounds)
+    return bins, spans[bins], guides[bins]
+
+
+@settings(max_examples=60, deadline=None)
+@given(row_stochastic_matrices())
+def test_table_rule_matches_a_brute_force_reference(matrix):
+    dim = matrix.shape[0]
+    table = _cumulative_table(matrix)
+    bins, span, guide = _reference_table(matrix)
+    assert (table.bins, table.span) == (bins, span)
+    assert table.guide.dtype == (np.uint8 if dim <= 256 else np.uint16)
+    assert table.guide.flags.c_contiguous and np.array_equal(table.guide, guide)
+    rows = np.full((dim, dim + span), np.inf)
+    rows[:, : dim - 1] = np.cumsum(matrix, axis=1)[:, :-1]
+    assert np.array_equal(table.rows, rows)
 
 
 # sha256 of coverage_montecarlo(supra, 10, 100, seed=7).rho.tobytes() and of
