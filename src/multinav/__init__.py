@@ -44,6 +44,7 @@ from .navigability import (
     time_to_coverage,
 )
 from .prediction import (
+    ExclusiveStage,
     LinkTable,
     PredictedLink,
     ScoredPairs,
@@ -51,6 +52,7 @@ from .prediction import (
     assign_weights,
     dedupe_links,
     exclusive_neighbors,
+    exclusive_stage,
     jaccard_classic,
     modified_adamic_adar,
     modified_jaccard,
@@ -74,6 +76,7 @@ __all__ = [
     "CoverageCurve",
     "DegradedDecompositionError",
     "EdgeList",
+    "ExclusiveStage",
     "FlowEdge",
     "LinkTable",
     "MultiplexNetwork",
@@ -97,6 +100,7 @@ __all__ = [
     "default_time_grid",
     "enumerate_layer_subsets",
     "exclusive_neighbors",
+    "exclusive_stage",
     "export_edges",
     "format_edge_csv",
     "integrate_links",

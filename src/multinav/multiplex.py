@@ -272,8 +272,10 @@ def build_multiplex(
             n_nodes = len(labels)
         else:
             n_nodes = 1 + max((max(e.source, e.target) for e in edges), default=-1)
-    if n_nodes < 0 or n_layers < 1:
-        raise ConstructionError("network must have at least one layer and zero or more nodes")
+    if n_layers < 1:
+        raise ConstructionError(f"network must have at least one layer, got {n_layers}")
+    if n_nodes < 0:
+        raise ConstructionError(f"network must have zero or more nodes, got {n_nodes}")
 
     intra = np.zeros((n_layers, n_nodes, n_nodes))
     for e in edges:

@@ -124,7 +124,8 @@ def decompose(laplacian: np.ndarray, scale: np.ndarray | None = None) -> Spectra
     ``eigh``; ``scale`` gives s for strength-normalized walks on undirected
     networks, and a symmetric L takes s = 1. The general ``eig`` path takes
     the rest, and any Hermitian result whose back-scaled basis misses the
-    residual limit. Eigenvalues keep the dtype the solver returned.
+    residual limit. Eigenvalues keep the dtype the solver returned and come
+    in ascending order of real part on both paths.
     DegradedDecompositionError is raised when the general basis has a
     condition number above COND_LIMIT or a reconstruction residual above
     RESIDUAL_LIMIT * |L|, or when an eigenvalue's real part is below
@@ -530,8 +531,9 @@ def navigability_report(
     tag = normalize_strategy(strategy)
     state = analytic_state(net, tag)
     # eigenvalues of L = I - P are 1 - those of P, so the gap of P is the
-    # distance between the two smallest real parts of L's spectrum
-    real = np.sort(state.eigenvalues.real)
+    # distance between the two smallest real parts of L's spectrum, which
+    # decompose returns first
+    real = state.eigenvalues.real
     if real.size < 2:
         raise ValueError("spectral gap needs at least two supra-states")
     curve = _curve_from_state(state, None)

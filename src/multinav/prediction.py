@@ -15,16 +15,16 @@ to integrate_links. A self-loop makes no node its own neighbor, so it adds
 to no exclusive neighborhood or degree.
 
 Each subset is scored on one boolean exclusive adjacency ``E = inside & ~outside``,
-built from the per-layer adjacency, which a scorer computes once. A scorer
-lists each hub's pairs of exclusive neighbors once, in O(sum of deg^2), and
-both the score and the weight read that list: Jaccard is ``C / (d_u + d_v - C)``
-with C the pair's count of shared neighbors, Adamic-Adar adds each shared
-neighbor's ``1 / ln(union degree)`` in ascending order from 0.0, and the
-list stays with the scores, so assign_weights looks a pair's shared
-neighbors up in it. Every score is bit-identical to a per-pair loop over
-neighbor sets. On a large network run_stage splits a stage into passes of
-as many subsets as fit ``CHUNK_BYTES``; no result depends on where a pass
-ends.
+built from the per-layer adjacency. exclusive_stage computes it once per pass
+and keeps what both scorers read: each node's exclusive and union degree, the
+candidate mask, and each hub's pairs of exclusive neighbors, listed once in
+O(sum of deg^2). Jaccard is ``C / (d_u + d_v - C)`` with C the pair's count of
+shared neighbors, Adamic-Adar adds each shared neighbor's ``1 / ln(union
+degree)`` in ascending order from 0.0, and the list stays with the scores, so
+assign_weights looks a pair's shared neighbors up in it. Every score is
+bit-identical to a per-pair loop over neighbor sets. On a large network
+run_stage splits a stage into passes of as many subsets as fit
+``CHUNK_BYTES``; no result depends on where a pass ends.
 """
 
 from __future__ import annotations
@@ -88,6 +88,26 @@ class ScoredPairs:
         normalized = None if self.normalized_score is None else self.normalized_score[mask]
         return replace(self, subset_index=self.subset_index[mask], u=self.u[mask], v=self.v[mask],
                        raw_score=self.raw_score[mask], normalized_score=normalized)
+
+
+@dataclass(frozen=True, eq=False)
+class ExclusiveStage:
+    """What the scorers read of a stage's exclusive neighborhoods, built once per pass.
+
+    ``degree`` and ``union_degree`` count each (subset, node)'s exclusive
+    neighbors and its neighbors in any layer of the subset, both (S, N).
+    ``candidate`` is the (S, N, N) mask of pairs u < v with no edge in any
+    layer of the subset. ``cell`` and ``neighbor`` list the shared exclusive
+    neighbors as ScoredPairs does, and every group scored from the stage
+    shares them.
+    """
+
+    subsets: tuple[tuple[int, ...], ...]
+    degree: np.ndarray
+    union_degree: np.ndarray
+    candidate: np.ndarray
+    cell: np.ndarray
+    neighbor: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -248,19 +268,15 @@ def adamic_adar_classic(net: MultiplexNetwork, layer: int, u: int, v: int) -> fl
     return score
 
 
-def _score_stage(net: MultiplexNetwork, subsets: Iterable[Sequence[int]], algorithm: str,
-                 score) -> ScoredPairs:
-    """Pairs u < v with no edge inside their subset where ``score`` keeps them;
-    ``score(exclusive, inside, site, cell)`` maps the (S, N, N) stacks and the
-    shared-neighbor entries to (keep, scores) of the stacks' shape."""
+def exclusive_stage(net: MultiplexNetwork, subsets: Iterable[Sequence[int]]) -> ExclusiveStage:
+    """The exclusive neighborhoods of a stage, layer subsets all of one size,
+    as both scorers read them; the exclusive and inside stacks die with the call."""
     subsets = _stage_subsets(net, subsets)
     exclusive, inside = _exclusive_stack(_unoriented_adjacency(net), subsets)
     site, cell = _shared_pairs(exclusive)
-    keep, scores = score(exclusive, inside, site, cell)
-    neighbor = np.remainder(site, net.n_nodes, out=site)  # w of each site, in place
     above = ~np.tri(net.n_nodes, dtype=bool)  # u < v
-    index, u, v = np.nonzero(keep & ~inside & above)
-    return ScoredPairs(algorithm, subsets, index, u, v, scores[index, u, v], cell, neighbor)
+    return ExclusiveStage(subsets, exclusive.sum(axis=2), inside.sum(axis=2), ~inside & above, cell,
+                          np.remainder(site, net.n_nodes, out=site))  # w of each site, in place
 
 
 def _shared_pairs(exclusive: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -285,49 +301,47 @@ def _shared_pairs(exclusive: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return site[order], cell[order]
 
 
-def _jaccard(exclusive, inside, site, cell) -> tuple[np.ndarray, np.ndarray]:
-    degree = exclusive.sum(axis=2)
-    # C, the shared neighbors of each pair: exact counts, filled for u < v only,
-    # the cells _score_stage reads
-    common = np.bincount(cell, minlength=exclusive.size).reshape(exclusive.shape)
-    union = degree[:, :, None] + degree[:, None, :] - common
-    scores = np.divide(common, union, out=np.zeros(exclusive.shape), where=union > 0)
-    return union > 0, scores
+def modified_jaccard(stage: ExclusiveStage) -> ScoredPairs:
+    """Jaccard over exclusive neighborhoods for every candidate of the stage.
 
-
-def _adamic_adar(exclusive, inside, site, cell) -> tuple[np.ndarray, np.ndarray]:
-    union_degree = inside.sum(axis=2).reshape(-1)
-    # one term per degree; math.log, not np.log, whose last bit may differ
-    term = [0.0, 0.0] + [1.0 / math.log(d) for d in range(2, int(union_degree.max(initial=1)) + 1)]
-    scores = np.zeros(exclusive.shape)
-    np.add.at(scores.reshape(-1), cell, np.array(term)[union_degree[site]])
-    # a candidate's shared neighbor is joined to both endpoints, so its degree
-    # is at least 2: a positive score is the same as sharing a neighbor
-    return scores > 0, scores
-
-
-def modified_jaccard(net: MultiplexNetwork, subsets: Iterable[Sequence[int]]) -> ScoredPairs:
-    """Jaccard over exclusive neighborhoods for every non-edge pair of each subset.
-
-    ``subsets`` is a stage: layer subsets all of one size. Pairs whose
-    exclusive neighborhoods are both empty are omitted; pairs with a
-    non-empty union but empty intersection score 0.
+    Pairs whose exclusive neighborhoods are both empty are omitted; pairs with
+    a non-empty union but empty intersection score 0.
     """
-    return _score_stage(net, subsets, JACCARD, _jaccard)
+    degree = stage.degree
+    # the union d_u + d_v - C is at least max(d_u, d_v), so it is empty only
+    # when both neighborhoods are
+    held = degree > 0
+    keep = stage.candidate & (held[:, :, None] | held[:, None, :])
+    index, u, v = np.nonzero(keep)
+    # C, each pair's count of shared neighbors
+    common = np.bincount(stage.cell, minlength=keep.size)[np.flatnonzero(keep)]
+    return ScoredPairs(JACCARD, stage.subsets, index, u, v,
+                       common / (degree[index, u] + degree[index, v] - common), stage.cell, stage.neighbor)
 
 
-def modified_adamic_adar(net: MultiplexNetwork, subsets: Iterable[Sequence[int]]) -> ScoredPairs:
-    """Adamic-Adar over exclusive neighborhoods for non-edge pairs of each subset.
+def modified_adamic_adar(stage: ExclusiveStage) -> ScoredPairs:
+    """Adamic-Adar over exclusive neighborhoods for every candidate of the stage.
 
-    ``subsets`` is a stage: layer subsets all of one size. Each shared
-    exclusive neighbor contributes the inverse log of its degree in the
-    union graph of the subset; pairs sharing no exclusive neighbor are
+    Each shared exclusive neighbor contributes the inverse log of its degree
+    in the union graph of the subset; pairs sharing no exclusive neighbor are
     omitted. The terms of a pair are added from 0.0 in ascending order of the
     shared neighbor w: one (subset, w, x, y) entry per pair x < y of w's
     exclusive neighbors, w ascending, summed by ``np.add.at`` over
     (subset, x, y), in O(sum of deg^2).
     """
-    return _score_stage(net, subsets, ADAMIC_ADAR, _adamic_adar)
+    shape = stage.candidate.shape
+    # each (subset, w)'s term, one per degree; math.log, not np.log, whose
+    # last bit may differ
+    top = int(stage.union_degree.max(initial=1))
+    term = np.array([0.0, 0.0] + [1.0 / math.log(d) for d in range(2, top + 1)])[stage.union_degree]
+    scores = np.zeros(shape)
+    # an entry's hub is w in its cell's subset
+    np.add.at(scores.reshape(-1), stage.cell, term[stage.cell // shape[-1] ** 2, stage.neighbor])
+    # a candidate's shared neighbor is joined to both endpoints, so its degree
+    # is at least 2: a positive score is the same as sharing a neighbor
+    index, u, v = np.nonzero(stage.candidate & (scores > 0))
+    return ScoredPairs(ADAMIC_ADAR, stage.subsets, index, u, v, scores[index, u, v],
+                       stage.cell, stage.neighbor)
 
 
 def normalize_scores(group: ScoredPairs) -> ScoredPairs:
@@ -453,18 +467,23 @@ def run_stage(net: MultiplexNetwork, k: int, threshold: float = 0.5) -> LinkTabl
     threshold and weight the scored subsets together, then deduplicate the
     stage's tables once, across subsets and algorithms, into one table.
 
-    Subsets go through in passes, each as many as fit CHUNK_BYTES at five
-    float64 (N, N) arrays per subset: one pass per stage, so one trip per
-    algorithm, unless the network is large. No link depends on the split.
+    Subsets go through in passes, each built once by exclusive_stage and read
+    by both scorers, of as many subsets as fit CHUNK_BYTES at 32 bytes per
+    subset cell: modified_jaccard's peak, a mask and a count per (N, N) cell
+    and three indices and a count per candidate row, at most half the cells. The
+    shared-pair list, O(sum of deg^2), is not counted. A stage is one pass, so
+    one trip per algorithm, unless the network is large; no link depends on
+    the split.
     """
     subsets = enumerate_layer_subsets(net.n_layers, k)
-    step = max(1, CHUNK_BYTES // max(1, 40 * net.n_nodes**2))
+    step = max(1, CHUNK_BYTES // max(1, 32 * net.n_nodes**2))
     tables = []
     for start in range(0, len(subsets), step):
+        stage = exclusive_stage(net, subsets[start:start + step])
         for scorer in (modified_jaccard, modified_adamic_adar):
             # one expression, so no group outlives its trip
-            tables.append(assign_weights(threshold_filter(
-                normalize_scores(scorer(net, subsets[start:start + step])), threshold), net))
+            tables.append(assign_weights(threshold_filter(normalize_scores(scorer(stage)), threshold), net))
+        del stage  # before the next pass builds its own
     return dedupe_links(tables)
 
 

@@ -483,11 +483,14 @@ def test_an_input_that_fails_to_load_leaves_no_out(tmp_path):
 
 def test_an_input_that_cannot_build_leaves_no_out(tmp_path, capsys):
     header_only = _write_csv(tmp_path / "empty.csv", [])
-    for command in ("navigability", "pipeline"):
-        out = tmp_path / command
-        assert main([command, "--input", header_only, "--out", str(out)]) == 2
-        assert "at least one layer" in capsys.readouterr().err
-        assert not out.exists(), command
+    links = tmp_path / "links.csv"
+    links.write_text(",".join(LINK_CSV_COLUMNS) + "\n", encoding="utf-8")
+    for call in (["navigability"], ["pipeline"], ["integrate", "--links", str(links)]):
+        out = tmp_path / call[0]
+        assert main(call + ["--input", header_only, "--out", str(out)]) == 2
+        # the message names the bad count
+        assert "at least one layer, got 0\n" in capsys.readouterr().err
+        assert not out.exists(), call
 
 
 def test_argparse_failures_exit_one(capsys):

@@ -206,6 +206,11 @@ def test_build_range_checks():
         build_multiplex([FlowEdge(0, 1, 0, 1.0)], coupling=-1.0)
     with pytest.raises(ConstructionError, match="empty"):
         build_multiplex([])
+    # each count is checked, and named, on its own
+    with pytest.raises(ConstructionError, match=r"^network must have at least one layer, got 0$"):
+        build_multiplex([], n_layers=0, n_nodes=3)
+    with pytest.raises(ConstructionError, match=r"^network must have zero or more nodes, got -1$"):
+        build_multiplex([], n_layers=2, n_nodes=-1)
 
 
 def test_network_validation_rejects_asymmetric_undirected():

@@ -680,6 +680,18 @@ def test_navigability_report_consistency():
     assert report.curve.rho[np.searchsorted(report.curve.times, level_time)] >= 0.9 - 1e-9
 
 
+def test_decompose_orders_eigenvalues_by_real_part_on_both_paths():
+    """navigability_report reads the gap off the first two eigenvalues, unsorted."""
+    rng = np.random.default_rng(29)
+    # undirected rwc takes the eigh path; pagerank and directed walks take eig
+    for directed, strategy in ((False, "rwc"), (False, "pagerank"), (True, "rwd"), (True, "pagerank")):
+        for _ in range(3):
+            net = connected_random_multiplex(rng, max_nodes=8, directed=directed)
+            real = analytic_state(net, strategy).eigenvalues.real
+            assert np.all(np.diff(real) >= 0), (directed, strategy)
+            assert navigability_report(net, strategy).spectral_gap == float(real[1] - real[0])
+
+
 def test_compare_stages_rows_and_validation():
     rng = np.random.default_rng(17)
     net = connected_random_multiplex(rng, max_nodes=8, directed=False)

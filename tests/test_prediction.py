@@ -9,6 +9,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from conftest import (
     group_scores,
     oracle_dedupe,
@@ -31,6 +33,7 @@ from multinav import (
     dedupe_links,
     enumerate_layer_subsets,
     exclusive_neighbors,
+    exclusive_stage,
     jaccard_classic,
     modified_adamic_adar,
     modified_jaccard,
@@ -160,7 +163,7 @@ def test_modified_scores_match_bruteforce_oracle():
                 (JACCARD, modified_jaccard),
                 (ADAMIC_ADAR, modified_adamic_adar),
             ):
-                stage = scorer(net, subsets)
+                stage = scorer(exclusive_stage(net, subsets))
                 assert stage.subsets == tuple(subsets)
                 # rows go subset by subset, then row-major u < v
                 order = list(zip(stage.subset_index.tolist(), stage.u.tolist(), stage.v.tolist()))
@@ -168,7 +171,7 @@ def test_modified_scores_match_bruteforce_oracle():
                 for s, subset in enumerate(subsets):
                     want = oracle_scores(net, subset, algorithm)
                     for got in (group_scores(stage.where(stage.subset_index == s)),
-                                group_scores(scorer(net, [subset]))):
+                                group_scores(scorer(exclusive_stage(net, [subset])))):
                         assert got.keys() == want.keys()
                         for pair, score in want.items():
                             assert got[pair] == score  # identical arithmetic, exact
@@ -178,10 +181,10 @@ def test_scorers_reject_subsets_of_mixed_size_or_out_of_range():
     net = _two_layer_net()
     for scorer in (modified_jaccard, modified_adamic_adar):
         with pytest.raises(ValueError, match="share one size"):
-            scorer(net, [(0,), (0, 1)])
+            scorer(exclusive_stage(net, [(0,), (0, 1)]))
         with pytest.raises(ValueError, match="out of range"):
-            scorer(net, [(0,), (2,)])
-        stage = scorer(net, [])
+            scorer(exclusive_stage(net, [(0,), (2,)]))
+        stage = scorer(exclusive_stage(net, []))
         assert len(stage) == 0 and stage.cell.size == stage.neighbor.size == 0
 
 
@@ -201,7 +204,7 @@ def test_shared_neighbor_entries_match_the_oracle():
         for k in range(1, min(l, 3) + 1):
             subsets = enumerate_layer_subsets(l, k)
             for scorer in (modified_jaccard, modified_adamic_adar):
-                stage = scorer(net, subsets)
+                stage = scorer(exclusive_stage(net, subsets))
                 # sorted by cell, then by shared neighbor within a cell
                 order = list(zip(stage.cell.tolist(), stage.neighbor.tolist()))
                 assert order == sorted(order)
@@ -223,8 +226,8 @@ def test_self_loops_add_no_neighbor_or_degree():
     # 2 joins 0 and 1 and has a loop: its union degree is 2, not 3
     edges = [FlowEdge(0, 2, 0, 1.0), FlowEdge(1, 2, 0, 1.0), FlowEdge(2, 2, 0, 1.0)]
     net = build_multiplex(edges, n_nodes=4)
-    assert group_scores(modified_adamic_adar(net, [(0,)])) == {(0, 1): 1.0 / math.log(2)}
-    assert group_scores(modified_jaccard(net, [(0,)]))[(0, 1)] == 1.0
+    assert group_scores(modified_adamic_adar(exclusive_stage(net, [(0,)]))) == {(0, 1): 1.0 / math.log(2)}
+    assert group_scores(modified_jaccard(exclusive_stage(net, [(0,)])))[(0, 1)] == 1.0
     assert exclusive_neighbors(net, 2, (0,)) == {0, 1}
 
 
@@ -232,15 +235,16 @@ def test_modified_jaccard_keeps_zero_scores_when_union_nonempty():
     # 0-2 via exclusive neighbor sets {1} and {3}: union nonempty, empty meet
     edges = [FlowEdge(0, 1, 0, 1.0), FlowEdge(2, 3, 0, 1.0)]
     net = build_multiplex(edges, n_nodes=4)
-    assert group_scores(modified_jaccard(net, [(0,)]))[(0, 2)] == 0.0
-    assert (0, 2) not in group_scores(modified_adamic_adar(net, [(0,)]))  # empty intersection omitted
+    assert group_scores(modified_jaccard(exclusive_stage(net, [(0,)])))[(0, 2)] == 0.0
+    # empty intersection omitted
+    assert (0, 2) not in group_scores(modified_adamic_adar(exclusive_stage(net, [(0,)])))
 
 
 def test_modified_candidates_exclude_subset_union_edges_only():
     # (0,1) is an edge in layer 1 but not layer 0, so it is a candidate for D={0}
     edges = [FlowEdge(0, 2, 0, 1.0), FlowEdge(1, 2, 0, 1.0), FlowEdge(0, 1, 1, 1.0)]
     net = build_multiplex(edges, n_layers=2)
-    assert (0, 1) in group_scores(modified_jaccard(net, [(0,)]))
+    assert (0, 1) in group_scores(modified_jaccard(exclusive_stage(net, [(0,)])))
 
 
 # --- normalize / threshold / weights -----------------------------------------
@@ -311,11 +315,11 @@ def test_assign_weights_means_flows_to_shared_exclusive_neighbors():
     # shared exclusive neighbor 2 with flows 4 and 8 to the endpoints
     edges = [FlowEdge(0, 2, 0, 4.0), FlowEdge(1, 2, 0, 8.0)]
     net = build_multiplex(edges)
-    group = threshold_filter(normalize_scores(modified_jaccard(net, [(0,)])), 0.5)
+    group = threshold_filter(normalize_scores(modified_jaccard(exclusive_stage(net, [(0,)]))), 0.5)
     links = assign_weights(group, net)
     assert list(links) == [PredictedLink(0, 1, 1.0, 1.0, 6.0, JACCARD, (0,), 1)]  # mean(4, 8) * 1.0
     with pytest.raises(ValueError, match="requires normalized scores"):
-        assign_weights(modified_jaccard(net, [(0,)]), net)
+        assign_weights(modified_jaccard(exclusive_stage(net, [(0,)])), net)
 
 
 def test_assign_weights_rejects_pair_without_shared_exclusive_neighbor():
@@ -420,7 +424,7 @@ def test_link_table_sources_is_one_boolean_mask_per_row_algorithm_and_subset():
     rng = np.random.default_rng(7)
     net = random_multiplex(rng, 8, 3, p=0.5)
     weighted = assign_weights(threshold_filter(normalize_scores(
-        modified_jaccard(net, enumerate_layer_subsets(3, 2)))), net)
+        modified_jaccard(exclusive_stage(net, enumerate_layer_subsets(3, 2))))), net)
     union = run_stage(net, 2, threshold=0.5)
     tables = (weighted, union, dedupe_links([weighted, union]), LinkTable.from_links(list(union)),
               LinkTable.from_links([]))
@@ -494,6 +498,25 @@ def test_run_stage_drops_only_the_all_zero_subset():
     assert list(links) == _oracle_stage(net, 1, 0.3)
 
 
+@st.composite
+def _multiplexes(draw):
+    """A multiplex of 2 to 8 nodes on 1 to 4 layers, self-loops and repeated edges included."""
+    n, n_layers = draw(st.integers(2, 8)), draw(st.integers(1, 4))
+    edge = st.builds(FlowEdge, st.integers(0, n - 1), st.integers(0, n - 1), st.integers(0, n_layers - 1),
+                     st.floats(0.5, 2.0))
+    edges = draw(st.lists(edge, min_size=n * n_layers, max_size=3 * n * n_layers))
+    return build_multiplex(edges, n_layers=n_layers, directed=draw(st.booleans()), n_nodes=n)
+
+
+@pytest.mark.filterwarnings("ignore:all scores are zero")
+@settings(max_examples=100, deadline=None)
+@given(_multiplexes())
+def test_run_stage_matches_the_oracle_stage_on_random_multiplexes(net):
+    for k in range(1, min(3, net.n_layers) + 1):
+        for threshold in (0.0, 0.5, 0.9):
+            assert list(run_stage(net, k, threshold)) == _oracle_stage(net, k, threshold)
+
+
 def test_run_stage_does_not_depend_on_the_pass_budget(monkeypatch):
     rng = np.random.default_rng(77)
     nets = [random_multiplex(rng, int(rng.integers(5, 11)), 4, directed=bool(trial % 2), p=0.45)
@@ -505,12 +528,34 @@ def test_run_stage_does_not_depend_on_the_pass_budget(monkeypatch):
         scored = []
         scorer = prediction.modified_jaccard
         monkeypatch.setattr(prediction, "modified_jaccard",
-                            lambda net, subsets: scored.append(len(subsets)) or scorer(net, subsets))
+                            lambda stage: scored.append(len(stage.subsets)) or scorer(stage))
         monkeypatch.setattr(prediction, "CHUNK_BYTES", 1)  # one subset per pass
         split = [list(run_stage(net, k, threshold)) for net in nets for k in (1, 2, 3)
                  for threshold in (0.0, 0.5)]
     assert split == default
     assert set(scored) == {1} and len(scored) == len(nets) * (4 + 6 + 4) * 2
+
+
+@pytest.mark.filterwarnings("ignore:all scores are zero")
+def test_run_stage_builds_each_pass_once_for_both_scorers(monkeypatch):
+    net = random_multiplex(np.random.default_rng(41), 9, 4, p=0.45)
+    built, read = [], []
+    build = prediction.exclusive_stage
+    monkeypatch.setattr(prediction, "exclusive_stage",
+                        lambda net, subsets: built.append(build(net, subsets)) or built[-1])
+    for name in ("modified_jaccard", "modified_adamic_adar"):
+        monkeypatch.setattr(prediction, name, lambda stage, scorer=getattr(prediction, name), name=name:
+                            read.append((name, stage)) or scorer(stage))
+    # one pass per stage by default, one per subset under a 1-byte budget
+    for budget, passes in ((prediction.CHUNK_BYTES, (1, 1, 1, 1)), (1, (4, 6, 4, 1))):
+        monkeypatch.setattr(prediction, "CHUNK_BYTES", budget)
+        for k, count in zip((1, 2, 3, 4), passes):
+            built.clear()
+            read.clear()
+            assert len(run_stage(net, k, 0.0))
+            assert len(built) == count
+            assert [name for name, _ in read] == ["modified_jaccard", "modified_adamic_adar"] * count
+            assert all(stage is built[i // 2] for i, (_, stage) in enumerate(read))
 
 
 def test_links_csv_quotes_labels_as_csv_writer_does():
