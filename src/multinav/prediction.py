@@ -1,37 +1,36 @@
 """Link prediction over layer subsets via exclusive neighborhoods.
 
-A neighbor u of v is *exclusive* to a layer subset D when every (u, v) edge
-of the multiplex lies inside D. The classic Jaccard and Adamic-Adar scores
-are evaluated on these exclusive neighborhoods for every candidate pair that
-has no edge in any layer of D. A stage is every subset of one size k, and
-each step works on the whole stage at once: a scorer returns one
+A neighbor u of v is *exclusive* to a layer subset D when every (u, v) edge of
+the multiplex lies inside D. The classic Jaccard and Adamic-Adar scores are
+evaluated on these exclusive neighborhoods for every candidate: a pair with no
+edge in any layer of D that shares an exclusive neighbor, since one sharing
+none would score 0, which no threshold keeps. A stage is every subset of one
+size k, and each step works on the whole stage at once: a scorer returns one
 ``ScoredPairs`` for all of the stage's subsets, normalize_scores scales each
 subset by its own maximum, threshold_filter keeps rows, and assign_weights
-weights the survivors, using nearby flow values, as one columnar ``LinkTable``.
-run_stage thus makes one trip per algorithm through these steps and returns
-both algorithms' deduplicated union, one table whose provenance marks every
-contributing (algorithm, subset) of a link; links stay columns to disk and
-to integrate_links. A self-loop makes no node its own neighbor, so it adds
-to no exclusive neighborhood or degree.
+weights the survivors, using nearby flow values, as one columnar
+``LinkTable``. run_stage thus makes one trip per algorithm through these steps
+and returns both algorithms' deduplicated union, one table whose provenance
+marks every contributing (algorithm, subset) of a link; links stay columns to
+disk and to integrate_links. A self-loop makes no node its own neighbor, so it
+adds to no exclusive neighborhood or degree.
 
 Each subset is scored on one boolean exclusive adjacency ``E = inside & ~outside``,
 built from the per-layer adjacency. exclusive_stage computes it once per pass
-and keeps what both scorers read: each node's exclusive and union degree, the
-candidate mask, and each hub's pairs of exclusive neighbors, listed once in
-O(sum of deg^2). Jaccard is ``C / (d_u + d_v - C)`` with C the pair's count of
-shared neighbors, Adamic-Adar adds each shared neighbor's ``1 / ln(union
-degree)`` in ascending order from 0.0, and the list stays with the scores, so
-assign_weights looks a pair's shared neighbors up in it. Every score is
-bit-identical to a per-pair loop over neighbor sets. On a large network
-run_stage splits a stage into passes of as many subsets as fit
-``CHUNK_BYTES``; no result depends on where a pass ends.
+and keeps what both scorers read: each node's exclusive and union degree, and
+each hub's pairs of exclusive neighbors, listed once in O(sum of deg^2) and
+sorted, so a candidate's shared neighbors are one run of C entries. Jaccard is
+``C / (d_u + d_v - C)``, Adamic-Adar adds each shared neighbor's ``1 / ln(union
+degree)`` in ascending order from 0.0, and assign_weights finds a pair's shared
+neighbors in the same list. Every score is bit-identical to a per-pair loop
+over neighbor sets. On a large network run_stage splits a stage into passes of
+as many subsets as fit ``CHUNK_BYTES``; no result depends on where a pass ends.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -43,6 +42,13 @@ from .multiplex import CHUNK_BYTES, MultiplexNetwork, csv_cells, enumerate_layer
 JACCARD = "jaccard"
 ADAMIC_ADAR = "adamic_adar"
 ALGORITHMS = (ADAMIC_ADAR, JACCARD)  # a LinkTable's algorithm codes, in string order
+
+# what a prediction pass holds at its peak, per (N, N) cell of a subset: the
+# layer count and three masks of the exclusive stack, a byte each; and per
+# entry of its shared-pair list: the list (16 bytes), a row (40, at most one
+# per entry) and Adamic-Adar's gathers (48), rounded up (run_stage)
+CELL_BYTES = 4
+ENTRY_BYTES = 128
 
 LINK_CSV_COLUMNS = (
     "u_label",
@@ -60,9 +66,10 @@ LINK_CSV_COLUMNS = (
 class ScoredPairs:
     """Every scored candidate of one algorithm over a stage's subsets, as columns.
 
-    Rows come subset by subset in the order of ``subsets``, and within a
-    subset as pairs u < v in row-major order; ``subset_index`` is each row's
-    position in ``subsets``. ``cell`` and ``neighbor`` list the stage's shared
+    A scorer's rows are the stage's candidates, each with a positive score,
+    subset by subset in the order of ``subsets``, and within a subset as pairs
+    u < v in row-major order; ``subset_index`` is each row's position in
+    ``subsets``. ``cell`` and ``neighbor`` list the stage's shared
     exclusive neighbors, one entry per subset, node w and pair x < y of w's
     exclusive neighbors: ``cell`` is the flat index of (subset, x, y) in an
     (S, N, N) grid and ``neighbor`` is w, sorted by cell and, within a cell,
@@ -96,16 +103,20 @@ class ExclusiveStage:
 
     ``degree`` and ``union_degree`` count each (subset, node)'s exclusive
     neighbors and its neighbors in any layer of the subset, both (S, N).
-    ``candidate`` is the (S, N, N) mask of pairs u < v with no edge in any
-    layer of the subset. ``cell`` and ``neighbor`` list the shared exclusive
-    neighbors as ScoredPairs does, and every group scored from the stage
-    shares them.
+    ``cell`` and ``neighbor`` list the shared exclusive neighbors as
+    ScoredPairs does, and every group scored from the stage shares them. The
+    candidates are its rows, ``subset_index``, ``u`` and ``v``; row r shares
+    the ``common[r]`` neighbors listed from entry ``first[r]`` on.
     """
 
     subsets: tuple[tuple[int, ...], ...]
     degree: np.ndarray
     union_degree: np.ndarray
-    candidate: np.ndarray
+    subset_index: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    first: np.ndarray
+    common: np.ndarray
     cell: np.ndarray
     neighbor: np.ndarray
 
@@ -213,18 +224,36 @@ def _stage_subsets(net: MultiplexNetwork, subsets: Iterable[Sequence[int]]) -> t
     return subsets
 
 
+def _members(subsets: Sequence[tuple[int, ...]], n_layers: int) -> np.ndarray:
+    """The (S, L) mask of each subset's layers."""
+    member = [[k in subset for k in range(n_layers)] for subset in subsets]
+    return np.array(member, dtype=bool).reshape(-1, n_layers)
+
+
 def _exclusive_stack(adjacency: np.ndarray, subsets: Sequence[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
     """(exclusive adjacency ``inside & ~outside``, adjacency within any layer of
     the subset), one (N, N) slice per subset: a pair is inside when some layer
     of the subset holds it, and exclusive when every layer holding it does."""
     count = np.min_scalar_type(len(adjacency))  # holds any count of layers
-    member = np.zeros((len(subsets), len(adjacency)), dtype=count)
-    for row, subset in enumerate(subsets):
-        member[row, list(subset)] = 1
     held = adjacency.astype(count)
-    within = np.einsum("sl,lij->sij", member, held)
+    within = np.einsum("sl,lij->sij", _members(subsets, len(adjacency)).astype(count), held)
     inside = within > 0
     return inside & (within == held.sum(axis=0, dtype=count)), inside
+
+
+def _exclusive_degrees(adjacency: np.ndarray, subsets: Sequence[tuple[int, ...]]) -> np.ndarray:
+    """Each (subset, node)'s exclusive degree, (S, N), with no (S, N, N) stack:
+    a node's neighbors counted by the set of layers joining them, summed over
+    the sets with no layer outside the subset."""
+    node, other = np.nonzero(adjacency.any(axis=0))
+    held = adjacency[:, node, other]  # each joined pair's layers, (L, pairs)
+    # a pair's set of layers as one key of packed bits
+    keys = np.packbits(held, axis=0).T.copy().view(f"V{-(-len(adjacency) // 8)}")
+    _, first, joining = np.unique(keys.reshape(-1), return_index=True, return_inverse=True)
+    n = adjacency.shape[-1]
+    count = np.bincount(joining * n + node, minlength=len(first) * n).reshape(len(first), n)
+    inside = ~(held[:, first].T & ~_members(subsets, len(adjacency))[:, None, :]).any(axis=2)
+    return inside.astype(np.intp) @ count
 
 
 def exclusive_neighbors(
@@ -274,9 +303,20 @@ def exclusive_stage(net: MultiplexNetwork, subsets: Iterable[Sequence[int]]) -> 
     subsets = _stage_subsets(net, subsets)
     exclusive, inside = _exclusive_stack(_unoriented_adjacency(net), subsets)
     site, cell = _shared_pairs(exclusive)
-    above = ~np.tri(net.n_nodes, dtype=bool)  # u < v
-    return ExclusiveStage(subsets, exclusive.sum(axis=2), inside.sum(axis=2), ~inside & above, cell,
+    # each pair's entries are one run of the sorted list; a candidate's is a row
+    first = np.flatnonzero(np.diff(cell, prepend=-1))
+    common = np.diff(first, append=cell.size)
+    row = ~inside.reshape(-1)[cell[first]]
+    first, common = first[row], common[row]
+    return ExclusiveStage(subsets, exclusive.sum(axis=2), inside.sum(axis=2),
+                          *np.unravel_index(cell[first], inside.shape), first, common, cell,
                           np.remainder(site, net.n_nodes, out=site))  # w of each site, in place
+
+
+def _runs(start: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row, entry) of each entry of the rows' runs [start, start + count), in order."""
+    row = np.repeat(np.arange(len(count)), count)
+    return row, np.arange(row.size) + np.repeat(start - (np.cumsum(count) - count), count)
 
 
 def _shared_pairs(exclusive: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -289,83 +329,64 @@ def _shared_pairs(exclusive: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ascending within a cell.
     """
     # E is symmetric: row w holds the nodes sharing w, and each entry (w, x)
-    # pairs with the x's after it in w's row; a lone x pairs with none
+    # pairs with the run of x's after it in w's row; a lone x pairs with none
     n = exclusive.shape[-1]
     site, x = np.divmod(np.flatnonzero(exclusive), n)
     later = np.cumsum(np.bincount(site))[site] - 1 - np.arange(site.size)
-    entry = np.repeat(np.arange(site.size), later)
-    y = x[entry + 1 + np.arange(entry.size) - (np.cumsum(later) - later)[entry]]
+    entry, partner = _runs(np.arange(1, site.size + 1), later)
     site = site[entry]
-    cell = (site - site % n + x[entry]) * n + y
+    cell = (site - site % n + x[entry]) * n + x[partner]
     order = np.argsort(cell, kind="stable")
     return site[order], cell[order]
 
 
 def modified_jaccard(stage: ExclusiveStage) -> ScoredPairs:
-    """Jaccard over exclusive neighborhoods for every candidate of the stage.
-
-    Pairs whose exclusive neighborhoods are both empty are omitted; pairs with
-    a non-empty union but empty intersection score 0.
-    """
-    degree = stage.degree
-    # the union d_u + d_v - C is at least max(d_u, d_v), so it is empty only
-    # when both neighborhoods are
-    held = degree > 0
-    keep = stage.candidate & (held[:, :, None] | held[:, None, :])
-    index, u, v = np.nonzero(keep)
-    # C, each pair's count of shared neighbors
-    common = np.bincount(stage.cell, minlength=keep.size)[np.flatnonzero(keep)]
+    """Jaccard over exclusive neighborhoods for every row of the stage:
+    ``C / (d_u + d_v - C)``, with C the pair's count of shared neighbors."""
+    index, u, v, common = stage.subset_index, stage.u, stage.v, stage.common
     return ScoredPairs(JACCARD, stage.subsets, index, u, v,
-                       common / (degree[index, u] + degree[index, v] - common), stage.cell, stage.neighbor)
+                       common / (stage.degree[index, u] + stage.degree[index, v] - common),
+                       stage.cell, stage.neighbor)
 
 
 def modified_adamic_adar(stage: ExclusiveStage) -> ScoredPairs:
-    """Adamic-Adar over exclusive neighborhoods for every candidate of the stage.
+    """Adamic-Adar over exclusive neighborhoods for every row of the stage.
 
     Each shared exclusive neighbor contributes the inverse log of its degree
-    in the union graph of the subset; pairs sharing no exclusive neighbor are
-    omitted. The terms of a pair are added from 0.0 in ascending order of the
-    shared neighbor w: one (subset, w, x, y) entry per pair x < y of w's
-    exclusive neighbors, w ascending, summed by ``np.add.at`` over
-    (subset, x, y), in O(sum of deg^2).
+    in the union graph of the subset, at least 2, since it joins both
+    endpoints. A row's terms are added from 0.0 in ascending order of the
+    shared neighbor w, its run of the list, by ``np.add.at`` over rows.
     """
-    shape = stage.candidate.shape
     # each (subset, w)'s term, one per degree; math.log, not np.log, whose
     # last bit may differ
     top = int(stage.union_degree.max(initial=1))
     term = np.array([0.0, 0.0] + [1.0 / math.log(d) for d in range(2, top + 1)])[stage.union_degree]
-    scores = np.zeros(shape)
-    # an entry's hub is w in its cell's subset
-    np.add.at(scores.reshape(-1), stage.cell, term[stage.cell // shape[-1] ** 2, stage.neighbor])
-    # a candidate's shared neighbor is joined to both endpoints, so its degree
-    # is at least 2: a positive score is the same as sharing a neighbor
-    index, u, v = np.nonzero(stage.candidate & (scores > 0))
-    return ScoredPairs(ADAMIC_ADAR, stage.subsets, index, u, v, scores[index, u, v],
+    row, entry = _runs(stage.first, stage.common)
+    scores = np.zeros(len(stage.first))
+    np.add.at(scores, row, term[stage.subset_index[row], stage.neighbor[entry]])
+    return ScoredPairs(ADAMIC_ADAR, stage.subsets, stage.subset_index, stage.u, stage.v, scores,
                        stage.cell, stage.neighbor)
 
 
 def normalize_scores(group: ScoredPairs) -> ScoredPairs:
-    """Scale each subset's raw scores to [0, 1] relative to that subset's
-    maximum; a subset whose scores are all zero is dropped with a warning."""
-    # rows come subset by subset, so each subset's rows are one segment
-    rows = np.bincount(group.subset_index, minlength=len(group.subsets))
-    held = rows > 0
+    """Scale each subset's raw scores to (0, 1] relative to that subset's
+    maximum. A scorer's scores are positive; a group holding a score that is
+    not raises ValueError naming its (algorithm, subset)."""
+    bad = np.flatnonzero(~(group.raw_score > 0.0))
+    if bad.size:
+        key = (group.algorithm, group.subsets[group.subset_index[bad[0]]])
+        raise ValueError(f"raw score {float(group.raw_score[bad[0]])} for {key} is not positive")
     top = np.zeros(len(group.subsets))
-    top[held] = np.maximum.reduceat(group.raw_score, (np.cumsum(rows) - rows)[held])
-    dropped = np.flatnonzero(held & (top == 0.0))
-    for s in dropped.tolist():
-        key = (group.algorithm, group.subsets[s])
-        warnings.warn(f"all scores are zero for {key}; group dropped", stacklevel=2)
-    if dropped.size:
-        group = group.where(top[group.subset_index] > 0.0)
+    np.maximum.at(top, group.subset_index, group.raw_score)
     return replace(group, normalized_score=group.raw_score / top[group.subset_index])
 
 
 def threshold_filter(group: ScoredPairs, threshold: float = 0.5) -> ScoredPairs:
     """Keep pairs whose normalized score strictly exceeds the threshold.
 
-    The threshold lies in [0, 1): a kept pair then has a positive score, so
-    it shares an exclusive neighbor, whose flows assign_weights averages.
+    The threshold lies in [0, 1). A scorer's rows all share an exclusive
+    neighbor, whose flows assign_weights averages, so at threshold 0 every
+    row is kept.
     """
     if not 0.0 <= threshold < 1.0:
         raise ValueError(f"threshold must lie in [0, 1), got {threshold}")
@@ -395,10 +416,8 @@ def assign_weights(group: ScoredPairs, net: MultiplexNetwork) -> LinkTable:
     index, u, v, n = group.subset_index, group.u, group.v, net.n_nodes
     cell = (index * n + u) * n + v
     start = np.searchsorted(group.cell, cell)
-    count = np.searchsorted(group.cell, cell, side="right") - start
     # each row's run of entries: rows ascending, then w ascending
-    pair = np.repeat(np.arange(len(group)), count)
-    entry = np.arange(pair.size) + np.repeat(start - (np.cumsum(count) - count), count)
+    pair, entry = _runs(start, np.searchsorted(group.cell, cell, side="right") - start)
     ends, hub = np.stack([u, v], axis=1)[pair, None, :], group.neighbor[entry, None, None]
     own = layers[index[pair], :, None]
     # cells[p, k, a, d]: flow a -> w in the subset's k-th layer (d = 0)
@@ -468,22 +487,27 @@ def run_stage(net: MultiplexNetwork, k: int, threshold: float = 0.5) -> LinkTabl
     stage's tables once, across subsets and algorithms, into one table.
 
     Subsets go through in passes, each built once by exclusive_stage and read
-    by both scorers, of as many subsets as fit CHUNK_BYTES at 32 bytes per
-    subset cell: modified_jaccard's peak, a mask and a count per (N, N) cell
-    and three indices and a count per candidate row, at most half the cells. The
-    shared-pair list, O(sum of deg^2), is not counted. A stage is one pass, so
-    one trip per algorithm, unless the network is large; no link depends on
-    the split.
+    by both scorers, of as many consecutive subsets as fit CHUNK_BYTES, and
+    at least one. A subset costs CELL_BYTES per (N, N) cell and ENTRY_BYTES
+    per entry of its shared-pair list, whose sum_w C(deg_w, 2) entries are
+    counted from its exclusive degrees before any is listed. Not counted: the
+    per-layer adjacency each pass builds, 2L + 1 bytes per cell, and the flows
+    assign_weights gathers for the rows a threshold keeps. A stage is one
+    pass, so one trip per algorithm, unless the network is large or dense;
+    no link depends on the split.
     """
     subsets = enumerate_layer_subsets(net.n_layers, k)
-    step = max(1, CHUNK_BYTES // max(1, 32 * net.n_nodes**2))
-    tables = []
-    for start in range(0, len(subsets), step):
-        stage = exclusive_stage(net, subsets[start:start + step])
+    degree = _exclusive_degrees(_unoriented_adjacency(net), subsets)
+    cost = CELL_BYTES * net.n_nodes**2 + ENTRY_BYTES * (degree * (degree - 1) // 2).sum(axis=1)
+    tables, start = [], 0
+    while start < len(subsets):
+        stop = start + max(1, int(np.searchsorted(np.cumsum(cost[start:]), CHUNK_BYTES, side="right")))
+        stage = exclusive_stage(net, subsets[start:stop])
         for scorer in (modified_jaccard, modified_adamic_adar):
             # one expression, so no group outlives its trip
             tables.append(assign_weights(threshold_filter(normalize_scores(scorer(stage)), threshold), net))
         del stage  # before the next pass builds its own
+        start = stop
     return dedupe_links(tables)
 
 

@@ -137,19 +137,18 @@ def oracle_scores(net, subset, algorithm):
             nv = oracle_exclusive(pair_layers, n, v, subset)
             nu.discard(v)
             nv.discard(u)
+            shared = nu & nv
+            if not shared:
+                continue  # a pair sharing no exclusive neighbor is no candidate
             if algorithm == JACCARD:
-                union = nu | nv
-                if union:
-                    expected[(u, v)] = len(nu & nv) / len(union)
+                expected[(u, v)] = len(shared) / len(nu | nv)
             else:
-                shared = nu & nv
-                if shared:
-                    score = 0.0
-                    for w in sorted(shared):
-                        deg = len(oracle_union_adjacent(pair_layers, n, w, subset))
-                        if deg > 1:
-                            score += 1.0 / math.log(deg)
-                    expected[(u, v)] = score
+                score = 0.0
+                for w in sorted(shared):
+                    deg = len(oracle_union_adjacent(pair_layers, n, w, subset))
+                    if deg > 1:
+                        score += 1.0 / math.log(deg)
+                expected[(u, v)] = score
     return expected
 
 

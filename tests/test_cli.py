@@ -7,6 +7,7 @@ import errno
 import hashlib
 import json
 import os
+import warnings
 from importlib.resources import files as package_files
 
 import numpy as np
@@ -122,7 +123,8 @@ def test_predict_skips_stages_wider_than_network(tmp_path, capsys):
     base = _write_csv(tmp_path / "two.csv",
                       ["0,a,b,1.0", "0,b,c,1.0", "1,a,c,1.0", "1,b,c,1.0"])
     out = tmp_path / "out"
-    with pytest.warns(UserWarning, match="group dropped"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert main(
             ["predict", "--input", base, "--out", str(out), "--stages", "1", "3"]
         ) == 0

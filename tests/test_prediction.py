@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -215,10 +216,9 @@ def test_shared_neighbor_entries_match_the_oracle():
                             want = sorted(exclusive[u] & exclusive[v])
                             assert _entries(stage, s, u, v, n) == want
                             checked += len(want)
-                if scorer is modified_jaccard:
-                    zero = stage.where(stage.raw_score == 0.0)
-                    for s, u, v in zip(zero.subset_index.tolist(), zero.u.tolist(), zero.v.tolist()):
-                        assert _entries(zero, s, u, v, n) == []
+                # a row is a pair that shares a neighbor
+                for s, u, v in zip(stage.subset_index.tolist(), stage.u.tolist(), stage.v.tolist()):
+                    assert _entries(stage, s, u, v, n)
     assert checked > 1000
 
 
@@ -231,13 +231,14 @@ def test_self_loops_add_no_neighbor_or_degree():
     assert exclusive_neighbors(net, 2, (0,)) == {0, 1}
 
 
-def test_modified_jaccard_keeps_zero_scores_when_union_nonempty():
-    # 0-2 via exclusive neighbor sets {1} and {3}: union nonempty, empty meet
-    edges = [FlowEdge(0, 1, 0, 1.0), FlowEdge(2, 3, 0, 1.0)]
-    net = build_multiplex(edges, n_nodes=4)
-    assert group_scores(modified_jaccard(exclusive_stage(net, [(0,)])))[(0, 2)] == 0.0
-    # empty intersection omitted
-    assert (0, 2) not in group_scores(modified_adamic_adar(exclusive_stage(net, [(0,)])))
+def test_modified_scores_omit_a_pair_whose_exclusive_neighborhoods_do_not_meet():
+    # 0-2 via exclusive neighbor sets {1, 4} and {3}: union nonempty, empty
+    # meet; 0 joins 1 and 4, and 4 joins 0 and 5, so (1, 4) and (0, 5) meet
+    edges = [FlowEdge(0, 1, 0, 1.0), FlowEdge(2, 3, 0, 1.0), FlowEdge(0, 4, 0, 1.0), FlowEdge(4, 5, 0, 1.0)]
+    net = build_multiplex(edges, n_nodes=6)
+    stage = exclusive_stage(net, [(0,)])
+    assert group_scores(modified_jaccard(stage)) == {(0, 5): 1.0 / 2.0, (1, 4): 1.0 / 2.0}
+    assert group_scores(modified_adamic_adar(stage)) == {(0, 5): 1.0 / math.log(2), (1, 4): 1.0 / math.log(2)}
 
 
 def test_modified_candidates_exclude_subset_union_edges_only():
@@ -279,24 +280,20 @@ def test_normalize_scales_each_group_by_its_maximum():
     assert group.subset_index.tolist() == [0, 0, 2]
 
 
-def test_normalize_drops_all_zero_group_with_warning():
-    rows = [(0, 0, 1, 0.0), (0, 0, 2, 0.0), (1, 0, 2, 0.5), (1, 1, 3, 0.25), (2, 1, 2, 0.0)]
-    with pytest.warns(UserWarning) as caught:
-        out = normalize_scores(_group(JACCARD, [(0,), (1,), (2,)], rows))
-    assert [str(w.message) for w in caught] == [
-        "all scores are zero for ('jaccard', (0,)); group dropped",
-        "all scores are zero for ('jaccard', (2,)); group dropped",
-    ]
-    assert group_scores(out) == {(0, 2): 0.5, (1, 3): 0.25}
-    assert out.subset_index.tolist() == [1, 1] and out.normalized_score.tolist() == [1.0, 0.5]
-    with pytest.warns(UserWarning, match=r"all scores are zero for \('jaccard', \(0,\)\)"):
-        zero = normalize_scores(_group(JACCARD, [(0,)], [(0, 0, 1, 0.0), (0, 0, 2, 0.0)]))
-    assert len(zero) == 0 and zero.normalized_score.size == 0
-    assert len(threshold_filter(zero)) == 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # an empty subset is not "all zero"
-        assert len(normalize_scores(_group(JACCARD, [(1,)], []))) == 0
-        assert len(normalize_scores(_group(JACCARD, [], []))) == 0
+def test_normalize_rejects_a_score_that_is_not_positive():
+    # a scorer's rows share a neighbor, so only a hand-built group holds such a score
+    rows = [(0, 0, 1, 0.5), (1, 0, 2, 0.5), (1, 1, 3, 0.0), (2, 1, 2, 0.0)]
+    with pytest.raises(ValueError, match=r"^raw score 0.0 for \('jaccard', \(1,\)\) is not positive$"):
+        normalize_scores(_group(JACCARD, [(0,), (1,), (2,)], rows))
+    for bad in (-0.25, math.nan):
+        with pytest.raises(ValueError, match=r"for \('adamic_adar', \(0, 2\)\) is not positive"):
+            normalize_scores(_group(ADAMIC_ADAR, [(0, 1), (0, 2)], [(0, 0, 1, 1.0), (1, 0, 2, bad)]))
+    # a subset without rows has nothing to scale
+    out = normalize_scores(_group(JACCARD, [(0,), (1,)], [(1, 0, 2, 0.5), (1, 1, 3, 0.25)]))
+    assert out.normalized_score.tolist() == [1.0, 0.5]
+    assert len(normalize_scores(_group(JACCARD, [(1,)], []))) == 0
+    assert len(normalize_scores(_group(JACCARD, [], []))) == 0
+    assert "warnings" not in vars(prediction)  # no step warns
 
 
 def test_threshold_is_strict():
@@ -362,7 +359,6 @@ def test_assign_weights_means_match_np_mean_across_the_unroll_boundary():
         assert link.weight == norm * float(np.mean(context))  # exact
 
 
-@pytest.mark.filterwarnings("ignore:all scores are zero")
 def test_run_stage_weights_match_plain_loop_flow_means():
     rng = np.random.default_rng(606)
     checked = 0
@@ -455,14 +451,14 @@ def test_run_stage_dedupes_across_subsets_in_order():
 
 def _oracle_stage(net, k, threshold):
     """A stage from the plain-dict oracle: each (algorithm, subset) scaled by
-    its own maximum (an all-zero one dropped), thresholded and weighted."""
+    its own maximum, thresholded and weighted."""
     links = []
     for subset in enumerate_layer_subsets(net.n_layers, k):
         for algorithm in (JACCARD, ADAMIC_ADAR):
             scores = oracle_scores(net, subset, algorithm)
             top = max(scores.values(), default=0.0)
             for (u, v), raw in sorted(scores.items()):
-                if top > 0 and raw / top > threshold:
+                if raw / top > threshold:
                     weight = raw / top * oracle_flow_mean(net, subset, u, v)
                     links.append(PredictedLink(u, v, raw, raw / top, weight, algorithm, subset, k))
     return oracle_dedupe(links)
@@ -479,21 +475,21 @@ def test_run_stage_of_an_empty_network_or_stage_is_empty_without_warning():
         assert len(run_stage(build_multiplex(complete), 1, threshold=0.0)) == 0
 
 
-def test_run_stage_drops_only_the_all_zero_subset():
-    # layer 0 holds two disjoint edges on nodes 0-3: every Jaccard candidate
-    # of subset (0,) scores 0 and Adamic-Adar has none; layers 1 and 2 are
-    # random on nodes 4-11 only
+def test_run_stage_scores_no_row_for_a_subset_whose_pairs_share_no_neighbor():
+    # layer 0 holds two disjoint edges on nodes 0-3: no pair of subset (0,)
+    # shares an exclusive neighbor, so neither scorer has a row for it;
+    # layers 1 and 2 are random on nodes 4-11 only
     rng = np.random.default_rng(31)
     edges = [FlowEdge(0, 1, 0, 2.0), FlowEdge(2, 3, 0, 3.0)]
     for layer in (1, 2):
         edges += [FlowEdge(i, j, layer, float(rng.uniform(0.5, 2.0)))
                   for i in range(4, 12) for j in range(i + 1, 12) if rng.random() < 0.4]
     net = build_multiplex(edges, n_layers=3, n_nodes=12)
-    with pytest.warns(UserWarning) as caught:
+    stage = exclusive_stage(net, [(0,)])
+    assert len(modified_jaccard(stage)) == len(modified_adamic_adar(stage)) == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         links = run_stage(net, 1, threshold=0.3)
-    assert [str(w.message) for w in caught] == [
-        "all scores are zero for ('jaccard', (0,)); group dropped"
-    ]
     assert {l.subset for l in links} == {(1,), (2,)}
     assert list(links) == _oracle_stage(net, 1, 0.3)
 
@@ -508,11 +504,16 @@ def _multiplexes(draw):
     return build_multiplex(edges, n_layers=n_layers, directed=draw(st.booleans()), n_nodes=n)
 
 
-@pytest.mark.filterwarnings("ignore:all scores are zero")
 @settings(max_examples=100, deadline=None)
 @given(_multiplexes())
 def test_run_stage_matches_the_oracle_stage_on_random_multiplexes(net):
     for k in range(1, min(3, net.n_layers) + 1):
+        # both scorers score the same rows, each with a positive score
+        stage = exclusive_stage(net, enumerate_layer_subsets(net.n_layers, k))
+        jaccard, adamic_adar = modified_jaccard(stage), modified_adamic_adar(stage)
+        for column in ("subset_index", "u", "v"):
+            assert np.array_equal(getattr(jaccard, column), getattr(adamic_adar, column))
+        assert (jaccard.raw_score > 0).all() and (adamic_adar.raw_score > 0).all()
         for threshold in (0.0, 0.5, 0.9):
             assert list(run_stage(net, k, threshold)) == _oracle_stage(net, k, threshold)
 
@@ -522,7 +523,7 @@ def test_run_stage_does_not_depend_on_the_pass_budget(monkeypatch):
     nets = [random_multiplex(rng, int(rng.integers(5, 11)), 4, directed=bool(trial % 2), p=0.45)
             for trial in range(6)]
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # an all-zero subset warns once per pass
+        warnings.simplefilter("error")  # no pass warns
         default = [list(run_stage(net, k, threshold)) for net in nets for k in (1, 2, 3)
                    for threshold in (0.0, 0.5)]
         scored = []
@@ -536,7 +537,34 @@ def test_run_stage_does_not_depend_on_the_pass_budget(monkeypatch):
     assert set(scored) == {1} and len(scored) == len(nets) * (4 + 6 + 4) * 2
 
 
-@pytest.mark.filterwarnings("ignore:all scores are zero")
+def test_run_stage_splits_a_dense_stage_by_its_shared_pair_list(monkeypatch):
+    # a seeded Erdos-Renyi multiplex, N=200, L=5, p=0.2 per layer: stage 3
+    # lists about 380,000 shared-neighbor entries per subset, which the
+    # (N, N) cells alone do not show
+    rng = np.random.default_rng(0)
+    layer, u, v = np.nonzero(np.triu(rng.random((5, 200, 200)) < 0.2, k=1))
+    flows = rng.uniform(0.5, 2.0, layer.size)
+    net = build_multiplex([FlowEdge(*edge) for edge in zip(u.tolist(), v.tolist(), layer.tolist(),
+                                                         flows.tolist())], n_layers=5, n_nodes=200)
+    passes = []
+    build = prediction.exclusive_stage
+    monkeypatch.setattr(prediction, "exclusive_stage",
+                        lambda net, subsets: passes.append(len(subsets)) or build(net, subsets))
+    tracemalloc.start()
+    try:
+        split = run_stage(net, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20 and passes == [1] * 10
+    monkeypatch.setattr(prediction, "CHUNK_BYTES", 2**40)
+    whole = run_stage(net, 3)
+    assert passes[10:] == [10]
+    for name in ("u", "v", "raw_score", "normalized_score", "weight", "algorithm", "subset", "sources"):
+        assert np.array_equal(getattr(split, name), getattr(whole, name)), name
+    assert split.subsets == whole.subsets and len(split) > 10_000
+
+
 def test_run_stage_builds_each_pass_once_for_both_scorers(monkeypatch):
     net = random_multiplex(np.random.default_rng(41), 9, 4, p=0.45)
     built, read = [], []

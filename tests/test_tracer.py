@@ -55,7 +55,7 @@ def test_traced_pipeline_scores_each_stage_once_per_algorithm(traced_pipeline):
     assert calls["prediction.dedupe"] == 4
     # the pairs both scorers return and the rows that pass the threshold
     counts = trace.counts[tracer.WORKLOAD_RUN]
-    assert counts["prediction.pairs_scored"] == 329
+    assert counts["prediction.pairs_scored"] == 220
     assert counts["prediction.links_kept"] == 89
 
 
