@@ -47,7 +47,6 @@ from .prediction import (
     ExclusiveStage,
     LinkTable,
     PredictedLink,
-    ScoredPairs,
     adamic_adar_classic,
     assign_weights,
     dedupe_links,
@@ -64,7 +63,6 @@ from .walks import (
     SupraTransitionMatrix,
     WalkTrajectory,
     build_supra_transition,
-    row_stochastic_check,
     simulate_walk,
 )
 
@@ -84,7 +82,6 @@ __all__ = [
     "ParseError",
     "PredictedLink",
     "SchemaError",
-    "ScoredPairs",
     "SpectralDecomposition",
     "SupraTransitionMatrix",
     "WalkTrajectory",

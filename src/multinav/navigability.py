@@ -35,7 +35,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -598,11 +597,6 @@ def format_curve_csv(curve: CoverageCurve) -> str:
         times = [f"{t!r}," for t in curve.times.tolist()]
     rows = [f"{t}{r!r}\n" for t, r in zip(times, curve.rho.tolist())]
     return "".join(["time,rho\n", *rows])
-
-
-def read_curve_csv(path: str | Path, method: str) -> CoverageCurve:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return CoverageCurve(times=data[:, 0], rho=data[:, 1], method=method)
 
 
 def report_to_json_dict(report: NavigabilityReport, curve_file: str) -> dict:

@@ -5,33 +5,35 @@ the multiplex lies inside D. The classic Jaccard and Adamic-Adar scores are
 evaluated on these exclusive neighborhoods for every candidate: a pair with no
 edge in any layer of D that shares an exclusive neighbor, since one sharing
 none would score 0, which no threshold keeps. A stage is every subset of one
-size k, and each step works on the whole stage at once: a scorer returns one
-``ScoredPairs`` for all of the stage's subsets, normalize_scores scales each
-subset by its own maximum, threshold_filter keeps rows, and assign_weights
-weights the survivors, using nearby flow values, as one columnar
-``LinkTable``. run_stage thus makes one trip per algorithm through these steps
-and returns both algorithms' deduplicated union, one table whose provenance
-marks every contributing (algorithm, subset) of a link; links stay columns to
-disk and to integrate_links. A self-loop makes no node its own neighbor, so it
-adds to no exclusive neighborhood or degree.
+size k, and each step works on the whole stage at once, on one row set: the
+candidates of exclusive_stage. A scorer returns one raw score per row,
+normalize_scores scales each subset's by its own maximum, threshold_filter
+returns the positions of the rows it keeps, and assign_weights gives each
+row that either algorithm keeps its mean flow, once. run_stage builds each
+algorithm's columnar ``LinkTable`` from these arrays, weighting a link by its
+normalized score times its row's mean, and returns both algorithms'
+deduplicated union, one table whose provenance marks every contributing
+(algorithm, subset) of a link; links stay columns to disk and to
+integrate_links. A self-loop makes no node its own neighbor, so it adds to no
+exclusive neighborhood or degree.
 
 Each subset is scored on one boolean exclusive adjacency ``E = inside & ~outside``,
 built from the per-layer adjacency. exclusive_stage computes it once per pass
-and keeps what both scorers read: each node's exclusive and union degree, and
+and keeps what the steps read: each node's exclusive and union degree, and
 each hub's pairs of exclusive neighbors, listed once in O(sum of deg^2) and
 sorted, so a candidate's shared neighbors are one run of C entries. Jaccard is
 ``C / (d_u + d_v - C)``, Adamic-Adar adds each shared neighbor's ``1 / ln(union
-degree)`` in ascending order from 0.0, and assign_weights finds a pair's shared
-neighbors in the same list. Every score is bit-identical to a per-pair loop
-over neighbor sets. On a large network run_stage splits a stage into passes of
-as many subsets as fit ``CHUNK_BYTES``; no result depends on where a pass ends.
+degree)`` in ascending order from 0.0, and assign_weights reads a row's flows
+from the same run. Every score is bit-identical to a per-pair loop over
+neighbor sets. On a large network run_stage splits a stage into passes of as
+many subsets as fit ``CHUNK_BYTES``; no result depends on where a pass ends.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -45,10 +47,15 @@ ALGORITHMS = (ADAMIC_ADAR, JACCARD)  # a LinkTable's algorithm codes, in string 
 
 # what a prediction pass holds at its peak, per (N, N) cell of a subset: the
 # layer count and three masks of the exclusive stack, a byte each; and per
-# entry of its shared-pair list: the list (16 bytes), a row (40, at most one
-# per entry) and Adamic-Adar's gathers (48), rounded up (run_stage)
+# entry of its shared-pair list: the list (16 bytes), a row (at most one per
+# entry, with its scores and links) and the flows assign_weights gathers for
+# the entries of kept rows. tracemalloc puts a whole pass at up to 229 bytes
+# per entry on a seeded Erdos-Renyi multiplex (N=200, L=5, p=0.2; every
+# stage, either direction, thresholds 0 and 0.5); where nearly every entry is
+# a row, as on a sparse lattice, a pass holds more per entry, but its cells
+# outweigh its list (run_stage)
 CELL_BYTES = 4
-ENTRY_BYTES = 128
+ENTRY_BYTES = 256
 
 LINK_CSV_COLUMNS = (
     "u_label",
@@ -63,50 +70,20 @@ LINK_CSV_COLUMNS = (
 
 
 @dataclass(frozen=True, eq=False)
-class ScoredPairs:
-    """Every scored candidate of one algorithm over a stage's subsets, as columns.
-
-    A scorer's rows are the stage's candidates, each with a positive score,
-    subset by subset in the order of ``subsets``, and within a subset as pairs
-    u < v in row-major order; ``subset_index`` is each row's position in
-    ``subsets``. ``cell`` and ``neighbor`` list the stage's shared
-    exclusive neighbors, one entry per subset, node w and pair x < y of w's
-    exclusive neighbors: ``cell`` is the flat index of (subset, x, y) in an
-    (S, N, N) grid and ``neighbor`` is w, sorted by cell and, within a cell,
-    by w. They list every pair of the stage, row or not, and ``where`` keeps
-    them whole. ``normalized_score`` is None until normalize_scores fills it.
-    """
-
-    algorithm: str
-    subsets: tuple[tuple[int, ...], ...]
-    subset_index: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
-    raw_score: np.ndarray
-    cell: np.ndarray
-    neighbor: np.ndarray
-    normalized_score: np.ndarray | None = None
-
-    def __len__(self) -> int:
-        return len(self.u)
-
-    def where(self, mask: np.ndarray) -> ScoredPairs:
-        """The rows where ``mask`` holds."""
-        normalized = None if self.normalized_score is None else self.normalized_score[mask]
-        return replace(self, subset_index=self.subset_index[mask], u=self.u[mask], v=self.v[mask],
-                       raw_score=self.raw_score[mask], normalized_score=normalized)
-
-
-@dataclass(frozen=True, eq=False)
 class ExclusiveStage:
-    """What the scorers read of a stage's exclusive neighborhoods, built once per pass.
+    """A stage's exclusive neighborhoods and candidates, built once per pass.
 
     ``degree`` and ``union_degree`` count each (subset, node)'s exclusive
     neighbors and its neighbors in any layer of the subset, both (S, N).
-    ``cell`` and ``neighbor`` list the shared exclusive neighbors as
-    ScoredPairs does, and every group scored from the stage shares them. The
-    candidates are its rows, ``subset_index``, ``u`` and ``v``; row r shares
-    the ``common[r]`` neighbors listed from entry ``first[r]`` on.
+    ``cell`` and ``neighbor`` list the shared exclusive neighbors, one entry
+    per subset, node w and pair x < y of w's exclusive neighbors: ``cell`` is
+    the flat index of (subset, x, y) in an (S, N, N) grid and ``neighbor`` is
+    w, sorted by cell and, within a cell, by w. The rows are the candidates,
+    subset by subset in the order of ``subsets``, then pairs u < v in
+    row-major order: ``subset_index`` (a row's position in ``subsets``),
+    ``u`` and ``v``. Row r shares the ``common[r]`` neighbors listed from
+    entry ``first[r]`` on. Every array a prediction step returns or takes
+    per row is aligned with these rows.
     """
 
     subsets: tuple[tuple[int, ...], ...]
@@ -340,16 +317,14 @@ def _shared_pairs(exclusive: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return site[order], cell[order]
 
 
-def modified_jaccard(stage: ExclusiveStage) -> ScoredPairs:
+def modified_jaccard(stage: ExclusiveStage) -> np.ndarray:
     """Jaccard over exclusive neighborhoods for every row of the stage:
     ``C / (d_u + d_v - C)``, with C the pair's count of shared neighbors."""
-    index, u, v, common = stage.subset_index, stage.u, stage.v, stage.common
-    return ScoredPairs(JACCARD, stage.subsets, index, u, v,
-                       common / (stage.degree[index, u] + stage.degree[index, v] - common),
-                       stage.cell, stage.neighbor)
+    index, common = stage.subset_index, stage.common
+    return common / (stage.degree[index, stage.u] + stage.degree[index, stage.v] - common)
 
 
-def modified_adamic_adar(stage: ExclusiveStage) -> ScoredPairs:
+def modified_adamic_adar(stage: ExclusiveStage) -> np.ndarray:
     """Adamic-Adar over exclusive neighborhoods for every row of the stage.
 
     Each shared exclusive neighbor contributes the inverse log of its degree
@@ -364,25 +339,25 @@ def modified_adamic_adar(stage: ExclusiveStage) -> ScoredPairs:
     row, entry = _runs(stage.first, stage.common)
     scores = np.zeros(len(stage.first))
     np.add.at(scores, row, term[stage.subset_index[row], stage.neighbor[entry]])
-    return ScoredPairs(ADAMIC_ADAR, stage.subsets, stage.subset_index, stage.u, stage.v, scores,
-                       stage.cell, stage.neighbor)
+    return scores
 
 
-def normalize_scores(group: ScoredPairs) -> ScoredPairs:
-    """Scale each subset's raw scores to (0, 1] relative to that subset's
-    maximum. A scorer's scores are positive; a group holding a score that is
-    not raises ValueError naming its (algorithm, subset)."""
-    bad = np.flatnonzero(~(group.raw_score > 0.0))
+def normalize_scores(stage: ExclusiveStage, raw: np.ndarray) -> np.ndarray:
+    """Each row's raw score scaled to (0, 1] by its subset's maximum. A
+    scorer's scores are positive; a score that is not raises ValueError
+    naming its subset."""
+    bad = np.flatnonzero(~(raw > 0.0))
     if bad.size:
-        key = (group.algorithm, group.subsets[group.subset_index[bad[0]]])
-        raise ValueError(f"raw score {float(group.raw_score[bad[0]])} for {key} is not positive")
-    top = np.zeros(len(group.subsets))
-    np.maximum.at(top, group.subset_index, group.raw_score)
-    return replace(group, normalized_score=group.raw_score / top[group.subset_index])
+        subset = stage.subsets[stage.subset_index[bad[0]]]
+        raise ValueError(f"raw score {float(raw[bad[0]])} in subset {subset} is not positive")
+    top = np.zeros(len(stage.subsets))
+    np.maximum.at(top, stage.subset_index, raw)
+    return raw / top[stage.subset_index]
 
 
-def threshold_filter(group: ScoredPairs, threshold: float = 0.5) -> ScoredPairs:
-    """Keep pairs whose normalized score strictly exceeds the threshold.
+def threshold_filter(normalized: np.ndarray, threshold: float = 0.5) -> np.ndarray:
+    """The positions, ascending, of the rows whose normalized score strictly
+    exceeds the threshold.
 
     The threshold lies in [0, 1). A scorer's rows all share an exclusive
     neighbor, whose flows assign_weights averages, so at threshold 0 every
@@ -390,65 +365,61 @@ def threshold_filter(group: ScoredPairs, threshold: float = 0.5) -> ScoredPairs:
     """
     if not 0.0 <= threshold < 1.0:
         raise ValueError(f"threshold must lie in [0, 1), got {threshold}")
-    if group.normalized_score is None:
-        raise ValueError("threshold_filter requires normalized scores")
-    return group.where(group.normalized_score > threshold)
+    return np.flatnonzero(normalized > threshold)
 
 
-def assign_weights(group: ScoredPairs, net: MultiplexNetwork) -> LinkTable:
-    """Turn thresholded pairs into a table of weighted links, row for row.
-
-    The weight is the normalized score times the mean flow on edges joining
-    either endpoint to their shared exclusive neighbors, over the layers of
-    the row's subset. A row's shared neighbors are its run of the group's
-    ``cell`` entries, found by binary search. Every pair kept by
-    threshold_filter shares such a neighbor; a pair that shares none raises
-    ValueError. A pair's positive flows are taken in the order shared
-    neighbor w, layer, endpoint (u, v), direction (into the endpoint, then
-    out of it), and summed as ``np.mean`` sums them: fewer than 8 by one
-    running sum per row, more by ``np.add.reduce`` along rows of one length.
-    Each mean is thus bit-identical to ``np.mean`` of that context; rows carry
-    no provenance.
-    """
-    if group.normalized_score is None:
-        raise ValueError("assign_weights requires normalized scores")
-    layers = np.array(group.subsets, dtype=np.intp).reshape(len(group.subsets), -1)
-    index, u, v, n = group.subset_index, group.u, group.v, net.n_nodes
-    cell = (index * n + u) * n + v
-    start = np.searchsorted(group.cell, cell)
-    # each row's run of entries: rows ascending, then w ascending
-    pair, entry = _runs(start, np.searchsorted(group.cell, cell, side="right") - start)
-    ends, hub = np.stack([u, v], axis=1)[pair, None, :], group.neighbor[entry, None, None]
-    own = layers[index[pair], :, None]
+def _positive_flows(stage: ExclusiveStage, rows: np.ndarray,
+                    net: MultiplexNetwork) -> tuple[np.ndarray, np.ndarray]:
+    """(row, flow) of every positive flow between an endpoint of one of the
+    given rows and a shared exclusive neighbor w, in the layers of the row's
+    subset: rows in their order, then w ascending, layer, endpoint (u, v),
+    and direction (into the endpoint, then out of it). The gathers die here."""
+    layers = np.array(stage.subsets, dtype=np.intp).reshape(len(stage.subsets), -1)
+    # each row's run of entries: rows in order, then w ascending
+    pair, entry = _runs(stage.first[rows], stage.common[rows])
+    ends = np.stack([stage.u[rows], stage.v[rows]], axis=1)[pair, None, :]
+    hub, own = stage.neighbor[entry, None, None], layers[stage.subset_index[rows][pair], :, None]
     # cells[p, k, a, d]: flow a -> w in the subset's k-th layer (d = 0)
     # and, when directed, w -> a (d = 1), for each endpoint a of the pair
     into = net.intra[own, ends, hub]
-    cells = np.stack([into, net.intra[own, hub, ends]] if net.directed else [into], axis=-1)
+    cells = np.stack([into, net.intra[own, hub, ends]], axis=-1) if net.directed else into[..., None]
     flat = np.flatnonzero(cells > 0)
-    context = cells.reshape(-1)[flat]  # every pair's flows, pairs in order
-    row = pair[flat // math.prod(cells.shape[1:])]
-    size = np.bincount(row, minlength=len(u))
+    return pair[flat // math.prod(cells.shape[1:])], cells.reshape(-1)[flat]
+
+
+def assign_weights(stage: ExclusiveStage, rows: np.ndarray, net: MultiplexNetwork) -> np.ndarray:
+    """The mean flow of each of the stage's given rows, in their order.
+
+    A row's mean is over the flows on edges joining either endpoint to their
+    shared exclusive neighbors, its run of the stage's list, in the layers
+    of the row's subset; run_stage weights a link by its normalized score
+    times that mean. Every row of exclusive_stage shares such a neighbor; a
+    row that shares none raises ValueError. A row's positive flows are taken
+    in the order of _positive_flows and summed as ``np.mean`` sums them:
+    fewer than 8 by one running sum per row, more by ``np.add.reduce`` along
+    rows of one length. Each mean is thus bit-identical to ``np.mean`` of
+    that context.
+    """
+    owner, context = _positive_flows(stage, rows, net)  # owner: a flow's position in rows
+    size = np.bincount(owner, minlength=len(rows))
     if np.any(size == 0):
-        first = int(np.flatnonzero(size == 0)[0])
-        subset = group.subsets[index[first]]
-        raise ValueError(f"pair ({u[first]}, {v[first]}) shares no exclusive neighbor "
+        first = rows[np.flatnonzero(size == 0)[0]]
+        subset = stage.subsets[stage.subset_index[first]]
+        raise ValueError(f"pair ({stage.u[first]}, {stage.v[first]}) shares no exclusive neighbor "
                          f"in layers {subset}")
     offset = np.cumsum(size) - size
     # np.mean adds fewer than 8 values one by one from the left: a running sum
-    # along a row of 7 that holds a pair's flows, then +0.0, which changes none
-    column = np.arange(flat.size) - offset[row]
-    short = column < 7
-    padded = np.zeros((len(u), 7))
-    padded[row[short], column[short]] = context[short]
-    total = np.cumsum(padded, axis=1)[:, -1]
+    # along a row of 8 that holds a row's flows and zeros, which change none;
+    # a longer row's values past the 7th pile up in its last column, and its
+    # sum is replaced below
+    column = np.arange(owner.size) - offset[owner]
+    padded = np.zeros((len(rows), 8))
+    padded[owner, np.minimum(column, 7, out=column)] = context
+    total = np.cumsum(padded, axis=1, out=padded)[:, -1]
     for length in np.unique(size[size >= 8]).tolist():
-        rows = np.flatnonzero(size == length)
-        total[rows] = np.add.reduce(context[offset[rows, None] + np.arange(length)], axis=1)
-    mean = total / size
-    subsets, (code,) = _subset_codes(group.subsets)
-    return LinkTable(u, v, group.raw_score, group.normalized_score, group.normalized_score * mean,
-                     np.full(len(u), ALGORITHMS.index(group.algorithm), dtype=np.intp),
-                     code[index], subsets, np.zeros((len(u), len(ALGORITHMS), len(subsets)), dtype=bool))
+        same = np.flatnonzero(size == length)
+        total[same] = np.add.reduce(context[offset[same, None] + np.arange(length)], axis=1)
+    return total / size
 
 
 def dedupe_links(tables: Iterable[LinkTable]) -> LinkTable:
@@ -486,15 +457,15 @@ def run_stage(net: MultiplexNetwork, k: int, threshold: float = 0.5) -> LinkTabl
     threshold and weight the scored subsets together, then deduplicate the
     stage's tables once, across subsets and algorithms, into one table.
 
-    Subsets go through in passes, each built once by exclusive_stage and read
-    by both scorers, of as many consecutive subsets as fit CHUNK_BYTES, and
-    at least one. A subset costs CELL_BYTES per (N, N) cell and ENTRY_BYTES
-    per entry of its shared-pair list, whose sum_w C(deg_w, 2) entries are
-    counted from its exclusive degrees before any is listed. Not counted: the
-    per-layer adjacency each pass builds, 2L + 1 bytes per cell, and the flows
-    assign_weights gathers for the rows a threshold keeps. A stage is one
-    pass, so one trip per algorithm, unless the network is large or dense;
-    no link depends on the split.
+    Subsets go through in passes, each built once by exclusive_stage and
+    turned into links by _pass_links, of as many consecutive subsets as fit
+    CHUNK_BYTES, and at least one. A subset costs CELL_BYTES per (N, N) cell
+    and ENTRY_BYTES per entry of its shared-pair list, whose sum_w C(deg_w,
+    2) entries are counted from its exclusive degrees before any is listed;
+    an entry pays for itself, a row, that row's links and the flows
+    assign_weights gathers. Not counted: the per-layer adjacency each pass
+    builds, 2L + 1 bytes per cell. A stage is one pass unless the network is
+    large or dense; no link depends on the split.
     """
     subsets = enumerate_layer_subsets(net.n_layers, k)
     degree = _exclusive_degrees(_unoriented_adjacency(net), subsets)
@@ -502,13 +473,31 @@ def run_stage(net: MultiplexNetwork, k: int, threshold: float = 0.5) -> LinkTabl
     tables, start = [], 0
     while start < len(subsets):
         stop = start + max(1, int(np.searchsorted(np.cumsum(cost[start:]), CHUNK_BYTES, side="right")))
-        stage = exclusive_stage(net, subsets[start:stop])
-        for scorer in (modified_jaccard, modified_adamic_adar):
-            # one expression, so no group outlives its trip
-            tables.append(assign_weights(threshold_filter(normalize_scores(scorer(stage)), threshold), net))
-        del stage  # before the next pass builds its own
+        # a pass's stage and arrays die with the call, before the next pass builds its own
+        tables += _pass_links(exclusive_stage(net, subsets[start:stop]), threshold, net)
         start = stop
     return dedupe_links(tables)
+
+
+def _pass_links(stage: ExclusiveStage, threshold: float, net: MultiplexNetwork) -> list[LinkTable]:
+    """Jaccard's and Adamic-Adar's links of one pass, each weighted by its
+    normalized score times its row's mean flow; assign_weights runs once, on
+    the sorted union of both algorithms' kept rows."""
+    scored = []
+    for algorithm, scorer in ((JACCARD, modified_jaccard), (ADAMIC_ADAR, modified_adamic_adar)):
+        raw = scorer(stage)
+        normalized = normalize_scores(stage, raw)
+        scored.append((algorithm, raw, normalized, threshold_filter(normalized, threshold)))
+    rows = np.union1d(scored[0][-1], scored[1][-1])  # sorted, each row once
+    mean = assign_weights(stage, rows, net)
+    # the pass's subsets are in lexicographic order, so a row's subset index
+    # is its table code; the tables carry no provenance
+    return [LinkTable(stage.u[kept], stage.v[kept], raw[kept], normalized[kept],
+                      normalized[kept] * mean[np.searchsorted(rows, kept)],
+                      np.full(kept.size, ALGORITHMS.index(algorithm), dtype=np.intp),
+                      stage.subset_index[kept], stage.subsets,
+                      np.zeros((kept.size, len(ALGORITHMS), len(stage.subsets)), dtype=bool))
+            for algorithm, raw, normalized, kept in scored]
 
 
 def format_subset(subset: Sequence[int]) -> str:

@@ -163,14 +163,6 @@ def build_supra_transition(net: MultiplexNetwork, strategy: str) -> SupraTransit
     )
 
 
-def row_stochastic_check(supra: SupraTransitionMatrix) -> tuple[bool, float]:
-    """True when every row sums to 1 within 1e-12; also the worst deviation."""
-    if supra.matrix.size == 0:
-        return True, 0.0
-    deviation = float(np.abs(supra.matrix.sum(axis=1) - 1.0).max())
-    return deviation <= 1e-12, deviation
-
-
 def _cumulative_table(matrix: np.ndarray) -> CumulativeTable:
     """Each row's cumulative sums, indexed by a guide table (Chen & Asau 1974).
 

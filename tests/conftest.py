@@ -1,6 +1,7 @@
-"""Shared helpers: random network generators, connectivity checks, and
-plain-loop oracles for scoring, supra assembly and walker sampling, used to
-cross-check the array implementations."""
+"""Shared helpers: random network generators, connectivity checks, a
+row-sum check and a curve-CSV reader, and plain-loop oracles for scoring,
+supra assembly and walker sampling, used to cross-check the array
+implementations."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 from scipy.sparse import csgraph, csr_matrix
 
-from multinav import FlowEdge, build_multiplex, build_supra_transition
+from multinav import CoverageCurve, FlowEdge, build_multiplex, build_supra_transition
 from multinav.prediction import JACCARD
 from multinav.walks import DEFAULT_DAMPING
 
@@ -56,6 +57,20 @@ def connected_random_multiplex(rng, max_nodes=12, max_layers=3, directed=None, p
             return net
 
 
+def row_stochastic_check(supra):
+    """True when every row sums to 1 within 1e-12; also the worst deviation."""
+    if supra.matrix.size == 0:
+        return True, 0.0
+    deviation = float(np.abs(supra.matrix.sum(axis=1) - 1.0).max())
+    return deviation <= 1e-12, deviation
+
+
+def read_curve_csv(path, method):
+    """The CoverageCurve of a ``time,rho`` CSV that format_curve_csv wrote."""
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    return CoverageCurve(times=data[:, 0], rho=data[:, 1], method=method)
+
+
 def triangle_network(coupling=0.0):
     edges = [FlowEdge(0, 1, 0, 1.0), FlowEdge(1, 2, 0, 1.0), FlowEdge(0, 2, 0, 1.0)]
     return build_multiplex(edges, coupling=coupling)
@@ -83,9 +98,10 @@ def directed_trap_network():
     return build_multiplex(edges, directed=True, coupling=0.0)
 
 
-def group_scores(group):
-    """A scored group's rows as {(u, v): raw_score}."""
-    return dict(zip(zip(group.u.tolist(), group.v.tolist()), group.raw_score.tolist()))
+def pair_scores(stage, scores, s=0):
+    """The scores of a stage's rows in its s-th subset as {(u, v): score}."""
+    mine = stage.subset_index == s
+    return dict(zip(zip(stage.u[mine].tolist(), stage.v[mine].tolist()), scores[mine].tolist()))
 
 
 # --- an independent scoring oracle built from plain dicts of edge layers -----

@@ -21,12 +21,13 @@ from conftest import (
     connected_random_multiplex,
     cycle_graph,
     directed_trap_network,
-    group_scores,
+    pair_scores,
     oracle_exclusive,
     oracle_pair_layers,
     oracle_scores,
     random_multiplex,
     random_single_layer,
+    row_stochastic_check,
     triangle_network,
 )
 
@@ -47,7 +48,6 @@ from multinav import (
     navigability_report,
     parse_edge_list,
     poisson_clock,
-    row_stochastic_check,
     run_stage,
     spectral_gap,
     supra_laplacian,
@@ -76,9 +76,10 @@ def test_single_subset_scores_reduce_to_classic():
     for _ in range(50):
         net = random_single_layer(rng, int(rng.integers(3, 13)))
         present = (net.intra[0] > 0) | (net.intra[0] > 0).T
+        stage = exclusive_stage(net, [(0,)])
         modified = {
-            JACCARD: group_scores(modified_jaccard(exclusive_stage(net, [(0,)]))),
-            ADAMIC_ADAR: group_scores(modified_adamic_adar(exclusive_stage(net, [(0,)]))),
+            JACCARD: pair_scores(stage, modified_jaccard(stage)),
+            ADAMIC_ADAR: pair_scores(stage, modified_adamic_adar(stage)),
         }
         for u in range(net.n_nodes):
             for v in range(u + 1, net.n_nodes):
@@ -121,7 +122,8 @@ def test_subset_scores_match_exhaustive_oracle():
                     (JACCARD, modified_jaccard),
                     (ADAMIC_ADAR, modified_adamic_adar),
                 ):
-                    got = group_scores(score_fn(exclusive_stage(net, [subset])))
+                    stage = exclusive_stage(net, [subset])
+                    got = pair_scores(stage, score_fn(stage))
                     want = oracle_scores(net, subset, tag)
                     if set(got) != set(want):
                         mismatched_sets += 1

@@ -12,6 +12,7 @@ from importlib.resources import files as package_files
 
 import numpy as np
 import pytest
+from conftest import read_curve_csv
 
 from multinav import (
     LinkTable,
@@ -24,7 +25,7 @@ from multinav import (
 )
 from multinav.cli import build_parser, main
 from multinav.multiplex import TRIM_PER_LAYER
-from multinav.navigability import NOT_REACHED, read_curve_csv
+from multinav.navigability import NOT_REACHED
 from multinav.prediction import (
     ADAMIC_ADAR,
     JACCARD,

@@ -14,6 +14,7 @@ from conftest import (
     oracle_montecarlo,
     oracle_walk,
     random_multiplex,
+    read_curve_csv,
     triangle_network,
 )
 from scipy import stats
@@ -45,7 +46,6 @@ from multinav.navigability import (
     AnalyticCoverageState,
     analytic_state,
     format_curve_csv,
-    read_curve_csv,
     report_to_json_dict,
 )
 

@@ -13,21 +13,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import (
-    group_scores,
     oracle_dedupe,
     oracle_exclusive,
     oracle_flow_mean,
     oracle_pair_layers,
     oracle_scores,
+    pair_scores,
     random_multiplex,
 )
 
 from multinav import (
+    ExclusiveStage,
     FlowEdge,
     LinkTable,
     MultiplexNetwork,
     PredictedLink,
-    ScoredPairs,
     adamic_adar_classic,
     assign_weights,
     build_multiplex,
@@ -46,6 +46,8 @@ from multinav import prediction
 from multinav.prediction import (
     ADAMIC_ADAR,
     ALGORITHMS,
+    CELL_BYTES,
+    ENTRY_BYTES,
     JACCARD,
     LINK_CSV_COLUMNS,
     format_subset,
@@ -160,19 +162,21 @@ def test_modified_scores_match_bruteforce_oracle():
         l = net.n_layers
         for k in range(1, l + 1):
             subsets = enumerate_layer_subsets(l, k)
+            stage = exclusive_stage(net, subsets)
+            assert stage.subsets == tuple(subsets)
+            # rows go subset by subset, then row-major u < v
+            order = list(zip(stage.subset_index.tolist(), stage.u.tolist(), stage.v.tolist()))
+            assert order == sorted(order) and all(u < v for _, u, v in order)
             for algorithm, scorer in (
                 (JACCARD, modified_jaccard),
                 (ADAMIC_ADAR, modified_adamic_adar),
             ):
-                stage = scorer(exclusive_stage(net, subsets))
-                assert stage.subsets == tuple(subsets)
-                # rows go subset by subset, then row-major u < v
-                order = list(zip(stage.subset_index.tolist(), stage.u.tolist(), stage.v.tolist()))
-                assert order == sorted(order) and all(u < v for _, u, v in order)
+                scores = scorer(stage)
+                assert scores.shape == stage.u.shape  # one score per row of the stage
                 for s, subset in enumerate(subsets):
                     want = oracle_scores(net, subset, algorithm)
-                    for got in (group_scores(stage.where(stage.subset_index == s)),
-                                group_scores(scorer(exclusive_stage(net, [subset])))):
+                    single = exclusive_stage(net, [subset])
+                    for got in (pair_scores(stage, scores, s), pair_scores(single, scorer(single))):
                         assert got.keys() == want.keys()
                         for pair, score in want.items():
                             assert got[pair] == score  # identical arithmetic, exact
@@ -185,8 +189,8 @@ def test_scorers_reject_subsets_of_mixed_size_or_out_of_range():
             scorer(exclusive_stage(net, [(0,), (0, 1)]))
         with pytest.raises(ValueError, match="out of range"):
             scorer(exclusive_stage(net, [(0,), (2,)]))
-        stage = scorer(exclusive_stage(net, []))
-        assert len(stage) == 0 and stage.cell.size == stage.neighbor.size == 0
+        stage = exclusive_stage(net, [])
+        assert len(scorer(stage)) == 0 and stage.cell.size == stage.neighbor.size == 0
 
 
 def _entries(stage, s, u, v, n):
@@ -204,21 +208,21 @@ def test_shared_neighbor_entries_match_the_oracle():
         pair_layers = oracle_pair_layers(net)
         for k in range(1, min(l, 3) + 1):
             subsets = enumerate_layer_subsets(l, k)
-            for scorer in (modified_jaccard, modified_adamic_adar):
-                stage = scorer(exclusive_stage(net, subsets))
-                # sorted by cell, then by shared neighbor within a cell
-                order = list(zip(stage.cell.tolist(), stage.neighbor.tolist()))
-                assert order == sorted(order)
-                for s, subset in enumerate(subsets):
-                    exclusive = [oracle_exclusive(pair_layers, n, x, subset) for x in range(n)]
-                    for u in range(n):
-                        for v in range(u + 1, n):
-                            want = sorted(exclusive[u] & exclusive[v])
-                            assert _entries(stage, s, u, v, n) == want
-                            checked += len(want)
-                # a row is a pair that shares a neighbor
-                for s, u, v in zip(stage.subset_index.tolist(), stage.u.tolist(), stage.v.tolist()):
-                    assert _entries(stage, s, u, v, n)
+            stage = exclusive_stage(net, subsets)
+            # sorted by cell, then by shared neighbor within a cell
+            order = list(zip(stage.cell.tolist(), stage.neighbor.tolist()))
+            assert order == sorted(order)
+            for s, subset in enumerate(subsets):
+                exclusive = [oracle_exclusive(pair_layers, n, x, subset) for x in range(n)]
+                for u in range(n):
+                    for v in range(u + 1, n):
+                        want = sorted(exclusive[u] & exclusive[v])
+                        assert _entries(stage, s, u, v, n) == want
+                        checked += len(want)
+            # a row is a pair that shares a neighbor: its run of the list
+            for s, u, v, first, common in zip(*(column.tolist() for column in (
+                    stage.subset_index, stage.u, stage.v, stage.first, stage.common))):
+                assert _entries(stage, s, u, v, n) == stage.neighbor[first:first + common].tolist() != []
     assert checked > 1000
 
 
@@ -226,8 +230,9 @@ def test_self_loops_add_no_neighbor_or_degree():
     # 2 joins 0 and 1 and has a loop: its union degree is 2, not 3
     edges = [FlowEdge(0, 2, 0, 1.0), FlowEdge(1, 2, 0, 1.0), FlowEdge(2, 2, 0, 1.0)]
     net = build_multiplex(edges, n_nodes=4)
-    assert group_scores(modified_adamic_adar(exclusive_stage(net, [(0,)]))) == {(0, 1): 1.0 / math.log(2)}
-    assert group_scores(modified_jaccard(exclusive_stage(net, [(0,)])))[(0, 1)] == 1.0
+    stage = exclusive_stage(net, [(0,)])
+    assert pair_scores(stage, modified_adamic_adar(stage)) == {(0, 1): 1.0 / math.log(2)}
+    assert pair_scores(stage, modified_jaccard(stage))[(0, 1)] == 1.0
     assert exclusive_neighbors(net, 2, (0,)) == {0, 1}
 
 
@@ -237,98 +242,86 @@ def test_modified_scores_omit_a_pair_whose_exclusive_neighborhoods_do_not_meet()
     edges = [FlowEdge(0, 1, 0, 1.0), FlowEdge(2, 3, 0, 1.0), FlowEdge(0, 4, 0, 1.0), FlowEdge(4, 5, 0, 1.0)]
     net = build_multiplex(edges, n_nodes=6)
     stage = exclusive_stage(net, [(0,)])
-    assert group_scores(modified_jaccard(stage)) == {(0, 5): 1.0 / 2.0, (1, 4): 1.0 / 2.0}
-    assert group_scores(modified_adamic_adar(stage)) == {(0, 5): 1.0 / math.log(2), (1, 4): 1.0 / math.log(2)}
+    assert pair_scores(stage, modified_jaccard(stage)) == {(0, 5): 1.0 / 2.0, (1, 4): 1.0 / 2.0}
+    assert pair_scores(stage, modified_adamic_adar(stage)) == {(0, 5): 1.0 / math.log(2), (1, 4): 1.0 / math.log(2)}
 
 
 def test_modified_candidates_exclude_subset_union_edges_only():
     # (0,1) is an edge in layer 1 but not layer 0, so it is a candidate for D={0}
     edges = [FlowEdge(0, 2, 0, 1.0), FlowEdge(1, 2, 0, 1.0), FlowEdge(0, 1, 1, 1.0)]
     net = build_multiplex(edges, n_layers=2)
-    assert (0, 1) in group_scores(modified_jaccard(exclusive_stage(net, [(0,)])))
+    stage = exclusive_stage(net, [(0,)])
+    assert (0, 1) in pair_scores(stage, modified_jaccard(stage))
 
 
 # --- normalize / threshold / weights -----------------------------------------
 
-def _group(algorithm, subsets, rows, shared=(), normalized=None):
-    """A hand-built ScoredPairs from (subset index, u, v, raw_score) rows and
-    (cell, shared neighbor) entries, given sorted."""
-    index, u, v, raw = np.array(rows, dtype=float).reshape(-1, 4).T
+def _stage(subsets, rows, shared=(), n=0):
+    """A hand-built ExclusiveStage from (subset index, u, v) rows and
+    (cell, shared neighbor) entries on n nodes, given sorted; a row's run is
+    its cell's entries, as exclusive_stage lays them out, and the degrees
+    are empty."""
+    index, u, v = np.array(rows, dtype=np.intp).reshape(-1, 3).T
     cell, neighbor = np.array(shared, dtype=np.intp).reshape(-1, 2).T
-    return ScoredPairs(
-        algorithm, tuple(subsets), index.astype(int), u.astype(int), v.astype(int), raw,
-        cell, neighbor, None if normalized is None else np.array(normalized, dtype=float),
-    )
-
-
-def test_scored_pairs_where_keeps_the_masked_rows():
-    group = _group(JACCARD, [(0, 2), (1, 2)], [(0, 0, 1, 0.2), (1, 1, 3, 0.8)],
-                   shared=[(1, 2), (23, 0)])
-    assert len(group) == 2
-    kept = group.where(np.array([False, True]))
-    assert (kept.algorithm, kept.subsets) == (JACCARD, ((0, 2), (1, 2)))
-    assert group_scores(kept) == {(1, 3): 0.8} and kept.subset_index.tolist() == [1]
-    assert kept.cell is group.cell and kept.neighbor is group.neighbor
-    assert kept.normalized_score is None
+    row_cell = (index * n + u) * n + v
+    first = np.searchsorted(cell, row_cell)
+    common = np.searchsorted(cell, row_cell, side="right") - first
+    return ExclusiveStage(tuple(subsets), np.zeros((len(subsets), 0)), np.zeros((len(subsets), 0)),
+                          index, u, v, first, common, cell, neighbor)
 
 
 def test_normalize_scales_each_group_by_its_maximum():
-    group = normalize_scores(_group(JACCARD, [(0,), (1,), (2,)],
-                                    [(0, 0, 1, 0.2), (0, 0, 2, 0.8), (2, 0, 3, 3.0)]))
-    assert group.normalized_score.tolist() == [0.25, 1.0, 1.0]
-    assert group.raw_score.tolist() == [0.2, 0.8, 3.0]
-    assert group.subset_index.tolist() == [0, 0, 2]
+    stage = _stage([(0,), (1,), (2,)], [(0, 0, 1), (0, 0, 2), (2, 0, 3)])
+    raw = np.array([0.2, 0.8, 3.0])
+    assert normalize_scores(stage, raw).tolist() == [0.25, 1.0, 1.0]
+    assert raw.tolist() == [0.2, 0.8, 3.0]
 
 
 def test_normalize_rejects_a_score_that_is_not_positive():
-    # a scorer's rows share a neighbor, so only a hand-built group holds such a score
-    rows = [(0, 0, 1, 0.5), (1, 0, 2, 0.5), (1, 1, 3, 0.0), (2, 1, 2, 0.0)]
-    with pytest.raises(ValueError, match=r"^raw score 0.0 for \('jaccard', \(1,\)\) is not positive$"):
-        normalize_scores(_group(JACCARD, [(0,), (1,), (2,)], rows))
+    # a scorer's rows share a neighbor, so only hand-built scores hold such a score
+    stage = _stage([(0,), (1,), (2,)], [(0, 0, 1), (1, 0, 2), (1, 1, 3), (2, 1, 2)])
+    with pytest.raises(ValueError, match=r"^raw score 0.0 in subset \(1,\) is not positive$"):
+        normalize_scores(stage, np.array([0.5, 0.5, 0.0, 0.0]))
     for bad in (-0.25, math.nan):
-        with pytest.raises(ValueError, match=r"for \('adamic_adar', \(0, 2\)\) is not positive"):
-            normalize_scores(_group(ADAMIC_ADAR, [(0, 1), (0, 2)], [(0, 0, 1, 1.0), (1, 0, 2, bad)]))
+        with pytest.raises(ValueError, match=r"in subset \(0, 2\) is not positive"):
+            normalize_scores(_stage([(0, 1), (0, 2)], [(0, 0, 1), (1, 0, 2)]), np.array([1.0, bad]))
     # a subset without rows has nothing to scale
-    out = normalize_scores(_group(JACCARD, [(0,), (1,)], [(1, 0, 2, 0.5), (1, 1, 3, 0.25)]))
-    assert out.normalized_score.tolist() == [1.0, 0.5]
-    assert len(normalize_scores(_group(JACCARD, [(1,)], []))) == 0
-    assert len(normalize_scores(_group(JACCARD, [], []))) == 0
+    out = normalize_scores(_stage([(0,), (1,)], [(1, 0, 2), (1, 1, 3)]), np.array([0.5, 0.25]))
+    assert out.tolist() == [1.0, 0.5]
+    assert len(normalize_scores(_stage([(1,)], []), np.zeros(0))) == 0
+    assert len(normalize_scores(_stage([], []), np.zeros(0))) == 0
     assert "warnings" not in vars(prediction)  # no step warns
 
 
 def test_threshold_is_strict():
-    group = normalize_scores(_group(JACCARD, [(0,)], [(0, 0, 1, 1.0), (0, 0, 2, 0.5)]))
-    kept = threshold_filter(group, 0.5)
-    assert group_scores(kept) == {(0, 1): 1.0}
-    assert kept.normalized_score.tolist() == [1.0]
-    with pytest.raises(ValueError, match="requires normalized scores"):
-        threshold_filter(_group(JACCARD, [(0,)], [(0, 0, 1, 1.0)]))
+    kept = threshold_filter(np.array([1.0, 0.5, 0.75]), 0.5)
+    assert kept.tolist() == [0, 2]
+    assert threshold_filter(np.array([1.0, 0.5]), 0.0).tolist() == [0, 1]
     for outside in (-0.1, 1.0):
         with pytest.raises(ValueError, match=r"threshold must lie in \[0, 1\)"):
-            threshold_filter(group, outside)
+            threshold_filter(np.array([1.0]), outside)
 
 
 def test_assign_weights_means_flows_to_shared_exclusive_neighbors():
     # shared exclusive neighbor 2 with flows 4 and 8 to the endpoints
     edges = [FlowEdge(0, 2, 0, 4.0), FlowEdge(1, 2, 0, 8.0)]
     net = build_multiplex(edges)
-    group = threshold_filter(normalize_scores(modified_jaccard(exclusive_stage(net, [(0,)]))), 0.5)
-    links = assign_weights(group, net)
-    assert list(links) == [PredictedLink(0, 1, 1.0, 1.0, 6.0, JACCARD, (0,), 1)]  # mean(4, 8) * 1.0
-    with pytest.raises(ValueError, match="requires normalized scores"):
-        assign_weights(modified_jaccard(exclusive_stage(net, [(0,)])), net)
+    stage = exclusive_stage(net, [(0,)])
+    assert assign_weights(stage, np.arange(1), net).tolist() == [6.0]  # mean(4, 8)
+    assert len(assign_weights(stage, np.arange(0), net)) == 0
+    # both algorithms normalize their one score to 1.0, so both weigh 1.0 * 6.0
+    assert [(l.u, l.v, l.weight) for l in run_stage(net, 1)] == [(0, 1, 6.0)]
 
 
 def test_assign_weights_rejects_pair_without_shared_exclusive_neighbor():
-    # only a hand-built group can hold such a pair: threshold_filter keeps
-    # positive scores, and a positive score means a shared neighbor
+    # only a hand-built stage can hold such a row: exclusive_stage's rows
+    # each share a neighbor
     edges = [FlowEdge(0, 1, 0, 4.0), FlowEdge(2, 3, 0, 8.0)]
     net = build_multiplex(edges, n_nodes=5)
     # entries for the pairs (0, 3) and (1, 3), the cells either side of (0, 4)'s
-    fabricated = _group(JACCARD, [(0,)], [(0, 0, 4, 0.7)], shared=[(3, 1), (8, 2)],
-                        normalized=[0.7])
+    fabricated = _stage([(0,)], [(0, 0, 4)], shared=[(3, 1), (8, 2)], n=5)
     with pytest.raises(ValueError, match=r"pair \(0, 4\) shares no exclusive neighbor in layers \(0,\)"):
-        assign_weights(fabricated, net)
+        assign_weights(fabricated, np.arange(1), net)
 
 
 def test_assign_weights_means_match_np_mean_across_the_unroll_boundary():
@@ -347,16 +340,17 @@ def test_assign_weights_means_match_np_mean_across_the_unroll_boundary():
         for w, flow in zip(hubs, flows):
             intra[0, u, w] = intra[0, w, u] = flow  # v's flows to the hubs stay 0
             shared.append((u * n + v, w))
-        rows.append((0, u, v, 1.0))
+        rows.append((0, u, v))
         contexts.append(flows)
         first += 2 + count
     net = MultiplexNetwork(directed=False, intra=intra, coupling=1.0)
-    normalized = rng.uniform(0.5, 1.0, len(counts))
-    group = _group(ADAMIC_ADAR, [(0,)], rows, shared=shared, normalized=normalized)
-    links = assign_weights(group, net)
-    assert [(l.u, l.v) for l in links] == [(u, v) for _, u, v, _ in rows]
-    for link, norm, context in zip(links, normalized, contexts):
-        assert link.weight == norm * float(np.mean(context))  # exact
+    stage = _stage([(0,)], rows, shared=shared, n=n)
+    means = assign_weights(stage, np.arange(len(rows)), net)
+    for mean, context in zip(means.tolist(), contexts):
+        assert mean == float(np.mean(context))  # exact
+    # some of the rows, in any order, get the same means
+    some = np.array([5, 2, 3, 0])
+    assert assign_weights(stage, some, net).tolist() == means[some].tolist()
 
 
 def test_run_stage_weights_match_plain_loop_flow_means():
@@ -416,19 +410,21 @@ def test_link_table_round_trips_links_with_sources():
     assert len(empty) == 0 and list(empty) == [] and empty.subsets == ()
 
 
-def test_link_table_sources_is_one_boolean_mask_per_row_algorithm_and_subset():
+def test_link_table_sources_is_one_boolean_mask_per_row_algorithm_and_subset(monkeypatch):
     rng = np.random.default_rng(7)
     net = random_multiplex(rng, 8, 3, p=0.5)
-    weighted = assign_weights(threshold_filter(normalize_scores(
-        modified_jaccard(exclusive_stage(net, enumerate_layer_subsets(3, 2))))), net)
+    weighted = []  # the per-algorithm tables a pass hands to dedupe_links
+    dedupe = prediction.dedupe_links
+    monkeypatch.setattr(prediction, "dedupe_links", lambda tables: dedupe(weighted.extend(tables) or weighted))
     union = run_stage(net, 2, threshold=0.5)
-    tables = (weighted, union, dedupe_links([weighted, union]), LinkTable.from_links(list(union)),
+    assert len(weighted) == 2
+    tables = (*weighted, union, dedupe_links([*weighted, union]), LinkTable.from_links(list(union)),
               LinkTable.from_links([]))
     for table in tables:
         assert table.sources.dtype == bool
         assert table.sources.shape == (len(table), len(ALGORITHMS), len(table.subsets))
     # a weighted row carries no provenance; a deduplicated row carries at least its own tag
-    assert not weighted.sources.any() and len(weighted)
+    assert all(not table.sources.any() and len(table) for table in weighted)
     assert union.sources[np.arange(len(union)), union.algorithm, union.subset].all()
 
 
@@ -508,12 +504,11 @@ def _multiplexes(draw):
 @given(_multiplexes())
 def test_run_stage_matches_the_oracle_stage_on_random_multiplexes(net):
     for k in range(1, min(3, net.n_layers) + 1):
-        # both scorers score the same rows, each with a positive score
+        # both scorers score every row of the stage, each with a positive score
         stage = exclusive_stage(net, enumerate_layer_subsets(net.n_layers, k))
         jaccard, adamic_adar = modified_jaccard(stage), modified_adamic_adar(stage)
-        for column in ("subset_index", "u", "v"):
-            assert np.array_equal(getattr(jaccard, column), getattr(adamic_adar, column))
-        assert (jaccard.raw_score > 0).all() and (adamic_adar.raw_score > 0).all()
+        assert jaccard.shape == adamic_adar.shape == stage.u.shape
+        assert (jaccard > 0).all() and (adamic_adar > 0).all()
         for threshold in (0.0, 0.5, 0.9):
             assert list(run_stage(net, k, threshold)) == _oracle_stage(net, k, threshold)
 
@@ -537,15 +532,19 @@ def test_run_stage_does_not_depend_on_the_pass_budget(monkeypatch):
     assert set(scored) == {1} and len(scored) == len(nets) * (4 + 6 + 4) * 2
 
 
-def test_run_stage_splits_a_dense_stage_by_its_shared_pair_list(monkeypatch):
-    # a seeded Erdos-Renyi multiplex, N=200, L=5, p=0.2 per layer: stage 3
-    # lists about 380,000 shared-neighbor entries per subset, which the
-    # (N, N) cells alone do not show
+def _erdos_renyi_multiplex():
+    """A seeded Erdos-Renyi multiplex, N=200, L=5, p=0.2 per layer, undirected."""
     rng = np.random.default_rng(0)
     layer, u, v = np.nonzero(np.triu(rng.random((5, 200, 200)) < 0.2, k=1))
     flows = rng.uniform(0.5, 2.0, layer.size)
-    net = build_multiplex([FlowEdge(*edge) for edge in zip(u.tolist(), v.tolist(), layer.tolist(),
-                                                         flows.tolist())], n_layers=5, n_nodes=200)
+    return build_multiplex([FlowEdge(*edge) for edge in zip(u.tolist(), v.tolist(), layer.tolist(),
+                                                          flows.tolist())], n_layers=5, n_nodes=200)
+
+
+def test_run_stage_splits_a_dense_stage_by_its_shared_pair_list(monkeypatch):
+    # on the Erdos-Renyi multiplex stage 3 lists about 380,000 shared-neighbor
+    # entries per subset, which the (N, N) cells alone do not show
+    net = _erdos_renyi_multiplex()
     passes = []
     build = prediction.exclusive_stage
     monkeypatch.setattr(prediction, "exclusive_stage",
@@ -563,6 +562,84 @@ def test_run_stage_splits_a_dense_stage_by_its_shared_pair_list(monkeypatch):
     for name in ("u", "v", "raw_score", "normalized_score", "weight", "algorithm", "subset", "sources"):
         assert np.array_equal(getattr(split, name), getattr(whole, name)), name
     assert split.subsets == whole.subsets and len(split) > 10_000
+
+
+def test_a_pass_at_threshold_zero_stays_within_its_budget(monkeypatch):
+    # at threshold 0 every row is kept, weighted and tabled: a pass's peak
+    # over what it started with stays within what run_stage counted for it,
+    # CELL_BYTES per cell of each subset and ENTRY_BYTES per listed entry,
+    # plus the per-layer adjacency it builds, which is not counted
+    net = _erdos_renyi_multiplex()
+    n = net.n_nodes
+    adjacency = (2 * net.n_layers + 1) * n * n
+    passes = []
+    build, dedupe = prediction.exclusive_stage, prediction.dedupe_links
+
+    def close():  # the pass that is open, if any, ends
+        if passes and "peak" not in passes[-1]:
+            passes[-1]["peak"] = tracemalloc.get_traced_memory()[1] - passes[-1]["start"]
+
+    def start(net, subsets):
+        close()
+        tracemalloc.reset_peak()
+        begun = tracemalloc.get_traced_memory()[0]
+        stage = build(net, subsets)
+        passes.append({"start": begun, "subsets": len(subsets),
+                       "cost": len(subsets) * CELL_BYTES * n * n + ENTRY_BYTES * stage.cell.size})
+        return stage
+
+    for k in (1, 2):
+        # a budget of three of the stage's costliest subsets packs several per pass
+        costs = [CELL_BYTES * n * n + ENTRY_BYTES * build(net, [subset]).cell.size
+                 for subset in enumerate_layer_subsets(net.n_layers, k)]
+        monkeypatch.setattr(prediction, "CHUNK_BYTES", 3 * max(costs))
+        monkeypatch.setattr(prediction, "exclusive_stage", start)
+        monkeypatch.setattr(prediction, "dedupe_links", lambda tables: close() or dedupe(tables))
+        passes.clear()
+        tracemalloc.start()
+        try:
+            split = run_stage(net, k, 0.0)
+        finally:
+            tracemalloc.stop()
+        assert min(p["subsets"] for p in passes[:-1]) >= 3 and len(passes) > 1
+        for p in passes:
+            assert p["peak"] <= p["cost"] + adjacency, (k, p)
+        monkeypatch.setattr(prediction, "CHUNK_BYTES", 2**40)
+        monkeypatch.setattr(prediction, "exclusive_stage", build)
+        assert list(split) == list(run_stage(net, k, 0.0))
+
+
+def test_run_stage_weights_each_pass_once_on_the_union_of_kept_rows(monkeypatch):
+    net = random_multiplex(np.random.default_rng(41), 9, 4, p=0.45)
+    normalized, kept, weighed, tables = [], [], [], []
+    for name, log in (("normalize_scores", normalized), ("threshold_filter", kept),
+                      ("assign_weights", weighed)):
+        monkeypatch.setattr(prediction, name, lambda *args, step=getattr(prediction, name), log=log:
+                            log.append((args, step(*args))) or log[-1][1])
+    dedupe = prediction.dedupe_links
+    monkeypatch.setattr(prediction, "dedupe_links", lambda t: tables.extend(t) or dedupe(tables))
+    widened = 0
+    # one pass per stage by default, one per subset under a 1-byte budget
+    for budget, passes in ((prediction.CHUNK_BYTES, (1, 1, 1, 1)), (1, (4, 6, 4, 1))):
+        monkeypatch.setattr(prediction, "CHUNK_BYTES", budget)
+        for k, count in zip((1, 2, 3, 4), passes):
+            for log in (normalized, kept, weighed, tables):
+                log.clear()
+            assert len(run_stage(net, k, 0.5))
+            assert len(weighed) == count and len(normalized) == len(kept) == len(tables) == 2 * count
+            for p, ((stage, rows, _), mean) in enumerate(weighed):
+                # the sorted union of the pass's two kept row sets, each row once
+                ours = [kept[2 * p + a][1].tolist() for a in (0, 1)]
+                assert rows.tolist() == sorted(set(ours[0]) | set(ours[1]))
+                widened += len(rows) > max(map(len, ours))
+                means = dict(zip(rows.tolist(), mean.tolist()))
+                for a in (0, 1):  # Jaccard, then Adamic-Adar
+                    (scored_stage, _), scores = normalized[2 * p + a]
+                    assert scored_stage is stage
+                    # a link's weight is its normalized score times its row's mean, bit for bit
+                    want = [scores[r] * means[r] for r in ours[a]]
+                    assert tables[2 * p + a].weight.tolist() == want
+    assert widened  # some pass weights rows that only one algorithm kept
 
 
 def test_run_stage_builds_each_pass_once_for_both_scorers(monkeypatch):

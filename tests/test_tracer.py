@@ -46,12 +46,13 @@ def traced_pipeline(tmp_path_factory):
 def test_traced_pipeline_scores_each_stage_once_per_algorithm(traced_pipeline):
     trace = traced_pipeline
     calls = Counter(span["name"] for span in trace.spans)
-    # three stages over three layers, each scored, normalized, thresholded
-    # and weighted in one trip per algorithm, whatever its subset count;
-    # one dedupe per stage plus the merge
+    # three stages over three layers, each scored, normalized and
+    # thresholded in one trip per algorithm, whatever its subset count, and
+    # weighted once for both; one dedupe per stage plus the merge
     assert calls["prediction.stage"] == 3
-    for step in ("score", "normalize", "threshold", "weights"):
+    for step in ("score", "normalize", "threshold"):
         assert calls[f"prediction.{step}"] == 6, step
+    assert calls["prediction.weights"] == 3
     assert calls["prediction.dedupe"] == 4
     # the pairs both scorers return and the rows that pass the threshold
     counts = trace.counts[tracer.WORKLOAD_RUN]

@@ -6,7 +6,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from conftest import oracle_supra, random_multiplex, triangle_network
+from conftest import oracle_supra, random_multiplex, row_stochastic_check, triangle_network
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
@@ -18,7 +18,6 @@ from multinav import (
     build_multiplex,
     build_supra_transition,
     coverage_montecarlo,
-    row_stochastic_check,
     simulate_walk,
 )
 from multinav.walks import (
