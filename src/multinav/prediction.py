@@ -17,12 +17,13 @@ deduplicated union, one table whose provenance marks every contributing
 integrate_links. A self-loop makes no node its own neighbor, so it adds to no
 exclusive neighborhood or degree.
 
-Each subset is scored on one boolean exclusive adjacency ``E = inside & ~outside``,
-built from the per-layer adjacency. exclusive_stage computes it once per pass
-and keeps what the steps read: each node's exclusive and union degree, and
-each hub's pairs of exclusive neighbors, listed once in O(sum of deg^2) and
-sorted, so a candidate's shared neighbors are one run of C entries. Jaccard is
-``C / (d_u + d_v - C)``, Adamic-Adar adds each shared neighbor's ``1 / ln(union
+Each subset is scored from one table of the node pairs some layer joins, with
+each pair's layers: a pair is inside a subset when one of its layers is in it,
+and exclusive to it when all are. exclusive_stage builds it once per pass and
+keeps what the steps read: each node's exclusive and union degree, and each
+hub's pairs of exclusive neighbors, listed once in O(sum of deg^2) and sorted,
+so a candidate's shared neighbors are one run of C entries. Jaccard is ``C /
+(d_u + d_v - C)``, Adamic-Adar adds each shared neighbor's ``1 / ln(union
 degree)`` in ascending order from 0.0, and assign_weights reads a row's flows
 from the same run. Every score is bit-identical to a per-pair loop over
 neighbor sets. On a large network run_stage splits a stage into passes of as
@@ -45,16 +46,14 @@ JACCARD = "jaccard"
 ADAMIC_ADAR = "adamic_adar"
 ALGORITHMS = (ADAMIC_ADAR, JACCARD)  # a LinkTable's algorithm codes, in string order
 
-# what a prediction pass holds at its peak, per (N, N) cell of a subset: the
-# layer count and three masks of the exclusive stack, a byte each; and per
-# entry of its shared-pair list: the list (16 bytes), a row (at most one per
-# entry, with its scores and links) and the flows assign_weights gathers for
-# the entries of kept rows. tracemalloc puts a whole pass at up to 229 bytes
-# per entry on a seeded Erdos-Renyi multiplex (N=200, L=5, p=0.2; every
-# stage, either direction, thresholds 0 and 0.5); where nearly every entry is
-# a row, as on a sparse lattice, a pass holds more per entry, but its cells
-# outweigh its list (run_stage)
-CELL_BYTES = 4
+# what a prediction pass holds at its peak, per subset: two degrees per node
+# and, per pair some layer of it joins, its cells and their temporaries (56
+# bytes under tracemalloc where no pair is exclusive); per entry of its list,
+# besides the flows run_stage counts: the entry, a row (at most one per entry,
+# with its scores and links) and the gather's indices, up to 248 bytes on the
+# seed-0 perfbench/gen.py lattices (N=400, 800, L=5, every stage, threshold 0)
+NODE_BYTES = 16
+PAIR_BYTES = 64
 ENTRY_BYTES = 256
 
 LINK_CSV_COLUMNS = (
@@ -178,14 +177,11 @@ def _subset_codes(*groups: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ..
     return subsets, [np.array([position[tuple(s)] for s in group], dtype=np.intp) for group in groups]
 
 
-def _unoriented_adjacency(net: MultiplexNetwork) -> np.ndarray:
-    """Edge presence per layer, either direction, as an (L, N, N) stack; a
-    node is not its own neighbor."""
-    adj = net.intra > 0
-    if net.directed:
-        adj = adj | adj.transpose(0, 2, 1)
-    diagonal = np.arange(net.n_nodes)
-    adj[:, diagonal, diagonal] = False
+def _layer_adjacency(net: MultiplexNetwork, layer: int) -> np.ndarray:
+    """A layer's edge presence, either direction, (N, N); a node is not its own neighbor."""
+    adj = net.intra[layer] > 0
+    adj |= adj.T
+    np.fill_diagonal(adj, False)
     return adj
 
 
@@ -201,55 +197,49 @@ def _stage_subsets(net: MultiplexNetwork, subsets: Iterable[Sequence[int]]) -> t
     return subsets
 
 
-def _members(subsets: Sequence[tuple[int, ...]], n_layers: int) -> np.ndarray:
-    """The (S, L) mask of each subset's layers."""
-    member = [[k in subset for k in range(n_layers)] for subset in subsets]
-    return np.array(member, dtype=bool).reshape(-1, n_layers)
+def _joined_pairs(net: MultiplexNetwork, subsets: Sequence[tuple[int, ...]]) -> tuple[np.ndarray, ...]:
+    """(x, y, inside, exclusive): each pair x < y that some layer joins, either
+    direction, in row-major order (a node is not its own neighbor), and the
+    (S, pairs) masks of a pair held by some layer of each subset and of one
+    held by no layer outside it, which is then exclusive to the subset."""
+    present = net.intra > 0  # the one dense scan
+    joined = present.any(axis=0)
+    joined |= joined.T
+    x, y = np.nonzero(joined)
+    x, y = x[x < y], y[x < y]
+    layers = present[:, x, y] | present[:, y, x]  # each pair's (L, pairs) layers
+    member = np.array([[k in subset for k in range(net.n_layers)] for subset in subsets],
+                      dtype=bool).reshape(-1, net.n_layers)  # each subset's (S, L) layers
+    return x, y, member @ layers, ~(~member @ layers)
 
 
-def _exclusive_stack(adjacency: np.ndarray, subsets: Sequence[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
-    """(exclusive adjacency ``inside & ~outside``, adjacency within any layer of
-    the subset), one (N, N) slice per subset: a pair is inside when some layer
-    of the subset holds it, and exclusive when every layer holding it does."""
-    count = np.min_scalar_type(len(adjacency))  # holds any count of layers
-    held = adjacency.astype(count)
-    within = np.einsum("sl,lij->sij", _members(subsets, len(adjacency)).astype(count), held)
-    inside = within > 0
-    return inside & (within == held.sum(axis=0, dtype=count)), inside
+def _cells(mask: np.ndarray, x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
+    """The flat index of (subset, a, b) in an (S, N, N) grid for each pair the
+    (S, pairs) mask holds, as (a, b) = (x, y), ascending, then as (y, x)."""
+    subset, pair = np.nonzero(mask)
+    subset *= n
+    return np.concatenate([(subset + x[pair]) * n + y[pair], (subset + y[pair]) * n + x[pair]])
 
 
-def _exclusive_degrees(adjacency: np.ndarray, subsets: Sequence[tuple[int, ...]]) -> np.ndarray:
-    """Each (subset, node)'s exclusive degree, (S, N), with no (S, N, N) stack:
-    a node's neighbors counted by the set of layers joining them, summed over
-    the sets with no layer outside the subset."""
-    node, other = np.nonzero(adjacency.any(axis=0))
-    held = adjacency[:, node, other]  # each joined pair's layers, (L, pairs)
-    # a pair's set of layers as one key of packed bits
-    keys = np.packbits(held, axis=0).T.copy().view(f"V{-(-len(adjacency) // 8)}")
-    _, first, joining = np.unique(keys.reshape(-1), return_index=True, return_inverse=True)
-    n = adjacency.shape[-1]
-    count = np.bincount(joining * n + node, minlength=len(first) * n).reshape(len(first), n)
-    inside = ~(held[:, first].T & ~_members(subsets, len(adjacency))[:, None, :]).any(axis=2)
-    return inside.astype(np.intp) @ count
+def _degrees(cells: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Each (subset, node)'s count of the (subset, node, other) cells, (S, N)."""
+    return np.bincount(cells // shape[1], minlength=math.prod(shape)).reshape(shape)
 
 
-def exclusive_neighbors(
-    net: MultiplexNetwork,
-    v: int,
-    subset: Sequence[int],
-) -> frozenset[int]:
+def exclusive_neighbors(net: MultiplexNetwork, v: int, subset: Sequence[int]) -> frozenset[int]:
     """Neighbors of v linked to it solely within the given layer subset."""
     if not 0 <= v < net.n_nodes:
         raise ValueError(f"node {v} out of range [0, {net.n_nodes})")
-    exclusive, _ = _exclusive_stack(_unoriented_adjacency(net), _stage_subsets(net, [subset]))
-    return frozenset(np.flatnonzero(exclusive[0, v]).tolist())
+    x, y, _, exclusive = _joined_pairs(net, _stage_subsets(net, [subset]))
+    held = exclusive[0]
+    return frozenset(np.concatenate([y[held & (x == v)], x[held & (y == v)]]).tolist())
 
 
 def jaccard_classic(net: MultiplexNetwork, layer: int, u: int, v: int) -> float:
     """Single-layer Jaccard coefficient: |intersection| / |union| of neighborhoods."""
     if u == v:
         raise ValueError("Jaccard requires two distinct nodes")
-    adj = _unoriented_adjacency(net)[layer]
+    adj = _layer_adjacency(net, layer)
     union = int(np.count_nonzero(adj[u] | adj[v]))
     if not union:
         return 0.0
@@ -265,7 +255,7 @@ def adamic_adar_classic(net: MultiplexNetwork, layer: int, u: int, v: int) -> fl
     """
     if u == v:
         raise ValueError("Adamic-Adar requires two distinct nodes")
-    adj = _unoriented_adjacency(net)[layer]
+    adj = _layer_adjacency(net, layer)
     degree = adj.sum(axis=1)
     score = 0.0
     for w in np.flatnonzero(adj[u] & adj[v]):
@@ -276,18 +266,22 @@ def adamic_adar_classic(net: MultiplexNetwork, layer: int, u: int, v: int) -> fl
 
 def exclusive_stage(net: MultiplexNetwork, subsets: Iterable[Sequence[int]]) -> ExclusiveStage:
     """The exclusive neighborhoods of a stage, layer subsets all of one size,
-    as both scorers read them; the exclusive and inside stacks die with the call."""
+    as both scorers read them, from the pairs some layer joins."""
     subsets = _stage_subsets(net, subsets)
-    exclusive, inside = _exclusive_stack(_unoriented_adjacency(net), subsets)
-    site, cell = _shared_pairs(exclusive)
-    # each pair's entries are one run of the sorted list; a candidate's is a row
+    shape = (len(subsets), net.n_nodes)
+    x, y, inside, exclusive = _joined_pairs(net, subsets)
+    held, joined = _cells(exclusive, x, y, shape[1]), _cells(inside, x, y, shape[1])
+    site, cell = _shared_pairs(held, shape[1])
+    # each pair's entries are one run of the sorted list; a candidate's is a
+    # row unless some layer of its subset joins the pair
     first = np.flatnonzero(np.diff(cell, prepend=-1))
     common = np.diff(first, append=cell.size)
-    row = ~inside.reshape(-1)[cell[first]]
+    upper = joined[:joined.size // 2]  # each inside cell (x, y), x < y, ascending
+    row = np.append(upper, -1)[np.searchsorted(upper, cell[first])] != cell[first]
     first, common = first[row], common[row]
-    return ExclusiveStage(subsets, exclusive.sum(axis=2), inside.sum(axis=2),
-                          *np.unravel_index(cell[first], inside.shape), first, common, cell,
-                          np.remainder(site, net.n_nodes, out=site))  # w of each site, in place
+    return ExclusiveStage(subsets, _degrees(held, shape), _degrees(joined, shape),
+                          *np.unravel_index(cell[first], shape + shape[1:]), first, common, cell,
+                          np.remainder(site, shape[1], out=site))  # w of each site, in place
 
 
 def _runs(start: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -296,19 +290,19 @@ def _runs(start: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return row, np.arange(row.size) + np.repeat(start - (np.cumsum(count) - count), count)
 
 
-def _shared_pairs(exclusive: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(site, cell) for every pair x < y of a hub's exclusive neighbors.
+def _shared_pairs(held: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(site, cell) for every pair x < y of a hub's exclusive neighbors, from
+    ``held``, the flat (subset, w, x) index in an (S, N, N) grid of each
+    exclusive neighbor x of each (subset, w), in any order.
 
     A hub is a (subset, w) with at least two exclusive neighbors; ``site`` is
     the flat index of (subset, w) in the (S, N) grid and ``cell`` that of
-    (subset, x, y) in the (S, N, N) stack. Entries are listed in O(sum of
-    deg^2), hub by hub, then sorted by cell with a stable sort, so w stays
-    ascending within a cell.
+    (subset, x, y). Entries are listed in O(sum of deg^2), hub by hub, then
+    sorted by cell with a stable sort, so w stays ascending within a cell.
     """
-    # E is symmetric: row w holds the nodes sharing w, and each entry (w, x)
-    # pairs with the run of x's after it in w's row; a lone x pairs with none
-    n = exclusive.shape[-1]
-    site, x = np.divmod(np.flatnonzero(exclusive), n)
+    # a hub's neighbors are one ascending run of held, and each entry (w, x)
+    # pairs with the x's after it in that run; a lone x pairs with none
+    site, x = np.divmod(np.sort(held), n)
     later = np.cumsum(np.bincount(site))[site] - 1 - np.arange(site.size)
     entry, partner = _runs(np.arange(1, site.size + 1), later)
     site = site[entry]
@@ -377,12 +371,12 @@ def _positive_flows(stage: ExclusiveStage, rows: np.ndarray,
     layers = np.array(stage.subsets, dtype=np.intp).reshape(len(stage.subsets), -1)
     # each row's run of entries: rows in order, then w ascending
     pair, entry = _runs(stage.first[rows], stage.common[rows])
-    ends = np.stack([stage.u[rows], stage.v[rows]], axis=1)[pair, None, :]
-    hub, own = stage.neighbor[entry, None, None], layers[stage.subset_index[rows][pair], :, None]
-    # cells[p, k, a, d]: flow a -> w in the subset's k-th layer (d = 0)
-    # and, when directed, w -> a (d = 1), for each endpoint a of the pair
-    into = net.intra[own, ends, hub]
-    cells = np.stack([into, net.intra[own, hub, ends]], axis=-1) if net.directed else into[..., None]
+    ends = np.stack([stage.u[rows], stage.v[rows]], axis=1)[pair, None, :, None]
+    hub, own = stage.neighbor[entry, None, None, None], layers[stage.subset_index[rows][pair], :, None, None]
+    # cells[p, k, a, d]: flow a -> w in the subset's k-th layer (d = 0) and,
+    # when directed, w -> a (d = 1), for each endpoint a of the pair, in one gather
+    a_to_w = np.arange(1 + net.directed) == 0
+    cells = net.intra[own, np.where(a_to_w, ends, hub), np.where(a_to_w, hub, ends)]
     flat = np.flatnonzero(cells > 0)
     return pair[flat // math.prod(cells.shape[1:])], cells.reshape(-1)[flat]
 
@@ -459,17 +453,23 @@ def run_stage(net: MultiplexNetwork, k: int, threshold: float = 0.5) -> LinkTabl
 
     Subsets go through in passes, each built once by exclusive_stage and
     turned into links by _pass_links, of as many consecutive subsets as fit
-    CHUNK_BYTES, and at least one. A subset costs CELL_BYTES per (N, N) cell
-    and ENTRY_BYTES per entry of its shared-pair list, whose sum_w C(deg_w,
-    2) entries are counted from its exclusive degrees before any is listed;
-    an entry pays for itself, a row, that row's links and the flows
-    assign_weights gathers. Not counted: the per-layer adjacency each pass
-    builds, 2L + 1 bytes per cell. A stage is one pass unless the network is
-    large or dense; no link depends on the split.
+    CHUNK_BYTES, and at least one. A subset costs NODE_BYTES per node,
+    PAIR_BYTES per pair some layer of it joins and, per entry of its
+    shared-pair list (sum_w C(deg_w, 2) entries, counted from its exclusive
+    degrees before any is listed), ENTRY_BYTES for the entry, a row and its
+    links, plus the flows assign_weights gathers: 18 bytes per layer of the
+    subset, 36 when directed. Not counted: the one dense scan each pass makes
+    for the pairs some layer joins, L + 2 bytes per (N, N) cell. A stage is
+    one pass unless the network is large or dense; no link depends on the split.
     """
     subsets = enumerate_layer_subsets(net.n_layers, k)
-    degree = _exclusive_degrees(_unoriented_adjacency(net), subsets)
-    cost = CELL_BYTES * net.n_nodes**2 + ENTRY_BYTES * (degree * (degree - 1) // 2).sum(axis=1)
+    x, y, inside, exclusive = _joined_pairs(net, subsets)
+    degree = _degrees(_cells(exclusive, x, y, net.n_nodes), (len(subsets), net.n_nodes))
+    # an entry's share of the pass, and the block _positive_flows gathers for
+    # it: a flow and its mask byte per layer, endpoint and direction
+    entry = ENTRY_BYTES + (net.intra.itemsize + 1) * 2 * k * (1 + net.directed)
+    cost = (NODE_BYTES * net.n_nodes + PAIR_BYTES * inside.sum(axis=1)
+            + entry * (degree * (degree - 1) // 2).sum(axis=1))
     tables, start = [], 0
     while start < len(subsets):
         stop = start + max(1, int(np.searchsorted(np.cumsum(cost[start:]), CHUNK_BYTES, side="right")))

@@ -5,8 +5,10 @@ from __future__ import annotations
 import csv
 import io
 import math
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from conftest import (
     oracle_flow_mean,
     oracle_pair_layers,
     oracle_scores,
+    oracle_union_adjacent,
     pair_scores,
     random_multiplex,
 )
@@ -46,15 +49,20 @@ from multinav import prediction
 from multinav.prediction import (
     ADAMIC_ADAR,
     ALGORITHMS,
-    CELL_BYTES,
     ENTRY_BYTES,
     JACCARD,
     LINK_CSV_COLUMNS,
+    NODE_BYTES,
+    PAIR_BYTES,
     format_subset,
     parse_subset,
     format_links_csv,
     read_links_csv,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+from gen import lattice_edges  # noqa: E402
 
 
 # --- exclusive neighborhoods -------------------------------------------------
@@ -224,6 +232,38 @@ def test_shared_neighbor_entries_match_the_oracle():
                     stage.subset_index, stage.u, stage.v, stage.first, stage.common))):
                 assert _entries(stage, s, u, v, n) == stage.neighbor[first:first + common].tolist() != []
     assert checked > 1000
+
+
+def test_degrees_match_the_oracle(monkeypatch):
+    # every (subset, node)'s degrees, which the pass budget reads at every
+    # node, not only at row endpoints and shared neighbors
+    rng = np.random.default_rng(2468)
+    counted, count = [], prediction._degrees
+    monkeypatch.setattr(prediction, "_degrees", lambda cells, shape: counted.append(count(cells, shape))
+                        or counted[-1])
+    for trial in range(16):
+        net = random_multiplex(rng, int(rng.integers(3, 10)), int(rng.integers(1, 5)),
+                               directed=bool(trial % 2), p=float(rng.uniform(0.2, 0.7)))
+        intra = net.intra.copy()  # self-loops on about half the nodes of each layer
+        layer, node = np.nonzero(rng.random(intra.shape[:2]) < 0.5)
+        intra[layer, node, node] = rng.uniform(0.5, 2.0, node.size)
+        net = MultiplexNetwork(directed=net.directed, intra=intra, coupling=1.0)
+        pair_layers, n = oracle_pair_layers(net), net.n_nodes
+        for k in range(1, net.n_layers + 1):
+            subsets = enumerate_layer_subsets(net.n_layers, k)
+            stage = exclusive_stage(net, subsets)
+            for s, subset in enumerate(subsets):
+                assert stage.degree[s].tolist() == [len(oracle_exclusive(pair_layers, n, v, subset))
+                                                    for v in range(n)]
+                assert stage.union_degree[s].tolist() == [len(oracle_union_adjacent(pair_layers, n, v, subset))
+                                                          for v in range(n)]
+            # run_stage's first count is its budget's: each subset's sum_w
+            # C(deg_w, 2) is the length of the subset's shared-pair list
+            counted.clear()
+            run_stage(net, k)
+            assert counted[0].dtype == stage.degree.dtype and np.array_equal(counted[0], stage.degree)
+            assert (counted[0] * (counted[0] - 1) // 2).sum(axis=1).tolist() == [
+                exclusive_stage(net, [subset]).cell.size for subset in subsets]
 
 
 def test_self_loops_add_no_neighbor_or_degree():
@@ -564,14 +604,34 @@ def test_run_stage_splits_a_dense_stage_by_its_shared_pair_list(monkeypatch):
     assert split.subsets == whole.subsets and len(split) > 10_000
 
 
-def test_a_pass_at_threshold_zero_stays_within_its_budget(monkeypatch):
-    # at threshold 0 every row is kept, weighted and tabled: a pass's peak
-    # over what it started with stays within what run_stage counted for it,
-    # CELL_BYTES per cell of each subset and ENTRY_BYTES per listed entry,
-    # plus the per-layer adjacency it builds, which is not counted
-    net = _erdos_renyi_multiplex()
-    n = net.n_nodes
-    adjacency = (2 * net.n_layers + 1) * n * n
+def _lattice(n, n_layers, directed):
+    """The seed-0 ring lattice of perfbench/gen.py: about three neighbors per
+    layer, many of them exclusive to one layer."""
+    rows = lattice_edges(n, n_layers, directed, 0)
+    return build_multiplex([FlowEdge(u, v, layer, flow) for layer, u, v, flow in rows],
+                           n_layers=n_layers, n_nodes=n, directed=directed)
+
+
+def _cost(net, stage):
+    """What run_stage counts for a pass over the stage's subsets: NODE_BYTES
+    per node and PAIR_BYTES per pair inside each subset, and per listed entry
+    ENTRY_BYTES plus the flows assign_weights gathers, 18 bytes per layer of
+    the subset, 36 when directed."""
+    k = len(stage.subsets[0])
+    return (len(stage.subsets) * NODE_BYTES * net.n_nodes + PAIR_BYTES * (int(stage.union_degree.sum()) // 2)
+            + (ENTRY_BYTES + 18 * k * (1 + net.directed)) * stage.cell.size)
+
+
+def _scan(net):
+    """The one dense scan a pass makes for the pairs some layer joins, which
+    run_stage does not count: L + 2 bytes per (N, N) cell."""
+    return (net.n_layers + 2) * net.n_nodes**2
+
+
+def _passes(monkeypatch, net, k, threshold, budget):
+    """run_stage(net, k, threshold) under a CHUNK_BYTES budget, and each pass's
+    subset count, listed entries, cost and tracemalloc peak over what it
+    started with."""
     passes = []
     build, dedupe = prediction.exclusive_stage, prediction.dedupe_links
 
@@ -584,29 +644,55 @@ def test_a_pass_at_threshold_zero_stays_within_its_budget(monkeypatch):
         tracemalloc.reset_peak()
         begun = tracemalloc.get_traced_memory()[0]
         stage = build(net, subsets)
-        passes.append({"start": begun, "subsets": len(subsets),
-                       "cost": len(subsets) * CELL_BYTES * n * n + ENTRY_BYTES * stage.cell.size})
+        passes.append({"start": begun, "subsets": len(subsets), "entries": stage.cell.size,
+                       "cost": _cost(net, stage)})
         return stage
 
+    monkeypatch.setattr(prediction, "CHUNK_BYTES", budget)
+    monkeypatch.setattr(prediction, "exclusive_stage", start)
+    monkeypatch.setattr(prediction, "dedupe_links", lambda tables: close() or dedupe(tables))
+    tracemalloc.start()
+    try:
+        links = run_stage(net, k, threshold)
+    finally:
+        tracemalloc.stop()
+        monkeypatch.setattr(prediction, "exclusive_stage", build)
+        monkeypatch.setattr(prediction, "dedupe_links", dedupe)
+    return links, passes
+
+
+def test_a_pass_at_threshold_zero_stays_within_its_budget(monkeypatch):
+    # at threshold 0 every row is kept, weighted and tabled: a pass's peak
+    # over what it started with stays within what run_stage counted for it
+    # plus the dense scan it makes, which is not counted
+    net = _erdos_renyi_multiplex()
     for k in (1, 2):
         # a budget of three of the stage's costliest subsets packs several per pass
-        costs = [CELL_BYTES * n * n + ENTRY_BYTES * build(net, [subset]).cell.size
+        costs = [_cost(net, exclusive_stage(net, [subset]))
                  for subset in enumerate_layer_subsets(net.n_layers, k)]
-        monkeypatch.setattr(prediction, "CHUNK_BYTES", 3 * max(costs))
-        monkeypatch.setattr(prediction, "exclusive_stage", start)
-        monkeypatch.setattr(prediction, "dedupe_links", lambda tables: close() or dedupe(tables))
-        passes.clear()
-        tracemalloc.start()
-        try:
-            split = run_stage(net, k, 0.0)
-        finally:
-            tracemalloc.stop()
+        split, passes = _passes(monkeypatch, net, k, 0.0, 3 * max(costs))
         assert min(p["subsets"] for p in passes[:-1]) >= 3 and len(passes) > 1
         for p in passes:
-            assert p["peak"] <= p["cost"] + adjacency, (k, p)
+            assert p["peak"] <= p["cost"] + _scan(net), (k, p)
         monkeypatch.setattr(prediction, "CHUNK_BYTES", 2**40)
-        monkeypatch.setattr(prediction, "exclusive_stage", build)
         assert list(split) == list(run_stage(net, k, 0.0))
+    # on a sparse directed lattice nearly every entry is a row, and at stage L
+    # a pass holds more than ENTRY_BYTES per entry: only the flow term covers it
+    net = _lattice(400, 5, directed=True)
+    _, (p,) = _passes(monkeypatch, net, 5, 0.0, 2**40)
+    assert p["peak"] <= p["cost"] + _scan(net) and p["entries"] > 10_000, p
+
+
+def test_a_pass_grows_with_its_subsets_only_by_their_entries(monkeypatch):
+    # no pass holds an (N, N) array per subset: packing a stage's three
+    # subsets into one pass costs at most ENTRY_BYTES per entry the other two add
+    net = _lattice(400, 3, directed=False)
+    alone, singles = _passes(monkeypatch, net, 1, 0.0, 1)
+    together, (joint,) = _passes(monkeypatch, net, 1, 0.0, 2**40)
+    assert [p["subsets"] for p in singles] == [1, 1, 1] and joint["subsets"] == 3
+    for p in singles:
+        assert joint["peak"] - p["peak"] <= ENTRY_BYTES * (joint["entries"] - p["entries"]), (p, joint)
+    assert list(alone) == list(together)
 
 
 def test_run_stage_weights_each_pass_once_on_the_union_of_kept_rows(monkeypatch):
