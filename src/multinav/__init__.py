@@ -33,7 +33,6 @@ from .navigability import (
     NavigabilityReport,
     SpectralDecomposition,
     compare_stages,
-    coverage_analytic,
     coverage_montecarlo,
     decompose,
     default_time_grid,
@@ -46,7 +45,6 @@ from .navigability import (
 from .prediction import (
     ExclusiveStage,
     LinkTable,
-    PredictedLink,
     adamic_adar_classic,
     assign_weights,
     dedupe_links,
@@ -80,7 +78,6 @@ __all__ = [
     "MultiplexNetwork",
     "NavigabilityReport",
     "ParseError",
-    "PredictedLink",
     "SchemaError",
     "SpectralDecomposition",
     "SupraTransitionMatrix",
@@ -90,7 +87,6 @@ __all__ = [
     "build_multiplex",
     "build_supra_transition",
     "compare_stages",
-    "coverage_analytic",
     "coverage_montecarlo",
     "decompose",
     "dedupe_links",

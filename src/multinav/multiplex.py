@@ -15,6 +15,7 @@ import io
 import itertools
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import ContextManager, Iterable, Sequence, TextIO
 
@@ -120,6 +121,18 @@ class MultiplexNetwork:
 
     def label_index(self) -> dict[str, int]:
         return {lab: i for i, lab in enumerate(self.labels)}
+
+    @cached_property
+    def joined_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(x, y, layers): each pair x < y some layer joins, either direction,
+        in row-major order, with its (L, pairs) layer mask; no node is its own
+        neighbor. Listed by one scan on first use and kept: do not edit ``intra`` in place."""
+        present = self.intra > 0
+        joined = present.any(axis=0)
+        joined |= joined.T
+        x, y = np.nonzero(joined)
+        x, y = x[x < y], y[x < y]
+        return x, y, present[:, x, y] | present[:, y, x]
 
 
 def _open_source(source: TextIO | str | Path) -> ContextManager[TextIO]:

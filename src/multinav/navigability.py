@@ -83,6 +83,9 @@ class SpectralDecomposition:
     matrix of left eigenvectors such that vectors @ diag(eigenvalues) @
     inverse reconstructs the input. The arrays keep the solver's dtype:
     real from ``eigh``, and from ``eig`` when every eigenvalue is real.
+    ``condition`` bounds the basis's 2-norm condition number from above: it
+    is exact on the Hermitian path, max(sqrt(s)) / min(sqrt(s)), and
+    ``|V|_F * |V^-1|_F`` on the ``eig`` path, which is at least cond_2(V).
     """
 
     eigenvalues: np.ndarray
@@ -125,10 +128,10 @@ def decompose(laplacian: np.ndarray, scale: np.ndarray | None = None) -> Spectra
     the rest, and any Hermitian result whose back-scaled basis misses the
     residual limit. Eigenvalues keep the dtype the solver returned and come
     in ascending order of real part on both paths.
-    DegradedDecompositionError is raised when the general basis has a
-    condition number above COND_LIMIT or a reconstruction residual above
-    RESIDUAL_LIMIT * |L|, or when an eigenvalue's real part is below
-    -ZERO_EIGENVALUE_TOL.
+    DegradedDecompositionError is raised when the general basis V is singular,
+    its condition bound |V|_F * |V^-1|_F (no SVD) exceeds COND_LIMIT or its
+    reconstruction residual RESIDUAL_LIMIT * |L|, or when an eigenvalue's
+    real part is below -ZERO_EIGENVALUE_TOL.
     """
     laplacian = np.asarray(laplacian, dtype=float)
     n = laplacian.shape[0]
@@ -165,13 +168,17 @@ def decompose(laplacian: np.ndarray, scale: np.ndarray | None = None) -> Spectra
         order = np.argsort(eigenvalues.real, kind="stable")
         eigenvalues = eigenvalues[order]
         vectors = vectors[:, order]
-        condition = float(np.linalg.cond(vectors))
+        try:
+            inverse = np.linalg.inv(vectors)
+        except np.linalg.LinAlgError:
+            raise DegradedDecompositionError("eigenvector basis is singular; " + _MEAN_FIELD_LOST) from None
+        with np.errstate(over="ignore"):  # an overflowing norm is inf, which fails
+            condition = float(np.linalg.norm(vectors)) * float(np.linalg.norm(inverse))
         if not np.isfinite(condition) or condition > COND_LIMIT:
             raise DegradedDecompositionError(
                 f"eigenvector basis condition {condition:.3e} exceeds {COND_LIMIT:.0e}; "
                 + _MEAN_FIELD_LOST
             )
-        inverse = np.linalg.inv(vectors)
         residual = _residual(laplacian, eigenvalues, vectors, inverse)
         if residual > tolerance:
             raise DegradedDecompositionError(
@@ -326,6 +333,24 @@ class AnalyticCoverageState:
                     break
         return out
 
+    def curve(self, times: np.ndarray | None = None) -> CoverageCurve:
+        """rho(t) on a strictly increasing grid from 0, ``default_time_grid()`` by
+        default; a curve that falls by more than 1e-9 is a degraded decomposition."""
+        if times is None:
+            times = default_time_grid()
+        times = np.asarray(times, dtype=float)
+        if times.size == 0 or times[0] != 0.0 or np.any(np.diff(times) <= 0):
+            raise ValueError("time grid must start at 0 and increase strictly")
+        rho = 1.0 - self.survival(times).mean(axis=1) / self.n_nodes
+        drops = np.diff(rho).min(initial=0.0)
+        if drops < -1e-9:
+            raise DegradedDecompositionError(
+                f"analytic coverage decreased by {-drops:.3e}; decomposition unreliable; "
+                + _MEAN_FIELD_LOST
+            )
+        rho = np.maximum.accumulate(np.clip(rho, 0.0, 1.0))
+        return CoverageCurve(times=times, rho=rho, method=ANALYTIC)
+
 
 def analytic_state(net: MultiplexNetwork, strategy: str) -> AnalyticCoverageState:
     """Build the eigenbasis survival factors for a network and walk strategy."""
@@ -349,32 +374,6 @@ def analytic_state(net: MultiplexNetwork, strategy: str) -> AnalyticCoverageStat
 def default_time_grid(decades: tuple[float, float] = (-2.0, 7.0), points: int = 400) -> np.ndarray:
     """t = 0 followed by a log-spaced sweep of the given decade range."""
     return np.concatenate([[0.0], np.logspace(decades[0], decades[1], points)])
-
-
-def _curve_from_state(state: AnalyticCoverageState, times: np.ndarray | None) -> CoverageCurve:
-    if times is None:
-        times = default_time_grid()
-    times = np.asarray(times, dtype=float)
-    if times.size == 0 or times[0] != 0.0 or np.any(np.diff(times) <= 0):
-        raise ValueError("time grid must start at 0 and increase strictly")
-    rho = 1.0 - state.survival(times).mean(axis=1) / state.n_nodes
-    drops = np.diff(rho).min(initial=0.0)
-    if drops < -1e-9:
-        raise DegradedDecompositionError(
-            f"analytic coverage decreased by {-drops:.3e}; decomposition unreliable; "
-            + _MEAN_FIELD_LOST
-        )
-    rho = np.maximum.accumulate(np.clip(rho, 0.0, 1.0))
-    return CoverageCurve(times=times, rho=rho, method=ANALYTIC)
-
-
-def coverage_analytic(
-    net: MultiplexNetwork,
-    strategy: str,
-    times: np.ndarray | None = None,
-) -> CoverageCurve:
-    """Evaluate the analytic coverage curve on a time grid starting at 0."""
-    return _curve_from_state(analytic_state(net, strategy), times)
 
 
 def coverage_montecarlo(
@@ -535,7 +534,7 @@ def navigability_report(
     real = state.eigenvalues.real
     if real.size < 2:
         raise ValueError("spectral gap needs at least two supra-states")
-    curve = _curve_from_state(state, None)
+    curve = state.curve()
     t_level = time_to_coverage(curve)
     if t_level is None:
         slope = (curve.rho[-1] - curve.rho[-2]) / (
@@ -543,7 +542,7 @@ def navigability_report(
         )
         if slope > 1e-4:
             extended = default_time_grid(decades=(-2.0, 8.0), points=445)
-            curve = _curve_from_state(state, extended)
+            curve = state.curve(extended)
             t_level = time_to_coverage(curve)
     head = tuple(complex(v) for v in state.eigenvalues[:10])
     return NavigabilityReport(

@@ -18,16 +18,17 @@ integrate_links. A self-loop makes no node its own neighbor, so it adds to no
 exclusive neighborhood or degree.
 
 Each subset is scored from one table of the node pairs some layer joins, with
-each pair's layers: a pair is inside a subset when one of its layers is in it,
-and exclusive to it when all are. exclusive_stage builds it once per pass and
-keeps what the steps read: each node's exclusive and union degree, and each
-hub's pairs of exclusive neighbors, listed once in O(sum of deg^2) and sorted,
-so a candidate's shared neighbors are one run of C entries. Jaccard is ``C /
-(d_u + d_v - C)``, Adamic-Adar adds each shared neighbor's ``1 / ln(union
-degree)`` in ascending order from 0.0, and assign_weights reads a row's flows
-from the same run. Every score is bit-identical to a per-pair loop over
-neighbor sets. On a large network run_stage splits a stage into passes of as
-many subsets as fit ``CHUNK_BYTES``; no result depends on where a pass ends.
+each pair's layers, which a network lists once (MultiplexNetwork.joined_pairs):
+a pair is inside a subset when one of its layers is in it, and exclusive to it
+when all are. Once per pass, exclusive_stage keeps what the steps read from it:
+each node's exclusive and union degree, and each hub's pairs of exclusive
+neighbors, listed once in O(sum of deg^2) and sorted, so a candidate's shared
+neighbors are one run of C entries. Jaccard is ``C / (d_u + d_v - C)``,
+Adamic-Adar adds each shared neighbor's ``1 / ln(union degree)`` in ascending
+order from 0.0, and assign_weights reads a row's flows from the same run.
+Every score is bit-identical to a per-pair loop over neighbor sets. On a large
+network run_stage splits a stage into passes of as many subsets as fit
+``CHUNK_BYTES``; no result depends on where a pass ends.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -97,28 +98,10 @@ class ExclusiveStage:
     neighbor: np.ndarray
 
 
-@dataclass(frozen=True)
-class PredictedLink:
-    """One row of a LinkTable: a thresholded, flow-weighted predicted link.
-
-    ``sources`` lists every (algorithm, subset, stage) occurrence that
-    contributed the same node pair; it is filled by dedupe_links.
-    """
-
-    u: int
-    v: int
-    raw_score: float
-    normalized_score: float
-    weight: float
-    algorithm: str
-    subset: tuple[int, ...]
-    stage: int
-    sources: tuple[tuple[str, tuple[int, ...], int], ...] = ()
-
-
 @dataclass(frozen=True, eq=False)
 class LinkTable:
-    """Predicted links as columns, one row per link; iterating yields PredictedLinks.
+    """Predicted links as columns, one row per link: a predicted link is a row
+    of a table, and nothing else.
 
     ``algorithm`` indexes ALGORITHMS and ``subset`` indexes ``subsets``, layer
     tuples in lexicographic order, so codes compare as names and tuples do; a
@@ -139,35 +122,14 @@ class LinkTable:
     def __len__(self) -> int:
         return len(self.u)
 
-    def __iter__(self) -> Iterator[PredictedLink]:
-        # (algorithm, subset, stage) of each bit of a row's mask, in mask order
-        tags = [(name, subset, len(subset)) for name in ALGORITHMS for subset in self.subsets]
-        row, bit = np.nonzero(self.sources.reshape(len(self), len(tags)))
-        sources = [tags[b] for b in bit.tolist()]
-        bounds = np.searchsorted(row, np.arange(len(self) + 1)).tolist()
-        columns = (self.u, self.v, self.raw_score, self.normalized_score, self.weight,
-                   self.algorithm * len(self.subsets) + self.subset)  # a row's own tag
-        for r, (*values, own) in enumerate(zip(*(column.tolist() for column in columns))):
-            yield PredictedLink(*values, *tags[own], tuple(sources[bounds[r]:bounds[r + 1]]))
-
     @classmethod
-    def from_links(cls, links: Sequence[PredictedLink]) -> LinkTable:
-        """The links as a table, ``sources`` included; a stage is its subset's size."""
-        return cls._from_rows(
-            [(l.u, l.v, ALGORITHMS.index(l.algorithm), l.raw_score, l.normalized_score, l.weight,
-              l.subset) for l in links],
-            [(row, ALGORITHMS.index(a), s) for row, l in enumerate(links) for a, s, _ in l.sources])
-
-    @classmethod
-    def _from_rows(cls, rows: Sequence[Sequence], tags: Sequence[tuple] = ()) -> LinkTable:
-        """The table of (u, v, algorithm code, 3 scores, subset) rows and (row, code, subset) tags."""
-        subsets, (code, tag_code) = _subset_codes([r[-1] for r in rows], [t[-1] for t in tags])
+    def _from_rows(cls, rows: Sequence[Sequence]) -> LinkTable:
+        """The table of (u, v, algorithm code, 3 scores, subset) rows, without provenance."""
+        subsets, (code,) = _subset_codes([r[-1] for r in rows])
         u, v, algorithm = np.array([r[:3] for r in rows], dtype=np.intp).reshape(-1, 3).T
         scores = np.array([r[3:6] for r in rows], dtype=float).reshape(-1, 3).T
-        row, tag_algorithm = np.array([t[:2] for t in tags], dtype=np.intp).reshape(-1, 2).T
-        sources = np.zeros((len(rows), len(ALGORITHMS), len(subsets)), dtype=bool)
-        sources[row, tag_algorithm, tag_code] = True
-        return cls(u, v, *scores, algorithm, code, subsets, sources)
+        return cls(u, v, *scores, algorithm, code, subsets,
+                   np.zeros((len(rows), len(ALGORITHMS), len(subsets)), dtype=bool))
 
 
 def _subset_codes(*groups: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], list[np.ndarray]]:
@@ -198,16 +160,11 @@ def _stage_subsets(net: MultiplexNetwork, subsets: Iterable[Sequence[int]]) -> t
 
 
 def _joined_pairs(net: MultiplexNetwork, subsets: Sequence[tuple[int, ...]]) -> tuple[np.ndarray, ...]:
-    """(x, y, inside, exclusive): each pair x < y that some layer joins, either
-    direction, in row-major order (a node is not its own neighbor), and the
-    (S, pairs) masks of a pair held by some layer of each subset and of one
-    held by no layer outside it, which is then exclusive to the subset."""
-    present = net.intra > 0  # the one dense scan
-    joined = present.any(axis=0)
-    joined |= joined.T
-    x, y = np.nonzero(joined)
-    x, y = x[x < y], y[x < y]
-    layers = present[:, x, y] | present[:, y, x]  # each pair's (L, pairs) layers
+    """(x, y, inside, exclusive): the network's joined pairs x < y
+    (MultiplexNetwork.joined_pairs) and the (S, pairs) masks of a pair held by
+    some layer of each subset and of one held by no layer outside it, which is
+    then exclusive to the subset."""
+    x, y, layers = net.joined_pairs
     member = np.array([[k in subset for k in range(net.n_layers)] for subset in subsets],
                       dtype=bool).reshape(-1, net.n_layers)  # each subset's (S, L) layers
     return x, y, member @ layers, ~(~member @ layers)
@@ -367,7 +324,7 @@ def _positive_flows(stage: ExclusiveStage, rows: np.ndarray,
     """(row, flow) of every positive flow between an endpoint of one of the
     given rows and a shared exclusive neighbor w, in the layers of the row's
     subset: rows in their order, then w ascending, layer, endpoint (u, v),
-    and direction (into the endpoint, then out of it). The gathers die here."""
+    and direction (out of the endpoint, then into it). The gathers die here."""
     layers = np.array(stage.subsets, dtype=np.intp).reshape(len(stage.subsets), -1)
     # each row's run of entries: rows in order, then w ascending
     pair, entry = _runs(stage.first[rows], stage.common[rows])
@@ -403,12 +360,13 @@ def assign_weights(stage: ExclusiveStage, rows: np.ndarray, net: MultiplexNetwor
                          f"in layers {subset}")
     offset = np.cumsum(size) - size
     # np.mean adds fewer than 8 values one by one from the left: a running sum
-    # along a row of 8 that holds a row's flows and zeros, which change none;
-    # a longer row's values past the 7th pile up in its last column, and its
-    # sum is replaced below
+    # along a row as long as the longest, at most 8, that holds a row's flows
+    # and zeros, which change none; a row of 8 or more piles its values past
+    # the 7th up in its last column, and its sum is replaced below
+    width = min(8, int(size.max(initial=1)))
     column = np.arange(owner.size) - offset[owner]
-    padded = np.zeros((len(rows), 8))
-    padded[owner, np.minimum(column, 7, out=column)] = context
+    padded = np.zeros((len(rows), width))
+    padded[owner, np.minimum(column, width - 1, out=column)] = context
     total = np.cumsum(padded, axis=1, out=padded)[:, -1]
     for length in np.unique(size[size >= 8]).tolist():
         same = np.flatnonzero(size == length)
@@ -424,7 +382,7 @@ def dedupe_links(tables: Iterable[LinkTable]) -> LinkTable:
     input. The winner keeps its orientation and records every contributing
     tag: a row's own, or the provenance it carries from an earlier dedupe.
     """
-    tables = list(tables) or [LinkTable.from_links([])]
+    tables = list(tables) or [LinkTable._from_rows([])]
     subsets, codes = _subset_codes(*(table.subsets for table in tables))
     # the tables' rows one after another, subset codes and mask columns moved
     # onto the merged subsets
@@ -458,9 +416,9 @@ def run_stage(net: MultiplexNetwork, k: int, threshold: float = 0.5) -> LinkTabl
     shared-pair list (sum_w C(deg_w, 2) entries, counted from its exclusive
     degrees before any is listed), ENTRY_BYTES for the entry, a row and its
     links, plus the flows assign_weights gathers: 18 bytes per layer of the
-    subset, 36 when directed. Not counted: the one dense scan each pass makes
-    for the pairs some layer joins, L + 2 bytes per (N, N) cell. A stage is
-    one pass unless the network is large or dense; no link depends on the split.
+    subset, 36 when directed. The table of the pairs some layer joins is the
+    network's, listed once on first use, before any pass. A stage is one pass
+    unless the network is large or dense; no link depends on the split.
     """
     subsets = enumerate_layer_subsets(net.n_layers, k)
     x, y, inside, exclusive = _joined_pairs(net, subsets)
@@ -492,12 +450,15 @@ def _pass_links(stage: ExclusiveStage, threshold: float, net: MultiplexNetwork) 
     mean = assign_weights(stage, rows, net)
     # the pass's subsets are in lexicographic order, so a row's subset index
     # is its table code; the tables carry no provenance
-    return [LinkTable(stage.u[kept], stage.v[kept], raw[kept], normalized[kept],
-                      normalized[kept] * mean[np.searchsorted(rows, kept)],
-                      np.full(kept.size, ALGORITHMS.index(algorithm), dtype=np.intp),
-                      stage.subset_index[kept], stage.subsets,
-                      np.zeros((kept.size, len(ALGORITHMS), len(stage.subsets)), dtype=bool))
-            for algorithm, raw, normalized, kept in scored]
+    tables = []
+    while scored:  # each algorithm's scores die as its table is made
+        algorithm, raw, normalized, kept = scored.pop(0)
+        tables.append(LinkTable(stage.u[kept], stage.v[kept], raw[kept], normalized[kept],
+                                normalized[kept] * mean[np.searchsorted(rows, kept)],
+                                np.full(kept.size, ALGORITHMS.index(algorithm), dtype=np.intp),
+                                stage.subset_index[kept], stage.subsets,
+                                np.zeros((kept.size, len(ALGORITHMS), len(stage.subsets)), dtype=bool)))
+    return tables
 
 
 def format_subset(subset: Sequence[int]) -> str:

@@ -1,18 +1,18 @@
 """Shared helpers: random network generators, connectivity checks, a
-row-sum check and a curve-CSV reader, and plain-loop oracles for scoring,
-supra assembly and walker sampling, used to cross-check the array
-implementations."""
+row-sum check, a curve-CSV reader and a row view of link tables, and
+plain-loop oracles for scoring, supra assembly and walker sampling, used to
+cross-check the array implementations."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.sparse import csgraph, csr_matrix
 
-from multinav import CoverageCurve, FlowEdge, build_multiplex, build_supra_transition
-from multinav.prediction import JACCARD
+from multinav import CoverageCurve, FlowEdge, LinkTable, build_multiplex, build_supra_transition
+from multinav.prediction import ALGORITHMS, JACCARD
 from multinav.walks import DEFAULT_DAMPING
 
 
@@ -186,8 +186,53 @@ def oracle_flow_mean(net, subset, u, v):
     return float(np.mean(flows)) if flows else None
 
 
+@dataclass(frozen=True)
+class Link:
+    """One predicted link as the oracles write it, and one row of a LinkTable.
+
+    ``sources`` lists the (algorithm, subset, stage) tags of every link a
+    dedupe merged into this one, sorted; it is empty before any dedupe.
+    """
+
+    u: int
+    v: int
+    raw_score: float
+    normalized_score: float
+    weight: float
+    algorithm: str
+    subset: tuple[int, ...]
+    stage: int
+    sources: tuple[tuple[str, tuple[int, ...], int], ...] = ()
+
+
+def link_rows(table):
+    """A LinkTable's rows as Links, in row order, each with the tags its
+    provenance mask sets."""
+    rows = []
+    for r in range(len(table)):
+        subset = table.subsets[table.subset[r]]
+        tags = tuple((ALGORITHMS[a], table.subsets[s], len(table.subsets[s]))
+                     for a, s in zip(*np.nonzero(table.sources[r])))
+        rows.append(Link(int(table.u[r]), int(table.v[r]), float(table.raw_score[r]),
+                         float(table.normalized_score[r]), float(table.weight[r]),
+                         ALGORITHMS[table.algorithm[r]], subset, len(subset), tags))
+    return rows
+
+
+def link_table(links):
+    """Links as a LinkTable, without provenance."""
+    return LinkTable._from_rows([(l.u, l.v, ALGORITHMS.index(l.algorithm), l.raw_score,
+                                  l.normalized_score, l.weight, l.subset) for l in links])
+
+
+def same_links(a, b):
+    """Whether two LinkTables hold equal columns and the same subsets."""
+    return a.subsets == b.subsets and all(np.array_equal(getattr(a, name), getattr(b, name)) for name in (
+        "u", "v", "raw_score", "normalized_score", "weight", "algorithm", "subset", "sources"))
+
+
 def oracle_dedupe(links):
-    """dedupe_links over PredictedLink objects, one dict group per unordered
+    """dedupe_links over Links, one dict group per unordered
     pair: the first of the maximum weight and smallest (algorithm, subset)
     wins, keeping its orientation, with every tag its group carries (a link's
     ``sources``, or its own tag when it has none), pairs in order."""

@@ -35,7 +35,6 @@ from multinav import (
     adamic_adar_classic,
     build_multiplex,
     build_supra_transition,
-    coverage_analytic,
     coverage_montecarlo,
     dedupe_links,
     enumerate_layer_subsets,
@@ -55,6 +54,7 @@ from multinav import (
 )
 from multinav.cli import main
 from multinav.multiplex import PLACEMENT_SUBSET, TRIM_PER_LAYER
+from multinav.navigability import analytic_state
 from multinav.prediction import ADAMIC_ADAR, JACCARD
 from multinav.walks import PAGERANK, RWC, RWD
 
@@ -199,12 +199,12 @@ def test_coverage_axioms():
     lowest_final = 1.0
     for _ in range(5):
         net = connected_random_multiplex(rng)
-        curve = coverage_analytic(net, RWC)
+        curve = analytic_state(net, RWC).curve()
         worst_start = max(worst_start, abs(curve.rho[0] - 1.0 / net.n_nodes))
         if curve.rho.size > 1:
             worst_drop = max(worst_drop, float(np.max(-np.diff(curve.rho))))
         lowest_final = min(lowest_final, float(curve.rho[-1]))
-    trap = coverage_analytic(directed_trap_network(), RWC)
+    trap = analytic_state(directed_trap_network(), RWC).curve()
     plateau = float(trap.rho[-1])
     ok = (
         worst_start <= 1e-9
@@ -232,7 +232,7 @@ def test_analytic_curve_matches_montecarlo():
             supra, walkers_per_origin=10_000, horizon=110, seed=7
         )
         continuous = poisson_clock(walkers, grid)
-        exact = coverage_analytic(net, RWC, times=grid)
+        exact = analytic_state(net, RWC).curve(grid)
         worst = max(worst, float(np.max(np.abs(exact.rho - continuous.rho))))
     elapsed = time.perf_counter() - start
     ok = worst <= 0.05 and elapsed < 60.0

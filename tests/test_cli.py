@@ -12,11 +12,9 @@ from importlib.resources import files as package_files
 
 import numpy as np
 import pytest
-from conftest import read_curve_csv
+from conftest import Link, link_rows, link_table, read_curve_csv
 
 from multinav import (
-    LinkTable,
-    PredictedLink,
     build_multiplex,
     dedupe_links,
     parse_edge_list,
@@ -96,7 +94,7 @@ def test_predict_stage_files_match_library(tmp_path):
         # the CSV keeps everything except the dedupe provenance
         strip = lambda l: (l.u, l.v, l.algorithm, l.subset, l.stage,
                            l.raw_score, l.normalized_score, l.weight)
-        assert [strip(l) for l in got] == [strip(l) for l in expected]
+        assert [strip(l) for l in link_rows(got)] == [strip(l) for l in link_rows(expected)]
     merged = read_links_csv(out / "links_merged.csv", index)
     assert len(merged) == len(dedupe_links(merged_expected))
     assert not (out / "links_stage3.csv").exists()
@@ -148,13 +146,13 @@ def test_predict_skips_stages_wider_than_network(tmp_path, capsys):
 def test_integrate_applies_links_with_max_collision(tmp_path):
     base = _write_csv(tmp_path / "base.csv", ["0,A,B,1.0", "0,B,C,2.0"])
     links = [
-        PredictedLink(u=0, v=2, raw_score=1.0, normalized_score=1.0,
-                      weight=0.7, algorithm=JACCARD, subset=(0,), stage=1),
-        PredictedLink(u=0, v=1, raw_score=1.0, normalized_score=1.0,
-                      weight=5.0, algorithm=ADAMIC_ADAR, subset=(0,), stage=1),
+        Link(u=0, v=2, raw_score=1.0, normalized_score=1.0,
+             weight=0.7, algorithm=JACCARD, subset=(0,), stage=1),
+        Link(u=0, v=1, raw_score=1.0, normalized_score=1.0,
+             weight=5.0, algorithm=ADAMIC_ADAR, subset=(0,), stage=1),
     ]
     links_path = tmp_path / "links.csv"
-    links_path.write_text(format_links_csv(LinkTable.from_links(links), ["A", "B", "C"]), encoding="utf-8")
+    links_path.write_text(format_links_csv(link_table(links), ["A", "B", "C"]), encoding="utf-8")
     out = tmp_path / "out"
     assert main(
         ["integrate", "--input", base, "--links", str(links_path), "--out", str(out)]
@@ -169,28 +167,16 @@ def test_integrate_applies_links_with_max_collision(tmp_path):
 
 def test_integrate_rejects_link_subset_outside_the_layers(tmp_path, capsys):
     base = _write_csv(tmp_path / "base.csv", ["0,A,B,1.0", "0,B,C,2.0"])
-    link = PredictedLink(u=0, v=2, raw_score=1.0, normalized_score=1.0,
-                         weight=0.7, algorithm=JACCARD, subset=(7,), stage=1)
+    link = Link(u=0, v=2, raw_score=1.0, normalized_score=1.0,
+                weight=0.7, algorithm=JACCARD, subset=(7,), stage=1)
     links_path = tmp_path / "links.csv"
-    links_path.write_text(format_links_csv(LinkTable.from_links([link]), ["A", "B", "C"]), encoding="utf-8")
+    links_path.write_text(format_links_csv(link_table([link]), ["A", "B", "C"]), encoding="utf-8")
     out = tmp_path / "out"
     assert main(
         ["integrate", "--input", base, "--links", str(links_path), "--out", str(out)]
     ) == 2
     assert "subset" in capsys.readouterr().err
     assert not (out / "integrated.csv").exists()
-
-
-def test_pipeline_builds_no_link_objects(tmp_path, monkeypatch):
-    # links stay columns from scorer to disk: iterating a table is for callers
-    built = []
-    init = PredictedLink.__init__
-    monkeypatch.setattr(PredictedLink, "__init__",
-                        lambda self, *args, **kwargs: built.append(args) or init(self, *args, **kwargs))
-    assert main(["pipeline", "--input", TOY, "--out", str(tmp_path / "out")]) == 0
-    assert built == []
-    PredictedLink(0, 1, 1.0, 1.0, 1.0, JACCARD, (0,), 1)
-    assert len(built) == 1  # the count sees a construction
 
 
 def test_navigability_report_schema(tmp_path, capsys):
@@ -473,7 +459,7 @@ def test_a_strength_that_overflows_exits_two(strategy, tmp_path, capsys):
 def test_an_input_that_fails_to_load_leaves_no_out(tmp_path):
     missing = str(tmp_path / "missing.csv")
     links = tmp_path / "links.csv"
-    links.write_text(format_links_csv(LinkTable.from_links([]), ()), encoding="utf-8")
+    links.write_text(format_links_csv(link_table([]), ()), encoding="utf-8")
     calls = [[command, "--input", missing] for command in
              ("trim", "predict", "navigability", "pipeline", "scenario")]
     calls += [["integrate", "--input", missing, "--links", str(links)],
@@ -526,7 +512,7 @@ def _option_dests(command):
 def test_manifest_config_records_every_option_of_the_command(command, tmp_path):
     base = _write_csv(tmp_path / "base.csv", ["0,a,b,1.0", "0,b,c,1.0", "0,c,d,1.0"])
     links = tmp_path / "links.csv"
-    links.write_text(format_links_csv(LinkTable.from_links([]), ["a", "b", "c", "d"]), encoding="utf-8")
+    links.write_text(format_links_csv(link_table([]), ["a", "b", "c", "d"]), encoding="utf-8")
     out = tmp_path / "out"
     extra = ["--links", str(links)] if command == "integrate" else []
     assert main([command, "--input", base, "--out", str(out), *extra]) == 0

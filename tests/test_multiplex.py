@@ -7,7 +7,7 @@ import io
 
 import numpy as np
 import pytest
-from conftest import random_multiplex
+from conftest import Link, link_table, random_multiplex
 
 from multinav import (
     ConstructionError,
@@ -25,7 +25,6 @@ from multinav import (
     trim_edges,
 )
 from multinav.multiplex import PLACEMENT_ALL, PLACEMENT_SUBSET, TRIM_GLOBAL
-from multinav.prediction import LinkTable, PredictedLink
 
 
 def _parse(text):
@@ -278,7 +277,7 @@ def test_knockout_validates_arguments():
 
 
 def _link(u, v, weight, subset=(0,)):
-    return PredictedLink(
+    return Link(
         u=u,
         v=v,
         raw_score=1.0,
@@ -291,7 +290,7 @@ def _link(u, v, weight, subset=(0,)):
 
 
 def _table(*links):
-    return LinkTable.from_links(links)
+    return link_table(links)
 
 
 def test_integrate_places_links_in_subset_layers():

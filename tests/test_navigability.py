@@ -28,7 +28,6 @@ from multinav import (
     build_multiplex,
     build_supra_transition,
     compare_stages,
-    coverage_analytic,
     coverage_montecarlo,
     decompose,
     default_time_grid,
@@ -194,6 +193,19 @@ def test_decompose_rejects_defective_matrix():
         decompose(np.diag([0.0, -2.0 * ZERO_EIGENVALUE_TOL]))
 
 
+def test_decompose_condition_bounds_the_eig_basis_condition_from_above():
+    # on the eig path the condition is |V|_F |V^-1|_F, found without an SVD:
+    # at least cond_2(V), so COND_LIMIT can only reject more bases
+    rng = np.random.default_rng(23)
+    for directed, strategy in ((True, "rwc"), (True, "rwd"), (True, "pagerank"), (False, "pagerank")):
+        for _ in range(4):
+            net = connected_random_multiplex(rng, max_nodes=10, directed=directed)
+            laplacian = supra_laplacian(build_supra_transition(net, strategy))
+            assert not np.allclose(laplacian, laplacian.T, atol=1e-12)  # no eigh path
+            dec = decompose(laplacian)
+            assert dec.condition >= np.linalg.cond(dec.vectors), (directed, strategy)
+
+
 def test_decompose_rejects_bad_scale():
     L = supra_laplacian(build_supra_transition(triangle_network(), "rwc"))
     with pytest.raises(ValueError):
@@ -293,18 +305,18 @@ def test_coverage_analytic_starts_at_one_over_n():
     rng = np.random.default_rng(8)
     for _ in range(3):
         net = connected_random_multiplex(rng, max_nodes=10)
-        curve = coverage_analytic(net, "rwc")
+        curve = analytic_state(net, "rwc").curve()
         assert curve.rho[0] == pytest.approx(1.0 / net.n_nodes, abs=1e-9)
         assert np.all(np.diff(curve.rho) >= 0.0)
         assert curve.rho[-1] >= 1.0 - 1e-6
 
 
 def test_coverage_analytic_grid_validation():
-    net = triangle_network()
+    state = analytic_state(triangle_network(), "rwc")
     with pytest.raises(ValueError):
-        coverage_analytic(net, "rwc", times=np.array([0.5, 1.0]))
+        state.curve(np.array([0.5, 1.0]))
     with pytest.raises(ValueError):
-        coverage_analytic(net, "rwc", times=np.array([0.0, 2.0, 1.0]))
+        state.curve(np.array([0.0, 2.0, 1.0]))
 
 
 def test_a_falling_analytic_curve_is_a_degraded_decomposition():
@@ -316,7 +328,7 @@ def test_a_falling_analytic_curve_is_a_degraded_decomposition():
         target_coefficients=np.array([[1.0, 1.0], [-0.09, -0.09]]),
     )
     with pytest.raises(DegradedDecompositionError, match="analytic coverage decreased"):
-        navigability._curve_from_state(state, None)
+        state.curve()
 
 
 def _two_triangles(weight):
@@ -355,7 +367,7 @@ def test_a_slow_mode_below_the_zero_tolerance_keeps_its_exposure(weight):
     slow = analytic_state(net, "rwc").eigenvalues[1]
     assert 0.0 < slow < ZERO_EIGENVALUE_TOL
     times = np.array([0.0, 1e5, 1e6, 1e7])
-    curve = coverage_analytic(net, "rwc", times=times)
+    curve = analytic_state(net, "rwc").curve(times)
     assert np.allclose(curve.rho, _coverage_by_van_loan(net, "rwc", times), rtol=0.0, atol=1e-9)
 
 
@@ -382,7 +394,7 @@ def test_navigability_report_extends_the_grid_of_a_climbing_curve_only(network, 
 
 
 def test_coverage_analytic_trap_plateaus_below_one():
-    curve = coverage_analytic(directed_trap_network(), "rwc")
+    curve = analytic_state(directed_trap_network(), "rwc").curve()
     assert curve.rho[-1] < 0.75
     assert time_to_coverage(curve) is None
     # frozen plateau: survival odds of the source pair keep rho near 0.72
@@ -391,13 +403,13 @@ def test_coverage_analytic_trap_plateaus_below_one():
 
 def test_coverage_analytic_isolated_nodes_stay_at_floor():
     net = build_multiplex([], n_layers=1, n_nodes=4, coupling=0.0)
-    curve = coverage_analytic(net, "rwc")
+    curve = analytic_state(net, "rwc").curve()
     assert np.allclose(curve.rho, 0.25, atol=1e-12)
     report = navigability_report(net, "rwc")
     assert report.t90 is None
     # no node at all is an error, as it is for coverage_montecarlo
     with pytest.raises(ValueError, match="at least one node"):
-        coverage_analytic(build_multiplex([], n_layers=2, n_nodes=0), "rwc")
+        analytic_state(build_multiplex([], n_layers=2, n_nodes=0), "rwc").curve()
 
 
 def test_coverage_montecarlo_axioms_and_determinism():
@@ -576,7 +588,7 @@ def test_poisson_clock_matches_endpoints():
     simple = CoverageCurve(np.array([0.0, 1.0]), np.array([0.4, 0.9]), "montecarlo")
     half = poisson_clock(simple, np.array([np.log(2.0)]))
     assert half.rho[0] == pytest.approx(0.5 * 0.4 + 0.5 * 0.9, abs=1e-12)
-    analytic = coverage_analytic(complete_graph(5), "rwc", times=np.array([0.0, 1.0, 5.0, 20.0]))
+    analytic = analytic_state(complete_graph(5), "rwc").curve(np.array([0.0, 1.0, 5.0, 20.0]))
     with pytest.raises(ValueError):
         poisson_clock(analytic, np.array([0.0, 1.0]))
     skipping = CoverageCurve(np.array([0.0, 2.0]), np.array([0.4, 0.9]), "montecarlo")
@@ -714,13 +726,13 @@ def test_curve_csv_writes_each_value_as_its_repr():
     state = analytic_state(triangle_network(), "rwc")
     grid = default_time_grid()
     for times in (grid, np.concatenate([[-0.0], grid[1:]]), grid[:3]):
-        curve = navigability._curve_from_state(state, times)
+        curve = state.curve(times)
         assert format_curve_csv(curve) == "time,rho\n" + "".join(
             f"{t!r},{r!r}\n" for t, r in zip(curve.times.tolist(), curve.rho.tolist()))
 
 
 def test_curve_csv_round_trip(tmp_path):
-    curve = coverage_analytic(triangle_network(), "rwc", times=np.array([0.0, 1.0, 2.0]))
+    curve = analytic_state(triangle_network(), "rwc").curve(np.array([0.0, 1.0, 2.0]))
     path = tmp_path / "curve.csv"
     path.write_text(format_curve_csv(curve), encoding="utf-8")
     back = read_curve_csv(path, "analytic")
@@ -737,5 +749,5 @@ def test_report_json_not_reached_and_fields():
 
 def test_pagerank_coverage_reaches_everyone():
     net = directed_trap_network()
-    curve = coverage_analytic(net, "pagerank")
+    curve = analytic_state(net, "pagerank").curve()
     assert curve.rho[-1] >= 1.0 - 1e-6  # teleportation defeats the trap

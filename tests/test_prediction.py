@@ -15,6 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import (
+    Link,
+    link_rows,
+    link_table,
     oracle_dedupe,
     oracle_exclusive,
     oracle_flow_mean,
@@ -23,14 +26,13 @@ from conftest import (
     oracle_union_adjacent,
     pair_scores,
     random_multiplex,
+    same_links,
 )
 
 from multinav import (
     ExclusiveStage,
     FlowEdge,
-    LinkTable,
     MultiplexNetwork,
-    PredictedLink,
     adamic_adar_classic,
     assign_weights,
     build_multiplex,
@@ -350,7 +352,7 @@ def test_assign_weights_means_flows_to_shared_exclusive_neighbors():
     assert assign_weights(stage, np.arange(1), net).tolist() == [6.0]  # mean(4, 8)
     assert len(assign_weights(stage, np.arange(0), net)) == 0
     # both algorithms normalize their one score to 1.0, so both weigh 1.0 * 6.0
-    assert [(l.u, l.v, l.weight) for l in run_stage(net, 1)] == [(0, 1, 6.0)]
+    assert [(l.u, l.v, l.weight) for l in link_rows(run_stage(net, 1))] == [(0, 1, 6.0)]
 
 
 def test_assign_weights_rejects_pair_without_shared_exclusive_neighbor():
@@ -402,7 +404,7 @@ def test_run_stage_weights_match_plain_loop_flow_means():
         net = random_multiplex(rng, n, l, directed=bool(trial % 2), p=float(rng.uniform(0.2, 0.6)))
         for k in range(1, l + 1):
             for threshold in (0.5, 0.0):
-                for link in run_stage(net, k, threshold):
+                for link in link_rows(run_stage(net, k, threshold)):
                     mean_flow = oracle_flow_mean(net, link.subset, link.u, link.v)
                     assert mean_flow is not None  # every kept pair has flow context
                     assert link.weight == link.normalized_score * mean_flow  # exact
@@ -412,11 +414,11 @@ def test_run_stage_weights_match_plain_loop_flow_means():
 
 def test_dedupe_keeps_max_weight_then_lexicographic_tags():
     def link(weight, algorithm, subset, raw=0.5, ends=(0, 1)):
-        return PredictedLink(*ends, raw, 0.9, weight, algorithm, subset, len(subset))
+        return Link(*ends, raw, 0.9, weight, algorithm, subset, len(subset))
 
-    winner = list(dedupe_links([
-        LinkTable.from_links([link(2.0, ADAMIC_ADAR, (1,)), link(5.0, JACCARD, (0,))]),
-        LinkTable.from_links([link(5.0, ADAMIC_ADAR, (0, 2)), link(5.0, ADAMIC_ADAR, (0,))]),
+    winner = link_rows(dedupe_links([
+        link_table([link(2.0, ADAMIC_ADAR, (1,)), link(5.0, JACCARD, (0,))]),
+        link_table([link(5.0, ADAMIC_ADAR, (0, 2)), link(5.0, ADAMIC_ADAR, (0,))]),
     ]))
     assert len(winner) == 1
     # "adamic_adar" < "jaccard", then (0,) < (0, 2) across the tables' subsets
@@ -430,24 +432,10 @@ def test_dedupe_keeps_max_weight_then_lexicographic_tags():
     # an exact tie goes to the first row in input order, which keeps its orientation
     tied = [link(5.0, JACCARD, (0,), raw=0.25, ends=(1, 0)), link(5.0, JACCARD, (0,), raw=0.75)]
     for links in (tied, tied[::-1]):
-        got = list(dedupe_links([LinkTable.from_links(links)]))
+        got = link_rows(dedupe_links([link_table(links)]))
         assert got == oracle_dedupe(links)
         assert (got[0].u, got[0].v, got[0].raw_score) == (links[0].u, links[0].v, links[0].raw_score)
         assert got[0].sources == ((JACCARD, (0,), 1),)
-
-
-def test_link_table_round_trips_links_with_sources():
-    links = [
-        PredictedLink(3, 1, 0.5, 1.0, 2.0, JACCARD, (0, 2), 2,
-                      ((ADAMIC_ADAR, (1, 2), 2), (JACCARD, (0, 2), 2))),
-        PredictedLink(0, 4, 0.25, 0.5, 1.0, ADAMIC_ADAR, (1,), 1),
-    ]
-    table = LinkTable.from_links(links)
-    assert len(table) == 2 and table.subsets == ((0, 2), (1,), (1, 2))
-    assert table.algorithm.tolist() == [1, 0] and table.subset.tolist() == [0, 1]
-    assert list(table) == links and list(table) == links  # iterable again
-    empty = LinkTable.from_links([])
-    assert len(empty) == 0 and list(empty) == [] and empty.subsets == ()
 
 
 def test_link_table_sources_is_one_boolean_mask_per_row_algorithm_and_subset(monkeypatch):
@@ -458,8 +446,8 @@ def test_link_table_sources_is_one_boolean_mask_per_row_algorithm_and_subset(mon
     monkeypatch.setattr(prediction, "dedupe_links", lambda tables: dedupe(weighted.extend(tables) or weighted))
     union = run_stage(net, 2, threshold=0.5)
     assert len(weighted) == 2
-    tables = (*weighted, union, dedupe_links([*weighted, union]), LinkTable.from_links(list(union)),
-              LinkTable.from_links([]))
+    tables = (*weighted, union, dedupe_links([*weighted, union]), link_table(link_rows(union)),
+              link_table([]))
     for table in tables:
         assert table.sources.dtype == bool
         assert table.sources.shape == (len(table), len(ALGORITHMS), len(table.subsets))
@@ -471,7 +459,7 @@ def test_link_table_sources_is_one_boolean_mask_per_row_algorithm_and_subset(mon
 def test_run_stage_dedupes_across_subsets_in_order():
     rng = np.random.default_rng(7)
     net = random_multiplex(rng, 8, 3, p=0.5)
-    links = run_stage(net, 2, threshold=0.5)
+    links = link_rows(run_stage(net, 2, threshold=0.5))
     pairs = [(l.u, l.v) for l in links]
     assert pairs == sorted(pairs)
     assert len(pairs) == len(set(pairs))
@@ -496,7 +484,7 @@ def _oracle_stage(net, k, threshold):
             for (u, v), raw in sorted(scores.items()):
                 if raw / top > threshold:
                     weight = raw / top * oracle_flow_mean(net, subset, u, v)
-                    links.append(PredictedLink(u, v, raw, raw / top, weight, algorithm, subset, k))
+                    links.append(Link(u, v, raw, raw / top, weight, algorithm, subset, k))
     return oracle_dedupe(links)
 
 
@@ -526,8 +514,8 @@ def test_run_stage_scores_no_row_for_a_subset_whose_pairs_share_no_neighbor():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         links = run_stage(net, 1, threshold=0.3)
-    assert {l.subset for l in links} == {(1,), (2,)}
-    assert list(links) == _oracle_stage(net, 1, 0.3)
+    assert {links.subsets[s] for s in links.subset.tolist()} == {(1,), (2,)}
+    assert link_rows(links) == _oracle_stage(net, 1, 0.3)
 
 
 @st.composite
@@ -550,7 +538,7 @@ def test_run_stage_matches_the_oracle_stage_on_random_multiplexes(net):
         assert jaccard.shape == adamic_adar.shape == stage.u.shape
         assert (jaccard > 0).all() and (adamic_adar > 0).all()
         for threshold in (0.0, 0.5, 0.9):
-            assert list(run_stage(net, k, threshold)) == _oracle_stage(net, k, threshold)
+            assert link_rows(run_stage(net, k, threshold)) == _oracle_stage(net, k, threshold)
 
 
 def test_run_stage_does_not_depend_on_the_pass_budget(monkeypatch):
@@ -559,16 +547,16 @@ def test_run_stage_does_not_depend_on_the_pass_budget(monkeypatch):
             for trial in range(6)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no pass warns
-        default = [list(run_stage(net, k, threshold)) for net in nets for k in (1, 2, 3)
+        default = [run_stage(net, k, threshold) for net in nets for k in (1, 2, 3)
                    for threshold in (0.0, 0.5)]
         scored = []
         scorer = prediction.modified_jaccard
         monkeypatch.setattr(prediction, "modified_jaccard",
                             lambda stage: scored.append(len(stage.subsets)) or scorer(stage))
         monkeypatch.setattr(prediction, "CHUNK_BYTES", 1)  # one subset per pass
-        split = [list(run_stage(net, k, threshold)) for net in nets for k in (1, 2, 3)
+        split = [run_stage(net, k, threshold) for net in nets for k in (1, 2, 3)
                  for threshold in (0.0, 0.5)]
-    assert split == default
+    assert all(same_links(a, b) for a, b in zip(split, default, strict=True))
     assert set(scored) == {1} and len(scored) == len(nets) * (4 + 6 + 4) * 2
 
 
@@ -599,9 +587,7 @@ def test_run_stage_splits_a_dense_stage_by_its_shared_pair_list(monkeypatch):
     monkeypatch.setattr(prediction, "CHUNK_BYTES", 2**40)
     whole = run_stage(net, 3)
     assert passes[10:] == [10]
-    for name in ("u", "v", "raw_score", "normalized_score", "weight", "algorithm", "subset", "sources"):
-        assert np.array_equal(getattr(split, name), getattr(whole, name)), name
-    assert split.subsets == whole.subsets and len(split) > 10_000
+    assert same_links(split, whole) and len(split) > 10_000
 
 
 def _lattice(n, n_layers, directed):
@@ -675,7 +661,7 @@ def test_a_pass_at_threshold_zero_stays_within_its_budget(monkeypatch):
         for p in passes:
             assert p["peak"] <= p["cost"] + _scan(net), (k, p)
         monkeypatch.setattr(prediction, "CHUNK_BYTES", 2**40)
-        assert list(split) == list(run_stage(net, k, 0.0))
+        assert same_links(split, run_stage(net, k, 0.0))
     # on a sparse directed lattice nearly every entry is a row, and at stage L
     # a pass holds more than ENTRY_BYTES per entry: only the flow term covers it
     net = _lattice(400, 5, directed=True)
@@ -692,7 +678,34 @@ def test_a_pass_grows_with_its_subsets_only_by_their_entries(monkeypatch):
     assert [p["subsets"] for p in singles] == [1, 1, 1] and joint["subsets"] == 3
     for p in singles:
         assert joint["peak"] - p["peak"] <= ENTRY_BYTES * (joint["entries"] - p["entries"]), (p, joint)
-    assert list(alone) == list(together)
+    assert same_links(alone, together)
+
+
+class _CountedScans(np.ndarray):
+    """Layer weights that count their dense scans: comparisons of all (L, N, N)
+    cells at once."""
+
+    scans = 0
+
+    def __gt__(self, other):
+        if self.ndim == 3:
+            _CountedScans.scans += 1
+        return np.asarray(self) > other
+
+
+def test_a_network_is_scanned_once_for_every_stage_pass_and_neighborhood(monkeypatch):
+    # the joined pairs are the network's: stages, their budgets and passes,
+    # and exclusive_neighbors all read the table its first use lists
+    plain = _lattice(24, 5, directed=False)
+    for budget in (prediction.CHUNK_BYTES, 1):  # one pass per stage, then one per subset
+        monkeypatch.setattr(prediction, "CHUNK_BYTES", budget)
+        net = MultiplexNetwork(directed=False, intra=plain.intra.view(_CountedScans), coupling=plain.coupling)
+        _CountedScans.scans = 0
+        tables = [run_stage(net, k, 0.5) for k in (1, 2, 3)]
+        neighbors = exclusive_neighbors(net, 0, (0,))
+        assert _CountedScans.scans == 1
+        assert all(same_links(table, run_stage(plain, k, 0.5)) for k, table in zip((1, 2, 3), tables))
+        assert neighbors == exclusive_neighbors(plain, 0, (0,))
 
 
 def test_run_stage_weights_each_pass_once_on_the_union_of_kept_rows(monkeypatch):
@@ -751,11 +764,10 @@ def test_run_stage_builds_each_pass_once_for_both_scorers(monkeypatch):
 
 def test_links_csv_quotes_labels_as_csv_writer_does():
     labels = ("plain", "", "a,b", 'say "hi"', "two\nlines", "cr\rhere", " spaced ")
-    links = LinkTable.from_links([
-        PredictedLink(u, v, 0.1 * u + 0.7, 1.0 / (v + 1), 3.0 * u + v / 7, ALGORITHMS[u % 2],
-                      ((0, 2), (1,), (0, 1, 2))[v % 3], len(((0, 2), (1,), (0, 1, 2))[v % 3]))
-        for u in range(7) for v in range(u + 1, 7)])
-    got = format_links_csv(links, labels)
+    links = [Link(u, v, 0.1 * u + 0.7, 1.0 / (v + 1), 3.0 * u + v / 7, ALGORITHMS[u % 2],
+                  ((0, 2), (1,), (0, 1, 2))[v % 3], len(((0, 2), (1,), (0, 1, 2))[v % 3]))
+             for u in range(7) for v in range(u + 1, 7)]
+    got = format_links_csv(link_table(links), labels)
     want = io.StringIO()
     writer = csv.writer(want, lineterminator="\n")
     writer.writerow(LINK_CSV_COLUMNS)
@@ -765,11 +777,11 @@ def test_links_csv_quotes_labels_as_csv_writer_does():
 
 
 def test_links_csv_round_trip(tmp_path):
-    link = PredictedLink(0, 2, 0.75, 1.0, 5.25, JACCARD, (0, 2), 2)
+    link = Link(0, 2, 0.75, 1.0, 5.25, JACCARD, (0, 2), 2)
     path = tmp_path / "links.csv"
-    path.write_text(format_links_csv(LinkTable.from_links([link]), ("a", "b", "c")), encoding="utf-8")
+    path.write_text(format_links_csv(link_table([link]), ("a", "b", "c")), encoding="utf-8")
     back = read_links_csv(path, {"a": 0, "b": 1, "c": 2})
-    assert list(back) == [link]
+    assert link_rows(back) == [link]
     with pytest.raises(ValueError, match="unknown node label"):
         read_links_csv(path, {"x": 0})
     # columns in any order: a short row's missing subset is a bad value, not a crash
@@ -793,11 +805,11 @@ def test_links_csv_rejects_a_repeated_column(tmp_path):
 
 def test_links_csv_header_names_are_stripped(tmp_path):
     """A header of "u_label, v_label, ..." names the columns, as in an edge list."""
-    link = PredictedLink(0, 2, 0.75, 1.0, 5.25, JACCARD, (0, 2), 2)
-    body = format_links_csv(LinkTable.from_links([link]), ("a", "b", "c")).split("\n", 1)[1]
+    link = Link(0, 2, 0.75, 1.0, 5.25, JACCARD, (0, 2), 2)
+    body = format_links_csv(link_table([link]), ("a", "b", "c")).split("\n", 1)[1]
     path = tmp_path / "links.csv"
     path.write_text(", ".join(LINK_CSV_COLUMNS) + "\n" + body, encoding="utf-8")
-    assert list(read_links_csv(path, {"a": 0, "b": 1, "c": 2})) == [link]
+    assert link_rows(read_links_csv(path, {"a": 0, "b": 1, "c": 2})) == [link]
     # a stripped name still counts once: " weight" repeats weight
     path.write_text(",".join(LINK_CSV_COLUMNS) + ", weight\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r"links file repeats columns \['weight'\]"):

@@ -11,16 +11,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_dedupe
+from conftest import Link, link_rows, link_table, oracle_dedupe
 
 from multinav import (
     DegradedDecompositionError,
     FlowEdge,
-    LinkTable,
-    PredictedLink,
     build_multiplex,
     build_supra_transition,
-    coverage_analytic,
     dedupe_links,
     default_time_grid,
     format_edge_csv,
@@ -52,10 +49,10 @@ def networks_and_links(draw):
     net = build_multiplex(edges, n_layers=n_layers, directed=directed, n_nodes=n)
     layers = st.lists(st.integers(0, n_layers - 1), min_size=1, max_size=n_layers, unique=True)
     links = [
-        PredictedLink(u, v, 1.0, 1.0, draw(st.floats(0.01, 10.0)), JACCARD, tuple(sorted(s)), len(s))
+        Link(u, v, 1.0, 1.0, draw(st.floats(0.01, 10.0)), JACCARD, tuple(sorted(s)), len(s))
         for (u, v), s in draw(st.lists(st.tuples(pairs, layers), max_size=8))
     ]
-    return net, LinkTable.from_links(links)
+    return net, link_table(links)
 
 
 @SETTINGS
@@ -87,13 +84,13 @@ def stage_links(draw):
     )
     # few distinct weights, so ties between algorithms and subsets are common
     return [
-        PredictedLink(u, v, 1.0, 1.0, draw(st.sampled_from([0.5, 1.0, 2.0])), alg, sub, len(sub))
+        Link(u, v, 1.0, 1.0, draw(st.sampled_from([0.5, 1.0, 2.0])), alg, sub, len(sub))
         for (u, v), alg, sub in keys
     ]
 
 
 def _deduped(*groups):
-    return list(dedupe_links([LinkTable.from_links(links) for links in groups]))
+    return link_rows(dedupe_links([link_table(links) for links in groups]))
 
 
 @SETTINGS
@@ -107,10 +104,10 @@ def test_dedupe_links_ignores_input_order(case):
 @given(stage_links(), stage_links())
 def test_dedupe_links_keeps_sources_when_deduped_again(first, second):
     # run_stage dedupes each stage, then the CLI dedupes the stages' tables to merge them
-    again = dedupe_links([dedupe_links([LinkTable.from_links(first)]),
-                          dedupe_links([LinkTable.from_links(second)])])
-    assert list(again) == _deduped(first, second) == _deduped(first + second)
-    assert list(again) == oracle_dedupe(oracle_dedupe(first) + oracle_dedupe(second))
+    again = link_rows(dedupe_links([dedupe_links([link_table(first)]),
+                                    dedupe_links([link_table(second)])]))
+    assert again == _deduped(first, second) == _deduped(first + second)
+    assert again == oracle_dedupe(oracle_dedupe(first) + oracle_dedupe(second))
 
 
 @SETTINGS
@@ -194,7 +191,7 @@ def small_multiplexes(draw):
 @given(small_multiplexes(), st.sampled_from(STRATEGIES))
 def test_analytic_coverage_starts_at_one_over_n_and_never_drops(net, strategy):
     try:
-        curve = coverage_analytic(net, strategy)
+        curve = analytic_state(net, strategy).curve()
     except DegradedDecompositionError:
         return  # the documented outcome of an untrustworthy decomposition
     n = net.n_nodes

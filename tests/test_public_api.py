@@ -1,10 +1,12 @@
 """The package's public names and imports: ``from multinav import *`` must import
-cleanly, and importing the package needs numpy alone."""
+cleanly, importing the package needs numpy alone, and the README's library
+example runs."""
 
 from __future__ import annotations
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -39,3 +41,13 @@ def test_every_module_parses_as_python_3_10():
     assert modules
     for path in modules:
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+def test_the_readme_library_example_runs(monkeypatch, capsys):
+    """The README's one Python block, run as written from the repository root."""
+    root = Path(__file__).resolve().parents[1]
+    (block,) = re.findall(r"^```python\n(.*?)^```$", (root / "README.md").read_text(encoding="utf-8"),
+                          re.DOTALL | re.MULTILINE)
+    monkeypatch.chdir(root)
+    exec(compile(block, "README.md", "exec"), {"__name__": "readme"})
+    assert "stage2" in capsys.readouterr().out
