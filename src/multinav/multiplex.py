@@ -3,8 +3,8 @@ layer-subset enumeration, knockouts, and link integration.
 
 A multiplex network here is L weighted adjacency matrices over one shared set
 of N nodes, plus one inter-layer coupling weight that joins every node's
-replicas in any two layers. Networks are immutable; every mutating operation
-returns a new instance.
+replicas in any two layers. Networks are immutable, ``intra`` is read-only,
+and every mutating operation returns a new instance.
 """
 
 from __future__ import annotations
@@ -14,10 +14,11 @@ import csv
 import io
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
-from typing import ContextManager, Iterable, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -35,15 +36,16 @@ CHUNK_BYTES = 16 * 2**20
 
 
 class ParseError(ValueError):
-    """Malformed edge-list content; carries the offending 1-based line number."""
+    """Malformed CSV content; the message leads with the table and 1-based line, kept as ``line``."""
 
-    def __init__(self, message: str, line: int | None = None):
-        super().__init__(message if line is None else f"line {line}: {message}")
+    def __init__(self, message: str, line: int | None = None, table: str = ""):
+        where = table if line is None else f"{table} line {line}".lstrip()
+        super().__init__(f"{where}: {message}" if where else message)
         self.line = line
 
 
-class SchemaError(ValueError):
-    """Edge-list header does not provide the required columns."""
+class SchemaError(ParseError):
+    """A CSV header does not provide the required columns."""
 
 
 class ConstructionError(ValueError):
@@ -110,6 +112,7 @@ class MultiplexNetwork:
             for k in range(n_layers):
                 if not np.array_equal(self.intra[k], self.intra[k].T):
                     raise ConstructionError(f"layer {k} is not symmetric in undirected mode")
+        self.intra.setflags(write=False)  # so joined_pairs, once listed, stays true
 
     @property
     def n_nodes(self) -> int:
@@ -126,20 +129,13 @@ class MultiplexNetwork:
     def joined_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(x, y, layers): each pair x < y some layer joins, either direction,
         in row-major order, with its (L, pairs) layer mask; no node is its own
-        neighbor. Listed by one scan on first use and kept: do not edit ``intra`` in place."""
+        neighbor. Listed by one scan on first use and kept, as ``intra`` is read-only."""
         present = self.intra > 0
         joined = present.any(axis=0)
         joined |= joined.T
         x, y = np.nonzero(joined)
         x, y = x[x < y], y[x < y]
         return x, y, present[:, x, y] | present[:, y, x]
-
-
-def _open_source(source: TextIO | str | Path) -> ContextManager[TextIO]:
-    """A path opened with any byte-order mark skipped, or a given stream, left open."""
-    if isinstance(source, (str, Path)):
-        return open(source, encoding="utf-8-sig", newline="")
-    return contextlib.nullcontext(source)
 
 
 def csv_cells(values: Sequence[str]) -> list[str]:
@@ -159,24 +155,78 @@ def csv_cells(values: Sequence[str]) -> list[str]:
     return cells
 
 
+def read_table(source: TextIO | str | Path, columns: Sequence[str],
+               table: str = "") -> Iterator[tuple[int, tuple[str, ...]]]:
+    """Each non-blank row of a CSV table: the 1-based line it ends on (a
+    quoted field may span lines) and its fields under ``columns``, two or more.
+
+    A path is opened with any byte-order mark skipped; a stream is read and
+    left open. Header names are stripped and must hold each of ``columns``
+    once; every row must be as wide as the header. Errors are ParseErrors
+    named after ``table``: SchemaError for the header, the rest with the line.
+    """
+    opened = (open(source, encoding="utf-8-sig", newline="") if isinstance(source, (str, Path))
+              else contextlib.nullcontext(source))
+    with opened as stream:
+        reader = csv.reader(stream)
+        try:
+            try:
+                header = [name.strip() for name in next(reader)]
+            except StopIteration:
+                raise ParseError("empty input, expected a header row", 1, table) from None
+            for name in columns:
+                if header.count(name) != 1:
+                    problem = "missing" if name not in header else "duplicated"
+                    raise SchemaError(f"{problem} column {name!r} in header {header}", table=table)
+            pick = operator.itemgetter(*map(header.index, columns))
+            width = len(header)
+            for row in reader:
+                if len(row) == width:
+                    yield reader.line_num, pick(row)
+                elif row:
+                    raise ParseError(f"expected {width} fields, got {len(row)}", reader.line_num, table)
+        except csv.Error as exc:  # a field over the limit; not a ValueError
+            raise ParseError(str(exc), reader.line_num, table) from None
+
+
 def parse_edge_list(*sources: TextIO | str | Path) -> EdgeList:
     """Parse CSV edge lists into FlowEdges with labels interned to dense indices.
 
     One source is a combined edge list. With several, source k becomes layer
     k, and each must carry a single layer value of its own; an empty source
-    still adds its layer. Each header must contain the layer, source, target
-    and flow columns once each, in any order. Node labels become indices in
-    first-appearance order across all sources. Rejects malformed rows,
-    negative flows, empty labels, self-loops and fields over csv's size
-    limit, reporting the 1-based line number on which the row ends.
+    still adds its layer. read_table reads each source, whose header names
+    the layer, source, target and flow columns. Node labels become indices in
+    first-appearance order across all sources. Rejects what read_table
+    rejects, and non-numeric values, negative flows, empty labels and
+    self-loops, naming the 1-based line on which the row ends.
     """
     index: dict[str, int] = {}  # label -> its index, in first-appearance order
     edges: list[FlowEdge] = []
     n_layers = len(sources)
     for position, source in enumerate(sources):
         fixed = None if len(sources) == 1 else position
-        with _open_source(source) as stream:
-            values = _read_edges(stream, index, edges, fixed)
+        values: set[int] = set()  # the layer values the source holds
+        for line, (layer_text, src, dst, flow_text) in read_table(source, EDGE_COLUMNS):
+            try:
+                layer = int(layer_text)
+            except ValueError:
+                raise ParseError(f"non-integer layer {layer_text!r}", line) from None
+            try:
+                flow = float(flow_text)
+            except ValueError:
+                raise ParseError(f"non-numeric flow {flow_text!r}", line) from None
+            if not math.isfinite(flow) or flow < 0:
+                raise ParseError(f"flow must be finite and non-negative, got {flow}", line)
+            if layer < 0:
+                raise ParseError(f"negative layer index {layer}", line)
+            src, dst = src.strip(), dst.strip()
+            if not (src and dst):
+                raise ParseError(f"empty {'target' if src else 'source'} label", line)
+            if src == dst:
+                raise ParseError(f"self-loop on node {src!r}", line)
+            values.add(layer)
+            edges.append(FlowEdge(index.setdefault(src, len(index)), index.setdefault(dst, len(index)),
+                                  layer if fixed is None else fixed, flow))
         if fixed is None:
             n_layers = 1 + max(values, default=-1)
         elif len(values) > 1:
@@ -184,56 +234,6 @@ def parse_edge_list(*sources: TextIO | str | Path) -> EdgeList:
             raise ParseError(f"{name}: per-layer input holds {len(values)} layer values; "
                              "pass a single combined CSV instead")
     return EdgeList(tuple(edges), tuple(index), n_layers)
-
-
-def _read_edges(stream: TextIO, index: dict[str, int], edges: list[FlowEdge], fixed: int | None) -> set[int]:
-    """Append one source's edges, in layer ``fixed`` unless it is None, interning
-    labels into ``index``; return the layer values the source holds."""
-    values: set[int] = set()
-    try:
-        reader = csv.reader(stream)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty input, expected a header row", line=1) from None
-        header = [h.strip() for h in header]
-        for name in EDGE_COLUMNS:
-            if header.count(name) != 1:
-                problem = "missing" if name not in header else "duplicated"
-                raise SchemaError(f"{problem} column {name!r} in header {header}")
-        at_layer, at_source, at_target, at_flow = map(header.index, EDGE_COLUMNS)
-
-        for row in reader:
-            lineno = reader.line_num  # the row's last line; a quoted field may span lines
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError(f"expected {len(header)} fields, got {len(row)}", line=lineno)
-            try:
-                layer = int(row[at_layer])
-            except ValueError:
-                raise ParseError(f"non-integer layer {row[at_layer]!r}", line=lineno) from None
-            try:
-                flow = float(row[at_flow])
-            except ValueError:
-                raise ParseError(f"non-numeric flow {row[at_flow]!r}", line=lineno) from None
-            if not math.isfinite(flow) or flow < 0:
-                raise ParseError(f"flow must be finite and non-negative, got {flow}", line=lineno)
-            if layer < 0:
-                raise ParseError(f"negative layer index {layer}", line=lineno)
-            src = row[at_source].strip()
-            dst = row[at_target].strip()
-            if not (src and dst):
-                raise ParseError(f"empty {'target' if src else 'source'} label", line=lineno)
-            if src == dst:
-                raise ParseError(f"self-loop on node {src!r}", line=lineno)
-            values.add(layer)
-            source = index.setdefault(src, len(index))
-            edges.append(FlowEdge(source, index.setdefault(dst, len(index)),
-                                  layer if fixed is None else fixed, flow))
-        return values
-    except csv.Error as exc:  # a field over the limit; not a ValueError
-        raise ParseError(str(exc), line=reader.line_num) from None
 
 
 def trim_edges(

@@ -33,7 +33,6 @@ network run_stage splits a stage into passes of as many subsets as fit
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -41,7 +40,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .multiplex import CHUNK_BYTES, MultiplexNetwork, csv_cells, enumerate_layer_subsets
+from .multiplex import (CHUNK_BYTES, MultiplexNetwork, ParseError, csv_cells, enumerate_layer_subsets,
+                        read_table)
 
 JACCARD = "jaccard"
 ADAMIC_ADAR = "adamic_adar"
@@ -485,41 +485,28 @@ def format_links_csv(links: LinkTable, labels: Sequence[str]) -> str:
     return "".join([",".join(LINK_CSV_COLUMNS) + "\n", *rows])
 
 
+# the parser of each value of a links file's row after its labels, in a table row's order
+_LINK_PARSERS = {"algorithm": ALGORITHMS.index, "raw_score": float, "normalized_score": float,
+                 "weight": float, "subset": parse_subset, "stage": int}
+
+
 def read_links_csv(path: str | Path, label_index: dict[str, int]) -> LinkTable:
-    """Read a predicted-links CSV, with or without a byte-order mark, into a table,
-    mapping labels back to node indices; each rejected row names its line."""
+    """Read a predicted-links CSV into a table by read_table's rules, mapping
+    labels back to node indices; each error starts ``links file line N:``, or
+    ``links file:`` for the header."""
     rows = []
-    with open(path, encoding="utf-8-sig", newline="") as stream:
-        reader = csv.DictReader(stream)
+    table = "links file"
+    for line, (u, v, *texts) in read_table(path, ("u_label", "v_label", *_LINK_PARSERS), table):
         try:
-            # as parse_edge_list does, "u_label, v_label" names u_label and v_label
-            reader.fieldnames = header = [name.strip() for name in reader.fieldnames or []]
-            missing = set(LINK_CSV_COLUMNS) - set(header)
-            if missing:
-                raise ValueError(f"links file missing columns {sorted(missing)}")
-            # DictReader would keep only the last of a repeated column
-            repeated = [name for name in LINK_CSV_COLUMNS if header.count(name) > 1]
-            if repeated:
-                raise ValueError(f"links file repeats columns {repeated}")
-            for row in reader:
-                line = f"links file line {reader.line_num}"
-                if None in row:  # DictReader files a long row's extra fields under None
-                    raise ValueError(f"{line}: {len(row[None])} fields more than the header")
-                try:
-                    values = [label_index[row["u_label"]], label_index[row["v_label"]]]
-                except KeyError as exc:
-                    raise ValueError(f"unknown node label {exc.args[0]!r} in links file") from None
-                for name, parse in (("algorithm", ALGORITHMS.index), ("raw_score", float),
-                                    ("normalized_score", float), ("weight", float),
-                                    ("subset", parse_subset), ("stage", int)):
-                    try:
-                        values.append(parse(row[name]))
-                    except (AttributeError, TypeError, ValueError):  # a short row holds None
-                        raise ValueError(f"{line}: bad {name} {row[name]!r}") from None
-                if values.pop() != len(values[-1]):
-                    raise ValueError(f"{line}: bad stage {row['stage']!r} for subset {row['subset']!r}")
-                rows.append(values)
-        except csv.Error as exc:  # a field over the size limit, which is no ValueError
-            # DictReader counts only the lines of the rows it has returned
-            raise ValueError(f"links file line {reader.reader.line_num}: {exc}") from None
+            row = [label_index[u], label_index[v]]
+        except KeyError as exc:
+            raise ParseError(f"unknown node label {exc.args[0]!r}", line, table) from None
+        for (name, parse), text in zip(_LINK_PARSERS.items(), texts):
+            try:
+                row.append(parse(text))
+            except ValueError:
+                raise ParseError(f"bad {name} {text!r}", line, table) from None
+        if row.pop() != len(row[-1]):
+            raise ParseError(f"bad stage {texts[-1]!r} for subset {texts[-2]!r}", line, table)
+        rows.append(row)
     return LinkTable._from_rows(rows)

@@ -42,7 +42,7 @@ class SupraTransitionMatrix:
     ``scale`` holds each state's rwc denominator in supra order for an
     undirected rwc walk: diag(scale) @ matrix is then symmetric, which is
     the scale ``navigability.decompose`` takes. It is None for every other
-    walk.
+    walk. Both arrays are read-only.
     """
 
     matrix: np.ndarray
@@ -50,14 +50,18 @@ class SupraTransitionMatrix:
     n_layers: int
     scale: np.ndarray | None = None
 
+    def __post_init__(self):
+        for array in (self.matrix, self.scale):
+            if array is not None:
+                array.setflags(write=False)
+
     @property
     def dim(self) -> int:
         return self.n_nodes * self.n_layers
 
     @cached_property
     def cumulative(self) -> CumulativeTable:
-        """The samplers' search table, built on first use and kept; the
-        matrix must not be edited in place after that."""
+        """The samplers' search table, built on first use and kept, as ``matrix`` is read-only."""
         return _cumulative_table(self.matrix)
 
 
@@ -114,9 +118,6 @@ def build_supra_transition(net: MultiplexNetwork, strategy: str) -> SupraTransit
     tag = normalize_strategy(strategy)
     n, l = net.n_nodes, net.n_layers
     dim = n * l
-    # the coupling is validated on construction, but intra can be edited in place
-    if np.any(net.intra < 0):
-        raise ConstructionError("negative weights cannot be normalized into probabilities")
     # a state's strength: its intra-layer row sum (outgoing only when
     # directed) plus the coupling to each of the L - 1 other layers
     inter = net.coupling * (l - 1)

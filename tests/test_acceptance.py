@@ -55,7 +55,7 @@ from multinav import (
 from multinav.cli import main
 from multinav.multiplex import PLACEMENT_SUBSET, TRIM_PER_LAYER
 from multinav.navigability import analytic_state
-from multinav.prediction import ADAMIC_ADAR, JACCARD
+from multinav.prediction import ADAMIC_ADAR, ALGORITHMS, JACCARD
 from multinav.walks import PAGERANK, RWC, RWD
 
 BELGIUM_ENV = "MULTINAV_BELGIUM_DATA"
@@ -259,30 +259,14 @@ def test_pipeline_runs_are_deterministic(tmp_path):
     )
 
 
-@pytest.mark.skipif(
-    BELGIUM_ENV not in os.environ,
-    reason=f"reference dataset not bundled; set {BELGIUM_ENV} to its edge CSV",
-)
-def test_reference_dataset_numbers():
-    edges = parse_edge_list(os.environ[BELGIUM_ENV])
+def _reference_dataset_numbers(csv_path):
+    """The reference dataset check's numbers for an edge CSV: each stage's
+    undirected (Adamic-Adar, Jaccard) link counts, the undirected count of
+    unique links over the stages, and the rwc report of every (directed,
+    variant) pair, the network before integration and after each stage's."""
+    edges = parse_edge_list(csv_path)
     trimmed = trim_edges(edges.edges, ratio=0.9, scope=TRIM_PER_LAYER)
-
-    expected_counts = {1: (14, 7), 2: (108, 76), 3: (387, 240)}
-    reference = {
-        (False, "original"): (8.58e-5, 26823.0),
-        (False, "stage1"): (5.13e-5, 44871.0),
-        (False, "stage2"): (1.17e-4, 1959.0),
-        (False, "stage3"): (7.11e-4, 3234.0),
-        (True, "original"): (0.00303, 760.85),
-        (True, "stage1"): (0.00297, 775.31),
-        (True, "stage2"): (0.00307, 749.0),
-        (True, "stage3"): (0.00267, 862.0),
-    }
-
-    count_lines = []
-    counts_ok = True
-    nav_ok = True
-    details = []
+    counts, unique, reports = {}, None, {}
     for directed in (False, True):
         net = build_multiplex(
             trimmed,
@@ -300,32 +284,66 @@ def test_reference_dataset_numbers():
                 (f"stage{k}", integrate_links(net, union, placement=PLACEMENT_SUBSET))
             )
             if not directed:
-                # an algorithm's links are the union links carrying its tag
-                aa, j = (sum(any(tag[0] == alg for tag in l.sources) for l in union)
-                         for alg in (ADAMIC_ADAR, JACCARD))
-                count_lines.append(f"stage {k}: {aa}/{j}")
-                counts_ok &= (aa, j) == expected_counts[k]
+                # an algorithm's links are the union rows its provenance marks
+                counts[k] = tuple(int(union.sources[:, ALGORITHMS.index(alg)].any(axis=1).sum())
+                                  for alg in (ADAMIC_ADAR, JACCARD))
         if not directed:
             unique = len(dedupe_links(merged))
-            count_lines.append(f"unique {unique}")
-            counts_ok &= unique == 70
         for label, variant in variants:
-            report = navigability_report(variant, RWC, stage_label=label)
-            gap_ref, t90_ref = reference[(directed, label)]
-            gap_close = math.isclose(report.spectral_gap, gap_ref, rel_tol=0.10)
-            t90_close = report.t90 is not None and math.isclose(
-                report.t90, t90_ref, rel_tol=0.10
-            )
-            nav_ok &= gap_close and t90_close
-            shown = "n/a" if report.t90 is None else f"{report.t90:.5g}"
-            details.append(
-                f"{'dir' if directed else 'und'} {label}: "
-                f"gap {report.spectral_gap:.3g} (ref {gap_ref:.3g}), "
-                f"t90 {shown} (ref {t90_ref:g})"
-            )
+            reports[directed, label] = navigability_report(variant, RWC, stage_label=label)
+    return counts, unique, reports
+
+
+@pytest.mark.skipif(
+    BELGIUM_ENV not in os.environ,
+    reason=f"reference dataset not bundled; set {BELGIUM_ENV} to its edge CSV",
+)
+def test_reference_dataset_numbers():
+    counts, unique, reports = _reference_dataset_numbers(os.environ[BELGIUM_ENV])
+
+    expected_counts = {1: (14, 7), 2: (108, 76), 3: (387, 240)}
+    reference = {
+        (False, "original"): (8.58e-5, 26823.0),
+        (False, "stage1"): (5.13e-5, 44871.0),
+        (False, "stage2"): (1.17e-4, 1959.0),
+        (False, "stage3"): (7.11e-4, 3234.0),
+        (True, "original"): (0.00303, 760.85),
+        (True, "stage1"): (0.00297, 775.31),
+        (True, "stage2"): (0.00307, 749.0),
+        (True, "stage3"): (0.00267, 862.0),
+    }
+
+    count_lines = [f"stage {k}: {aa}/{j}" for k, (aa, j) in counts.items()] + [f"unique {unique}"]
+    counts_ok = counts == expected_counts and unique == 70
+    nav_ok = True
+    details = []
+    for (directed, label), report in reports.items():
+        gap_ref, t90_ref = reference[(directed, label)]
+        gap_close = math.isclose(report.spectral_gap, gap_ref, rel_tol=0.10)
+        t90_close = report.t90 is not None and math.isclose(
+            report.t90, t90_ref, rel_tol=0.10
+        )
+        nav_ok &= gap_close and t90_close
+        shown = "n/a" if report.t90 is None else f"{report.t90:.5g}"
+        details.append(
+            f"{'dir' if directed else 'und'} {label}: "
+            f"gap {report.spectral_gap:.3g} (ref {gap_ref:.3g}), "
+            f"t90 {shown} (ref {t90_ref:g})"
+        )
     ok = counts_ok and nav_ok
     _report(
         "reference dataset numbers",
         ok,
         "; ".join(count_lines + details),
     )
+
+
+def test_reference_dataset_check_runs_on_the_toy_csv():
+    """The reference dataset check's code, run on the toy CSV, so that it is
+    exercised in every run, not only where the dataset is at hand."""
+    counts, unique, reports = _reference_dataset_numbers(TOY)
+    assert counts == {1: (13, 14), 2: (22, 12), 3: (8, 11)} and unique == 29
+    assert list(reports) == [(directed, label) for directed in (False, True)
+                             for label in ("original", "stage1", "stage2", "stage3")]
+    _report("reference dataset check on the toy CSV", True,
+            f"counts {counts}, unique {unique}, {len(reports)} reports")

@@ -7,7 +7,7 @@ import io
 
 import numpy as np
 import pytest
-from conftest import Link, link_table, random_multiplex
+from conftest import Link, link_rows, link_table, random_multiplex
 
 from multinav import (
     ConstructionError,
@@ -24,7 +24,8 @@ from multinav import (
     parse_edge_list,
     trim_edges,
 )
-from multinav.multiplex import PLACEMENT_ALL, PLACEMENT_SUBSET, TRIM_GLOBAL
+from multinav.multiplex import EDGE_COLUMNS, PLACEMENT_ALL, PLACEMENT_SUBSET, TRIM_GLOBAL
+from multinav.prediction import LINK_CSV_COLUMNS, read_links_csv
 
 
 def _parse(text):
@@ -37,11 +38,6 @@ def test_parse_interns_labels_in_first_appearance_order():
     assert got.edges == (FlowEdge(0, 1, 0, 1.5), FlowEdge(2, 0, 1, 2.0))
     assert got.n_nodes == 3
     assert got.n_layers == 2
-
-
-def test_parse_skips_blank_lines():
-    got = _parse("layer,source,target,flow\n\n0,a,b,1.0\n\n")
-    assert len(got.edges) == 1
 
 
 def test_parse_missing_column_is_schema_error():
@@ -98,12 +94,62 @@ def test_parse_rejects_malformed_rows_with_line_numbers(row, fragment):
     assert f"line {line}:" in str(err.value) and err.value.line == line
 
 
-def test_parse_accepts_utf8_bom_header(tmp_path):
-    path = tmp_path / "bom.csv"
-    path.write_bytes("\ufefflayer,source,target,flow\n0,a,b,1.5\n".encode("utf-8"))
+def _edge_rows(path):
     got = parse_edge_list(path)
-    assert got.edges == (FlowEdge(0, 1, 0, 1.5),)
-    assert got.labels == ("a", "b")
+    return [(got.labels[e.source], got.labels[e.target], e.layer, e.flow) for e in got.edges]
+
+
+# each reader: its header columns, a valid row, a valid row whose quoted label
+# spans two lines, the table name its errors start with, and the rows it reads
+TABLE_READERS = {
+    "edges": (EDGE_COLUMNS, "0,a,b,1.0", '0,"a\nb",c,1.0', "", _edge_rows),
+    "links": (LINK_CSV_COLUMNS, "a,c,jaccard,0,1,1.0,1.0,0.5", '"a\nb",c,jaccard,0,1,1.0,1.0,0.5',
+              "links file", lambda path: link_rows(read_links_csv(path, {"a": 0, "c": 1, "a\nb": 2}))),
+}
+
+
+def _table_cases(columns, row, multiline):
+    """Each case's text, then how many copies of ``row`` it holds, or the
+    error type, line and message it raises."""
+    header, width, last = ",".join(columns), len(columns), columns[-1]
+    return {
+        "byte-order-mark": (f"\ufeff{header}\n{row}\n", 1),
+        "spaced-header": (", ".join(columns) + f"\n{row}\n", 1),
+        "missing-column": (",".join(columns[:-1]) + "\n", (SchemaError, None, f"missing column {last!r}")),
+        # a stripped name counts as the column, so " flow" repeats flow
+        "duplicated-column": (f"{header}, {last}\n{row},9\n", (SchemaError, None, f"duplicated column {last!r}")),
+        "repeated-other-column": (f"{header},note,note\n{row},x,y\n", 1),
+        "short-row": (f"{header}\n{row}\na\n", (ParseError, 3, f"expected {width} fields, got 1")),
+        "long-row": (f"{header}\n{row}\n{row},x,y\n", (ParseError, 3, f"expected {width} fields, got {width + 2}")),
+        "blank-lines": (f"{header}\n\n{row}\n\n\n{row}\n\n", 2),
+        # a csv.Error, which is no ValueError
+        "field-over-limit": (f"{header}\n{row}\n{'x' * 200_000}{row}\n",
+                             (ParseError, 3, "field larger than field limit")),
+        # the quoted label ends on line 3, so the short row after it is on line 4
+        "multiline-field": (f"{header}\n{multiline}\na\n", (ParseError, 4, f"expected {width} fields, got 1")),
+        "empty-input": ("", (ParseError, 1, "empty input, expected a header row")),
+    }
+
+
+@pytest.mark.parametrize("reader,text,expected", [
+    pytest.param(reader, text, expected, id=f"{case}-{reader}")
+    for reader, (columns, row, multiline, _, _) in TABLE_READERS.items()
+    for case, (text, expected) in _table_cases(columns, row, multiline).items()])
+def test_both_readers_apply_one_set_of_table_rules(reader, text, expected, tmp_path):
+    columns, row, _, table, read = TABLE_READERS[reader]
+    path = tmp_path / "table.csv"
+    path.write_text(text, encoding="utf-8")
+    if isinstance(expected, int):
+        plain = tmp_path / "plain.csv"
+        plain.write_text(f"{','.join(columns)}\n{row}\n", encoding="utf-8")
+        assert read(path) == read(plain) * expected
+        return
+    kind, line, message = expected
+    with pytest.raises(kind) as err:
+        read(path)
+    where = table if line is None else f"{table} line {line}".lstrip()
+    assert type(err.value) is kind and err.value.line == line
+    assert str(err.value).startswith(f"{where}: {message}" if where else message)
 
 
 def test_csv_round_trip(tmp_path):

@@ -782,38 +782,12 @@ def test_links_csv_round_trip(tmp_path):
     path.write_text(format_links_csv(link_table([link]), ("a", "b", "c")), encoding="utf-8")
     back = read_links_csv(path, {"a": 0, "b": 1, "c": 2})
     assert link_rows(back) == [link]
-    with pytest.raises(ValueError, match="unknown node label"):
+    with pytest.raises(ValueError, match="^links file line 2: unknown node label 'a'$"):
         read_links_csv(path, {"x": 0})
-    # columns in any order: a short row's missing subset is a bad value, not a crash
+    # columns in any order (the shared table rules: test_multiplex.py)
     columns = [c for c in LINK_CSV_COLUMNS if c != "subset"] + ["subset"]
-    path.write_text(",".join(columns) + "\na,c,jaccard,2,0.75,1.0,5.25\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="line 2: bad subset None"):
-        read_links_csv(path, {"a": 0, "b": 1, "c": 2})
-    header = ",".join(c for c in LINK_CSV_COLUMNS if c != "weight")
-    path.write_text(header + "\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=r"links file missing columns \['weight'\]"):
-        read_links_csv(path, {"a": 0, "b": 1, "c": 2})
-
-
-def test_links_csv_rejects_a_repeated_column(tmp_path):
-    path = tmp_path / "links.csv"
-    path.write_text(",".join(LINK_CSV_COLUMNS) + ",weight\na,c,jaccard,0+2,2,0.75,1.0,5.25,9.0\n",
-                    encoding="utf-8")
-    with pytest.raises(ValueError, match=r"links file repeats columns \['weight'\]"):
-        read_links_csv(path, {"a": 0, "b": 1, "c": 2})
-
-
-def test_links_csv_header_names_are_stripped(tmp_path):
-    """A header of "u_label, v_label, ..." names the columns, as in an edge list."""
-    link = Link(0, 2, 0.75, 1.0, 5.25, JACCARD, (0, 2), 2)
-    body = format_links_csv(link_table([link]), ("a", "b", "c")).split("\n", 1)[1]
-    path = tmp_path / "links.csv"
-    path.write_text(", ".join(LINK_CSV_COLUMNS) + "\n" + body, encoding="utf-8")
+    path.write_text(",".join(columns) + "\na,c,jaccard,2,0.75,1.0,5.25,0+2\n", encoding="utf-8")
     assert link_rows(read_links_csv(path, {"a": 0, "b": 1, "c": 2})) == [link]
-    # a stripped name still counts once: " weight" repeats weight
-    path.write_text(",".join(LINK_CSV_COLUMNS) + ", weight\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=r"links file repeats columns \['weight'\]"):
-        read_links_csv(path, {"a": 0, "b": 1, "c": 2})
 
 
 def test_subset_format_round_trip():

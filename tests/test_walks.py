@@ -158,11 +158,16 @@ def test_supra_scale_symmetrizes_undirected_rwc_only():
             assert np.allclose(weighted, weighted.T, rtol=0.0, atol=1e-12)
 
 
-def test_negative_weights_rejected():
-    net = build_multiplex([FlowEdge(0, 1, 0, 1.0)])
-    net.intra[0, 0, 1] = -1.0  # arrays stay mutable behind the frozen facade
-    with pytest.raises(ConstructionError):
-        build_supra_transition(net, RWC)
+def test_network_and_supra_arrays_are_read_only():
+    """An in-place write would leave joined_pairs or cumulative describing
+    arrays that no longer hold; negative weights are rejected on construction."""
+    net = build_multiplex([FlowEdge(0, 1, 0, 1.0), FlowEdge(1, 2, 0, 2.0)])
+    supra = build_supra_transition(net, RWC)
+    assert supra.scale is not None  # an undirected rwc walk has its scale
+    for array in (net.intra, supra.matrix, supra.scale):
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = -1.0
+    assert net.intra[0, 0, 1] == 1.0
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
