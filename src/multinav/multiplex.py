@@ -18,7 +18,7 @@ import operator
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -52,9 +52,9 @@ class ConstructionError(ValueError):
     """Edges or parameters violate the multiplex model invariants."""
 
 
-@dataclass(frozen=True)
-class FlowEdge:
-    """One intra-layer flow edge; node endpoints are dense integer indices."""
+class FlowEdge(NamedTuple):
+    """One intra-layer flow edge; node endpoints are dense integer indices. A
+    named tuple: it is iterable and equals the plain tuple of its values."""
 
     source: int
     target: int

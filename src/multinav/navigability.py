@@ -96,7 +96,11 @@ class SpectralDecomposition:
 
 
 def _residual(laplacian, eigenvalues, vectors, inverse) -> float:
-    difference = ((vectors * eigenvalues[None, :]) @ inverse).real
+    # Re(V diag(lambda) V^-1) from real products; the imaginary part is never formed
+    weighted = vectors * eigenvalues[None, :]
+    difference = weighted.real @ inverse.real
+    if np.iscomplexobj(weighted):
+        difference -= weighted.imag @ inverse.imag
     return float(np.linalg.norm(np.subtract(laplacian, difference, out=difference)))
 
 
@@ -120,14 +124,14 @@ def _close_to_transpose(matrix: np.ndarray, atol: float) -> bool:
 
 
 def decompose(laplacian: np.ndarray, scale: np.ndarray | None = None) -> SpectralDecomposition:
-    """Full eigendecomposition of a supra-Laplacian, on one of two paths.
+    """Full eigendecomposition of a supra-Laplacian, on the path ``scale`` picks.
 
-    The Hermitian path solves diag(s)^(1/2) @ L @ diag(s)^(-1/2) with
-    ``eigh``; ``scale`` gives s for strength-normalized walks on undirected
-    networks, and a symmetric L takes s = 1. The general ``eig`` path takes
-    the rest, and any Hermitian result whose back-scaled basis misses the
-    residual limit. Eigenvalues keep the dtype the solver returned and come
-    in ascending order of real part on both paths.
+    Given s under which diag(s) @ L is symmetric, as ``SupraTransitionMatrix.scale``
+    is for undirected rwc and rwd walks, the Hermitian path solves
+    diag(s)^(1/2) @ L @ diag(s)^(-1/2) with ``eigh``. Without a scale L takes
+    the general ``eig`` path, even when symmetric, as does any Hermitian
+    result whose back-scaled basis misses the residual limit. Eigenvalues
+    keep the solver's dtype and ascend by real part on both paths.
     DegradedDecompositionError is raised when the general basis V is singular,
     its condition bound |V|_F * |V^-1|_F (no SVD) exceeds COND_LIMIT or its
     reconstruction residual RESIDUAL_LIMIT * |L|, or when an eigenvalue's
@@ -141,14 +145,11 @@ def decompose(laplacian: np.ndarray, scale: np.ndarray | None = None) -> Spectra
         empty = np.zeros((0, 0))
         return SpectralDecomposition(np.zeros(0), empty, empty, 1.0, 0.0)
 
+    tolerance = RESIDUAL_LIMIT * np.linalg.norm(laplacian)
     if scale is not None:
         scale = np.asarray(scale, dtype=float)
         if scale.shape != (n,) or np.any(scale <= 0):
             raise ValueError("scale must be a positive vector matching the matrix size")
-    elif _close_to_transpose(laplacian, atol=1e-12):
-        scale = np.ones(n)
-    tolerance = RESIDUAL_LIMIT * np.linalg.norm(laplacian)
-    if scale is not None:
         root = np.sqrt(scale)
         scaled = np.divide.outer(root, root)
         scaled *= laplacian

@@ -39,10 +39,11 @@ def normalize_strategy(name: str) -> str:
 class SupraTransitionMatrix:
     """Row-stochastic (N*L, N*L) transition matrix for one walk strategy.
 
-    ``scale`` holds each state's rwc denominator in supra order for an
-    undirected rwc walk: diag(scale) @ matrix is then symmetric, which is
-    the scale ``navigability.decompose`` takes. It is None for every other
-    walk. Both arrays are read-only.
+    ``scale`` makes diag(scale) @ matrix symmetric by construction, which
+    takes ``navigability.decompose`` to ``eigh``: each state's rwc denominator
+    in supra order for undirected rwc, ones for undirected rwd. It is None for
+    pagerank, whose teleport breaks the symmetry, and for directed walks.
+    Both arrays are read-only.
     """
 
     matrix: np.ndarray
@@ -156,12 +157,10 @@ def build_supra_transition(net: MultiplexNetwork, strategy: str) -> SupraTransit
         if tag == PAGERANK:
             # max() keeps an empty network's empty matrix from dividing by zero
             matrix = DEFAULT_DAMPING * matrix + (1.0 - DEFAULT_DAMPING) / max(dim, 1)
-    return SupraTransitionMatrix(
-        matrix=matrix,
-        n_nodes=n,
-        n_layers=l,
-        scale=denom.T.reshape(-1) if tag == RWC and not net.directed else None,
-    )
+    scale = None
+    if not net.directed and tag != PAGERANK:
+        scale = denom.T.reshape(-1) if tag == RWC else np.ones(dim)
+    return SupraTransitionMatrix(matrix=matrix, n_nodes=n, n_layers=l, scale=scale)
 
 
 def _cumulative_table(matrix: np.ndarray) -> CumulativeTable:

@@ -7,13 +7,17 @@ import errno
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import warnings
 from importlib.resources import files as package_files
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import Link, link_rows, link_table, read_curve_csv
 
+import multinav
 from multinav import (
     build_multiplex,
     dedupe_links,
@@ -488,6 +492,19 @@ def test_argparse_failures_exit_one(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["trim"])
     assert excinfo.value.code == 1
+
+
+def test_module_run_goes_through_the_console_entrypoint():
+    """``python -m multinav.cli`` runs the ``__main__`` guard and ``entrypoint``,
+    the console script's target, which exits with ``main``'s code."""
+    env = dict(os.environ, PYTHONPATH=str(Path(multinav.__file__).parents[1]))
+    version = subprocess.run([sys.executable, "-m", "multinav.cli", "--version"], env=env,
+                             capture_output=True, text=True, encoding="utf-8")
+    assert (version.returncode, version.stdout) == (0, "multinav 0.1.0\n")
+    bare = subprocess.run([sys.executable, "-m", "multinav.cli"], env=env,
+                          capture_output=True, text=True, encoding="utf-8")
+    assert bare.returncode == 1
+    assert "the following arguments are required: command" in bare.stderr
 
 
 def test_main_builds_the_parser_once_per_process(tmp_path):

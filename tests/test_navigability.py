@@ -63,12 +63,12 @@ def test_supra_laplacian_self_loop_row_is_zero():
 
 
 def test_decompose_k2_and_triangle_eigenvalues():
-    k2 = build_multiplex([FlowEdge(0, 1, 0, 1.0)], coupling=0.0)
-    L = supra_laplacian(build_supra_transition(k2, "rwc"))
-    dec = decompose(L)
+    k2 = build_supra_transition(build_multiplex([FlowEdge(0, 1, 0, 1.0)], coupling=0.0), "rwc")
+    dec = decompose(supra_laplacian(k2), scale=k2.scale)
     assert np.allclose(np.sort(dec.eigenvalues.real), [0.0, 2.0], atol=1e-12)
-    tri = supra_laplacian(build_supra_transition(triangle_network(), "rwc"))
-    dec = decompose(tri)
+    supra = build_supra_transition(triangle_network(), "rwc")
+    tri = supra_laplacian(supra)
+    dec = decompose(tri, scale=supra.scale)
     assert np.allclose(np.sort(dec.eigenvalues.real), [0.0, 1.5, 1.5], atol=1e-12)
     assert dec.residual <= 1e-8 * np.linalg.norm(tri)
     assert dec.eigenvalues.dtype == np.float64  # the Hermitian path stays real
@@ -76,9 +76,42 @@ def test_decompose_k2_and_triangle_eigenvalues():
 
 def test_decompose_disconnected_graph_has_two_zero_modes():
     edges = [FlowEdge(0, 1, 0, 1.0), FlowEdge(2, 3, 0, 1.0)]
-    L = supra_laplacian(build_supra_transition(build_multiplex(edges, coupling=0.0), "rwc"))
-    dec = decompose(L)
+    supra = build_supra_transition(build_multiplex(edges, coupling=0.0), "rwc")
+    dec = decompose(supra_laplacian(supra), scale=supra.scale)
     assert (np.abs(dec.eigenvalues) <= 1e-9).sum() == 2
+
+
+def test_decompose_takes_the_path_its_scale_names():
+    """A symmetric L without a scale takes eig, whose condition is the
+    Frobenius bound; with unit scale it takes eigh, whose basis is orthogonal."""
+    supra = build_supra_transition(triangle_network(), "rwd")
+    L = supra_laplacian(supra)
+    assert np.array_equal(L, L.T)
+    general = decompose(L)
+    assert general.condition == pytest.approx(
+        np.linalg.norm(general.vectors) * np.linalg.norm(general.inverse), rel=1e-15)
+    assert general.condition > 1.0  # |V|_F |V^-1|_F >= n, where eigh's bound is 1
+    hermitian = decompose(L, scale=supra.scale)
+    assert hermitian.condition == 1.0
+    assert np.allclose(np.sort(general.eigenvalues.real), hermitian.eigenvalues, rtol=0.0, atol=1e-12)
+
+
+def test_decompose_rejects_a_singular_eig_basis(monkeypatch):
+    L = np.array([[1.0, -1.0], [0.0, 0.0]])
+    monkeypatch.setattr(np.linalg, "eig", lambda _: (np.array([0.0, 1.0]), np.ones((2, 2))))
+    with pytest.raises(DegradedDecompositionError,
+                       match="^eigenvector basis is singular; the mean-field curve cannot be evaluated"):
+        decompose(L)
+
+
+def test_decompose_rejects_a_basis_that_does_not_reconstruct_l(monkeypatch):
+    # the identity basis is perfectly conditioned, but rebuilds diag(0, 1): the
+    # residual is |[[1, -1], [0, -1]]|_F = sqrt(3)
+    L = np.array([[1.0, -1.0], [0.0, 0.0]])
+    monkeypatch.setattr(np.linalg, "eig", lambda _: (np.array([0.0, 1.0]), np.eye(2)))
+    with pytest.raises(DegradedDecompositionError,
+                       match=r"^reconstruction residual 1\.732e\+00 exceeds 1e-08 \* \|L\|; the mean-field"):
+        decompose(L)
 
 
 def test_decompose_scaled_matches_general_solver():
@@ -695,8 +728,9 @@ def test_navigability_report_consistency():
 def test_decompose_orders_eigenvalues_by_real_part_on_both_paths():
     """navigability_report reads the gap off the first two eigenvalues, unsorted."""
     rng = np.random.default_rng(29)
-    # undirected rwc takes the eigh path; pagerank and directed walks take eig
-    for directed, strategy in ((False, "rwc"), (False, "pagerank"), (True, "rwd"), (True, "pagerank")):
+    # undirected rwc and rwd take the eigh path; pagerank and directed walks take eig
+    for directed, strategy in ((False, "rwc"), (False, "rwd"), (False, "pagerank"), (True, "rwd"),
+                               (True, "pagerank")):
         for _ in range(3):
             net = connected_random_multiplex(rng, max_nodes=8, directed=directed)
             real = analytic_state(net, strategy).eigenvalues.real

@@ -146,14 +146,18 @@ def test_supra_matches_plain_loop_oracle():
             assert np.array_equal(supra.matrix, oracle_supra(net, strategy))
 
 
-def test_supra_scale_symmetrizes_undirected_rwc_only():
+def test_supra_scale_symmetrizes_undirected_rwc_and_rwd():
+    """The reversible walks name their scale: the rwc denominators and rwd's
+    ones; pagerank's teleport and every directed walk have none."""
     for net in _oracle_networks():
         for strategy in STRATEGIES:
             supra = build_supra_transition(net, strategy)
-            if strategy != RWC or net.directed:
+            if strategy == PAGERANK or net.directed:
                 assert supra.scale is None
                 continue
             assert supra.scale.shape == (supra.dim,) and np.all(supra.scale > 0)
+            if strategy == RWD:
+                assert np.array_equal(supra.scale, np.ones(supra.dim))
             weighted = supra.scale[:, None] * supra.matrix
             assert np.allclose(weighted, weighted.T, rtol=0.0, atol=1e-12)
 
