@@ -16,7 +16,7 @@ same way. The option ranges live in ``RANGES``, which ``main`` checks
 before a command makes --out.
 
 Exit codes: 0 success (including a t90 of "not reached"), 1 usage error,
-2 input/parse error, 3 numerical degradation.
+2 input/parse error or an input too large to allocate, 3 numerical degradation.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ import os
 import sys
 import time
 import uuid
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +37,6 @@ import numpy as np
 from . import __version__
 from .multiplex import (
     EdgeList,
-    FlowEdge,
     MultiplexNetwork,
     ParseError,
     PLACEMENT_ALL,
@@ -197,19 +195,14 @@ def _check_ranges(args: argparse.Namespace) -> None:
             raise UsageError(f"{option} must lie in {lo}{low}, {high}{hi}, got {value}")
 
 
-def _build_from_args(edges: EdgeList, args, frame: list[FlowEdge], **options) -> MultiplexNetwork:
-    return build_multiplex(
-        frame,
-        n_layers=edges.n_layers,
-        directed=args.directed,
-        labels=edges.labels,
-        **options,
-    )
+def _build_from_args(edges: EdgeList, args, frame: np.ndarray, **options) -> MultiplexNetwork:
+    return build_multiplex(frame, n_layers=edges.n_layers, directed=args.directed, labels=edges.labels,
+                           **options)
 
 
-def _trim_if_asked(edges: EdgeList, args) -> list[FlowEdge]:
+def _trim_if_asked(edges: EdgeList, args) -> np.ndarray:
     if args.trim_ratio is None:
-        return list(edges.edges)
+        return edges.edges
     return trim_edges(edges.edges, ratio=args.trim_ratio, scope=args.trim_scope)
 
 
@@ -255,7 +248,7 @@ def cmd_predict(args) -> int:
     with run.phase("predict"):
         edges = parse_edge_list(*args.inputs)
         frame = _trim_if_asked(edges, args)
-        if not frame:
+        if not len(frame):
             print("warning: empty network; writing empty outputs", file=sys.stderr)
         # scoring reads only the layers, so the coupling stays build_multiplex's default
         net = _build_from_args(edges, args, frame) if edges.n_layers else None
@@ -270,7 +263,7 @@ def cmd_integrate(args) -> int:
     with run.phase("integrate"):
         edges = parse_edge_list(*args.inputs)
         # the output holds intra-layer edges only, so the coupling is never written
-        net = _build_from_args(edges, args, list(edges.edges))
+        net = _build_from_args(edges, args, edges.edges)
         links = read_links_csv(args.links, net.label_index())
         integrated = integrate_links(net, links, placement=args.placement)
         run.write("integrated.csv", format_edge_csv(export_edges(integrated), net.labels))
@@ -338,23 +331,19 @@ def cmd_scenario(args) -> int:
     run = _Run(args)
     with run.phase("scenario"):
         base = parse_edge_list(*args.inputs)
-        if len({e.layer for e in base.edges}) > 1:
+        if np.unique(base.edges["layer"]).size > 1:
             raise ParseError("scenario base must be a single-layer edge list")
         n = base.n_nodes
         count = round(args.fraction * n)
-        net = build_multiplex(
-            [FlowEdge(e.source, e.target, k, e.flow) for k in range(args.layers) for e in base.edges],
-            n_layers=args.layers,
-            directed=args.directed,
-            labels=base.labels,
-        )
+        frame = np.tile(base.edges, args.layers)  # layer by layer, each in the base's order
+        frame["layer"] = np.repeat(np.arange(args.layers), len(base.edges))
+        net = build_multiplex(frame, n_layers=args.layers, directed=args.directed, labels=base.labels)
         for k in range(args.layers):
             rng = np.random.default_rng(phase_seed(args.seed, f"scenario.layer{k}"))
             net = knockout_nodes(net, rng.choice(n, size=count, replace=False).tolist(), k)
         replicated = export_edges(net)
-        kept = Counter(e.layer for e in replicated)
-        for k in range(args.layers):
-            print(f"layer {k}: knocked out {count} nodes, kept {kept[k]} edges")
+        for k, kept in enumerate(np.bincount(replicated["layer"], minlength=args.layers)):
+            print(f"layer {k}: knocked out {count} nodes, kept {kept} edges")
         run.write("scenario.csv", format_edge_csv(replicated, base.labels))
     run.finish(args.inputs)
     return EXIT_OK
@@ -478,7 +467,7 @@ def main(argv: list[str] | None = None) -> int:
         # LinAlgError subclasses ValueError, but a solver failure is no input fault
         print(f"numerical degradation: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ValueError, OSError) as exc:  # ParseError, SchemaError, ConstructionError
+    except (ValueError, OSError, MemoryError) as exc:  # bad input, or one too large to allocate
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

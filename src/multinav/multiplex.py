@@ -4,7 +4,9 @@ layer-subset enumeration, knockouts, and link integration.
 A multiplex network here is L weighted adjacency matrices over one shared set
 of N nodes, plus one inter-layer coupling weight that joins every node's
 replicas in any two layers. Networks are immutable, ``intra`` is read-only,
-and every mutating operation returns a new instance.
+and every mutating operation returns a new instance. Edges are one read-only
+EDGE_DTYPE table from CSV to network and back; the functions that take edges
+also accept any sequence of (source, target, layer, flow) rows.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 import numpy as np
 
 EDGE_COLUMNS = ("layer", "source", "target", "flow")
+EDGE_DTYPE = np.dtype([("source", np.intp), ("target", np.intp), ("layer", np.intp), ("flow", np.float64)])
 
 PLACEMENT_SUBSET = "subset"
 PLACEMENT_ALL = "all"
@@ -53,8 +56,8 @@ class ConstructionError(ValueError):
 
 
 class FlowEdge(NamedTuple):
-    """One intra-layer flow edge; node endpoints are dense integer indices. A
-    named tuple: it is iterable and equals the plain tuple of its values."""
+    """One hand-written edge row, with dense integer node indices; it equals the
+    plain tuple of its values, as each row of an EDGE_DTYPE table's tolist() does."""
 
     source: int
     target: int
@@ -62,18 +65,25 @@ class FlowEdge(NamedTuple):
     flow: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EdgeList:
-    """Parsed edge list plus the label table interned during parsing, and the
-    layer count: 1 + the largest layer of one source, or the source count."""
+    """Parsed edges, an EDGE_DTYPE table, plus the labels interned during parsing,
+    and the layer count: 1 + the largest layer of one source, or the source count."""
 
-    edges: tuple[FlowEdge, ...]
+    edges: np.ndarray
     labels: tuple[str, ...]
     n_layers: int
 
     @property
     def n_nodes(self) -> int:
         return len(self.labels)
+
+
+def _edge_table(rows: Iterable | np.ndarray) -> np.ndarray:
+    """A read-only EDGE_DTYPE copy of a table or of rows, made tuples: numpy reads a list field by field."""
+    table = np.array(rows if isinstance(rows, np.ndarray) else list(map(tuple, rows)), EDGE_DTYPE)
+    table.setflags(write=False)
+    return table
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,18 +200,19 @@ def read_table(source: TextIO | str | Path, columns: Sequence[str],
 
 
 def parse_edge_list(*sources: TextIO | str | Path) -> EdgeList:
-    """Parse CSV edge lists into FlowEdges with labels interned to dense indices.
+    """Parse CSV edge lists into an EDGE_DTYPE table with labels interned to dense indices.
 
     One source is a combined edge list. With several, source k becomes layer
     k, and each must carry a single layer value of its own; an empty source
     still adds its layer. read_table reads each source, whose header names
     the layer, source, target and flow columns. Node labels become indices in
     first-appearance order across all sources. Rejects what read_table
-    rejects, and non-numeric values, negative flows, empty labels and
-    self-loops, naming the 1-based line on which the row ends.
+    rejects, and non-numeric values, negative flows, layers no intp holds,
+    empty labels and self-loops, naming the 1-based line on which the row ends.
     """
     index: dict[str, int] = {}  # label -> its index, in first-appearance order
-    edges: list[FlowEdge] = []
+    edges: list[tuple[int, int, int, float]] = []
+    top = np.iinfo(np.intp).max  # the largest layer an EDGE_DTYPE table holds
     n_layers = len(sources)
     for position, source in enumerate(sources):
         fixed = None if len(sources) == 1 else position
@@ -219,29 +230,31 @@ def parse_edge_list(*sources: TextIO | str | Path) -> EdgeList:
                 raise ParseError(f"flow must be finite and non-negative, got {flow}", line)
             if layer < 0:
                 raise ParseError(f"negative layer index {layer}", line)
+            if layer > top:
+                raise ParseError(f"layer index {layer} does not fit an intp", line)
             src, dst = src.strip(), dst.strip()
             if not (src and dst):
                 raise ParseError(f"empty {'target' if src else 'source'} label", line)
             if src == dst:
                 raise ParseError(f"self-loop on node {src!r}", line)
             values.add(layer)
-            edges.append(FlowEdge(index.setdefault(src, len(index)), index.setdefault(dst, len(index)),
-                                  layer if fixed is None else fixed, flow))
+            edges.append((index.setdefault(src, len(index)), index.setdefault(dst, len(index)),
+                          layer if fixed is None else fixed, flow))
         if fixed is None:
             n_layers = 1 + max(values, default=-1)
         elif len(values) > 1:
             name = source if isinstance(source, (str, Path)) else f"source {position}"
             raise ParseError(f"{name}: per-layer input holds {len(values)} layer values; "
                              "pass a single combined CSV instead")
-    return EdgeList(tuple(edges), tuple(index), n_layers)
+    return EdgeList(_edge_table(edges), tuple(index), n_layers)
 
 
 def trim_edges(
-    edges: Sequence[FlowEdge],
+    edges: Sequence | np.ndarray,
     ratio: float = 0.9,
     scope: str = TRIM_PER_LAYER,
-) -> list[FlowEdge]:
-    """Keep edges whose flow is at least ratio times the maximum of their group.
+) -> np.ndarray:
+    """The rows, as a table, whose flow is at least ratio times the maximum of their group.
 
     ``scope`` selects the group whose maximum sets the threshold: each layer
     separately (default, each scenario has its own flow scale) or the whole
@@ -251,54 +264,53 @@ def trim_edges(
         raise ValueError(f"trim ratio must be in (0, 1], got {ratio}")
     if scope not in (TRIM_PER_LAYER, TRIM_GLOBAL):
         raise ValueError(f"unknown trim scope {scope!r}")
-    if not edges:
-        return []
-    if scope == TRIM_GLOBAL:
-        threshold = ratio * max(e.flow for e in edges)
-        return [e for e in edges if e.flow >= threshold]
-    max_per_layer: dict[int, float] = {}
-    for e in edges:
-        max_per_layer[e.layer] = max(max_per_layer.get(e.layer, 0.0), e.flow)
-    return [e for e in edges if e.flow >= ratio * max_per_layer[e.layer]]
+    table = _edge_table(edges)
+    layer = np.zeros(len(table), np.intp) if scope == TRIM_GLOBAL else table["layer"]
+    group = np.unique(layer, return_inverse=True)[1]
+    peak = np.zeros(len(table))  # each group's maximum flow, at least 0
+    np.maximum.at(peak, group, table["flow"])
+    return _edge_table(table[table["flow"] >= ratio * peak[group]])
 
 
 def build_multiplex(
-    edges: Iterable[FlowEdge],
+    edges: Iterable | np.ndarray,
     n_layers: int | None = None,
     directed: bool = False,
     coupling: float = 1.0,
     labels: Sequence[str] | None = None,
     n_nodes: int | None = None,
 ) -> MultiplexNetwork:
-    """Assemble a MultiplexNetwork from flow edges.
+    """Assemble a MultiplexNetwork from flow edges, a table or rows.
 
-    Duplicate edges sum their flows. Undirected mode writes both orientations.
-    ``coupling`` joins every node's replicas in any two layers.
+    Duplicate edges sum their flows in edge order. Undirected mode writes
+    both orientations. ``coupling`` joins every node's replicas in any two layers.
     """
-    edges = list(edges)
+    table = _edge_table(edges)
+    source, target, layer, flow = (table[name] for name in EDGE_DTYPE.names)
     if n_layers is None:
-        n_layers = 1 + max((e.layer for e in edges), default=-1)
+        n_layers = 1 + int(layer.max(initial=-1))
         if n_layers < 1:
             raise ConstructionError("cannot infer layer count from an empty edge list")
     if n_nodes is None:
-        if labels is not None:
-            n_nodes = len(labels)
-        else:
-            n_nodes = 1 + max((max(e.source, e.target) for e in edges), default=-1)
+        n_nodes = len(labels) if labels is not None else 1 + int(np.maximum(source, target).max(initial=-1))
     if n_layers < 1:
         raise ConstructionError(f"network must have at least one layer, got {n_layers}")
     if n_nodes < 0:
         raise ConstructionError(f"network must have zero or more nodes, got {n_nodes}")
+    faults = np.stack([(layer < 0) | (layer >= n_layers),
+                       (np.minimum(source, target) < 0) | (np.maximum(source, target) >= n_nodes)])
+    if faults.any():  # the first faulty edge, its layer checked first
+        row = int(np.argmax(faults.any(axis=0)))
+        raise ConstructionError(f"edge layer {layer[row]} out of range [0, {n_layers})" if faults[0, row]
+                                else f"edge endpoint out of range: {FlowEdge(*table[row].tolist())}")
 
     intra = np.zeros((n_layers, n_nodes, n_nodes))
-    for e in edges:
-        if not 0 <= e.layer < n_layers:
-            raise ConstructionError(f"edge layer {e.layer} out of range [0, {n_layers})")
-        if not (0 <= e.source < n_nodes and 0 <= e.target < n_nodes):
-            raise ConstructionError(f"edge endpoint out of range: {e}")
-        intra[e.layer, e.source, e.target] += e.flow
-        if not directed and e.source != e.target:
-            intra[e.layer, e.target, e.source] += e.flow
+    cells = np.stack([layer, source, target])
+    if not directed:  # each edge's mirrored cell right after its own, a self-loop's once
+        once = np.stack([np.ones_like(flow, dtype=bool), source != target], axis=1).ravel()
+        cells = np.stack([cells, cells[[0, 2, 1]]], axis=2).reshape(3, -1)[:, once]  # mirror: columns swapped
+        flow = np.repeat(flow, 2)[once]
+    np.add.at(intra, tuple(cells), flow)  # unbuffered, so each cell sums in edge order
 
     return MultiplexNetwork(
         directed=directed,
@@ -376,20 +388,19 @@ def integrate_links(
     return replace(net, intra=intra)
 
 
-def export_edges(net: MultiplexNetwork) -> list[FlowEdge]:
-    """Flatten the network back to flow edges (upper triangle when undirected)."""
-    edges = []
-    for k in range(net.n_layers):
-        rows, cols = np.nonzero(net.intra[k])
-        for i, j in zip(rows.tolist(), cols.tolist()):
-            if not net.directed and j < i:
-                continue
-            edges.append(FlowEdge(i, j, k, float(net.intra[k, i, j])))
-    return edges
+def export_edges(net: MultiplexNetwork) -> np.ndarray:
+    """Flatten the network back to an edge table (upper triangle when undirected)."""
+    layer, source, target = np.nonzero(net.intra)
+    keep = net.directed | (source <= target)
+    table = np.empty(np.count_nonzero(keep), EDGE_DTYPE)
+    table["source"], table["target"], table["layer"] = source[keep], target[keep], layer[keep]
+    table["flow"] = net.intra[table["layer"], table["source"], table["target"]]
+    return _edge_table(table)
 
 
-def format_edge_csv(edges: Iterable[FlowEdge], labels: Sequence[str]) -> str:
-    """The text of edges in the canonical ``layer,source,target,flow`` CSV format."""
+def format_edge_csv(edges: Iterable | np.ndarray, labels: Sequence[str]) -> str:
+    """The text of edges, a table or rows, in the canonical ``layer,source,target,flow`` CSV format."""
     cells = csv_cells(labels)
-    rows = [f"{e.layer},{cells[e.source]},{cells[e.target]},{float(e.flow)!r}\n" for e in edges]
+    rows = [f"{layer},{cells[source]},{cells[target]},{flow!r}\n"
+            for source, target, layer, flow in _edge_table(edges).tolist()]
     return "".join([",".join(EDGE_COLUMNS) + "\n", *rows])

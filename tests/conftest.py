@@ -1,7 +1,7 @@
 """Shared helpers: random network generators, connectivity checks, a
-row-sum check, a curve-CSV reader and a row view of link tables, and
-plain-loop oracles for scoring, supra assembly and walker sampling, used to
-cross-check the array implementations."""
+row-sum check, a curve-CSV reader and row views of edge and link tables, and
+plain-loop oracles for trimming, network assembly and export, scoring, supra
+assembly and walker sampling, used to cross-check the array implementations."""
 
 from __future__ import annotations
 
@@ -11,7 +11,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.sparse import csgraph, csr_matrix
 
-from multinav import CoverageCurve, FlowEdge, LinkTable, build_multiplex, build_supra_transition
+from multinav import (
+    ConstructionError,
+    CoverageCurve,
+    FlowEdge,
+    LinkTable,
+    MultiplexNetwork,
+    build_multiplex,
+    build_supra_transition,
+)
 from multinav.prediction import ALGORITHMS, JACCARD
 from multinav.walks import DEFAULT_DAMPING
 
@@ -67,8 +75,54 @@ def row_stochastic_check(supra):
 
 def read_curve_csv(path, method):
     """The CoverageCurve of a ``time,rho`` CSV that format_curve_csv wrote."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, encoding="utf-8")
     return CoverageCurve(times=data[:, 0], rho=data[:, 1], method=method)
+
+
+def edge_rows(table):
+    """An edge table's rows as FlowEdges, in row order, read by field name."""
+    return [FlowEdge(*row) for row in table.tolist()]
+
+
+# --- per-edge loop oracles for trim_edges, build_multiplex and export_edges ---
+
+def oracle_trim(edges, ratio, scope):
+    """trim_edges over FlowEdges: each group's maximum from a dict, one edge at a time."""
+    if not edges:
+        return []
+    if scope == "global":
+        threshold = ratio * max(e.flow for e in edges)
+        return [e for e in edges if e.flow >= threshold]
+    max_per_layer = {}
+    for e in edges:
+        max_per_layer[e.layer] = max(max_per_layer.get(e.layer, 0.0), e.flow)
+    return [e for e in edges if e.flow >= ratio * max_per_layer[e.layer]]
+
+
+def oracle_build(edges, n_layers, n_nodes, directed):
+    """build_multiplex over FlowEdges: one cell, then its mirror, added per edge."""
+    intra = np.zeros((n_layers, n_nodes, n_nodes))
+    for e in edges:
+        if not 0 <= e.layer < n_layers:
+            raise ConstructionError(f"edge layer {e.layer} out of range [0, {n_layers})")
+        if not (0 <= e.source < n_nodes and 0 <= e.target < n_nodes):
+            raise ConstructionError(f"edge endpoint out of range: {e}")
+        intra[e.layer, e.source, e.target] += e.flow
+        if not directed and e.source != e.target:
+            intra[e.layer, e.target, e.source] += e.flow
+    return MultiplexNetwork(directed=directed, intra=intra, coupling=1.0)
+
+
+def oracle_export(net):
+    """export_edges as FlowEdges, layer by layer (upper triangle when undirected)."""
+    edges = []
+    for k in range(net.n_layers):
+        rows, cols = np.nonzero(net.intra[k])
+        for i, j in zip(rows.tolist(), cols.tolist()):
+            if not net.directed and j < i:
+                continue
+            edges.append(FlowEdge(i, j, k, float(net.intra[k, i, j])))
+    return edges
 
 
 def triangle_network(coupling=0.0):

@@ -248,7 +248,7 @@ def test_pipeline_runs_are_deterministic(tmp_path):
     for name in ("first", "second"):
         out = tmp_path / name
         assert main(["pipeline", "--input", TOY, "--out", str(out)]) == 0
-        manifests.append(json.loads((out / "manifest.json").read_text()))
+        manifests.append(json.loads((out / "manifest.json").read_text(encoding="utf-8")))
     same_hash = manifests[0]["run_hash"] == manifests[1]["run_hash"]
     same_artifacts = manifests[0]["artifacts"] == manifests[1]["artifacts"]
     ok = same_hash and same_artifacts

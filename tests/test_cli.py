@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import Link, link_rows, link_table, read_curve_csv
+from conftest import Link, edge_rows, link_rows, link_table, read_curve_csv
 
 import multinav
 from multinav import (
@@ -52,7 +52,7 @@ def test_trim_writes_artifacts_and_counts(tmp_path, capsys):
     assert "kept 24 / removed 5" in capsys.readouterr().out
     kept = parse_edge_list(str(out / "trimmed.csv"))
     assert len(kept.edges) == 24
-    manifest = json.loads((out / "manifest.json").read_text())
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["command"] == "trim"
     assert set(manifest["artifacts"]) == {"trimmed.csv"}
     assert set(manifest["inputs"]) == {TOY}
@@ -134,7 +134,7 @@ def test_predict_skips_stages_wider_than_network(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "stage 3 skipped" in captured.err
     assert not (out / "links_stage3.csv").exists()
-    manifest = json.loads((out / "manifest.json").read_text())
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     assert set(manifest["artifacts"]) == {"links_stage1.csv", "links_merged.csv"}
     # a header-only input has no layers, so the same rule skips every stage
     empty = _write_csv(tmp_path / "empty.csv", [])
@@ -142,9 +142,9 @@ def test_predict_skips_stages_wider_than_network(tmp_path, capsys):
     assert main(["predict", "--input", empty, "--out", str(out), "--stages", "1", "3"]) == 0
     err = capsys.readouterr().err
     assert "stage 1 skipped" in err and "stage 3 skipped" in err
-    manifest = json.loads((out / "manifest.json").read_text())
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     assert set(manifest["artifacts"]) == {"links_merged.csv"}
-    assert (out / "links_merged.csv").read_text().count("\n") == 1  # header only
+    assert (out / "links_merged.csv").read_text(encoding="utf-8").count("\n") == 1  # header only
 
 
 def test_integrate_applies_links_with_max_collision(tmp_path):
@@ -164,7 +164,7 @@ def test_integrate_applies_links_with_max_collision(tmp_path):
     result = parse_edge_list(str(out / "integrated.csv"))
     rows = {
         (result.labels[e.source], result.labels[e.target], e.layer): e.flow
-        for e in result.edges
+        for e in edge_rows(result.edges)
     }
     assert rows == {("A", "B", 0): 5.0, ("A", "C", 0): 0.7, ("B", "C", 0): 2.0}
 
@@ -189,14 +189,14 @@ def test_navigability_report_schema(tmp_path, capsys):
         ["navigability", "--input", TOY, "--out", str(out), "--strategy", "pagerank"]
     ) == 0
     assert "pagerank original: spectral gap" in capsys.readouterr().out
-    report = json.loads((out / "report_pagerank_original.json").read_text())
+    report = json.loads((out / "report_pagerank_original.json").read_text(encoding="utf-8"))
     assert set(report) == {"config", "spectral_gap", "t90", "curve_file", "eigenvalue_head"}
     assert report["config"] == {"strategy": "pagerank", "directed": False, "stage": "original"}
     assert report["curve_file"] == "curve_pagerank_original.csv"
     assert report["spectral_gap"] > 0.0
     assert isinstance(report["t90"], float)
     assert all(len(pair) == 2 for pair in report["eigenvalue_head"])
-    first_line = (out / "curve_pagerank_original.csv").read_text().splitlines()[0]
+    first_line = (out / "curve_pagerank_original.csv").read_text(encoding="utf-8").splitlines()[0]
     assert first_line == "time,rho"
     curve = read_curve_csv(out / "curve_pagerank_original.csv", "analytic")
     assert curve.rho[-1] >= 0.9
@@ -209,7 +209,7 @@ def test_navigability_unreached_level_still_succeeds(tmp_path):
     )
     out = tmp_path / "out"
     assert main(["navigability", "--input", trap, "--directed", "--out", str(out)]) == 0
-    report = json.loads((out / "report_rwc_original.json").read_text())
+    report = json.loads((out / "report_rwc_original.json").read_text(encoding="utf-8"))
     assert report["t90"] == NOT_REACHED
 
 
@@ -220,7 +220,7 @@ def test_pipeline_artifacts_and_run_hash(tmp_path, capsys):
     assert "trim: kept 24 / removed 5" in stdout
     assert _stage_lines(stdout) == TOY_STAGE_LINES
     assert "run hash: " in stdout
-    manifest = json.loads((out / "manifest.json").read_text())
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     expected = {"trimmed.csv", "links_stage1.csv", "links_stage2.csv",
                 "links_stage3.csv", "links_merged.csv", "comparison_rwc.json"}
     for label in ("original", "stage1", "stage2", "stage3"):
@@ -229,7 +229,7 @@ def test_pipeline_artifacts_and_run_hash(tmp_path, capsys):
     for name, digest in manifest["artifacts"].items():  # hashed as written, checked as stored
         assert digest == hashlib.sha256((out / name).read_bytes()).hexdigest(), name
     assert manifest["run_hash"] in stdout
-    comparison = json.loads((out / "comparison_rwc.json").read_text())
+    comparison = json.loads((out / "comparison_rwc.json").read_text(encoding="utf-8"))
     assert [row["stage"] for row in comparison] == ["original", "stage1", "stage2", "stage3"]
     assert comparison[0]["spectral_gap_rel_change"] == 0.0
     for row in comparison:
@@ -242,7 +242,7 @@ def test_pipeline_rerun_reproduces_run_hash(tmp_path):
     for name in ("first", "second"):
         out = tmp_path / name
         assert main(["pipeline", "--input", TOY, "--out", str(out), "--stages", "1"]) == 0
-        hashes.append(json.loads((out / "manifest.json").read_text())["run_hash"])
+        hashes.append(json.loads((out / "manifest.json").read_text(encoding="utf-8"))["run_hash"])
     assert hashes[0] == hashes[1]
 
 
@@ -253,7 +253,7 @@ def test_repeated_stages_and_strategies_run_once(tmp_path, capsys):
         argv = ["pipeline", "--input", TOY, "--out", str(out), "--stages", *["2"] * repeats]
         assert main(argv + ["--strategy", "rwc"] * repeats) == 0
         assert capsys.readouterr().out.count("stage 2:") == 1
-        hashes.append(json.loads((out / "manifest.json").read_text())["run_hash"])
+        hashes.append(json.loads((out / "manifest.json").read_text(encoding="utf-8"))["run_hash"])
     assert hashes[0] == hashes[1]
 
 
@@ -263,7 +263,7 @@ def test_run_hash_keys_inputs_by_content(tmp_path, monkeypatch):
     hashes = []
     for name, spelling in (("rel", "./x.csv"), ("abs", str(tmp_path / "x.csv"))):
         assert main(["trim", "--input", spelling, "--out", name]) == 0
-        manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+        manifest = json.loads((tmp_path / name / "manifest.json").read_text(encoding="utf-8"))
         assert manifest["config"]["inputs"] == [spelling]  # still echoed as typed
         hashes.append(manifest["run_hash"])
     assert hashes[0] == hashes[1]
@@ -326,7 +326,7 @@ def test_multiple_inputs_become_layers(tmp_path):
     merged = parse_edge_list(str(out / "trimmed.csv"))
     assert merged.n_layers == 2
     rows = sorted(
-        (e.layer, merged.labels[e.source], merged.labels[e.target]) for e in merged.edges
+        (e.layer, merged.labels[e.source], merged.labels[e.target]) for e in edge_rows(merged.edges)
     )
     assert rows == [(0, "p", "q"), (1, "q", "r")]
     assert parse_edge_list(a, b).labels == ("p", "q", "r")
@@ -334,7 +334,7 @@ def test_multiple_inputs_become_layers(tmp_path):
     d = _write_csv(tmp_path / "d.csv", ["0,s,q,1.0", "0,q,p,3.0"])
     loaded = parse_edge_list(a, d)
     assert loaded.labels == ("p", "q", "s")
-    assert [(e.source, e.target, e.layer, e.flow) for e in loaded.edges] == [
+    assert [(e.source, e.target, e.layer, e.flow) for e in edge_rows(loaded.edges)] == [
         (0, 1, 0, 1.0), (2, 1, 1, 1.0), (1, 0, 1, 3.0)
     ]
     mixed = _write_csv(tmp_path / "c.csv", ["0,p,q,1.0", "1,q,r,2.0"])
@@ -342,7 +342,7 @@ def test_multiple_inputs_become_layers(tmp_path):
     # a trailing empty file still adds its layer: 2 nodes in 2 layers
     empty = _write_csv(tmp_path / "empty.csv", [])
     assert main(["navigability", "--input", b, empty, "--out", str(out)]) == 0
-    report = json.loads((out / "report_rwc_original.json").read_text())
+    report = json.loads((out / "report_rwc_original.json").read_text(encoding="utf-8"))
     assert len(report["eigenvalue_head"]) == 4
 
 
@@ -357,11 +357,11 @@ def test_scenario_zero_fraction_replicates_base(tmp_path, capsys):
     result = parse_edge_list(str(out_a / "scenario.csv"))
     assert result.n_layers == 2
     per_layer = {
-        k: sorted((e.source, e.target, e.flow) for e in result.edges if e.layer == k)
+        k: sorted((e.source, e.target, e.flow) for e in edge_rows(result.edges) if e.layer == k)
         for k in (0, 1)
     }
     assert per_layer[0] == per_layer[1] and len(per_layer[0]) == 3
-    assert (out_a / "scenario.csv").read_text() == (out_b / "scenario.csv").read_text()
+    assert (out_a / "scenario.csv").read_text(encoding="utf-8") == (out_b / "scenario.csv").read_text(encoding="utf-8")
 
 
 def test_scenario_knockout_and_validation(tmp_path, capsys):
@@ -377,7 +377,7 @@ def test_scenario_knockout_and_validation(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert stdout.count("knocked out 2 nodes") == 3
     result = parse_edge_list(str(out / "scenario.csv"))
-    assert {e.layer for e in result.edges} <= {0, 1, 2}
+    assert {e.layer for e in edge_rows(result.edges)} <= {0, 1, 2}
     assert main(
         ["scenario", "--input", base, "--out", str(out), "--fraction", "1.0"]
     ) == 1
@@ -387,7 +387,7 @@ def test_scenario_knockout_and_validation(tmp_path, capsys):
     multi = _write_csv(tmp_path / "multi.csv", ["0,a,b,1.0", "1,b,c,1.0"])
     assert main(["scenario", "--input", multi, "--out", str(out)]) == 2
     assert main(["scenario", "--input", base, "--out", str(out), "--directed"]) == 0
-    assert json.loads((out / "manifest.json").read_text())["config"]["directed"] is True
+    assert json.loads((out / "manifest.json").read_text(encoding="utf-8"))["config"]["directed"] is True
 
 
 def test_exit_codes_for_bad_inputs(tmp_path, capsys):
@@ -442,7 +442,7 @@ def test_links_file_with_a_byte_order_mark_integrates(tmp_path):
     assert main(["integrate", "--input", base, "--links", str(links), "--out", str(out)]) == 0
     integrated = parse_edge_list(str(out / "integrated.csv"))
     assert sorted((integrated.labels[e.source], integrated.labels[e.target], e.flow)
-                  for e in integrated.edges) == [("a", "b", 1.0), ("a", "c", 0.5), ("b", "c", 1.0)]
+                  for e in edge_rows(integrated.edges)) == [("a", "b", 1.0), ("a", "c", 0.5), ("b", "c", 1.0)]
 
 
 @pytest.mark.parametrize("strategy", ["rwc", "rwd", "pagerank"])
@@ -485,6 +485,22 @@ def test_an_input_that_cannot_build_leaves_no_out(tmp_path, capsys):
         assert not out.exists(), call
 
 
+@pytest.mark.parametrize("layer,call,message", [
+    # the network would hold 10**15 + 1 layers: numpy cannot allocate it
+    (10**15, ["navigability"], "input error: Unable to allocate"),
+    # no intp holds the layer, so parsing stops at its line
+    (10**30, ["navigability"], "input error: line 3: layer index 10000"),
+    # 10**15 copies of the base's one layer
+    (0, ["scenario", "--layers", str(10**15)], "input error: Unable to allocate"),
+])
+def test_an_input_too_large_to_allocate_exits_two(layer, call, message, tmp_path, capsys):
+    csv_path = _write_csv(tmp_path / "big.csv", ["0,a,b,1.0", f"{layer},b,c,2.0"])
+    out = tmp_path / "out"
+    assert main(call + ["--input", csv_path, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_argparse_failures_exit_one(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate"])
@@ -513,7 +529,7 @@ def test_main_builds_the_parser_once_per_process(tmp_path):
         assert main(["trim", "--input", TOY, "--out", str(tmp_path / name)]) == 0
     assert build_parser.cache_info().misses == 1
     # the shared parser keeps nothing of the first call's options
-    manifest = json.loads((tmp_path / "second" / "manifest.json").read_text())
+    manifest = json.loads((tmp_path / "second" / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["config"]["out"] == str(tmp_path / "second")
 
 
@@ -532,7 +548,7 @@ def test_manifest_config_records_every_option_of_the_command(command, tmp_path):
     out = tmp_path / "out"
     extra = ["--links", str(links)] if command == "integrate" else []
     assert main([command, "--input", base, "--out", str(out), *extra]) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     assert set(manifest["config"]) == _option_dests(command)
     # every file the command leaves is an artifact the manifest hashes
     assert set(manifest["artifacts"]) == {p.name for p in out.iterdir()} - {"manifest.json"}

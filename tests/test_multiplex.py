@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 
 import numpy as np
 import pytest
-from conftest import Link, link_rows, link_table, random_multiplex
+from conftest import Link, edge_rows, link_rows, link_table, random_multiplex
 
 from multinav import (
     ConstructionError,
@@ -35,7 +36,7 @@ def _parse(text):
 def test_parse_interns_labels_in_first_appearance_order():
     got = _parse("layer,source,target,flow\n0,ant,bee,1.5\n1,cat,ant,2.0\n")
     assert got.labels == ("ant", "bee", "cat")
-    assert got.edges == (FlowEdge(0, 1, 0, 1.5), FlowEdge(2, 0, 1, 2.0))
+    assert got.edges.tolist() == [FlowEdge(0, 1, 0, 1.5), FlowEdge(2, 0, 1, 2.0)]
     assert got.n_nodes == 3
     assert got.n_layers == 2
 
@@ -49,7 +50,8 @@ def test_parse_rejects_a_repeated_required_column():
     with pytest.raises(SchemaError, match="duplicated column 'flow'"):
         _parse("layer,source,target,flow,flow\n0,a,b,1.0,2.0\n")
     # a repeated column that is not required is read past
-    assert _parse("layer,source,target,flow,note,note\n0,a,b,1.0,x,y\n").edges == (FlowEdge(0, 1, 0, 1.0),)
+    got = _parse("layer,source,target,flow,note,note\n0,a,b,1.0,x,y\n")
+    assert got.edges.tolist() == [FlowEdge(0, 1, 0, 1.0)]
 
 
 def test_parse_reads_each_source_as_one_layer():
@@ -58,7 +60,7 @@ def test_parse_reads_each_source_as_one_layer():
     assert _parse(a).n_layers == 5  # one source keeps its layer values
     got = parse_edge_list(io.StringIO(a), io.StringIO(b), io.StringIO(header))
     assert got.labels == ("p", "q", "s")  # first appearance across the sources
-    assert got.edges == (FlowEdge(0, 1, 0, 1.0), FlowEdge(2, 1, 1, 2.0), FlowEdge(1, 0, 1, 3.0))
+    assert got.edges.tolist() == [FlowEdge(0, 1, 0, 1.0), FlowEdge(2, 1, 1, 2.0), FlowEdge(1, 0, 1, 3.0)]
     assert got.n_layers == 3  # the trailing empty source still adds its layer
     with pytest.raises(ParseError, match="source 1: per-layer input holds 2 layer values"):
         parse_edge_list(io.StringIO(a), io.StringIO(header + "0,p,q,1.0\n1,q,r,1.0\n"))
@@ -76,6 +78,7 @@ def test_parse_empty_input():
         ("0,a,b,much", "non-numeric flow"),
         ("0,a,b,-2.0", "non-negative"),
         ("-1,a,b,2.0", "negative layer"),
+        (f"{2**63},a,b,2.0", f"layer index {2**63} does not fit an intp"),
         ("0,a,a,2.0", "self-loop"),
         ("0,,b,2.0", "empty source label"),
         ("0,a, \t,2.0", "empty target label"),
@@ -96,7 +99,7 @@ def test_parse_rejects_malformed_rows_with_line_numbers(row, fragment):
 
 def _edge_rows(path):
     got = parse_edge_list(path)
-    return [(got.labels[e.source], got.labels[e.target], e.layer, e.flow) for e in got.edges]
+    return [(got.labels[e.source], got.labels[e.target], e.layer, e.flow) for e in edge_rows(got.edges)]
 
 
 # each reader: its header columns, a valid row, a valid row whose quoted label
@@ -157,7 +160,7 @@ def test_csv_round_trip(tmp_path):
     path = tmp_path / "edges.csv"
     path.write_text(format_edge_csv(edges, ("a", "b", "c")), encoding="utf-8")
     back = parse_edge_list(path)
-    assert back.edges == tuple(edges)
+    assert back.edges.tolist() == edges
     assert back.labels == ("a", "b", "c")
 
 
@@ -179,13 +182,13 @@ def test_edge_csv_quotes_labels_as_csv_writer_does():
 def test_trim_keeps_at_least_ratio_times_max():
     edges = [FlowEdge(0, i + 1, 0, f) for i, f in enumerate([10.0, 9.0, 8.99, 5.0, 1.0])]
     kept = trim_edges(edges, ratio=0.9)
-    assert [e.flow for e in kept] == [10.0, 9.0]  # boundary 9.0 >= 0.9 * 10 stays
+    assert [e.flow for e in edge_rows(kept)] == [10.0, 9.0]  # boundary 9.0 >= 0.9 * 10 stays
 
 
 def test_trim_ratio_one_keeps_only_max():
     edges = [FlowEdge(0, 1, 0, 3.0), FlowEdge(0, 2, 0, 7.0), FlowEdge(1, 2, 0, 7.0)]
     kept = trim_edges(edges, ratio=1.0)
-    assert {e.flow for e in kept} == {7.0}
+    assert {e.flow for e in edge_rows(kept)} == {7.0}
     assert len(kept) == 2
 
 
@@ -197,7 +200,7 @@ def test_trim_per_layer_uses_each_layers_maximum():
         FlowEdge(0, 2, 1, 9.5),
     ]
     kept = trim_edges(edges, ratio=0.9)
-    assert [e.flow for e in kept] == [100.0, 10.0, 9.5]
+    assert [e.flow for e in edge_rows(kept)] == [100.0, 10.0, 9.5]
 
 
 def test_trim_global_uses_single_maximum():
@@ -207,15 +210,15 @@ def test_trim_global_uses_single_maximum():
         FlowEdge(0, 2, 1, 95.0),
     ]
     kept = trim_edges(edges, ratio=0.9, scope=TRIM_GLOBAL)
-    assert [e.flow for e in kept] == [100.0, 95.0]
+    assert [e.flow for e in edge_rows(kept)] == [100.0, 95.0]
     with pytest.raises(ValueError, match="unknown trim scope 'layer'"):
         trim_edges(edges, ratio=0.9, scope="layer")
 
 
 def test_trim_preserves_order_and_handles_empty():
-    assert trim_edges([]) == []
+    assert trim_edges([]).tolist() == []
     edges = [FlowEdge(0, 1, 0, 5.0), FlowEdge(0, 2, 0, 5.0)]
-    assert trim_edges(edges, ratio=1.0) == edges
+    assert trim_edges(edges, ratio=1.0).tolist() == edges
 
 
 @pytest.mark.parametrize("ratio", [0.0, -0.5, 1.0001])
@@ -256,6 +259,27 @@ def test_build_range_checks():
         build_multiplex([], n_layers=0, n_nodes=3)
     with pytest.raises(ConstructionError, match=r"^network must have zero or more nodes, got -1$"):
         build_multiplex([], n_layers=2, n_nodes=-1)
+
+
+@pytest.mark.parametrize("edges,options,message", [
+    ([(0, 1, 0, 1.0), (0, 1, 2, 1.0)], {"n_layers": 2}, "edge layer 2 out of range [0, 2)"),
+    ([(0, 1, -1, 1.0)], {"n_layers": 2}, "edge layer -1 out of range [0, 2)"),
+    ([(-1, 1, 0, 1.0)], {"n_nodes": 3},
+     "edge endpoint out of range: FlowEdge(source=-1, target=1, layer=0, flow=1.0)"),
+    ([(0, 1, 0, 1.0), (2, 3, 0, 0.5)], {"n_nodes": 3},
+     "edge endpoint out of range: FlowEdge(source=2, target=3, layer=0, flow=0.5)"),
+    # the first faulty edge raises, and on an edge with both faults its layer
+    ([(0, 1, 0, 1.0), (0, 7, 0, 1.0), (9, 9, 5, 1.0)], {"n_layers": 1, "n_nodes": 3},
+     "edge endpoint out of range: FlowEdge(source=0, target=7, layer=0, flow=1.0)"),
+    ([(9, 9, 5, 1.0), (0, 7, 0, 1.0)], {"n_layers": 1, "n_nodes": 3}, "edge layer 5 out of range [0, 1)"),
+    ([], {}, "cannot infer layer count from an empty edge list"),
+    ([], {"n_nodes": 2}, "cannot infer layer count from an empty edge list"),
+    ([(0, 1, 0, 1.0)], {"n_nodes": -2}, "network must have zero or more nodes, got -2"),
+])
+def test_build_names_the_first_faulty_edge_or_count(edges, options, message):
+    for directed in (False, True):
+        with pytest.raises(ConstructionError, match=f"^{re.escape(message)}$"):
+            build_multiplex([FlowEdge(*edge) for edge in edges], directed=directed, **options)
 
 
 def test_network_validation_rejects_asymmetric_undirected():
@@ -451,5 +475,5 @@ def test_export_round_trip():
 def test_export_directed_keeps_both_orientations():
     edges = [FlowEdge(0, 1, 0, 2.0), FlowEdge(1, 0, 0, 5.0)]
     net = build_multiplex(edges, directed=True)
-    out = export_edges(net)
+    out = export_edges(net).tolist()
     assert FlowEdge(0, 1, 0, 2.0) in out and FlowEdge(1, 0, 0, 5.0) in out

@@ -11,7 +11,16 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import Link, link_rows, link_table, oracle_dedupe
+from conftest import (
+    Link,
+    edge_rows,
+    link_rows,
+    link_table,
+    oracle_build,
+    oracle_dedupe,
+    oracle_export,
+    oracle_trim,
+)
 
 from multinav import (
     DegradedDecompositionError,
@@ -20,6 +29,7 @@ from multinav import (
     build_supra_transition,
     dedupe_links,
     default_time_grid,
+    export_edges,
     format_edge_csv,
     integrate_links,
     parse_edge_list,
@@ -110,6 +120,34 @@ def test_dedupe_links_keeps_sources_when_deduped_again(first, second):
     assert again == oracle_dedupe(oracle_dedupe(first) + oracle_dedupe(second))
 
 
+@st.composite
+def repeated_edges(draw):
+    """(n, L, FlowEdges) over at most 4 nodes, with self-loops, zero flows and
+    repeats of drawn rows, as they are or reversed, at random positions."""
+    n, n_layers = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    row = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(0, n_layers - 1),
+                    st.one_of(st.just(0.0), flows))
+    rows = draw(st.lists(row, max_size=16))
+    for source, target, layer, _ in draw(st.lists(st.sampled_from(rows), max_size=6)) if rows else []:
+        if draw(st.booleans()):
+            source, target = target, source
+        rows.insert(draw(st.integers(0, len(rows))), (source, target, layer, draw(flows)))
+    return n, n_layers, [FlowEdge(*r) for r in rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(repeated_edges(), st.booleans(), st.floats(0.01, 1.0), st.sampled_from([TRIM_PER_LAYER, TRIM_GLOBAL]))
+def test_edge_tables_match_the_per_edge_loops(case, directed, ratio, scope):
+    n, n_layers, edges = case
+    kept = trim_edges(edges, ratio=ratio, scope=scope)
+    assert kept.tolist() == oracle_trim(edges, ratio, scope)
+    for rows in (edges, edge_rows(kept)):
+        net = build_multiplex(rows, n_layers=n_layers, directed=directed, n_nodes=n)
+        want = oracle_build(rows, n_layers, n, directed)
+        assert net.intra.tobytes() == want.intra.tobytes()
+        assert export_edges(net).tolist() == oracle_export(want)
+
+
 @SETTINGS
 @given(
     st.lists(st.tuples(st.integers(0, 3), flows), max_size=30),
@@ -121,8 +159,8 @@ def test_trim_is_monotone_in_ratio(rows, r1, r2, scope):
     # distinct endpoints make every edge distinguishable
     edges = [FlowEdge(i, i + 1, layer, flow) for i, (layer, flow) in enumerate(rows)]
     low, high = sorted((r1, r2))
-    kept_low = Counter(trim_edges(edges, ratio=low, scope=scope))
-    kept_high = Counter(trim_edges(edges, ratio=high, scope=scope))
+    kept_low = Counter(trim_edges(edges, ratio=low, scope=scope).tolist())
+    kept_high = Counter(trim_edges(edges, ratio=high, scope=scope).tolist())
     assert kept_high <= kept_low
 
 
@@ -154,7 +192,7 @@ def test_edge_csv_round_trips_labels_and_flows(case):
     index = {name: i for i, name in enumerate(names)}
     edges = [FlowEdge(index[a], index[b], layer, flow) for layer, (a, b), flow in rows]
     back = parse_edge_list(io.StringIO(format_edge_csv(edges, names)))
-    assert [(e.layer, back.labels[e.source], back.labels[e.target], e.flow) for e in back.edges] == [
+    assert [(e.layer, back.labels[e.source], back.labels[e.target], e.flow) for e in edge_rows(back.edges)] == [
         (layer, a, b, flow) for layer, (a, b), flow in rows
     ]
 

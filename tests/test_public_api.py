@@ -30,7 +30,7 @@ def test_importing_the_package_and_cli_loads_no_scipy():
     )
     env = dict(os.environ, PYTHONPATH=str(Path(multinav.__file__).parents[1]))
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                            text=True, check=True)
+                            text=True, encoding="utf-8", check=True)
     assert result.stdout.strip() == "[]"
 
 

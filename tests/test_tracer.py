@@ -69,3 +69,16 @@ def test_traced_pipeline_counts_the_curve_from_the_survival_shape(traced_pipelin
     assert counts["navigability.curve_calls"] == 4
     assert counts["navigability.curve_points"] == 1604
     assert counts["navigability.curve_cmacs"] == 4_812_000
+
+
+def test_probe_reports_once_per_size_from_hand_written_rows():
+    """``probe`` builds each network from FlowEdge rows with ``n_nodes=``, the
+    one benchmark path that never parses a CSV; it must keep running here."""
+    trace = tracer.Tracer()
+    try:
+        tracer.install(trace)
+        tracer.probe(trace, 0)
+    finally:
+        trace.uninstall()
+    curves = Counter(span["run"] for span in trace.spans if span["name"] == "navigability.curve")
+    assert curves == {f"probe-{n}": 1 for n in tracer.PROBE_NODES}
